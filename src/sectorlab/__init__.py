@@ -15,6 +15,7 @@ from .errors import (
     BadInput,
     BadSector,
     EmptyRange,
+    InvariantViolation,
     NonResidue,
     NotSplit,
     QuadratureFailure,
@@ -87,7 +88,7 @@ __all__ = [
     "__version__",
     "SectorLabError", "BadInput", "BadSector", "BadEps", "NotSplit",
     "EmptyRange", "NonResidue", "QuadratureFailure", "TruncationFailure",
-    "AliasingRisk",
+    "InvariantViolation", "AliasingRisk",
     "Splitting", "GaussianPrimeIdeal", "LambdaEntry",
     "sieve_rational_primes", "sqrt_mod", "cornacchia",
     "enumerate_prime_ideals", "lambda_entries",

@@ -10,7 +10,8 @@ Six subcommands, one per experiment family:
   forbidden  smallest positive angle vs the exclusion bound
 
 Exit codes: 0 on success, 2 on invalid parameters, 3 when a numerical
-guarantee cannot be met (quadrature or spectral-truncation failure).
+guarantee cannot be met (quadrature or spectral-truncation failure, or a
+computed result that breaks a proven invariant).
 Outputs are deterministic; rerunning a command reproduces its files byte
 for byte.
 """
@@ -23,12 +24,15 @@ import sys
 from dataclasses import dataclass, field
 
 from ._version import __version__
-from .errors import BadInput, QuadratureFailure, TruncationFailure
+from .errors import BadInput, SectorLabError
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; built from argv, usable directly in tests."""
+    """Everything a run needs; built from argv, usable directly in tests.
+
+    The field defaults are the CLI defaults: main drops unset options.
+    """
 
     command: str
     out: str = "."
@@ -139,7 +143,7 @@ def run(config: ExperimentConfig) -> int:
     except BadInput as exc:  # includes BadSector, BadEps, NotSplit, EmptyRange
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureFailure, TruncationFailure) as exc:
+    except SectorLabError as exc:
         print(f"numerical guarantee failed: {exc}", file=sys.stderr)
         return 3
     for path in config.written:
@@ -168,26 +172,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--out", help="output directory")
         p.add_argument("--split-only", action="store_true",
                        help="drop ramified and inert ideals")
 
     p = sub.add_parser("sieve", help="enumerate prime ideals to CSV")
-    p.add_argument("--min", dest="norm_min", type=_int_literal, default=1)
+    p.add_argument("--min", dest="norm_min", type=_int_literal)
     p.add_argument("--max", dest="norm_max", type=_int_literal, required=True)
     add_common(p)
 
     p = sub.add_parser("sectors", help="sharp-sector scan at width (pi/2) X^-rho")
     p.add_argument("--x", type=_int_literal, required=True)
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--grid", type=int, default=500)
+    p.add_argument("--grid", type=int)
     p.add_argument("--delta", dest="deltas", type=float, action="append",
                    help="deviation thresholds (repeatable)")
     add_common(p)
 
     p = sub.add_parser("weyl", help="Gaussian Weyl sums up to k_max")
     p.add_argument("--x", type=_int_literal, required=True)
-    p.add_argument("--kmax", dest="k_max", type=int, default=8)
+    p.add_argument("--kmax", dest="k_max", type=int)
     add_common(p)
 
     p = sub.add_parser("variance", help="smoothed mean/variance sweep, K = X^tau")
@@ -195,14 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sharpness exponents (repeatable)")
     p.add_argument("--x-list", dest="x_list", type=_int_literal, action="append",
                    help="scales X (repeatable)")
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--grid-factor", dest="grid_factor", type=int, default=4)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--grid-factor", dest="grid_factor", type=int)
     add_common(p)
 
     p = sub.add_parser("realquad", help="norm equation and Weyl sums over Z[sqrt 2]")
     p.add_argument("--limit", type=_int_literal, required=True)
-    p.add_argument("--kmax", dest="k_max", type=int, default=8)
-    p.add_argument("--method", choices=("brute", "fast"), default="fast")
+    p.add_argument("--kmax", dest="k_max", type=int)
+    p.add_argument("--method", choices=("brute", "fast"))
     add_common(p)
 
     p = sub.add_parser("forbidden", help="smallest positive angle vs 1/(2 sqrt X)")

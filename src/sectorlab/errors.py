@@ -37,5 +37,9 @@ class TruncationFailure(SectorLabError, ArithmeticError):
     """Fourier tail cannot be certified below threshold at any feasible cutoff."""
 
 
+class InvariantViolation(SectorLabError, ArithmeticError):
+    """A computed result breaks a proven mathematical identity or bound."""
+
+
 class AliasingRisk(UserWarning):
     """Evaluation grid is too coarse for the spectral content it must resolve."""

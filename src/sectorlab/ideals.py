@@ -31,31 +31,27 @@ import numpy as np
 
 from .errors import BadInput, NonResidue
 
-HALF_PI = math.pi / 2.0
+HALF_PI = math.pi / 2.0  # period of the ideal angle; other modules import it from here
 
 _SEGMENT = 1 << 23  # sieve block length, keeps masks comfortably in cache
 
 
 def sieve_rational_primes(limit: int) -> np.ndarray:
     """Return all rational primes <= limit as an ascending int64 array."""
-    limit = int(limit)
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return _primes_in_range(0, limit)
 
 
 def _primes_in_range(lo: int, hi: int) -> np.ndarray:
-    """Primes in the half-open window (lo, hi], sieved segment by segment."""
+    """Primes in the half-open window (lo, hi], sieved segment by segment.
+
+    The base primes up to sqrt(hi) come from this same routine, so no mask
+    longer than one segment is ever allocated.
+    """
     lo, hi = int(lo), int(hi)
     if hi < 2 or hi <= lo:
         return np.empty(0, dtype=np.int64)
     lo = max(lo, 1)
-    base = sieve_rational_primes(math.isqrt(hi))
+    base = _primes_in_range(1, math.isqrt(hi))
     chunks = []
     start = lo + 1
     while start <= hi:
@@ -66,11 +62,9 @@ def _primes_in_range(lo: int, hi: int) -> np.ndarray:
                 break
             first = max(p * p, ((start + p - 1) // p) * p)
             mask[first - start :: p] = False
-        if start <= 1:
-            mask[: 2 - start] = False
         chunks.append(np.nonzero(mask)[0] + start)
         start = stop + 1
-    return np.concatenate(chunks).astype(np.int64) if chunks else np.empty(0, dtype=np.int64)
+    return np.concatenate(chunks).astype(np.int64)
 
 
 def sqrt_mod(n: int, p: int) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInput, NotSplit
+from .errors import BadInput, InvariantViolation, NotSplit
 from .ideals import sieve_rational_primes, sqrt_mod
 
 SQRT2 = math.sqrt(2.0)
@@ -147,7 +147,8 @@ def solve_norm_equation(p: int, method: str = "brute") -> tuple[int, int, int]:
     a, b, sign, _ = _canonicalize(a, b, p)
     if sign < 0:
         a, b, sign, _ = _canonicalize(a, -b, p)
-    assert sign == 1
+    if sign != 1:
+        raise InvariantViolation(f"no canonical generator of norm +{p} in the pair above {p}")
     return a, b, sign
 
 
@@ -242,7 +243,8 @@ def equidistribution_report_real(limit: int, k_max: int, method: str = "fast") -
         phase = (math.pi * k / LOG_EPS) * ts
         re = math.fsum(np.cos(phase)) / count
         im = math.fsum(np.sin(phase)) / count
-        assert abs(im) <= 1e-12  # conjugate pairs cancel
+        if not abs(im) <= 1e-12:
+            raise InvariantViolation(f"conjugate pairs leave Im W_{k} = {im!r} uncancelled")
         weyl[k] = re
     return RealQuadReport(
         limit=limit, k_max=int(k_max), ideal_count=int(count),

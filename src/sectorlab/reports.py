@@ -4,29 +4,24 @@ All emitters are pure functions of their inputs: no timestamps, no
 environment data, floats printed with %.17g (shortest form that round-
 trips a double is used for JSON), keys sorted.  Running the same
 experiment twice therefore produces byte-identical files, which the test
-suite checks.  Each file opens with a format-version comment so caches
-can be invalidated, and the enumeration cache additionally records its
-key (the norm window) and is refused on mismatch rather than silently
-reused.
+suite checks.  Each file opens with a format-version tag naming its
+schema.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from ._version import __version__
-from .errors import BadInput
-from .ideals import _ideal_arrays, Splitting, _CODE_TO_SPLITTING
+from .ideals import _ideal_arrays, _CODE_TO_SPLITTING
 from .realquad import RealQuadReport
 from .sectors import SectorScanReport
-from .characters import CharacterSumTable
 from .variance import VarianceReport
 
 IDEAL_FORMAT = "sectorlab-ideals-v1"
 CHARSUM_FORMAT = "sectorlab-charsums-v1"
 SECTOR_FORMAT = "sectorlab-sectors-v1"
+FORBIDDEN_FORMAT = "sectorlab-forbidden-v1"
 VARIANCE_FORMAT = "sectorlab-variance-v1"
 REALQUAD_FORMAT = "sectorlab-realquad-v1"
 
@@ -41,8 +36,13 @@ def _dump_json(path: str, obj: dict):
         fh.write("\n")
 
 
+def _dump_lines(path: str, lines: list[str]):
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_ideal_csv(path: str, norm_min: int, norm_max: int, include_nonsplit: bool = True):
-    """Cache the ideal enumeration for a norm window as CSV."""
+    """Write the ideal enumeration for a norm window as CSV."""
     p, a, b, norm, code, theta = _ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)
     lines = [
         f"# {IDEAL_FORMAT} sectorlab={__version__}",
@@ -52,48 +52,7 @@ def write_ideal_csv(path: str, norm_min: int, norm_max: int, include_nonsplit: b
     for i in range(p.size):
         kind = _CODE_TO_SPLITTING[int(code[i])].value
         lines.append(f"{p[i]},{a[i]},{b[i]},{norm[i]},{kind},{_fmt(theta[i])}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_ideal_csv(path: str, norm_min: int, norm_max: int, include_nonsplit: bool = True):
-    """Load a cached enumeration, validating format version and key.
-
-    Returns (p, a, b, norm, splitting, theta) arrays matching the layout
-    of the in-memory enumeration.  BadInput when the header key disagrees
-    with the requested window, so a stale cache cannot masquerade as a
-    fresh one.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        key = fh.readline().strip()
-        if not header.startswith(f"# {IDEAL_FORMAT}"):
-            raise BadInput(f"{path} is not an ideal cache (header {header!r})")
-        want = f"# norm_min={int(norm_min)} norm_max={int(norm_max)} include_nonsplit={int(include_nonsplit)}"
-        if key != want:
-            raise BadInput(f"cache key mismatch: file has {key!r}, caller wants {want!r}")
-        fh.readline()  # column row
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    p = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    a = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    b = np.array([int(r[2]) for r in rows], dtype=np.int64)
-    norm = np.array([int(r[3]) for r in rows], dtype=np.int64)
-    splitting = [Splitting(r[4]) for r in rows]
-    theta = np.array([float(r[5]) for r in rows], dtype=np.float64)
-    return p, a, b, norm, splitting, theta
-
-
-def write_character_table_csv(path: str, table: CharacterSumTable):
-    lines = [
-        f"# {CHARSUM_FORMAT} sectorlab={__version__}",
-        f"# X={_fmt(table.X)} k_max={table.k_max} variant={table.variant} phi={table.phi_id}",
-        "k,re,im",
-    ]
-    for k in range(table.k_max + 1):
-        v = table.values[k]
-        lines.append(f"{k},{_fmt(v.real)},{_fmt(v.imag)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _dump_lines(path, lines)
 
 
 def write_sector_csv(path: str, report: SectorScanReport):
@@ -107,8 +66,7 @@ def write_sector_csv(path: str, report: SectorScanReport):
         lines.append(
             f"{_fmt(betas[j])},{int(report.counts[j])},{_fmt(report.expected)},{_fmt(report.deviations[j])}"
         )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _dump_lines(path, lines)
 
 
 def write_sector_json(path: str, report: SectorScanReport):
@@ -157,8 +115,7 @@ def write_variance_csv(path: str, reports: list[VarianceReport]):
     for x in xs:
         cells = ",".join(_fmt(by_cell[(x, t)]) if (x, t) in by_cell else "" for t in taus)
         lines.append(f"{_fmt(x)},{cells}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _dump_lines(path, lines)
 
 
 def write_realquad_csv(path: str, report: RealQuadReport):
@@ -169,8 +126,7 @@ def write_realquad_csv(path: str, report: RealQuadReport):
     ]
     for ideal in report.ideals:
         lines.append(f"{ideal.p},{ideal.a},{ideal.b},{ideal.sign},{_fmt(ideal.t)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _dump_lines(path, lines)
 
 
 def write_realquad_json(path: str, report: RealQuadReport):
@@ -197,7 +153,7 @@ def write_weyl_json(path: str, X: int, sums: dict, count: int):
 
 def write_forbidden_json(path: str, norm_max: int, min_angle: float):
     _dump_json(path, {
-        "format_version": SECTOR_FORMAT,
+        "format_version": FORBIDDEN_FORMAT,
         "sectorlab": __version__,
         "norm_max": norm_max,
         "min_angle": min_angle,

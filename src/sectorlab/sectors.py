@@ -20,10 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadInput, BadSector, EmptyRange
-from .ideals import _ideal_arrays
-
-HALF_PI = math.pi / 2.0
+from .errors import BadInput, BadSector, EmptyRange, InvariantViolation
+from .ideals import HALF_PI, _ideal_arrays
 
 
 @lru_cache(maxsize=32)
@@ -178,15 +176,19 @@ def sector_scan(
 def forbidden_region_check(norm_max: int, include_nonsplit: bool = True) -> float:
     """Smallest positive angle among ideals with norm <= norm_max.
 
-    Asserts the exclusion bound min_angle > 1/(2 sqrt(norm_max)) and
-    returns the minimum.  Angle-zero ideals (the inert ones) are ignored.
+    Checks the exclusion bound min_angle > 1/(2 sqrt(norm_max)), raising
+    InvariantViolation if it fails, and returns the minimum.  Angle-zero
+    ideals (the inert ones) are ignored.
     """
     th, _ = _angle_tables(1, int(norm_max), include_nonsplit)
     positive = th[th > 0.0]
     if positive.size == 0:
         raise EmptyRange(f"no ideals with positive angle and norm <= {norm_max}")
     min_angle = float(positive[0])
-    assert min_angle > 1.0 / (2.0 * math.sqrt(norm_max))
+    bound = 1.0 / (2.0 * math.sqrt(norm_max))
+    if not min_angle > bound:
+        raise InvariantViolation(
+            f"smallest angle {min_angle!r} at norm <= {norm_max} is within the bound {bound!r}")
     return min_angle
 
 

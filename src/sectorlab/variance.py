@@ -31,13 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import _weighted_entries, character_sum_table
+from .characters import _norm_window, _weighted_entries, character_sum_table
 from .errors import AliasingRisk, BadInput, TruncationFailure
-from .ideals import _lambda_arrays
+from .ideals import HALF_PI, _lambda_arrays
 from .windows import (
-    HALF_PI,
     PeriodizedWindow,
     SmoothWindow,
+    _midpoint_nodes,
     fourier_coefficient,
     fourier_coefficients_bulk,
     mollifier_window,
@@ -55,12 +55,9 @@ _kmax_cache: dict = {}
 
 
 def _midpoint_coefficient(f: SmoothWindow, K: float, k: int) -> complex:
-    """c_k by a uniform midpoint rule sized so aliasing sits below 1e-16."""
+    """c_k by the midpoint rule of fourier_coefficients_bulk, summed for one k."""
     xi = k / K
-    n = 1 << max(11, int(math.ceil(math.log2(4.0 * abs(xi) + 1024.0))))
-    h = (f.hi - f.lo) / n
-    u = f.lo + (np.arange(n) + 0.5) * h
-    w = f(u) * h
+    u, w = _midpoint_nodes(f, abs(xi))
     return complex(np.sum(w * np.exp(-2j * np.pi * u * xi))) / K
 
 
@@ -317,8 +314,7 @@ class VarianceReport:
 
 def _power_part_grid(K, X, phi, grid_size, include_nonsplit, f):
     """Grid values of the r >= 2 part of psi (prime powers only)."""
-    lo = max(0, math.ceil(X * phi.lo) - 1)
-    hi = math.floor(X * phi.hi)
+    lo, hi = _norm_window(X, phi)
     norms, thetas, logs, r = _lambda_arrays(lo, hi, include_nonsplit)
     keep = r >= 2
     if not np.any(keep):

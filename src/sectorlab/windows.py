@@ -34,8 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadEps, BadInput, QuadratureFailure
-
-HALF_PI = math.pi / 2.0
+from .ideals import HALF_PI
 
 DEFAULT_QUAD_TOL = 1e-10
 MAX_QUAD_INTERVALS = 1 << 20
@@ -302,25 +301,28 @@ def fourier_coefficient(base: SmoothWindow, K: float, k: int) -> complex:
     return fourier_hat(base, k / K) / K
 
 
-def fourier_coefficients_bulk(base: SmoothWindow, K: float, k_max: int) -> np.ndarray:
-    """c_k for k = 0..k_max in one pass.
+def _midpoint_nodes(base: SmoothWindow, xi_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u and weights base(u) h of the midpoint rule for w_hat up to |xi| = xi_max.
 
     The window vanishes to all orders at its support endpoints, so a
     uniform midpoint rule is spectrally accurate; the node count is
     chosen so that the first aliased frequency sits far beyond where the
-    transform has decayed below double precision.  Consistency with
-    fourier_coefficient (adaptive route) is enforced in the test suite.
+    transform has decayed below double precision.
     """
+    n = 1 << max(11, int(math.ceil(math.log2(4.0 * xi_max + 1024.0))))
+    h = (base.hi - base.lo) / n
+    u = base.lo + (np.arange(n) + 0.5) * h
+    return u, base(u) * h
+
+
+def fourier_coefficients_bulk(base: SmoothWindow, K: float, k_max: int) -> np.ndarray:
+    """c_k for k = 0..k_max in one pass; the tests check it against fourier_coefficient."""
     from ._kernels import geometric_weighted_sums
 
     K = float(K)
     if not K >= 1.0:
         raise BadInput(f"periodisation sharpness K = {K} must be >= 1")
-    xi_max = k_max / K
-    n = 1 << max(11, int(math.ceil(math.log2(4.0 * xi_max + 1024.0))))
-    h = (base.hi - base.lo) / n
-    u = base.lo + (np.arange(n) + 0.5) * h
-    weights = base(u) * h
+    u, weights = _midpoint_nodes(base, k_max / K)
     phases = -2.0 * np.pi * u / K
     return geometric_weighted_sums(phases, weights, k_max) / K
 

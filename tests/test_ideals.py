@@ -13,6 +13,7 @@ from helpers import (
     brute_sqrt_mod,
     ulps_apart,
 )
+from sectorlab import ideals as ideals_mod
 from sectorlab.errors import BadInput, NonResidue
 from sectorlab.ideals import (
     GaussianPrimeIdeal,
@@ -55,6 +56,16 @@ def test_enumerate_across_segment_edge():
         if lo < q * q <= hi and q % 4 == 3 and brute_is_prime(q):
             want.add((q * q, q, 0))
     assert got == want
+
+
+def test_sieve_and_enumeration_across_many_segments(monkeypatch):
+    # 64-wide segments put dozens of segment boundaries inside each range,
+    # for the sieve itself and for the base primes it sieves with
+    monkeypatch.setattr(ideals_mod, "_SEGMENT", 64)
+    ideals_mod._ideal_arrays.cache_clear()  # force a fresh enumeration
+    assert sieve_rational_primes(10**4).tolist() == brute_primes(10**4)
+    got = {(i.norm, i.a, i.b) for i in enumerate_prime_ideals(1000, 3000)}
+    assert got == brute_gaussian_ideals(1000, 3000)
 
 
 # ------------------------------------------------------------- sqrt_mod

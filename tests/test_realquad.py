@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import brute_primes, brute_realquad_solution, ulps_apart
-from sectorlab.errors import BadInput, NotSplit
+from sectorlab import realquad as realquad_mod
+from sectorlab.errors import BadInput, InvariantViolation, NotSplit
 from sectorlab.realquad import (
     LOG_EPS,
     PERIOD,
@@ -41,6 +42,13 @@ def test_norm_equation_rejects_nonsplit_and_composite():
             solve_norm_equation(n)
     with pytest.raises(BadInput):
         solve_norm_equation(7, method="guess")
+
+
+def test_norm_equation_sign_gate_fails_typed(monkeypatch):
+    # if neither conjugate had a generator of norm +p, the gate must say so
+    monkeypatch.setattr(realquad_mod, "_canonicalize", lambda a, b, p: (a, b, -1, 0.0))
+    with pytest.raises(InvariantViolation):
+        solve_norm_equation(7)
 
 
 def test_splitting_matches_euler_criterion():
@@ -182,6 +190,15 @@ def test_weyl_sums_equidistribute():
     for k in range(3):
         assert mags[10**5][k] < mags[10**3][k]
     assert max(mags[10**5]) < max(mags[10**4]) < max(mags[10**3])
+
+
+def test_report_conjugate_cancellation_gate_fails_typed(monkeypatch):
+    # listing one conjugate twice leaves the imaginary parts uncancelled
+    original = conjugate_pair
+    monkeypatch.setattr(realquad_mod, "conjugate_pair",
+                        lambda p, method: (original(p, method)[0],) * 2)
+    with pytest.raises(InvariantViolation):
+        equidistribution_report_real(100, 3)
 
 
 def test_report_validation():

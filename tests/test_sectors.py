@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from sectorlab.errors import BadInput, BadSector, EmptyRange
+from sectorlab import sectors as sectors_mod
+from sectorlab.cli import main
+from sectorlab.errors import BadInput, BadSector, EmptyRange, InvariantViolation
 from sectorlab.ideals import enumerate_prime_ideals
 from sectorlab.sectors import (
     HALF_PI,
@@ -198,6 +200,18 @@ def test_forbidden_region_empty():
         forbidden_region_check(4, include_nonsplit=False)
     # norm_max = 2 keeps just the ramified ideal, angle pi/4 > bound
     assert forbidden_region_check(2) == pytest.approx(math.pi / 4, rel=1e-15)
+
+
+def test_forbidden_region_gate_fails_typed(monkeypatch, tmp_path, capsys):
+    # an angle far inside the exclusion zone must be reported, not returned
+    angles = np.array([0.0, 1e-9, 0.5])
+    monkeypatch.setattr(sectors_mod, "_angle_tables",
+                        lambda *args: (angles, np.zeros(angles.size + 1)))
+    with pytest.raises(InvariantViolation):
+        forbidden_region_check(10**6)
+    assert main(["forbidden", "--max", "1e6", "--out", str(tmp_path)]) == 3
+    assert "numerical guarantee failed" in capsys.readouterr().err
+    assert not (tmp_path / "forbidden.json").exists()
 
 
 # ------------------------------------------------------------- discrepancy
