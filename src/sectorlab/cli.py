@@ -9,9 +9,10 @@ Six subcommands, one per experiment family:
   realquad   norm-equation solutions and real Weyl sums over Z[sqrt 2]
   forbidden  smallest positive angle vs the exclusion bound
 
-Exit codes: 0 on success, 2 on invalid parameters, 3 when a numerical
-guarantee cannot be met (quadrature or spectral-truncation failure, or a
-computed result that breaks a proven invariant).
+Exit codes: 0 on success, 2 on invalid parameters (including a size above
+MAX_SIZE), 3 when a numerical guarantee cannot be met (quadrature or
+spectral-truncation failure, or a computed result that breaks a proven
+invariant).
 Outputs are deterministic; rerunning a command reproduces its files byte
 for byte.
 """
@@ -25,6 +26,20 @@ from dataclasses import dataclass, field
 
 from ._version import __version__
 from .errors import BadInput, SectorLabError
+
+MAX_SIZE = 10**9
+"""Largest norm bound or scale a subcommand accepts.
+
+Every size that drives enumeration (sieve and forbidden --max, sectors
+and weyl --x, realquad --limit, variance --x-list) is checked against it
+before any work starts.  At 1e9 the ideal arrays already hold about 5e7
+entries, several GB; far beyond it the segmented sieve would run without
+end in practice while its output grew.
+"""
+
+# config fields holding enumeration sizes; a subcommand leaves the ones it
+# does not use at their in-range defaults
+_SIZE_FIELDS = ("norm_max", "x", "x_list", "limit")
 
 
 @dataclass
@@ -131,6 +146,14 @@ _RUNNERS = {
 }
 
 
+def _check_sizes(config: ExperimentConfig):
+    for name in _SIZE_FIELDS:
+        value = getattr(config, name)
+        for size in value if isinstance(value, tuple) else (value,):
+            if size > MAX_SIZE:
+                raise BadInput(f"{name} = {size} exceeds the size ceiling {MAX_SIZE}")
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute one configured experiment; returns the process exit code."""
     try:
@@ -139,6 +162,7 @@ def run(config: ExperimentConfig) -> int:
         print(f"unknown command {config.command!r}", file=sys.stderr)
         return 2
     try:
+        _check_sizes(config)
         runner(config)
     except BadInput as exc:  # includes BadSector, BadEps, NotSplit, EmptyRange
         print(f"invalid parameters: {exc}", file=sys.stderr)

@@ -99,7 +99,11 @@ def expected_count(
         hi = float(norm_max)
         if hi <= lo:
             return 0.0
-        li = adaptive_simpson(lambda t: 1.0 / np.log(t), lo, hi, tol=1e-8)
+        # relative budget: the integral grows like (hi - lo)/log hi, its
+        # lower bound, and a fixed absolute tolerance falls below double
+        # precision rounding once that reaches ~1e8
+        tol = 1e-12 * (hi - lo) / math.log(hi)
+        li = adaptive_simpson(lambda t: 1.0 / np.log(t), lo, hi, tol=tol)
         return (gamma / HALF_PI) * float(li)
     raise BadInput(f"unknown expected-count mode {mode!r}")
 

@@ -38,7 +38,6 @@ from .windows import (
     PeriodizedWindow,
     SmoothWindow,
     _midpoint_nodes,
-    fourier_coefficient,
     fourier_coefficients_bulk,
     mollifier_window,
     periodized_eval,
@@ -48,8 +47,6 @@ from .windows import (
 KMAX_CAP = 10**7
 TAIL_RATIO = 1e-14
 CERTIFICATE_RATIO = 1e-12
-
-_PAIR_BUDGET = 1 << 23
 
 _kmax_cache: dict = {}
 
@@ -135,9 +132,16 @@ def psi_eval(
 def _scatter_grid(thetas, weights, K, f, grid_size):
     """Evaluate sum_a w_a F_K(theta_a - theta_i) on the uniform angle grid.
 
-    Each entry touches only the grid points inside its translated support,
-    so the work is gathered entry-by-entry into index ranges and scattered
-    with bincount, chunked to bound peak memory.
+    Entry a touches only the counts_a grid points i_lo_a + j, 0 <= j <
+    counts_a, inside its translated support.  Every support has the same
+    length, about (hi - lo) G / K points, so the loop runs over the offset
+    j and each step is vectorised over the entries: O(N) work per offset,
+    with no entry-grid pair arrays and nothing of size G per step.
+    Entries are sorted by count, so those with counts_a > j are a prefix.
+    That mask matters: f is never evaluated outside an entry's support,
+    because a custom evaluator need not vanish there.  Values land at
+    (i_lo_a mod G) + j in a buffer of G + max(counts) cells, which is
+    folded mod G once at the end.
     """
     G = int(grid_size)
     step = HALF_PI / G
@@ -146,24 +150,17 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     i_lo = np.ceil((thetas - f.hi / scale) / step).astype(np.int64)
     i_hi = np.floor((thetas - f.lo / scale) / step).astype(np.int64)
     counts = np.maximum(i_hi - i_lo + 1, 0)
-    out = np.zeros(G, dtype=np.float64)
-    total = int(counts.sum())
-    if total == 0:
-        return out
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    chunk = max(1, _PAIR_BUDGET // max(1, int(counts.max())))
-    for start in range(0, thetas.size, chunk):
-        stop = min(start + chunk, thetas.size)
-        m = counts[start:stop]
-        pairs = int(bounds[stop] - bounds[start])
-        if pairs == 0:
-            continue
-        rep = np.repeat(np.arange(start, stop), m)
-        offsets = np.arange(pairs) - np.repeat(bounds[start:stop] - bounds[start], m)
-        idx = i_lo[rep] + offsets
-        vals = f._eval((thetas[rep] - idx * step) * scale) * weights[rep]
-        out += np.bincount(np.mod(idx, G), weights=vals, minlength=G)
-    return out
+    order = np.argsort(-counts, kind="stable")
+    thetas, weights, i_lo, counts = thetas[order], weights[order], i_lo[order], counts[order]
+    span = int(counts.max(initial=0))
+    first_cell = np.mod(i_lo, G)
+    spill = np.zeros(G + span, dtype=np.float64)
+    live = np.searchsorted(-counts, -np.arange(span))  # live[j]: entries with counts > j
+    for j, n in enumerate(live):
+        idx = i_lo[:n] + j
+        vals = f._eval((thetas[:n] - idx * step) * scale) * weights[:n]
+        np.add.at(spill, first_cell[:n] + j, vals)
+    return np.bincount(np.arange(spill.size) % G, weights=spill, minlength=G)
 
 
 def psi_grid(

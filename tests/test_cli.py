@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from sectorlab.cli import ExperimentConfig, main, run
+from sectorlab.cli import MAX_SIZE, ExperimentConfig, main, run
 
 
 def data_rows(path):
@@ -86,6 +88,24 @@ def test_bad_limit_exits_2(tmp_path):
     assert main(["realquad", "--limit", "5", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["sieve", "--max", "1e30"],
+    ["sectors", "--x", "1e30", "--rho", "0.3"],
+    ["forbidden", "--max", "1e30"],
+    ["weyl", "--x", "1e30"],
+    ["realquad", "--limit", "1e12"],
+    ["variance", "--x-list", "1e4", "--x-list", str(MAX_SIZE + 1), "--tau", "0.01"],
+])
+def test_size_above_ceiling_exits_2_before_work(tmp_path, capsys, args):
+    # without the ceiling each of these enumerates for hours
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(args + ["--out", str(out)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "size ceiling" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_command_exits_2(capsys):
     assert run(ExperimentConfig(command="nope")) == 2
     assert "unknown command" in capsys.readouterr().err
@@ -145,6 +165,21 @@ def test_reruns_are_byte_identical(tmp_path):
         assert main(args + ["--out", str(b)]) == 0
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_variance_bytes_independent_of_thread_count(tmp_path):
+    # the knob is read at import, so each thread count needs its own process
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sectorlab", "variance", "--x-list", "1e4",
+             "--tau", "0.4", "--out", str(tmp_path / threads)],
+            capture_output=True, text=True, env={**env, "SECTORLAB_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in ("variance.json", "variance.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 # ------------------------------------------------------------ entry point

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from sectorlab import sectors as sectors_mod
 from sectorlab.cli import main
@@ -118,6 +119,15 @@ def test_expected_pit_against_scipy():
     want, err = scipy.integrate.quad(lambda t: 1.0 / math.log(t), 10**6, 2 * 10**6)
     got = expected_count(gamma, 10**6, 2 * 10**6, mode="pit")
     assert got == pytest.approx((gamma / HALF_PI) * want, abs=max(1e-6, 10 * err))
+
+
+def test_expected_pit_large_norms():
+    # li(1e10) is about 4.5e8: an absolute tolerance near 1e-8 is below
+    # the rounding of the sum itself
+    lo, hi = 2, 10**10
+    want = scipy.special.expi(math.log(hi)) - scipy.special.expi(math.log(lo))
+    got = expected_count(HALF_PI, 0, hi, mode="pit")
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_expected_rejects_unknown_mode():

@@ -11,12 +11,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sectorlab.characters import character_sum
 from sectorlab.errors import AliasingRisk, BadInput, TruncationFailure
 from sectorlab.ideals import lambda_entries
 from sectorlab.variance import (
     PsiSpectrum,
+    _scatter_grid,
     mean_formula,
     psi_eval,
     psi_grid,
@@ -28,10 +31,12 @@ from sectorlab.variance import (
 )
 from sectorlab.windows import (
     HALF_PI,
+    PeriodizedWindow,
     custom_window,
     fourier_coefficient,
     mollifier_eval,
     mollifier_window,
+    periodized_eval,
     plateau_plus,
 )
 
@@ -272,6 +277,60 @@ def test_psi_grid_matches_pointwise_eval():
     for j in range(0, 64, 7):
         direct = psi_eval(j * step, 4.0, 500.0, bump(), plateau_1_2())
         assert abs(values[j] - direct) <= 1e-10 * (1.0 + scale)
+
+
+def leaky_window():
+    # the mollifier inside [-1, 1], but 5 clearly outside it: any
+    # evaluation past an entry's support shows up in the scatter
+    def evaluate(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(np.abs(u) <= 1.0 + 1e-9, mollifier_eval(u), 5.0)
+
+    return custom_window(evaluate, -1.0, 1.0)
+
+
+WINDOWS = {"mollifier": bump, "plateau": lambda: plateau_plus(core=(0.3, 1.1), eps=0.2),
+           "leaky": leaky_window}
+
+
+def brute_scatter(thetas, weights, K, f, grid_size):
+    """Per-angle oracle: F_K(theta_a - theta_i) summed over entries at each grid angle."""
+    pw = PeriodizedWindow(base=f, K=K)
+    grid = np.arange(grid_size) * (HALF_PI / grid_size)
+    return np.array([math.fsum(weights * periodized_eval(pw, thetas - t)) for t in grid])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.floats(0.0, HALF_PI, exclude_max=True), st.floats(-3.0, 3.0)),
+        max_size=8,
+    ),
+    K=st.floats(1.0, 40.0),
+    grid_size=st.integers(1, 96),
+    kind=st.sampled_from(sorted(WINDOWS)),
+)
+# supports wrapping past 0 and past pi/2
+@example(entries=[(0.0, 1.0), (0.01, 2.0), (HALF_PI - 0.01, -1.5)], K=8.0, grid_size=64,
+         kind="mollifier")
+# K = 1: one support covers two periods, more cells than the grid has
+@example(entries=[(0.3, 1.0)], K=1.0, grid_size=8, kind="mollifier")
+@example(entries=[(0.3, 1.0), (1.2, 0.5)], K=1.0, grid_size=8, kind="leaky")
+# counts differ between entries: 24 or 25 cells (plateau), 40 or 41 (leaky)
+@example(entries=[(0.2, 1.0), (0.215, -2.0), (0.9, 0.5)], K=3.0, grid_size=61, kind="plateau")
+@example(entries=[(0.2, 1.0), (0.215, -2.0), (0.9, 0.5)], K=3.0, grid_size=61, kind="leaky")
+# empty input: zeros
+@example(entries=[], K=4.0, grid_size=16, kind="mollifier")
+def test_scatter_grid_matches_per_angle_oracle(entries, K, grid_size, kind):
+    f = WINDOWS[kind]()
+    thetas = np.array([t for t, _ in entries], dtype=float)
+    weights = np.array([w for _, w in entries], dtype=float)
+    got = _scatter_grid(thetas, weights, K, f, grid_size)
+    want = brute_scatter(thetas, weights, K, f, grid_size)
+    assert got.shape == (grid_size,) and got.dtype == np.float64
+    # each entry adds at most 2 + 2/K overlapping translates, each <= 1
+    bound = float(np.sum(np.abs(weights))) * (2.0 + 2.0 / K)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * (1.0 + bound)
 
 
 def test_psi_grid_validation():
