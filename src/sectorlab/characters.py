@@ -50,6 +50,10 @@ def _norm_window(X: float, phi: SmoothWindow) -> tuple[int, int]:
 
 
 def _weighted_entries(X, phi, variant, include_nonsplit):
+    """(thetas, weights, r) of the prime-power table, weights Phi(N/X) Lambda.
+
+    variant "powers" keeps every row, "primes" only the prime rows r = 1.
+    """
     if variant not in ("powers", "primes"):
         raise BadInput(f"unknown variant {variant!r}")
     X = float(X)
@@ -57,14 +61,11 @@ def _weighted_entries(X, phi, variant, include_nonsplit):
         raise BadInput(f"scale X = {X} must be >= 2")
     if phi.lo < 0.0:
         raise BadInput(f"cutoff support [{phi.lo}, {phi.hi}] must sit in (0, inf)")
-    lo, hi = _norm_window(X, phi)
-    if variant == "powers":
-        norms, thetas, logs, _ = _lambda_arrays(lo, hi, include_nonsplit)
-    else:
-        _, _, _, norms, _, thetas = _ideal_arrays(lo, hi, include_nonsplit)
-        logs = np.log(norms.astype(np.float64))
-    weights = phi(norms / X) * logs
-    return norms, thetas, weights
+    norms, thetas, logs, r = _lambda_arrays(*_norm_window(X, phi), include_nonsplit)
+    if variant == "primes":
+        keep = r == 1
+        norms, thetas, logs, r = norms[keep], thetas[keep], logs[keep], r[keep]
+    return thetas, phi(norms / X) * logs, r
 
 
 def character_sum(
@@ -72,7 +73,7 @@ def character_sum(
     variant: str = "powers", include_nonsplit: bool = True,
 ) -> complex:
     """S_k(X) with cutoff Phi, compensated summation, deterministic order."""
-    _, thetas, weights = _weighted_entries(X, phi, variant, include_nonsplit)
+    thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
     angles = (4.0 * k) * thetas
     re = math.fsum(weights * np.cos(angles))
     im = math.fsum(weights * np.sin(angles)) if k != 0 else 0.0
@@ -122,7 +123,7 @@ def character_sum_table(
     """Tabulate S_0..S_{k_max} in one pass over the weighted entries."""
     if k_max < 0:
         raise BadInput(f"k_max = {k_max} must be >= 0")
-    _, thetas, weights = _weighted_entries(X, phi, variant, include_nonsplit)
+    thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
     values = geometric_weighted_sums(4.0 * thetas, weights, k_max)
     return CharacterSumTable(X=float(X), k_max=int(k_max), variant=variant,
                              phi_id=phi.window_id, values=values)

@@ -72,7 +72,7 @@ class ExperimentConfig:
         return not self.split_only
 
     def path(self, name: str) -> str:
-        os.makedirs(self.out, exist_ok=True)
+        """Output path of file name; its writer makes the directory on opening it."""
         target = os.path.join(self.out, name)
         self.written.append(target)
         return target

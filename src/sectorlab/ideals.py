@@ -202,39 +202,24 @@ def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
     freely between callers and threads.
     """
     norm_min, norm_max = _validate_window(norm_min, norm_max)
-    ps, aa, bb, nn, cc = [], [], [], [], []
-
+    # one (p, a, b, norm, code) column block per splitting class
     split_p = _primes_in_range(norm_min, norm_max)
     split_p = split_p[split_p % 4 == 1]
-    for p in split_p.tolist():
-        a, b = cornacchia(p)
-        ps += [p, p]
-        aa += [a, b]
-        bb += [b, a]
-        nn += [p, p]
-        cc += [_SPLIT, _SPLIT]
-
+    legs = np.array([cornacchia(p) for p in split_p.tolist()], dtype=np.int64).reshape(-1, 2)
+    pair_p = np.repeat(split_p, 2)  # the conjugates (a, b) and (b, a) of each p
+    blocks = [(pair_p, legs.ravel(), legs[:, ::-1].ravel(), pair_p, _SPLIT)]
     if include_nonsplit:
         if norm_min < 2 <= norm_max:
-            ps.append(2)
-            aa.append(1)
-            bb.append(1)
-            nn.append(2)
-            cc.append(_RAMIFIED)
+            blocks.append(([2], [1], [1], [2], _RAMIFIED))
         inert_p = _primes_in_range(math.isqrt(norm_min), math.isqrt(norm_max))
         inert_p = inert_p[inert_p % 4 == 3]
-        for p in inert_p.tolist():
-            ps.append(p)
-            aa.append(p)
-            bb.append(0)
-            nn.append(p * p)
-            cc.append(_INERT)
+        blocks.append((inert_p, inert_p, np.zeros_like(inert_p), inert_p * inert_p, _INERT))
 
-    p_arr = np.array(ps, dtype=np.int64)
-    a_arr = np.array(aa, dtype=np.int64)
-    b_arr = np.array(bb, dtype=np.int64)
-    n_arr = np.array(nn, dtype=np.int64)
-    c_arr = np.array(cc, dtype=np.int8)
+    p_arr, a_arr, b_arr, n_arr = (
+        np.concatenate([np.asarray(block[i], dtype=np.int64) for block in blocks])
+        for i in range(4)
+    )
+    c_arr = np.concatenate([np.full(len(block[0]), block[4], dtype=np.int8) for block in blocks])
     theta = np.arctan2(b_arr.astype(np.float64), a_arr.astype(np.float64))
 
     order = np.lexsort((theta, n_arr))
@@ -263,37 +248,22 @@ def _lambda_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
     """Arrays (norm, theta, weight, r) for prime-power ideals in (norm_min, norm_max].
 
     Sorted by (norm, theta).  weight is log of the base norm; the r array
-    lets callers separate genuine primes (r = 1) from higher powers.
+    lets callers separate genuine primes (r = 1) from higher powers.  Each
+    power r enumerates exactly the bases whose r-th power lands in the
+    window, so base norms stay below the integer r-th root of norm_max and
+    powers fit in int64.
     """
     norm_min, norm_max = _validate_window(norm_min, norm_max)
     parts_n, parts_t, parts_w, parts_r = [], [], [], []
-
-    r = 1
-    while norm_max >= 2**r:
-        # base norms are capped at the integer r-th root, so powers fit in int64
-        cap = _iroot(norm_max, r)
-        _, _, _, n_arr, _, t_arr = _ideal_arrays(0, cap, include_nonsplit)
-        powers = n_arr**r
-        keep = powers > norm_min
-        if np.any(keep):
-            n_arr, t_arr, powers = n_arr[keep], t_arr[keep], powers[keep]
-            theta = np.fmod(r * t_arr, HALF_PI) if r > 1 else t_arr
-            parts_n.append(powers)
-            parts_t.append(theta)
-            parts_w.append(np.log(n_arr.astype(np.float64)))
-            parts_r.append(np.full(n_arr.size, r, dtype=np.int32))
-        r += 1
-
-    if not parts_n:
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-            np.empty(0, dtype=np.float64),
-            np.empty(0, dtype=np.int32),
-        )
-        for arr in empty:
-            arr.setflags(write=False)
-        return empty
+    # every r with 2**r <= norm_max; r = 1 always runs, so an empty window
+    # still yields typed empty arrays
+    for r in range(1, max(2, norm_max.bit_length())):
+        _, _, _, n_arr, _, t_arr = _ideal_arrays(
+            _iroot(norm_min, r), _iroot(norm_max, r), include_nonsplit)
+        parts_n.append(n_arr**r)
+        parts_t.append(np.fmod(r * t_arr, HALF_PI) if r > 1 else t_arr)
+        parts_w.append(np.log(n_arr.astype(np.float64)))
+        parts_r.append(np.full(n_arr.size, r, dtype=np.int32))
 
     norm = np.concatenate(parts_n)
     theta = np.concatenate(parts_t)

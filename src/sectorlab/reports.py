@@ -11,6 +11,7 @@ schema.
 from __future__ import annotations
 
 import json
+import os
 
 from ._version import __version__
 from .ideals import _ideal_arrays, _CODE_TO_SPLITTING
@@ -30,14 +31,20 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _create(path: str):
+    """Open path for writing, creating its directory only now that output exists."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", newline="\n")
+
+
 def _dump_json(path: str, obj: dict):
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _dump_lines(path: str, lines: list[str]):
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

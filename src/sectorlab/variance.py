@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import _norm_window, _weighted_entries, character_sum_table
+from .characters import _weighted_entries, character_sum_table
 from .errors import AliasingRisk, BadInput, TruncationFailure
-from .ideals import HALF_PI, _lambda_arrays
+from .ideals import HALF_PI
 from .windows import (
     PeriodizedWindow,
     SmoothWindow,
@@ -123,7 +123,7 @@ def psi_eval(
     variant: str = "powers", include_nonsplit: bool = True,
 ) -> float:
     """The smoothed count at a single angle, by direct compensated summation."""
-    _, thetas, weights = _weighted_entries(X, phi, variant, include_nonsplit)
+    thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
     pw = PeriodizedWindow(base=f, K=float(K))
     vals = periodized_eval(pw, thetas - float(theta))
     return math.fsum(weights * vals)
@@ -170,7 +170,7 @@ def psi_grid(
     """The smoothed count on the grid theta_i = i (pi/2)/grid_size, i < grid_size."""
     if int(grid_size) < 1:
         raise BadInput(f"grid size {grid_size} must be >= 1")
-    _, thetas, weights = _weighted_entries(X, phi, variant, include_nonsplit)
+    thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
     return _scatter_grid(thetas, weights, float(K), f, int(grid_size))
 
 
@@ -311,13 +311,9 @@ class VarianceReport:
 
 def _power_part_grid(K, X, phi, grid_size, include_nonsplit, f):
     """Grid values of the r >= 2 part of psi (prime powers only)."""
-    lo, hi = _norm_window(X, phi)
-    norms, thetas, logs, r = _lambda_arrays(lo, hi, include_nonsplit)
+    thetas, weights, r = _weighted_entries(X, phi, "powers", include_nonsplit)
     keep = r >= 2
-    if not np.any(keep):
-        return np.zeros(int(grid_size))
-    weights = phi(norms[keep] / X) * logs[keep]
-    return _scatter_grid(thetas[keep], weights, float(K), f, int(grid_size))
+    return _scatter_grid(thetas[keep], weights[keep], float(K), f, int(grid_size))
 
 
 def variance_sweep(

@@ -214,6 +214,15 @@ def test_criterion_09_almost_all_sectors(capsys):
     )
 
 
+def test_criterion_09_companion_can_fail():
+    # criterion 9's fractions at rho=0.3 are all 0.0, so its ordering cannot
+    # fail; at rho=0.6 narrow sectors do deviate, and the fraction must fall
+    # strictly (measured 0.1230 > 0.0479 > 0.0117; rho=0.5 is not monotone)
+    fracs = [sector_scan(X, 0.6, 1024, deltas=(0.5,)).exceptional_fraction[0.5]
+             for X in (10**4, 10**5, 10**6)]
+    assert fracs[0] > fracs[1] > fracs[2] and fracs[0] > 0.0, fracs
+
+
 def test_criterion_10_forbidden_region(capsys):
     start = time.perf_counter()
     angle = forbidden_region_check(10**6)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from sectorlab.cli import MAX_SIZE, ExperimentConfig, main, run
+from sectorlab.errors import InvariantViolation
 
 
 def data_rows(path):
@@ -103,6 +104,16 @@ def test_size_above_ceiling_exits_2_before_work(tmp_path, capsys, args):
     assert main(args + ["--out", str(out)]) == 2
     assert time.perf_counter() - start < 5.0
     assert "size ceiling" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch):
+    def fail(*args):
+        raise InvariantViolation("forced enumeration failure")
+
+    monkeypatch.setattr("sectorlab.reports._ideal_arrays", fail)
+    out = tmp_path / "out"
+    assert main(["sieve", "--max", "300", "--out", str(out)]) == 3
     assert not out.exists()
 
 

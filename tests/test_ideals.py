@@ -18,6 +18,7 @@ from sectorlab.errors import BadInput, NonResidue
 from sectorlab.ideals import (
     GaussianPrimeIdeal,
     Splitting,
+    _lambda_arrays,
     cornacchia,
     enumerate_prime_ideals,
     lambda_entries,
@@ -270,3 +271,23 @@ def test_lambda_entries_match_enumerate_and_power_oracle():
         assert 0.0 <= e.theta < HALF_PI
         assert ulps_apart(e.theta, (e.r * e.base.theta) % HALF_PI) <= 8.0 or \
             e.theta == pytest.approx((e.r * e.base.theta) % HALF_PI, abs=1e-12)
+
+
+# lower ends on and just below the prime-power norms 5^2, 5^3, 2^10, 49^2 and
+# 9^4, and upper ends on and just below 9^4 and 2^13: a base bound
+# (_iroot(lo, r), _iroot(hi, r)] that is off by one at either end moves a row
+_POWER_EDGES = (24, 25, 124, 125, 1023, 1024, 2400, 2401, 6560, 6561)
+_LAMBDA_WINDOWS = [(lo, hi) for lo in _POWER_EDGES for hi in (6560, 6561, 8191, 8192)
+                   if lo <= hi] + [(0, 1), (5, 5)]
+
+
+@pytest.mark.parametrize("lo, hi", _LAMBDA_WINDOWS)
+def test_lambda_arrays_match_lambda_entries(lo, hi):
+    norm, theta, weight, r = _lambda_arrays(lo, hi)
+    entries = lambda_entries(lo, hi)
+    assert (norm.dtype, theta.dtype, weight.dtype, r.dtype) == (
+        np.int64, np.float64, np.float64, np.int32)
+    assert norm.tolist() == [e.norm for e in entries]
+    assert r.tolist() == [e.r for e in entries]
+    assert theta.tolist() == [e.theta for e in entries]
+    assert weight.tolist() == pytest.approx([e.weight for e in entries], rel=1e-15)

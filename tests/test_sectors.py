@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sectorlab import sectors as sectors_mod
 from sectorlab.cli import main
@@ -85,6 +87,41 @@ def test_weighted_sector_count():
     full = sector_count(0.0, HALF_PI, 1, 1000, weighted=True)
     assert full == pytest.approx(
         math.fsum(math.log(i.norm) for i in ideals), rel=1e-12)
+
+
+# arcs on this dyadic grid add, and wrap past pi/2, without rounding: each
+# sum is a multiple of 2^-30 under 4 and each wrap a multiple of 2^-52 under
+# 2, so every endpoint sector_count forms is exact and adjacent arcs share it
+_TICK = 2.0**-30
+_LAST_TICK = int(HALF_PI / _TICK)  # the last tick below pi/2
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(0, _LAST_TICK), first=st.integers(1, _LAST_TICK - 1),
+       second=st.integers(1, _LAST_TICK - 1))
+@example(start=_LAST_TICK, first=2**29, second=2**28)  # the first arc wraps
+@example(start=2**30, first=2**28, second=2**29)  # the second arc wraps
+@example(start=0, first=1, second=_LAST_TICK - 1)  # the widest union
+def test_adjacent_arcs_sum_to_their_union(start, first, second):
+    assume(first + second <= _LAST_TICK)
+    beta, gamma1, gamma2 = start * _TICK, first * _TICK, second * _TICK
+    mid = beta + gamma1
+    if mid >= HALF_PI:
+        mid -= HALF_PI
+    arcs = ((beta, gamma1), (mid, gamma2), (beta, gamma1 + gamma2))
+    a, b, union = (sector_count(*arc, 1, 5000) for arc in arcs)
+    assert a + b == union
+    a, b, union = (sector_count(*arc, 1, 5000, weighted=True) for arc in arcs)
+    assert a + b == pytest.approx(union, rel=1e-12, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(beta=st.floats(0.0, HALF_PI, exclude_max=True))
+def test_quarter_turn_counts_every_ideal(beta):
+    logs = [math.log(i.norm) for i in enumerate_prime_ideals(1, 5000)]
+    assert sector_count(beta, HALF_PI, 1, 5000) == len(logs)
+    assert sector_count(beta, HALF_PI, 1, 5000, weighted=True) == pytest.approx(
+        math.fsum(logs), rel=1e-12)
 
 
 def test_sector_count_validation():
