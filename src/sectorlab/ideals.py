@@ -10,9 +10,12 @@ the first quadrant (a > 0, b >= 0) so that the angle
     theta = atan2(b, a)  in  [0, pi/2)
 
 is a well-defined invariant of the ideal.  Enumeration is driven by a
-segmented sieve of rational primes; each split prime is resolved into
-a^2 + b^2 = p by Cornacchia's algorithm, which needs a square root of
--1 mod p, supplied by Tonelli-Shanks.
+segmented sieve of rational primes.  The split ideals come from a lattice
+scan: the points (a, b) with a, b >= 1 whose norm a^2 + b^2 the sieve
+marks as a prime = 1 mod 4 are exactly the generators (a, b) and (b, a)
+of the two conjugate ideals above that prime.  Cornacchia's algorithm,
+with Tonelli-Shanks for the square root of -1 mod p, resolves a single
+prime independently and serves as the oracle for the scan.
 
 All enumerations are over half-open norm windows (norm_min, norm_max]
 so that disjoint windows partition exactly; results are sorted by
@@ -29,11 +32,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadInput, NonResidue
+from .errors import BadInput, InvariantViolation, NonResidue
 
 HALF_PI = math.pi / 2.0  # period of the ideal angle; other modules import it from here
 
 _SEGMENT = 1 << 23  # sieve block length, keeps masks comfortably in cache
+_SCAN_POINTS = 1 << 20  # lattice points the split scan expands at once (8 MB per int64 array)
 
 
 def sieve_rational_primes(limit: int) -> np.ndarray:
@@ -194,6 +198,62 @@ def _validate_window(norm_min: int, norm_max: int) -> tuple[int, int]:
     return norm_min, norm_max
 
 
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(x)) of a nonnegative int64 array, exact."""
+    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    return r
+
+
+def _split_legs(norm_min: int, norm_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generators (a, b) of the split ideals with norm in (norm_min, norm_max].
+
+    Scans the lattice points with a, b >= 1 one sieve segment of norms at a
+    time, keeping those whose norm is a prime = 1 mod 4.  Such a norm needs
+    a and b of opposite parity, so only those points are expanded, in chunks
+    of whole rows of a of about _SCAN_POINTS points.  By Fermat's two-square
+    theorem each split prime has exactly two points, its conjugates (a, b)
+    and (b, a); any other count raises InvariantViolation.
+    """
+    legs_a, legs_b = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    split_count = 0
+    start = norm_min + 1
+    while start <= norm_max:
+        stop = min(start + _SEGMENT - 1, norm_max)
+        primes = _primes_in_range(start - 1, stop)
+        split = primes[primes % 4 == 1]
+        split_count += split.size
+        is_split = np.zeros(stop - start + 1, dtype=bool)
+        is_split[split - start] = True
+        # row a holds b = b_lo, b_lo + 2, ..., <= b_hi with start <= a^2 + b^2 <= stop
+        a = np.arange(1, math.isqrt(stop - 1) + 1, dtype=np.int64)
+        b_lo = _isqrt(np.maximum(start - 1 - a * a, 0)) + 1
+        b_lo += (a + b_lo) % 2 == 0
+        b_hi = _isqrt(stop - a * a)
+        counts = np.maximum((b_hi - b_lo) // 2 + 1, 0)
+        ends = np.cumsum(counts)
+        row = 0
+        while row < a.size:
+            first = int(ends[row] - counts[row])
+            last = max(row + 1, int(np.searchsorted(ends, first + _SCAN_POINTS, side="right")))
+            rows = slice(row, last)
+            chunk_a = np.repeat(a[rows], counts[rows])
+            chunk_b = np.repeat(b_lo[rows] - 2 * (ends[rows] - counts[rows]), counts[rows])
+            chunk_b += 2 * np.arange(first, int(ends[last - 1]), dtype=np.int64)
+            keep = is_split[chunk_a * chunk_a + chunk_b * chunk_b - start]
+            legs_a.append(chunk_a[keep])
+            legs_b.append(chunk_b[keep])
+            row = last
+        start = stop + 1
+    split_a, split_b = np.concatenate(legs_a), np.concatenate(legs_b)
+    if split_a.size != 2 * split_count:
+        raise InvariantViolation(
+            f"lattice scan found {split_a.size} points for {split_count} split primes "
+            f"in ({norm_min}, {norm_max}], not two each")
+    return split_a, split_b
+
+
 @lru_cache(maxsize=64)
 def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
     """Arrays (p, a, b, norm, code, theta) for ideals with norm in (norm_min, norm_max].
@@ -203,11 +263,9 @@ def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
     """
     norm_min, norm_max = _validate_window(norm_min, norm_max)
     # one (p, a, b, norm, code) column block per splitting class
-    split_p = _primes_in_range(norm_min, norm_max)
-    split_p = split_p[split_p % 4 == 1]
-    legs = np.array([cornacchia(p) for p in split_p.tolist()], dtype=np.int64).reshape(-1, 2)
-    pair_p = np.repeat(split_p, 2)  # the conjugates (a, b) and (b, a) of each p
-    blocks = [(pair_p, legs.ravel(), legs[:, ::-1].ravel(), pair_p, _SPLIT)]
+    split_a, split_b = _split_legs(norm_min, norm_max)
+    split_p = split_a * split_a + split_b * split_b
+    blocks = [(split_p, split_a, split_b, split_p, _SPLIT)]
     if include_nonsplit:
         if norm_min < 2 <= norm_max:
             blocks.append(([2], [1], [1], [2], _RAMIFIED))

@@ -100,18 +100,26 @@ def _canonicalize(a: int, b: int, p: int) -> tuple[int, int, int, float]:
     return a, b, norm // p, t
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_k (OEIS A014233): the least odd composite that is a strong probable
+# prime to each of the first k prime bases, so below psi_k those k decide
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051)
+
+
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit inputs."""
+    """Deterministic Miller-Rabin for 64-bit inputs, with as few bases as n allows."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    k = next((k for k, psi in enumerate(_PSI, 1) if n < psi), len(_BASES))
+    for base in _BASES[:k]:
         x = pow(base, d, n)
         if x in (1, n - 1):
             continue
@@ -180,7 +188,7 @@ def _solve_fast(p: int) -> tuple[int, int]:
     return r1, abs(t1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealQuadPrimeIdeal:
     """One prime ideal of Z[sqrt 2] above a split p, in canonical form."""
 
@@ -229,13 +237,10 @@ def equidistribution_report_real(limit: int, k_max: int, method: str = "fast") -
     if k_max < 0:
         raise BadInput(f"k_max = {k_max} must be >= 0")
     primes = sieve_rational_primes(limit)
+    split = primes[(primes % 8 == 1) | (primes % 8 == 7)]
     ideals = []
-    for p in primes:
-        p = int(p)
-        if p % 8 in (1, 7):
-            first, second = conjugate_pair(p, method)
-            ideals.append(first)
-            ideals.append(second)
+    for p in split.tolist():
+        ideals.extend(conjugate_pair(p, method))
     ts = np.array([ideal.t for ideal in ideals], dtype=np.float64)
     count = ts.size
     weyl = {}

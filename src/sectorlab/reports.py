@@ -26,6 +26,8 @@ FORBIDDEN_FORMAT = "sectorlab-forbidden-v1"
 VARIANCE_FORMAT = "sectorlab-variance-v1"
 REALQUAD_FORMAT = "sectorlab-realquad-v1"
 
+_CSV_BLOCK = 1 << 14  # ideal rows converted to Python values at once
+
 
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
@@ -56,9 +58,12 @@ def write_ideal_csv(path: str, norm_min: int, norm_max: int, include_nonsplit: b
         f"# norm_min={int(norm_min)} norm_max={int(norm_max)} include_nonsplit={int(include_nonsplit)}",
         "p,a,b,norm,splitting,theta",
     ]
-    for i in range(p.size):
-        kind = _CODE_TO_SPLITTING[int(code[i])].value
-        lines.append(f"{p[i]},{a[i]},{b[i]},{norm[i]},{kind},{_fmt(theta[i])}")
+    kinds = {c: s.value for c, s in _CODE_TO_SPLITTING.items()}
+    # Python values for a block of rows at a time, not for all six columns at once
+    for start in range(0, p.size, _CSV_BLOCK):
+        cols = (col[start:start + _CSV_BLOCK].tolist() for col in (p, a, b, norm, code, theta))
+        for row in zip(*cols):
+            lines.append("%d,%d,%d,%d,%s,%.17g" % (*row[:4], kinds[row[4]], row[5]))
     _dump_lines(path, lines)
 
 

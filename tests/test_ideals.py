@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_cornacchia,
@@ -14,10 +16,12 @@ from helpers import (
     ulps_apart,
 )
 from sectorlab import ideals as ideals_mod
-from sectorlab.errors import BadInput, NonResidue
+from sectorlab.cli import main
+from sectorlab.errors import BadInput, InvariantViolation, NonResidue
 from sectorlab.ideals import (
     GaussianPrimeIdeal,
     Splitting,
+    _ideal_arrays,
     _lambda_arrays,
     cornacchia,
     enumerate_prime_ideals,
@@ -119,6 +123,94 @@ def test_cornacchia_rejects_non_split():
     for bad in (2, 3, 7, 15):
         with pytest.raises(BadInput):
             cornacchia(bad)
+
+
+# ------------------------------------------------- lattice scan vs Cornacchia
+
+def _cornacchia_route(lo, hi, include_nonsplit):
+    """The six enumeration arrays rebuilt with one cornacchia(p) per split prime."""
+    primes = sieve_rational_primes(hi)
+    rows = []  # (p, a, b, norm, code)
+    for p in primes[(primes > lo) & (primes % 4 == 1)].tolist():
+        a, b = cornacchia(p)
+        rows += [(p, a, b, p, ideals_mod._SPLIT), (p, b, a, p, ideals_mod._SPLIT)]
+    if include_nonsplit:
+        if lo < 2 <= hi:
+            rows.append((2, 1, 1, 2, ideals_mod._RAMIFIED))
+        rows += [(q, q, 0, q * q, ideals_mod._INERT) for q in primes.tolist()
+                 if q % 4 == 3 and lo < q * q <= hi]
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    p, a, b, norm = cols[:4]
+    theta = np.arctan2(b.astype(np.float64), a.astype(np.float64))
+    order = np.lexsort((theta, norm))
+    return (p[order], a[order], b[order], norm[order],
+            cols[4].astype(np.int8)[order], theta[order])
+
+
+def _assert_same_arrays(got, want):
+    assert [x.dtype for x in got] == [x.dtype for x in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.fixture
+def cold_ideal_cache():
+    ideals_mod._ideal_arrays.cache_clear()
+    yield
+    ideals_mod._ideal_arrays.cache_clear()
+
+
+_SEG = 1 << 23
+# (25, 29] and (65, 73] start on a sum of two squares and end on a split
+# prime, so a scan whose lower edge admits norm_min itself gains points
+_ORACLE_WINDOWS = [
+    (0, 0), (0, 1), (1, 2), (2, 3), (4, 5), (24, 25), (25, 29), (65, 73), (0, 5),
+    (1, 10), (10, 20), (137, 400), (0, 5000), (_SEG - 60, _SEG + 60),
+    (_SEG - 5000, _SEG + 3000), (1, 10**6), (949999, 2049999),
+]
+
+
+@pytest.mark.parametrize("include_nonsplit", [True, False])
+@pytest.mark.parametrize("lo, hi", _ORACLE_WINDOWS)
+def test_lattice_scan_matches_cornacchia_route(lo, hi, include_nonsplit, cold_ideal_cache):
+    _assert_same_arrays(_ideal_arrays(lo, hi, include_nonsplit),
+                        _cornacchia_route(lo, hi, include_nonsplit))
+
+
+@pytest.mark.parametrize("segment, points", [(64, 3), (1000, 50)])
+def test_lattice_scan_across_many_segment_and_chunk_edges(
+        monkeypatch, cold_ideal_cache, segment, points):
+    # 3-point chunks split single rows of a; 64-wide segments put dozens of
+    # segment edges inside each window
+    monkeypatch.setattr(ideals_mod, "_SEGMENT", segment)
+    monkeypatch.setattr(ideals_mod, "_SCAN_POINTS", points)
+    for lo, hi in ((0, 6000), (63, 129), (1000, 4097), (4999, 20000)):
+        for include_nonsplit in (True, False):
+            _assert_same_arrays(_ideal_arrays(lo, hi, include_nonsplit),
+                                _cornacchia_route(lo, hi, include_nonsplit))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ends=st.lists(st.integers(0, 10**5), min_size=2, max_size=2),
+       include_nonsplit=st.booleans())
+def test_lattice_scan_matches_cornacchia_route_random(ends, include_nonsplit):
+    lo, hi = sorted(ends)
+    ideals_mod._ideal_arrays.cache_clear()
+    _assert_same_arrays(_ideal_arrays(lo, hi, include_nonsplit),
+                        _cornacchia_route(lo, hi, include_nonsplit))
+
+
+def test_lattice_scan_gate_fails_typed(monkeypatch, cold_ideal_cache, tmp_path, capsys):
+    # 21 = 1 mod 4 is no sum of two squares, so a sieve that called it prime
+    # leaves the scan two points short of two per split prime
+    sieve = ideals_mod._primes_in_range
+    monkeypatch.setattr(ideals_mod, "_primes_in_range", lambda lo, hi: np.sort(
+        np.append(sieve(lo, hi), 21)) if lo < 21 <= hi else sieve(lo, hi))
+    with pytest.raises(InvariantViolation):
+        _ideal_arrays(0, 30)
+    assert main(["sieve", "--max", "30", "--out", str(tmp_path)]) == 3
+    assert "numerical guarantee failed" in capsys.readouterr().err
+    assert not (tmp_path / "ideals.csv").exists()
 
 
 # ------------------------------------------------------------ enumerate

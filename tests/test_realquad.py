@@ -8,6 +8,7 @@ import pytest
 from helpers import brute_primes, brute_realquad_solution, ulps_apart
 from sectorlab import realquad as realquad_mod
 from sectorlab.errors import BadInput, InvariantViolation, NotSplit
+from sectorlab.ideals import sieve_rational_primes
 from sectorlab.realquad import (
     LOG_EPS,
     PERIOD,
@@ -49,6 +50,26 @@ def test_norm_equation_sign_gate_fails_typed(monkeypatch):
     monkeypatch.setattr(realquad_mod, "_canonicalize", lambda a, b, p: (a, b, -1, 0.0))
     with pytest.raises(InvariantViolation):
         solve_norm_equation(7)
+
+
+def _strong_probable_prime(n, base):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(base, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**j, n) == n - 1 for j in range(1, s))
+
+
+def test_is_prime_matches_sieve_and_each_base_bound_is_tight():
+    # past psi_2, so the one- and two-base ranges are checked exhaustively
+    limit = 1_400_000
+    primes = set(sieve_rational_primes(limit).tolist())
+    assert [n for n in range(limit + 1) if realquad_mod._is_prime(n) != (n in primes)] == []
+    # each psi_k fools the first k bases, so _is_prime must go past them there
+    for k, psi in enumerate(realquad_mod._PSI, 1):
+        assert all(_strong_probable_prime(psi, q) for q in realquad_mod._BASES[:k])
+        assert not realquad_mod._is_prime(psi)
 
 
 def test_splitting_matches_euler_criterion():
