@@ -1,14 +1,13 @@
-"""BLAS thread-count control.
+"""Pin native thread pools to one thread unless the caller chose a count.
 
-SECTORLAB_THREADS caps the thread pools of whatever BLAS numpy loads.
-The knob must be exported before numpy initialises, so this module is
+The package makes no BLAS call, but numpy still starts its BLAS pool at
+import, and an unpinned pool makes `import sectorlab` measurably slower.
+The variables must be set before numpy initialises, so this module is
 imported at the very top of the package __init__, ahead of anything that
-touches numpy.
+touches numpy.  A count already in the environment wins.
 """
 
 import os
 
-_n = os.environ.get("SECTORLAB_THREADS")
-if _n:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _n)
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")

@@ -17,8 +17,8 @@ equidistribution of the prime ideals.
 
 Single sums are accumulated with math.fsum in the fixed (norm, theta)
 ordering of the entry tables, so repeated runs are bit-identical; the
-bulk table route uses the blocked kernel and is cross-checked against
-the direct route in the tests.
+bulk table comes from one Gaussian-gridded FFT (see _kernels) and is
+cross-checked against the single sums in the tests.
 """
 
 from __future__ import annotations
@@ -96,9 +96,10 @@ def weyl_sum(k: int, norm_min: int, norm_max: int, include_nonsplit: bool = True
 class CharacterSumTable:
     """S_k for all k = 0..k_max at a fixed scale and cutoff.
 
-    values[k] = S_k; values[0] is exactly real.  Built by the blocked
-    geometric kernel, so the cost is one trig pass over the entries plus
-    BLAS, independent of k_max up to memory.
+    values[k] = S_k; values[0] is exactly real.  Built by one spread of
+    the entries onto a grid of fewer than 12 (k_max + 1) cells and one real
+    FFT, each value within the kernel's error bound (1e-13 S_0 plus phase
+    rounding for a nonnegative cutoff) of the direct sum.
     """
 
     X: float

@@ -193,6 +193,18 @@ def test_variance_bytes_independent_of_thread_count(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+def test_import_pins_thread_pools_unless_preset():
+    code = ("import os, sectorlab; print(' '.join(os.environ[v] for v in "
+            "('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')))")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    for preset, expected in (({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "3"}, "1 3 1")):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**env, **preset})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+
 # ------------------------------------------------------------ entry point
 
 def test_module_invocation(tmp_path):

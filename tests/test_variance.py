@@ -19,6 +19,7 @@ from sectorlab.errors import AliasingRisk, BadInput, TruncationFailure
 from sectorlab.ideals import lambda_entries
 from sectorlab.variance import (
     PsiSpectrum,
+    _midpoint_coefficient,
     _scatter_grid,
     mean_formula,
     psi_eval,
@@ -34,6 +35,7 @@ from sectorlab.windows import (
     PeriodizedWindow,
     custom_window,
     fourier_coefficient,
+    fourier_coefficients_bulk,
     mollifier_eval,
     mollifier_window,
     periodized_eval,
@@ -252,6 +254,26 @@ def test_direct_matches_parseval():
     vd = variance_direct(8.0, 1e4, bump(), plateau_1_2())
     vp = variance_parseval(sp)
     assert abs(vd - vp) <= 1e-6 * vd
+
+
+@pytest.mark.parametrize("tau", [0.4, 0.55])
+def test_direct_matches_parseval_tightly(tau):
+    # the routes share only the entry table; both agree to ~1e-15 when the
+    # kernel keeps each phase's cell offset at full precision
+    K = 1e4**tau
+    sp = psi_spectrum(K, 1e4, bump(), plateau_1_2())
+    vd = variance_direct(K, 1e4, bump(), plateau_1_2())
+    assert abs(vd - variance_parseval(sp)) <= 1e-13 * vd
+
+
+def test_bulk_tail_coefficient_matches_single_sum():
+    # c_{k_max} sits near 1e-14 c_0 at K = 1e6^0.55, so any drift or phase
+    # rounding in the bulk transform shows at this end of the table
+    f = bump()
+    K = 1e6**0.55
+    k_max = 262_144
+    c = fourier_coefficients_bulk(f, K, k_max)
+    assert abs(c[k_max] - _midpoint_coefficient(f, K, k_max)) <= 1e-14 * abs(c[0])
 
 
 def test_variance_grid_refinement_invariant():
