@@ -142,6 +142,13 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     because a custom evaluator need not vanish there.  Values land at
     (i_lo_a mod G) + j in a buffer of G + max(counts) cells, which is
     folded mod G once at the end.
+
+    Each step writes its arguments and weighted values into two N-long
+    buffers allocated once.  The arguments are formed by the same
+    operations, in the same order, as (theta_a - (i_lo_a + j) step) scale,
+    so they are bitwise those of the plain expression.  The evaluator's
+    result is only read, never written to: a custom evaluator may return
+    a read-only array, float32, or its own argument.
     """
     G = int(grid_size)
     step = HALF_PI / G
@@ -154,12 +161,19 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     thetas, weights, i_lo, counts = thetas[order], weights[order], i_lo[order], counts[order]
     span = int(counts.max(initial=0))
     first_cell = np.mod(i_lo, G)
+    lo_f = i_lo.astype(np.float64)  # exact: |i_lo| is far below 2^53
+    xbuf = np.empty(thetas.size, dtype=np.float64)
+    vbuf = np.empty(thetas.size, dtype=np.float64)
     spill = np.zeros(G + span, dtype=np.float64)
     live = np.searchsorted(-counts, -np.arange(span))  # live[j]: entries with counts > j
     for j, n in enumerate(live):
-        idx = i_lo[:n] + j
-        vals = f._eval((thetas[:n] - idx * step) * scale) * weights[:n]
-        np.add.at(spill, first_cell[:n] + j, vals)
+        x = xbuf[:n]
+        np.add(lo_f[:n], j, out=x)
+        x *= step
+        np.subtract(thetas[:n], x, out=x)
+        x *= scale
+        vals = np.multiply(f._eval(x), weights[:n], out=vbuf[:n])
+        np.add.at(spill[j:], first_cell[:n], vals)
     return np.bincount(np.arange(spill.size) % G, weights=spill, minlength=G)
 
 

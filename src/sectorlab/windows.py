@@ -40,18 +40,25 @@ DEFAULT_QUAD_TOL = 1e-10
 MAX_QUAD_INTERVALS = 1 << 20
 
 _RAMP_PANELS = 4096
+_TINY = np.finfo(np.float64).tiny
 
 
 def mollifier_eval(x):
     """The bump exp(-1/(1-x^2)) on (-1, 1), zero elsewhere; no overflow at |x| = 1.
 
-    Accepts scalars or arrays; returns the same shape.
+    Accepts scalars or arrays; returns the same shape.  One pass with no
+    mask: 1 - x^2 is clamped below at the smallest normal double, so
+    |x| >= 1, +-inf and NaN give exp(-1/tiny) = 0.0 exactly with no
+    division by zero.  For |x| < 1, 1 - x^2 is at least 2^-53, far above
+    the clamp, so every value is bitwise the formula's.
     """
     arr = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(arr)
-    inside = np.abs(arr) < 1.0
-    xi = arr[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
+    # empty_like, not arr * arr: a 0-d input would give a scalar, not a buffer
+    out = np.multiply(arr, arr, out=np.empty_like(arr))
+    np.subtract(1.0, out, out=out)
+    np.fmax(out, _TINY, out=out)
+    np.divide(-1.0, out, out=out)
+    np.exp(out, out=out)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out

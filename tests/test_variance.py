@@ -355,6 +355,59 @@ def test_scatter_grid_matches_per_angle_oracle(entries, K, grid_size, kind):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * (1.0 + bound)
 
 
+def _read_only_eval(u):
+    out = mollifier_eval(u)
+    out.setflags(write=False)
+    return out
+
+
+def _float32_eval(u):
+    return mollifier_eval(u).astype(np.float32)
+
+
+def _in_place_eval(u):
+    u[...] = mollifier_eval(u)
+    return u
+
+
+@pytest.mark.parametrize("evaluator", [_read_only_eval, _float32_eval, _in_place_eval],
+                         ids=["read_only", "float32", "in_place"])
+def test_scatter_survives_awkward_evaluators(evaluator):
+    # the scatter may only read what the evaluator returns: writing the
+    # weights into it fails on a read-only array and rounds to float32
+    rng = np.random.default_rng(11)
+    thetas = np.concatenate([[0.0, 0.01, HALF_PI - 0.01], rng.uniform(0.0, HALF_PI, 37)])
+    weights = rng.uniform(-3.0, 3.0, thetas.size)
+    f = custom_window(evaluator, -1.0, 1.0)
+    for K, grid_size in ((3.0, 61), (8.0, 64), (1.0, 8)):
+        got = _scatter_grid(thetas, weights, K, f, grid_size)
+        want = brute_scatter(thetas, weights, K, f, grid_size)
+        assert got.dtype == np.float64
+        bound = float(np.sum(np.abs(weights))) * (2.0 + 2.0 / K)
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + bound)
+
+
+def test_scatter_stays_inside_support_on_real_cell():
+    # a tripwire window records every argument the scatter hands it; on a
+    # real cell all of them must lie in the support, and the grid must be
+    # bitwise the one the plain mollifier gives
+    seen = []
+
+    def recording(u):
+        seen.append((float(np.min(u)), float(np.max(u))))
+        return mollifier_eval(u)
+
+    X = 1e4
+    K = X**0.4
+    k_max, _ = truncation_kmax(bump(), K)
+    tripwire = custom_window(recording, -1.0, 1.0)
+    got = psi_grid(K, X, tripwire, plateau_1_2(), grid_size=4 * k_max)
+    assert seen
+    assert min(lo for lo, _ in seen) >= -1.0 - 1e-12
+    assert max(hi for _, hi in seen) <= 1.0 + 1e-12
+    assert np.array_equal(got, psi_grid(K, X, bump(), plateau_1_2(), grid_size=4 * k_max))
+
+
 def test_psi_grid_validation():
     with pytest.raises(BadInput):
         psi_grid(4.0, 500.0, bump(), plateau_1_2(), grid_size=0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,32 @@ def test_mollifier_even_and_bounded():
     assert np.all(v >= 0.0)
     assert np.all(v <= math.exp(-1.0))
     assert np.all(v[np.abs(x) >= 1.0] == 0.0)
+
+
+def test_mollifier_eval_bitwise_contract():
+    # the masked formula is the reference; the clamped one-pass evaluation
+    # must reproduce it bit for bit, edges included, without a warning
+    rng = np.random.default_rng(20190311)
+    edges = [1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+             np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.0, -0.0,
+             np.inf, -np.inf, np.nan, 0.5]
+    x = np.concatenate([rng.uniform(-1.5, 1.5, 100_000), edges])
+    before = x.copy()
+    want = np.zeros_like(x)
+    inside = np.abs(x) < 1.0
+    xi = x[inside]
+    want[inside] = np.exp(-1.0 / (1.0 - xi * xi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mollifier_eval(x)
+        scalar = mollifier_eval(0.5)
+        zero_d = mollifier_eval(np.array(0.5))
+        outside = [mollifier_eval(v) for v in (1.0, np.inf, np.nan)]
+    assert np.array_equal(got, want)
+    assert np.array_equal(x, before, equal_nan=True)
+    assert type(scalar) is float and type(zero_d) is float
+    assert scalar == zero_d == want[-1] > 0.0
+    assert outside == [0.0, 0.0, 0.0]
 
 
 def test_mollifier_window_fields():
