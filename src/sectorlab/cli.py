@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realquad", help="norm equation and Weyl sums over Z[sqrt 2]")
     p.add_argument("--limit", type=_int_literal, required=True)
     p.add_argument("--kmax", dest="k_max", type=int)
-    p.add_argument("--method", choices=("brute", "fast"))
+    p.add_argument("--method", choices=("brute", "fast"),
+                   help="fast: one lattice scan (default); brute: per-prime norm equation")
     add_common(p)
 
     p = sub.add_parser("forbidden", help="smallest positive angle vs 1/(2 sqrt X)")

@@ -206,50 +206,71 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _split_legs(norm_min: int, norm_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generators (a, b) of the split ideals with norm in (norm_min, norm_max].
+def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm):
+    """Lattice points (r, c) whose norm is a split prime in (norm_min, norm_max].
 
-    Scans the lattice points with a, b >= 1 one sieve segment of norms at a
-    time, keeping those whose norm is a prime = 1 mod 4.  Such a norm needs
-    a and b of opposite parity, so only those points are expanded, in chunks
-    of whole rows of a of about _SCAN_POINTS points.  By Fermat's two-square
-    theorem each split prime has exactly two points, its conjugates (a, b)
-    and (b, a); any other count raises InvariantViolation.
+    Walks the window one sieve segment [start, stop] of norms at a time;
+    is_split(primes) picks the split primes of a segment.  rows(start, stop)
+    returns arrays (r, c_lo, c_hi): row r holds the points c = c_lo, c_lo + 2,
+    ..., <= c_hi, each with norm(r, c) in [start, stop].  Rows are expanded
+    in chunks of whole rows of about _SCAN_POINTS points.  Returns the kept
+    rows, their columns and all split primes of the window, so the caller
+    can check its count of points per prime.
     """
-    legs_a, legs_b = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    split_count = 0
+    kept_r, kept_c = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    splits = [np.empty(0, dtype=np.int64)]
     start = norm_min + 1
     while start <= norm_max:
         stop = min(start + _SEGMENT - 1, norm_max)
         primes = _primes_in_range(start - 1, stop)
-        split = primes[primes % 4 == 1]
-        split_count += split.size
-        is_split = np.zeros(stop - start + 1, dtype=bool)
-        is_split[split - start] = True
-        # row a holds b = b_lo, b_lo + 2, ..., <= b_hi with start <= a^2 + b^2 <= stop
-        a = np.arange(1, math.isqrt(stop - 1) + 1, dtype=np.int64)
-        b_lo = _isqrt(np.maximum(start - 1 - a * a, 0)) + 1
-        b_lo += (a + b_lo) % 2 == 0
-        b_hi = _isqrt(stop - a * a)
-        counts = np.maximum((b_hi - b_lo) // 2 + 1, 0)
+        split = primes[is_split(primes)]
+        splits.append(split)
+        marked = np.zeros(stop - start + 1, dtype=bool)
+        marked[split - start] = True
+        r, c_lo, c_hi = rows(start, stop)
+        counts = np.maximum((c_hi - c_lo) // 2 + 1, 0)
         ends = np.cumsum(counts)
         row = 0
-        while row < a.size:
+        while row < r.size:
             first = int(ends[row] - counts[row])
             last = max(row + 1, int(np.searchsorted(ends, first + _SCAN_POINTS, side="right")))
-            rows = slice(row, last)
-            chunk_a = np.repeat(a[rows], counts[rows])
-            chunk_b = np.repeat(b_lo[rows] - 2 * (ends[rows] - counts[rows]), counts[rows])
-            chunk_b += 2 * np.arange(first, int(ends[last - 1]), dtype=np.int64)
-            keep = is_split[chunk_a * chunk_a + chunk_b * chunk_b - start]
-            legs_a.append(chunk_a[keep])
-            legs_b.append(chunk_b[keep])
+            block = slice(row, last)
+            chunk_r = np.repeat(r[block], counts[block])
+            chunk_c = np.repeat(c_lo[block] - 2 * (ends[block] - counts[block]), counts[block])
+            chunk_c += 2 * np.arange(first, int(ends[last - 1]), dtype=np.int64)
+            keep = marked[norm(chunk_r, chunk_c) - start]
+            kept_r.append(chunk_r[keep])
+            kept_c.append(chunk_c[keep])
             row = last
         start = stop + 1
-    split_a, split_b = np.concatenate(legs_a), np.concatenate(legs_b)
-    if split_a.size != 2 * split_count:
+    return np.concatenate(kept_r), np.concatenate(kept_c), np.concatenate(splits)
+
+
+def _two_square_rows(start: int, stop: int):
+    """Rows a >= 1 of the points (a, b), b >= 1, with start <= a^2 + b^2 <= stop.
+
+    A norm = 1 mod 4 needs a and b of opposite parity, so each row starts
+    at the first b of the parity opposite to a.
+    """
+    a = np.arange(1, math.isqrt(stop - 1) + 1, dtype=np.int64)
+    b_lo = _isqrt(np.maximum(start - 1 - a * a, 0)) + 1
+    b_lo += (a + b_lo) % 2 == 0
+    return a, b_lo, _isqrt(stop - a * a)
+
+
+def _split_legs(norm_min: int, norm_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generators (a, b) of the split ideals with norm in (norm_min, norm_max].
+
+    The lattice points with a, b >= 1 whose norm a^2 + b^2 is a prime = 1
+    mod 4.  By Fermat's two-square theorem each split prime has exactly two
+    such points, its conjugates (a, b) and (b, a); any other count raises
+    InvariantViolation.
+    """
+    split_a, split_b, split = _lattice_scan(
+        norm_min, norm_max, lambda p: p % 4 == 1, _two_square_rows, lambda a, b: a * a + b * b)
+    if split_a.size != 2 * split.size:
         raise InvariantViolation(
-            f"lattice scan found {split_a.size} points for {split_count} split primes "
+            f"lattice scan found {split_a.size} points for {split.size} split primes "
             f"in ({norm_min}, {norm_max}], not two each")
     return split_a, split_b
 

@@ -13,8 +13,31 @@ gives a conjugate pair of ideals whose t values reflect through the
 origin.  The canonical generator chosen here is the unique one (up to
 sign of alpha) with raw t in [0, 2 log eps) and a > 0; of the two
 conjugate ideals, exactly one has a canonical generator of norm +p, and
-solve_norm_equation returns that one.  Equidistribution of the t values
-is probed by the real Weyl sums over the characters
+solve_norm_equation returns that one.
+
+The canonical domain.  Write alpha = a + b sqrt 2 with a > 0 and
+N = a^2 - 2 b^2 = alpha conj(alpha).  Raw t >= 0 means |alpha| >=
+|conj(alpha)|, which for a > 0 is b >= 0; and |alpha| |conj(alpha)| = |N|
+turns t in [0, 2 log eps) into
+
+    sqrt|N| <= a + b sqrt 2 < eps sqrt|N|.
+
+The upper edge is |alpha / conj(alpha)| < eps^2.  For N > 0 that reads
+a + b sqrt 2 < eps^2 (a - b sqrt 2), i.e. a > b sqrt 2 (eps^2 + 1) /
+(eps^2 - 1), and (eps^2 + 1)/(eps^2 - 1) = sqrt 2, so a > 2b.  For N < 0
+it reads a + b sqrt 2 < eps^2 (b sqrt 2 - a), i.e. a < b.  So the domain
+splits in two:
+
+    norm +p:  a > 2b >= 0,      norm -p:  0 < a < b,
+
+and each split prime has exactly one point in each region.  An odd norm
+forces a odd.  equidistribution_report_real walks rows b of both regions
+one sieve segment of norms at a time and keeps the odd a whose |N| is a
+prime = +-1 mod 8 (method="fast").  The per-prime solvers stay as the
+independent route (method="brute").
+
+Equidistribution of the t values is probed by the real Weyl sums over
+the characters
 
     chi_k(t) = exp(i pi k t / log eps),
 
@@ -24,13 +47,15 @@ imaginary parts to cancel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BadInput, InvariantViolation, NotSplit
-from .ideals import sieve_rational_primes, sqrt_mod
+from .ideals import _isqrt, _lattice_scan, sieve_rational_primes, sqrt_mod
 
 SQRT2 = math.sqrt(2.0)
 LOG_EPS = math.log(1.0 + SQRT2)
@@ -213,45 +238,139 @@ def conjugate_pair(p: int, method: str = "brute") -> tuple[RealQuadPrimeIdeal, R
     return first, second
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealQuadReport:
     """Weyl sums of the t angles over all split primes up to a limit.
 
     weyl[k] is the average of exp(i pi k t / log eps) over both conjugates
     of every split p <= limit; pairing makes it real, and decay in k with
-    growing limit is equidistribution on the 2 log eps circle.
+    growing limit is equidistribution on the 2 log eps circle.  The ideals
+    are held as read-only columns p, a, b, sign, t, ordered by p with the
+    sign +1 ideal first.
     """
 
     limit: int
     k_max: int
     ideal_count: int
     weyl: dict
-    ideals: tuple
+    p: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    sign: np.ndarray
+    t: np.ndarray
+
+    @cached_property
+    def ideals(self) -> tuple:
+        """The ideals as RealQuadPrimeIdeal objects, built on first access."""
+        cols = (self.p, self.a, self.b, self.sign, self.t)
+        return tuple(RealQuadPrimeIdeal(p, a, b, sign, t)
+                     for p, a, b, sign, t in zip(*(col.tolist() for col in cols)))
+
+
+def _splits(p: np.ndarray) -> np.ndarray:
+    """Mask of the primes = +-1 mod 8, the odd primes that split in Z[sqrt 2]."""
+    return (p % 8 == 1) | (p % 8 == 7)
+
+
+def _canonical_rows(start: int, stop: int):
+    """Rows b of canonical generators with start <= |a^2 - 2 b^2| <= stop, a odd.
+
+    Each b = 1, ..., isqrt(stop) gets two rows, a > 2b (norm +p) and
+    0 < a < b (norm -p); rows that miss the segment come out empty.
+    """
+    b = np.arange(1, math.isqrt(stop) + 1, dtype=np.int64)
+    twice = 2 * b * b
+    plus_lo = np.maximum(_isqrt(twice + (start - 1)) + 1, 2 * b + 1)
+    plus_hi = _isqrt(twice + stop)
+    minus_lo = _isqrt(np.maximum(twice - stop - 1, 0)) + 1
+    minus_hi = np.minimum(_isqrt(np.maximum(twice - start, 0)), b - 1)
+    a_lo = np.concatenate((plus_lo, minus_lo))
+    a_lo += a_lo % 2 == 0
+    return np.concatenate((b, b)), a_lo, np.concatenate((plus_hi, minus_hi))
+
+
+def _split_generators(limit: int):
+    """Columns (p, a, b, sign) of both canonical generators of every split p <= limit.
+
+    One lattice scan over the canonical domain (module docstring), ordered
+    by p with the norm +p generator first.  InvariantViolation unless every
+    split prime has exactly one point of each sign.
+    """
+    b, a, split = _lattice_scan(0, limit, _splits, _canonical_rows,
+                                lambda b, a: np.abs(a * a - 2 * b * b))
+    norm = a * a - 2 * b * b
+    p = np.abs(norm)
+    order = np.argsort(2 * p + (norm < 0))
+    p, a, b, sign = p[order], a[order], b[order], np.sign(norm[order]).astype(np.int8)
+    plus = sign > 0
+    if not (np.array_equal(p[plus], split) and np.array_equal(p[~plus], split)):
+        raise InvariantViolation(
+            f"lattice scan found {plus.sum()} norm + and {(~plus).sum()} norm - generators "
+            f"for {split.size} split primes up to {limit}, not one of each per prime")
+    return p, a, b, sign
+
+
+def _brute_columns(limit: int):
+    """Columns (p, a, b, sign, t) from one conjugate_pair(p, "brute") per split prime."""
+    primes = sieve_rational_primes(limit)
+    rows = [(i.p, i.a, i.b, i.sign, i.t)
+            for q in primes[_splits(primes)].tolist() for i in conjugate_pair(q, "brute")]
+    p, a, b, sign, t = zip(*rows)
+    return (np.array(p, dtype=np.int64), np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+            np.array(sign, dtype=np.int8), np.array(t, dtype=np.float64))
+
+
+_BLOCK = 1 << 14  # array elements converted to Python scalars at once
+
+
+def _scalars(arr: np.ndarray):
+    """Iterator over the elements of arr as Python scalars, a block at a time."""
+    return itertools.chain.from_iterable(
+        arr[i:i + _BLOCK].tolist() for i in range(0, arr.size, _BLOCK))
+
+
+# largest limit with eps^2 * limit < 2^63: eps^2 = 3 + 2 sqrt 2, so this is
+# floor((2^63 - 1)(3 - 2 sqrt 2)), exact in integers
+_MAX_LIMIT = 3 * (2**63 - 1) - math.isqrt(8 * (2**63 - 1) ** 2) - 1
 
 
 def equidistribution_report_real(limit: int, k_max: int, method: str = "fast") -> RealQuadReport:
-    """Solve the norm equation for every split p <= limit and average chi_k."""
+    """Both canonical generators of every split p <= limit, and the averages of chi_k.
+
+    method="fast" takes the generators from one lattice scan; method="brute"
+    solves the norm equation prime by prime with the brute solver, as an
+    independent route to the same columns.  BadInput for a limit past
+    _MAX_LIMIT, where eps^2 * limit or the scan's squares leave int64.
+    """
     limit = int(limit)
     if limit < 7:
         raise BadInput(f"limit {limit} below the smallest split prime 7")
+    if limit > _MAX_LIMIT:
+        raise BadInput(f"limit {limit} above {_MAX_LIMIT}, where int64 norms overflow")
     if k_max < 0:
         raise BadInput(f"k_max = {k_max} must be >= 0")
-    primes = sieve_rational_primes(limit)
-    split = primes[(primes % 8 == 1) | (primes % 8 == 7)]
-    ideals = []
-    for p in split.tolist():
-        ideals.extend(conjugate_pair(p, method))
-    ts = np.array([ideal.t for ideal in ideals], dtype=np.float64)
-    count = ts.size
+    if method == "fast":
+        p, a, b, sign = _split_generators(limit)
+        # _raw_t's arithmetic for a, b > 0 and |N| = p; math.log, not np.log,
+        # keeps t bitwise equal to it
+        log_alpha = np.fromiter(map(math.log, _scalars(a + b * SQRT2)), np.float64, p.size)
+        t = 2.0 * log_alpha - np.fromiter(map(math.log, _scalars(p)), np.float64, p.size)
+    elif method == "brute":
+        p, a, b, sign, t = _brute_columns(limit)
+    else:
+        raise BadInput(f"unknown method {method!r}")
+    count = t.size
     weyl = {}
     for k in range(k_max + 1):
-        phase = (math.pi * k / LOG_EPS) * ts
-        re = math.fsum(np.cos(phase)) / count
-        im = math.fsum(np.sin(phase)) / count
+        phase = (math.pi * k / LOG_EPS) * t
+        re = math.fsum(_scalars(np.cos(phase))) / count
+        im = math.fsum(_scalars(np.sin(phase))) / count
         if not abs(im) <= 1e-12:
             raise InvariantViolation(f"conjugate pairs leave Im W_{k} = {im!r} uncancelled")
         weyl[k] = re
+    for col in (p, a, b, sign, t):
+        col.setflags(write=False)
     return RealQuadReport(
-        limit=limit, k_max=int(k_max), ideal_count=int(count),
-        weyl=weyl, ideals=tuple(ideals),
+        limit=limit, k_max=int(k_max), ideal_count=int(count), weyl=weyl,
+        p=p, a=a, b=b, sign=sign, t=t,
     )

@@ -15,7 +15,7 @@ import os
 
 from ._version import __version__
 from .ideals import _ideal_arrays, _CODE_TO_SPLITTING
-from .realquad import RealQuadReport
+from .realquad import RealQuadReport, _scalars
 from .sectors import SectorScanReport
 from .variance import VarianceReport
 
@@ -136,8 +136,8 @@ def write_realquad_csv(path: str, report: RealQuadReport):
         f"# limit={report.limit} ideal_count={report.ideal_count}",
         "p,a,b,sign,t",
     ]
-    for ideal in report.ideals:
-        lines.append(f"{ideal.p},{ideal.a},{ideal.b},{ideal.sign},{_fmt(ideal.t)}")
+    cols = (report.p, report.a, report.b, report.sign, report.t)
+    lines.extend(map("%d,%d,%d,%d,%.17g".__mod__, zip(*map(_scalars, cols))))
     _dump_lines(path, lines)
 
 

@@ -1,12 +1,17 @@
 """Tests for prime ideals of Z[sqrt 2] and their logarithmic angles."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_primes, brute_realquad_solution, ulps_apart
+from sectorlab import ideals as ideals_mod
 from sectorlab import realquad as realquad_mod
+from sectorlab.cli import main
 from sectorlab.errors import BadInput, InvariantViolation, NotSplit
 from sectorlab.ideals import sieve_rational_primes
 from sectorlab.realquad import (
@@ -214,12 +219,59 @@ def test_weyl_sums_equidistribute():
 
 
 def test_report_conjugate_cancellation_gate_fails_typed(monkeypatch):
-    # listing one conjugate twice leaves the imaginary parts uncancelled
+    # listing one conjugate twice leaves the imaginary parts uncancelled;
+    # only the brute route calls conjugate_pair
     original = conjugate_pair
     monkeypatch.setattr(realquad_mod, "conjugate_pair",
                         lambda p, method: (original(p, method)[0],) * 2)
     with pytest.raises(InvariantViolation):
+        equidistribution_report_real(100, 3, method="brute")
+
+
+def test_scan_cancellation_gate_fails_typed(monkeypatch):
+    # a scan whose norm -p rows repeat the norm +p rows passes no conjugate
+    scan = realquad_mod._split_generators
+
+    def repeated_leg(limit):
+        return tuple(np.repeat(col[::2], 2) for col in scan(limit))
+
+    monkeypatch.setattr(realquad_mod, "_split_generators", repeated_leg)
+    with pytest.raises(InvariantViolation):
         equidistribution_report_real(100, 3)
+
+
+def test_scan_count_gate_fails_typed(monkeypatch, tmp_path, capsys):
+    # 15 = 7 mod 8, but a^2 = 2 b^2 has no nonzero solution mod 3 or mod 5,
+    # so a sieve that called 15 prime leaves it without generators
+    sieve = ideals_mod._primes_in_range
+    monkeypatch.setattr(ideals_mod, "_primes_in_range", lambda lo, hi: np.sort(
+        np.append(sieve(lo, hi), 15)) if lo < 15 <= hi else sieve(lo, hi))
+    with pytest.raises(InvariantViolation):
+        equidistribution_report_real(100, 3)
+    assert main(["realquad", "--limit", "100", "--out", str(tmp_path)]) == 3
+    assert "numerical guarantee failed" in capsys.readouterr().err
+    assert not (tmp_path / "realquad.csv").exists()
+
+
+class _ScanReached(Exception):
+    pass
+
+
+def test_report_int64_guard_at_the_bound(monkeypatch):
+    # eps^2 * limit must stay below 2^63; the guard fires before the scan
+    def reached(limit):
+        raise _ScanReached(limit)
+
+    monkeypatch.setattr(realquad_mod, "_split_generators", reached)
+    bound = realquad_mod._MAX_LIMIT
+    for limit, below in ((bound, True), (bound + 1, False)):
+        # (3 + 2 sqrt 2) * limit < 2^63, decided exactly in integers
+        room = 2**63 - 3 * limit
+        assert (room > 0 and room * room > 8 * limit * limit) == below
+    with pytest.raises(_ScanReached):
+        equidistribution_report_real(bound, 0)
+    with pytest.raises(BadInput):
+        equidistribution_report_real(bound + 1, 0)
 
 
 def test_report_validation():
@@ -227,8 +279,78 @@ def test_report_validation():
         equidistribution_report_real(5, 3)
     with pytest.raises(BadInput):
         equidistribution_report_real(100, -1)
+    with pytest.raises(BadInput):
+        equidistribution_report_real(100, 3, method="guess")
     rep = equidistribution_report_real(7, 2)
     assert rep.ideal_count == 2
+
+
+def test_report_columns_are_read_only_and_back_the_ideals():
+    rep = equidistribution_report_real(1000, 2)
+    cols = (rep.p, rep.a, rep.b, rep.sign, rep.t)
+    for col in cols:
+        assert not col.flags.writeable
+        assert col.size == rep.ideal_count
+    assert [(i.p, i.a, i.b, i.sign, i.t) for i in rep.ideals] == list(
+        zip(*(col.tolist() for col in cols)))
+    assert rep.ideals is rep.ideals
+
+
+# ------------------------------------------------- lattice scan vs brute solver
+
+_ORACLE_LIMIT = 10**5
+
+
+@functools.lru_cache(maxsize=1)
+def _brute_oracle():
+    """Columns (p, a, b, sign, t) up to 1e5, one conjugate_pair(p, "brute") per split p."""
+    rows = [(i.p, i.a, i.b, i.sign, i.t)
+            for p in sieve_rational_primes(_ORACLE_LIMIT).tolist() if p % 8 in (1, 7)
+            for i in conjugate_pair(p, "brute")]
+    p, a, b, sign, t = zip(*rows)
+    return (np.array(p, dtype=np.int64), np.array(a, dtype=np.int64),
+            np.array(b, dtype=np.int64), np.array(sign, dtype=np.int8),
+            np.array(t, dtype=np.float64))
+
+
+def _assert_scan_matches_brute(limit, method="fast"):
+    want = tuple(col[: np.searchsorted(_brute_oracle()[0], limit, side="right")]
+                 for col in _brute_oracle())
+    rep = equidistribution_report_real(limit, 2, method)
+    got = (rep.p, rep.a, rep.b, rep.sign, rep.t)
+    assert [g.dtype for g in got] == [w.dtype for w in want]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("method", ["fast", "brute"])
+@pytest.mark.parametrize("limit", [7, 8, 23, 100, 10**4, 10**5])
+def test_scan_matches_brute_route(limit, method):
+    _assert_scan_matches_brute(limit, method)
+
+
+@pytest.mark.parametrize("segment, points", [(64, 3), (1000, 50)])
+def test_scan_across_many_segment_and_chunk_edges(monkeypatch, segment, points):
+    # 3-point chunks split single rows of b; 64-wide segments put hundreds of
+    # segment edges below the limit
+    monkeypatch.setattr(ideals_mod, "_SEGMENT", segment)
+    monkeypatch.setattr(ideals_mod, "_SCAN_POINTS", points)
+    for limit in (7, 64, 65, 129, 4097, 20000):
+        _assert_scan_matches_brute(limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(7, _ORACLE_LIMIT))
+def test_scan_matches_brute_route_random(limit):
+    _assert_scan_matches_brute(limit)
+
+
+def test_cli_methods_write_identical_files(tmp_path):
+    for method in ("fast", "brute"):
+        assert main(["realquad", "--limit", "1e4", "--kmax", "8", "--method", method,
+                     "--out", str(tmp_path / method)]) == 0
+    for name in ("realquad.csv", "realquad.json"):
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "brute" / name).read_bytes()
 
 
 # ------------------------------------------------------------ report files
