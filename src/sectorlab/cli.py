@@ -10,7 +10,7 @@ Six subcommands, one per experiment family:
   forbidden  smallest positive angle vs the exclusion bound
 
 Exit codes: 0 on success, 2 on invalid parameters (including a size above
-MAX_SIZE), 3 when a numerical guarantee cannot be met (quadrature or
+its ceiling), 3 when a numerical guarantee cannot be met (quadrature or
 spectral-truncation failure, or a computed result that breaks a proven
 invariant).
 Outputs are deterministic; rerunning a command reproduces its files byte
@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, field
 
 from ._version import __version__
-from .errors import BadInput, SectorLabError
+from .errors import BadInput, EmptyRange, SectorLabError
 
 MAX_SIZE = 10**9
 """Largest norm bound or scale a subcommand accepts.
@@ -37,9 +37,20 @@ entries, several GB; far beyond it the segmented sieve would run without
 end in practice while its output grew.
 """
 
-# config fields holding enumeration sizes; a subcommand leaves the ones it
-# does not use at their in-range defaults
-_SIZE_FIELDS = ("norm_max", "x", "x_list", "limit")
+MAX_GRID = 1 << 22
+"""Largest sectors --grid.  A scan peaks at about 280 bytes per offset
+(arrays of grid length, one CSV row and two JSON entries per offset; 327 MB
+at 2^20), so 2^22 offsets take about 1.2 GB and 400 MB of output files."""
+
+MAX_KMAX = 10**6
+"""Largest weyl and realquad --kmax.  Each mode is one more pass over every
+ideal, about 130 bytes of weyl.json and 500 bytes of Python objects while it is
+written (measured at 1e4 modes): 130 MB on disk and 500 MB in memory at 1e6."""
+
+# config fields holding sizes, with their ceilings; a subcommand leaves the
+# ones it does not use at their in-range defaults
+_CEILINGS = {"norm_max": MAX_SIZE, "x": MAX_SIZE, "x_list": MAX_SIZE, "limit": MAX_SIZE,
+             "grid": MAX_GRID, "k_max": MAX_KMAX}
 
 
 @dataclass
@@ -63,7 +74,6 @@ class ExperimentConfig:
     eps: float = 0.05
     grid_factor: int = 4
     limit: int = 10000
-    method: str = "fast"
     split_only: bool = False
     written: list = field(default_factory=list)
 
@@ -103,6 +113,8 @@ def _run_weyl(config: ExperimentConfig):
     if config.k_max < 1:
         raise BadInput(f"k_max = {config.k_max} must be >= 1")
     count = _ideal_arrays(1, config.x, config.include_nonsplit)[0].size
+    if count == 0:
+        raise EmptyRange(f"no prime ideals with norm in (1, {config.x}]")
     sums = {k: weyl_sum(k, 1, config.x, config.include_nonsplit)
             for k in range(1, config.k_max + 1)}
     write_weyl_json(config.path("weyl.json"), config.x, sums, count)
@@ -123,7 +135,7 @@ def _run_realquad(config: ExperimentConfig):
     from .realquad import equidistribution_report_real
     from .reports import write_realquad_csv, write_realquad_json
 
-    report = equidistribution_report_real(config.limit, config.k_max, config.method)
+    report = equidistribution_report_real(config.limit, config.k_max)
     write_realquad_csv(config.path("realquad.csv"), report)
     write_realquad_json(config.path("realquad.json"), report)
 
@@ -147,11 +159,11 @@ _RUNNERS = {
 
 
 def _check_sizes(config: ExperimentConfig):
-    for name in _SIZE_FIELDS:
+    for name, ceiling in _CEILINGS.items():
         value = getattr(config, name)
         for size in value if isinstance(value, tuple) else (value,):
-            if size > MAX_SIZE:
-                raise BadInput(f"{name} = {size} exceeds the size ceiling {MAX_SIZE}")
+            if size > ceiling:
+                raise BadInput(f"{name} = {size} exceeds the size ceiling {ceiling}")
 
 
 def run(config: ExperimentConfig) -> int:
@@ -181,7 +193,10 @@ def _int_literal(text: str) -> int:
         return int(text)
     except ValueError:
         value = float(text)
-        result = int(value)
+        try:
+            result = int(value)
+        except OverflowError:  # inf, or a literal past the float range
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite integer") from None
         if result != value:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
         return result
@@ -230,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realquad", help="norm equation and Weyl sums over Z[sqrt 2]")
     p.add_argument("--limit", type=_int_literal, required=True)
     p.add_argument("--kmax", dest="k_max", type=int)
-    p.add_argument("--method", choices=("brute", "fast"),
-                   help="fast: one lattice scan (default); brute: per-prime norm equation")
     add_common(p)
 
     p = sub.add_parser("forbidden", help="smallest positive angle vs 1/(2 sqrt X)")

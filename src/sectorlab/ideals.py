@@ -26,6 +26,7 @@ immutable, and feed the statistical modules.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,6 +39,7 @@ HALF_PI = math.pi / 2.0  # period of the ideal angle; other modules import it fr
 
 _SEGMENT = 1 << 23  # sieve block length, keeps masks comfortably in cache
 _SCAN_POINTS = 1 << 20  # lattice points the split scan expands at once (8 MB per int64 array)
+_BLOCK = 1 << 14  # array elements converted to Python scalars at once
 
 
 def sieve_rational_primes(limit: int) -> np.ndarray:
@@ -204,6 +206,12 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
     r -= r * r > x
     r += (r + 1) * (r + 1) <= x
     return r
+
+
+def _scalars(arr: np.ndarray):
+    """Iterator over the elements of arr as Python scalars, a block at a time."""
+    return itertools.chain.from_iterable(
+        arr[i:i + _BLOCK].tolist() for i in range(0, arr.size, _BLOCK))
 
 
 def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm):

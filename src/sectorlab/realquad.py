@@ -33,8 +33,9 @@ splits in two:
 and each split prime has exactly one point in each region.  An odd norm
 forces a odd.  equidistribution_report_real walks rows b of both regions
 one sieve segment of norms at a time and keeps the odd a whose |N| is a
-prime = +-1 mod 8 (method="fast").  The per-prime solvers stay as the
-independent route (method="brute").
+prime = +-1 mod 8.  solve_norm_equation, a half-Euclid descent on a square
+root of 2 mod p, resolves a single prime independently and serves as the
+oracle for the scan.
 
 Equidistribution of the t values is probed by the real Weyl sums over
 the characters
@@ -47,7 +48,6 @@ imaginary parts to cancel.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadInput, InvariantViolation, NotSplit
-from .ideals import _isqrt, _lattice_scan, sieve_rational_primes, sqrt_mod
+from .ideals import _isqrt, _lattice_scan, _scalars, sqrt_mod
 
 SQRT2 = math.sqrt(2.0)
 LOG_EPS = math.log(1.0 + SQRT2)
@@ -157,60 +157,36 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def solve_norm_equation(p: int, method: str = "brute") -> tuple[int, int, int]:
+def solve_norm_equation(p: int) -> tuple[int, int, int]:
     """Canonical (a, b, sign) with a^2 - 2 b^2 = sign * p, sign = +1 always.
 
     Of the conjugate pair of ideals above a split p, the one whose
-    canonical generator has norm +p is returned.  method="brute" scans
-    b upward; method="fast" runs the half-Euclid descent on (p, sqrt of 2
-    mod p), whose first remainder below sqrt(2p) already solves the
-    equation.  NotSplit for p = 2 or p = +-3 mod 8.
+    canonical generator has norm +p is returned.  The half-Euclid descent
+    on (p, sqrt of 2 mod p) finds a solution: its first remainder below
+    sqrt(2p) already solves the equation up to sign.  NotSplit for p = 2
+    or p = +-3 mod 8.
     """
     p = int(p)
     if not _is_prime(p):
         raise BadInput(f"{p} is not prime")
     if p == 2 or p % 8 not in (1, 7):
         raise NotSplit(f"2 is not a square mod {p}")
-    if method == "brute":
-        a, b = _solve_brute(p)
-    elif method == "fast":
-        a, b = _solve_fast(p)
-    else:
-        raise BadInput(f"unknown method {method!r}")
-    a, b, sign, _ = _canonicalize(a, b, p)
-    if sign < 0:
-        a, b, sign, _ = _canonicalize(a, -b, p)
-    if sign != 1:
-        raise InvariantViolation(f"no canonical generator of norm +{p} in the pair above {p}")
-    return a, b, sign
-
-
-def _solve_brute(p: int) -> tuple[int, int]:
-    # every ideal class contains a generator with |b| <= ~1.21 sqrt(p)
-    bound = math.isqrt(p) + math.isqrt(p) // 3 + 2
-    for b in range(bound + 1):
-        twice = 2 * b * b
-        for target in (twice + p, twice - p):
-            if target >= 0:
-                a = math.isqrt(target)
-                if a * a == target:
-                    return a, b
-    raise ArithmeticError(f"norm equation search exhausted at {p}")  # unreachable for split p
-
-
-def _solve_fast(p: int) -> tuple[int, int]:
-    r = sqrt_mod(2, p)
     # half Euclid: remainders r_i of gcd(p, r) with cofactors t_i satisfying
     # r_i = t_i * r mod p, hence r_i^2 - 2 t_i^2 = 0 mod p; the first
     # remainder below sqrt(2p) gives |r_i^2 - 2 t_i^2| < 2p, so it is +-p
     cap = math.isqrt(2 * p)
-    r0, r1 = p, r
+    r0, r1 = p, sqrt_mod(2, p)
     t0, t1 = 0, 1
     while r1 > cap:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    return r1, abs(t1)
+    a, b, sign, _ = _canonicalize(r1, abs(t1), p)
+    if sign < 0:
+        a, b, sign, _ = _canonicalize(a, -b, p)
+    if sign != 1:
+        raise InvariantViolation(f"no canonical generator of norm +{p} in the pair above {p}")
+    return a, b, sign
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,9 +204,9 @@ class RealQuadPrimeIdeal:
             raise BadInput(f"norm of {self.a} + {self.b} sqrt 2 is not {self.sign} * {self.p}")
 
 
-def conjugate_pair(p: int, method: str = "brute") -> tuple[RealQuadPrimeIdeal, RealQuadPrimeIdeal]:
+def conjugate_pair(p: int) -> tuple[RealQuadPrimeIdeal, RealQuadPrimeIdeal]:
     """Both prime ideals above p, the sign +1 one first."""
-    a, b, sign = solve_norm_equation(p, method)
+    a, b, sign = solve_norm_equation(p)
     t = angle_t(a, b)
     first = RealQuadPrimeIdeal(p=p, a=a, b=b, sign=sign, t=t)
     a2, b2, sign2, t2 = _canonicalize(a, -b, p)
@@ -267,11 +243,6 @@ class RealQuadReport:
                      for p, a, b, sign, t in zip(*(col.tolist() for col in cols)))
 
 
-def _splits(p: np.ndarray) -> np.ndarray:
-    """Mask of the primes = +-1 mod 8, the odd primes that split in Z[sqrt 2]."""
-    return (p % 8 == 1) | (p % 8 == 7)
-
-
 def _canonical_rows(start: int, stop: int):
     """Rows b of canonical generators with start <= |a^2 - 2 b^2| <= stop, a odd.
 
@@ -296,8 +267,8 @@ def _split_generators(limit: int):
     by p with the norm +p generator first.  InvariantViolation unless every
     split prime has exactly one point of each sign.
     """
-    b, a, split = _lattice_scan(0, limit, _splits, _canonical_rows,
-                                lambda b, a: np.abs(a * a - 2 * b * b))
+    b, a, split = _lattice_scan(0, limit, lambda q: (q % 8 == 1) | (q % 8 == 7),
+                                _canonical_rows, lambda b, a: np.abs(a * a - 2 * b * b))
     norm = a * a - 2 * b * b
     p = np.abs(norm)
     order = np.argsort(2 * p + (norm < 0))
@@ -310,37 +281,17 @@ def _split_generators(limit: int):
     return p, a, b, sign
 
 
-def _brute_columns(limit: int):
-    """Columns (p, a, b, sign, t) from one conjugate_pair(p, "brute") per split prime."""
-    primes = sieve_rational_primes(limit)
-    rows = [(i.p, i.a, i.b, i.sign, i.t)
-            for q in primes[_splits(primes)].tolist() for i in conjugate_pair(q, "brute")]
-    p, a, b, sign, t = zip(*rows)
-    return (np.array(p, dtype=np.int64), np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-            np.array(sign, dtype=np.int8), np.array(t, dtype=np.float64))
-
-
-_BLOCK = 1 << 14  # array elements converted to Python scalars at once
-
-
-def _scalars(arr: np.ndarray):
-    """Iterator over the elements of arr as Python scalars, a block at a time."""
-    return itertools.chain.from_iterable(
-        arr[i:i + _BLOCK].tolist() for i in range(0, arr.size, _BLOCK))
-
-
 # largest limit with eps^2 * limit < 2^63: eps^2 = 3 + 2 sqrt 2, so this is
 # floor((2^63 - 1)(3 - 2 sqrt 2)), exact in integers
 _MAX_LIMIT = 3 * (2**63 - 1) - math.isqrt(8 * (2**63 - 1) ** 2) - 1
 
 
-def equidistribution_report_real(limit: int, k_max: int, method: str = "fast") -> RealQuadReport:
+def equidistribution_report_real(limit: int, k_max: int) -> RealQuadReport:
     """Both canonical generators of every split p <= limit, and the averages of chi_k.
 
-    method="fast" takes the generators from one lattice scan; method="brute"
-    solves the norm equation prime by prime with the brute solver, as an
-    independent route to the same columns.  BadInput for a limit past
-    _MAX_LIMIT, where eps^2 * limit or the scan's squares leave int64.
+    The generators come from one lattice scan of the canonical domain.
+    BadInput for a limit past _MAX_LIMIT, where eps^2 * limit or the scan's
+    squares leave int64.
     """
     limit = int(limit)
     if limit < 7:
@@ -349,16 +300,11 @@ def equidistribution_report_real(limit: int, k_max: int, method: str = "fast") -
         raise BadInput(f"limit {limit} above {_MAX_LIMIT}, where int64 norms overflow")
     if k_max < 0:
         raise BadInput(f"k_max = {k_max} must be >= 0")
-    if method == "fast":
-        p, a, b, sign = _split_generators(limit)
-        # _raw_t's arithmetic for a, b > 0 and |N| = p; math.log, not np.log,
-        # keeps t bitwise equal to it
-        log_alpha = np.fromiter(map(math.log, _scalars(a + b * SQRT2)), np.float64, p.size)
-        t = 2.0 * log_alpha - np.fromiter(map(math.log, _scalars(p)), np.float64, p.size)
-    elif method == "brute":
-        p, a, b, sign, t = _brute_columns(limit)
-    else:
-        raise BadInput(f"unknown method {method!r}")
+    p, a, b, sign = _split_generators(limit)
+    # _raw_t's arithmetic for a, b > 0 and |N| = p; math.log, not np.log,
+    # keeps t bitwise equal to it
+    log_alpha = np.fromiter(map(math.log, _scalars(a + b * SQRT2)), np.float64, p.size)
+    t = 2.0 * log_alpha - np.fromiter(map(math.log, _scalars(p)), np.float64, p.size)
     count = t.size
     weyl = {}
     for k in range(k_max + 1):

@@ -14,8 +14,8 @@ import json
 import os
 
 from ._version import __version__
-from .ideals import _ideal_arrays, _CODE_TO_SPLITTING
-from .realquad import RealQuadReport, _scalars
+from .ideals import _CODE_TO_SPLITTING, _ideal_arrays, _scalars
+from .realquad import RealQuadReport
 from .sectors import SectorScanReport
 from .variance import VarianceReport
 
@@ -25,8 +25,6 @@ SECTOR_FORMAT = "sectorlab-sectors-v1"
 FORBIDDEN_FORMAT = "sectorlab-forbidden-v1"
 VARIANCE_FORMAT = "sectorlab-variance-v1"
 REALQUAD_FORMAT = "sectorlab-realquad-v1"
-
-_CSV_BLOCK = 1 << 14  # ideal rows converted to Python values at once
 
 
 def _fmt(x: float) -> str:
@@ -52,18 +50,15 @@ def _dump_lines(path: str, lines: list[str]):
 
 def write_ideal_csv(path: str, norm_min: int, norm_max: int, include_nonsplit: bool = True):
     """Write the ideal enumeration for a norm window as CSV."""
-    p, a, b, norm, code, theta = _ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)
+    cols = map(_scalars, _ideal_arrays(int(norm_min), int(norm_max), include_nonsplit))
     lines = [
         f"# {IDEAL_FORMAT} sectorlab={__version__}",
         f"# norm_min={int(norm_min)} norm_max={int(norm_max)} include_nonsplit={int(include_nonsplit)}",
         "p,a,b,norm,splitting,theta",
     ]
     kinds = {c: s.value for c, s in _CODE_TO_SPLITTING.items()}
-    # Python values for a block of rows at a time, not for all six columns at once
-    for start in range(0, p.size, _CSV_BLOCK):
-        cols = (col[start:start + _CSV_BLOCK].tolist() for col in (p, a, b, norm, code, theta))
-        for row in zip(*cols):
-            lines.append("%d,%d,%d,%d,%s,%.17g" % (*row[:4], kinds[row[4]], row[5]))
+    lines.extend("%d,%d,%d,%d,%s,%.17g" % (p, a, b, norm, kinds[code], theta)
+                 for p, a, b, norm, code, theta in zip(*cols))
     _dump_lines(path, lines)
 
 

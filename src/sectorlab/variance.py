@@ -45,6 +45,10 @@ from .windows import (
 )
 
 KMAX_CAP = 10**7
+GRID_CAP = 1 << 25
+"""Largest grid_factor * k_max variance_sweep builds: the default factor 4 at
+k_max = 2^23, the largest power of two below KMAX_CAP.  A cell peaks at about
+33 bytes per grid point (measured at 2^20), so 2^25 points take 1.1 GB."""
 TAIL_RATIO = 1e-14
 CERTIFICATE_RATIO = 1e-12
 
@@ -359,6 +363,9 @@ def variance_sweep(
             K = X**tau
             spectrum = psi_spectrum(K, X, f, phi, "powers", include_nonsplit)
             grid_size = grid_factor * spectrum.k_max
+            if grid_size > GRID_CAP:
+                raise BadInput(f"grid of {grid_factor} * k_max = {grid_size} points "
+                               f"exceeds the size ceiling {GRID_CAP}")
             _check_grid(grid_size, spectrum.k_max)
             values = psi_grid(K, X, f, phi, "powers", grid_size, include_nonsplit)
             mean_emp, var_dir = _grid_stats(values)

@@ -265,7 +265,7 @@ def test_criterion_12_real_quadratic(capsys):
     start = time.perf_counter()
     mags, reports = {}, {}
     for limit in (10**3, 10**4, 10**5):
-        reports[limit] = equidistribution_report_real(limit, 3, method="fast")
+        reports[limit] = equidistribution_report_real(limit, 3)
         mags[limit] = [abs(reports[limit].weyl[k]) for k in (1, 2, 3)]
     top = reports[10**5]
     verified = all(i.a * i.a - 2 * i.b * i.b == i.sign * i.p for i in top.ideals)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import time
 
 import pytest
 
-from sectorlab.cli import MAX_SIZE, ExperimentConfig, main, run
+from sectorlab.cli import MAX_SIZE, ExperimentConfig, _int_literal, build_parser, main, run
 from sectorlab.errors import InvariantViolation
 
 
@@ -89,6 +90,14 @@ def test_bad_limit_exits_2(tmp_path):
     assert main(["realquad", "--limit", "5", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("args", [["--x", "1"], ["--x", "4", "--split-only"]])
+def test_weyl_over_no_ideals_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(["weyl", *args, "--kmax", "1", "--out", str(out)]) == 2
+    assert "no prime ideals" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["sieve", "--max", "1e30"],
     ["sectors", "--x", "1e30", "--rho", "0.3"],
@@ -105,6 +114,46 @@ def test_size_above_ceiling_exits_2_before_work(tmp_path, capsys, args):
     assert time.perf_counter() - start < 5.0
     assert "size ceiling" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _integer_option_cases():
+    """argv giving each integer option of each subcommand a huge value, small values elsewhere.
+
+    Every option typed int or _int_literal gets 10**15, and the
+    _int_literal ones also get inf; required options get 100 (0.3 if
+    float-typed), so the value under test is the only large input.
+    """
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        required = [arg for a in sub._actions if a.required
+                    for arg in (a.option_strings[0], "0.3" if a.type is float else "100")]
+        for action in sub._actions:
+            if action.type in (int, _int_literal):
+                values = (str(10**15), "inf") if action.type is _int_literal else (str(10**15),)
+                for value in values:
+                    yield [command, *required, action.option_strings[0], value]
+
+
+def test_every_integer_option_rejects_huge_values_before_work(tmp_path, capsys):
+    # every integer option, including one added later, must refuse a huge
+    # value up front; one without a ceiling crashes, hangs or runs past 5 s
+    cases = list(_integer_option_cases())
+    assert ["sectors", "--x", "100", "--rho", "0.3", "--grid", str(10**15)] in cases
+    assert ["variance", "--grid-factor", str(10**15)] in cases
+    for argv in cases:
+        out = tmp_path / "-".join(argv)
+        start = time.perf_counter()
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse refused the literal
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert time.perf_counter() - start < 5.0, argv
+        assert "invalid parameters" in err or "error: argument" in err, (argv, err)
+        assert "Traceback" not in err, argv
+        assert not out.exists(), argv
 
 
 def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch):

@@ -31,10 +31,9 @@ from sectorlab.reports import write_realquad_csv, write_realquad_json
 # ------------------------------------------------------------ norm equation
 
 def test_norm_equation_examples():
-    for method in ("brute", "fast"):
-        assert solve_norm_equation(7, method) == (3, 1, 1)
-        assert solve_norm_equation(17, method) == (5, 2, 1)
-        assert solve_norm_equation(23, method) == (5, 1, 1)
+    assert solve_norm_equation(7) == (3, 1, 1)
+    assert solve_norm_equation(17) == (5, 2, 1)
+    assert solve_norm_equation(23) == (5, 1, 1)
 
 
 def test_norm_equation_rejects_nonsplit_and_composite():
@@ -46,8 +45,6 @@ def test_norm_equation_rejects_nonsplit_and_composite():
     for n in (0, 1, 15, 21, 49):
         with pytest.raises(BadInput):
             solve_norm_equation(n)
-    with pytest.raises(BadInput):
-        solve_norm_equation(7, method="guess")
 
 
 def test_norm_equation_sign_gate_fails_typed(monkeypatch):
@@ -83,29 +80,29 @@ def test_splitting_matches_euler_criterion():
         if p == 2:
             continue
         if pow(2, (p - 1) // 2, p) == 1:
-            a, b, sign = solve_norm_equation(p, method="fast")
+            a, b, sign = solve_norm_equation(p)
             assert a * a - 2 * b * b == sign * p
             assert sign == 1 and a > 0 and b > 0
         else:
             with pytest.raises(NotSplit):
-                solve_norm_equation(p, method="fast")
-
-
-def test_fast_solver_matches_brute_solver():
-    for p in brute_primes(2 * 10**4):
-        if p % 8 in (1, 7):
-            assert solve_norm_equation(p, "fast") == solve_norm_equation(p, "brute")
+                solve_norm_equation(p)
 
 
 def test_any_solution_lands_on_a_conjugate_ideal():
     # every integer solution of a^2 - 2 b^2 = +-p generates one of the
-    # two prime ideals above p, so its angle matches one of the pair
-    for p in (7, 17, 23, 41, 73, 89, 97, 113, 127):
+    # two prime ideals above p, so its angle matches one of the pair; the
+    # pair must lie in the canonical regions, which hold one generator per
+    # ideal, so the solver's output is determined by the ideals found here
+    for p in brute_primes(2 * 10**4):
+        if p % 8 not in (1, 7):
+            continue
         a, b = brute_realquad_solution(p)
         assert abs(a * a - 2 * b * b) == p
         first, second = conjugate_pair(p)
         t = angle_t(a, b)
         assert min(abs(t - first.t), abs(t - second.t)) <= 1e-9
+        assert first.a > 2 * first.b >= 0
+        assert 0 < second.a < second.b
 
 
 def test_unit_companion_has_opposite_norm():
@@ -171,7 +168,7 @@ def test_conjugate_pair_example():
 def test_conjugate_pair_reflection_across_primes():
     for p in brute_primes(500):
         if p % 8 in (1, 7):
-            first, second = conjugate_pair(p, method="fast")
+            first, second = conjugate_pair(p)
             assert first.p == second.p == p
             assert first.sign == 1 and second.sign == -1
             assert first.a * first.a - 2 * first.b * first.b == p
@@ -209,7 +206,7 @@ def test_report_small_limit():
 def test_weyl_sums_equidistribute():
     mags = {}
     for limit in (10**3, 10**4, 10**5):
-        rep = equidistribution_report_real(limit, 3, method="fast")
+        rep = equidistribution_report_real(limit, 3)
         mags[limit] = [abs(rep.weyl[k]) for k in (1, 2, 3)]
     # per-mode noise keeps single decades from being monotone, so assert
     # the endpoint drop per mode and the strict decay of the worst mode
@@ -219,13 +216,11 @@ def test_weyl_sums_equidistribute():
 
 
 def test_report_conjugate_cancellation_gate_fails_typed(monkeypatch):
-    # listing one conjugate twice leaves the imaginary parts uncancelled;
-    # only the brute route calls conjugate_pair
-    original = conjugate_pair
-    monkeypatch.setattr(realquad_mod, "conjugate_pair",
-                        lambda p, method: (original(p, method)[0],) * 2)
+    # t values that no longer reflect t -> 2 log eps - t across a conjugate
+    # pair leave the imaginary parts uncancelled, though the columns are right
+    monkeypatch.setattr(realquad_mod, "SQRT2", SQRT2 + 1e-6)
     with pytest.raises(InvariantViolation):
-        equidistribution_report_real(100, 3, method="brute")
+        equidistribution_report_real(100, 3)
 
 
 def test_scan_cancellation_gate_fails_typed(monkeypatch):
@@ -279,8 +274,6 @@ def test_report_validation():
         equidistribution_report_real(5, 3)
     with pytest.raises(BadInput):
         equidistribution_report_real(100, -1)
-    with pytest.raises(BadInput):
-        equidistribution_report_real(100, 3, method="guess")
     rep = equidistribution_report_real(7, 2)
     assert rep.ideal_count == 2
 
@@ -296,37 +289,74 @@ def test_report_columns_are_read_only_and_back_the_ideals():
     assert rep.ideals is rep.ideals
 
 
-# ------------------------------------------------- lattice scan vs brute solver
+# ------------------------------------------------- lattice scan vs per-prime routes
 
 _ORACLE_LIMIT = 10**5
 
 
-@functools.lru_cache(maxsize=1)
-def _brute_oracle():
-    """Columns (p, a, b, sign, t) up to 1e5, one conjugate_pair(p, "brute") per split p."""
-    rows = [(i.p, i.a, i.b, i.sign, i.t)
-            for p in sieve_rational_primes(_ORACLE_LIMIT).tolist() if p % 8 in (1, 7)
-            for i in conjugate_pair(p, "brute")]
+def _split_primes():
+    return [p for p in sieve_rational_primes(_ORACLE_LIMIT).tolist() if p % 8 in (1, 7)]
+
+
+def _columns(rows):
     p, a, b, sign, t = zip(*rows)
     return (np.array(p, dtype=np.int64), np.array(a, dtype=np.int64),
             np.array(b, dtype=np.int64), np.array(sign, dtype=np.int8),
             np.array(t, dtype=np.float64))
 
 
-def _assert_scan_matches_brute(limit, method="fast"):
-    want = tuple(col[: np.searchsorted(_brute_oracle()[0], limit, side="right")]
-                 for col in _brute_oracle())
-    rep = equidistribution_report_real(limit, 2, method)
+@functools.lru_cache(maxsize=1)
+def _solver_oracle():
+    """Columns (p, a, b, sign, t) up to 1e5, one conjugate_pair(p) per split p."""
+    return _columns([(i.p, i.a, i.b, i.sign, i.t)
+                     for p in _split_primes() for i in conjugate_pair(p)])
+
+
+def _search_canonical(p):
+    """(a, b, sign) of every point of the canonical regions with norm sign * p, by search.
+
+    Both regions, a > 2b >= 0 (norm +p) and 0 < a < b (norm -p), need
+    b^2 < p, so b <= isqrt(p) covers them.
+    """
+    found = []
+    for b in range(math.isqrt(p) + 1):
+        for sign in (1, -1):
+            target = 2 * b * b + sign * p
+            a = math.isqrt(target) if target > 0 else 0
+            if a * a == target and (a > 2 * b if sign > 0 else 0 < a < b):
+                found.append((a, b, sign))
+    return sorted(found, key=lambda point: -point[2])
+
+
+@functools.lru_cache(maxsize=1)
+def _search_oracle():
+    """Columns (p, a, b, sign, t) up to 1e5 from an exhaustive search per split p."""
+    rows = []
+    for p in _split_primes():
+        points = _search_canonical(p)
+        assert [sign for _, _, sign in points] == [1, -1], (p, points)
+        rows.extend((p, a, b, sign, angle_t(a, b)) for a, b, sign in points)
+    return _columns(rows)
+
+
+# fast: the half-Euclid solver prime by prime; brute: exhaustive search
+_ORACLES = {"fast": _solver_oracle, "brute": _search_oracle}
+
+
+def _assert_scan_matches(limit, oracle="fast"):
+    columns = _ORACLES[oracle]()
+    want = tuple(col[: np.searchsorted(columns[0], limit, side="right")] for col in columns)
+    rep = equidistribution_report_real(limit, 2)
     got = (rep.p, rep.a, rep.b, rep.sign, rep.t)
     assert [g.dtype for g in got] == [w.dtype for w in want]
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("method", ["fast", "brute"])
+@pytest.mark.parametrize("oracle", ["fast", "brute"])
 @pytest.mark.parametrize("limit", [7, 8, 23, 100, 10**4, 10**5])
-def test_scan_matches_brute_route(limit, method):
-    _assert_scan_matches_brute(limit, method)
+def test_scan_matches_brute_route(limit, oracle):
+    _assert_scan_matches(limit, oracle)
 
 
 @pytest.mark.parametrize("segment, points", [(64, 3), (1000, 50)])
@@ -336,21 +366,13 @@ def test_scan_across_many_segment_and_chunk_edges(monkeypatch, segment, points):
     monkeypatch.setattr(ideals_mod, "_SEGMENT", segment)
     monkeypatch.setattr(ideals_mod, "_SCAN_POINTS", points)
     for limit in (7, 64, 65, 129, 4097, 20000):
-        _assert_scan_matches_brute(limit)
+        _assert_scan_matches(limit)
 
 
 @settings(max_examples=40, deadline=None)
 @given(limit=st.integers(7, _ORACLE_LIMIT))
 def test_scan_matches_brute_route_random(limit):
-    _assert_scan_matches_brute(limit)
-
-
-def test_cli_methods_write_identical_files(tmp_path):
-    for method in ("fast", "brute"):
-        assert main(["realquad", "--limit", "1e4", "--kmax", "8", "--method", method,
-                     "--out", str(tmp_path / method)]) == 0
-    for name in ("realquad.csv", "realquad.json"):
-        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "brute" / name).read_bytes()
+    _assert_scan_matches(limit)
 
 
 # ------------------------------------------------------------ report files
