@@ -15,10 +15,10 @@ the Fourier data behind every smoothed sector statistic here.  Cancella-
 tion in S_k for k != 0 (against the trivial bound S_0) is exactly angular
 equidistribution of the prime ideals.
 
-Single sums are accumulated with math.fsum in the fixed (norm, theta)
-ordering of the entry tables, so repeated runs are bit-identical; the
-bulk table comes from one Gaussian-gridded FFT (see _kernels) and is
-cross-checked against the single sums in the tests.
+Single sums are exactly rounded (_kernels.exact_sum), so they do not
+depend on the order of the entry tables and repeated runs are
+bit-identical; the bulk table comes from one Gaussian-gridded FFT (see
+_kernels) and is cross-checked against the single sums in the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import geometric_weighted_sums
+from ._kernels import exact_sum, geometric_weighted_sums
 from .errors import BadInput
 from .ideals import _ideal_arrays, _lambda_arrays
 from .windows import SmoothWindow
@@ -72,11 +72,11 @@ def character_sum(
     k: int, X: float, phi: SmoothWindow,
     variant: str = "powers", include_nonsplit: bool = True,
 ) -> complex:
-    """S_k(X) with cutoff Phi, compensated summation, deterministic order."""
+    """S_k(X) with cutoff Phi; real and imaginary parts exactly rounded."""
     thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
     angles = (4.0 * k) * thetas
-    re = math.fsum(weights * np.cos(angles))
-    im = math.fsum(weights * np.sin(angles)) if k != 0 else 0.0
+    re = exact_sum(weights * np.cos(angles))
+    im = exact_sum(weights * np.sin(angles)) if k != 0 else 0.0
     return complex(re, im)
 
 
@@ -89,7 +89,7 @@ def weyl_sum(k: int, norm_min: int, norm_max: int, include_nonsplit: bool = True
         raise BadInput("weyl_sum needs k != 0")
     _, _, _, _, _, thetas = _ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)
     angles = (4.0 * k) * thetas
-    return complex(math.fsum(np.cos(angles)), math.fsum(np.sin(angles)))
+    return complex(exact_sum(np.cos(angles)), exact_sum(np.sin(angles)))
 
 
 @dataclass(frozen=True)

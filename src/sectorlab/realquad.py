@@ -54,6 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernels import exact_sum
 from .errors import BadInput, InvariantViolation, NotSplit
 from .ideals import _isqrt, _lattice_scan, _scalars, sqrt_mod
 
@@ -309,8 +310,8 @@ def equidistribution_report_real(limit: int, k_max: int) -> RealQuadReport:
     weyl = {}
     for k in range(k_max + 1):
         phase = (math.pi * k / LOG_EPS) * t
-        re = math.fsum(_scalars(np.cos(phase))) / count
-        im = math.fsum(_scalars(np.sin(phase))) / count
+        re = exact_sum(np.cos(phase)) / count
+        im = exact_sum(np.sin(phase)) / count
         if not abs(im) <= 1e-12:
             raise InvariantViolation(f"conjugate pairs leave Im W_{k} = {im!r} uncancelled")
         weyl[k] = re

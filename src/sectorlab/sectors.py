@@ -140,7 +140,8 @@ def sector_scan(
 
     rho = 0 is the full circle (every deviation is exactly zero); larger
     rho narrows the sector, and past the equidistribution range the
-    deviations blow up for a growing fraction of offsets.
+    deviations blow up for a growing fraction of offsets.  Each threshold
+    in deltas must be finite and > 0.
     """
     X = int(X)
     if X < 2:
@@ -150,6 +151,10 @@ def sector_scan(
     grid_size = int(grid_size)
     if grid_size < 1:
         raise BadInput(f"grid size {grid_size} must be >= 1")
+    deltas = tuple(map(float, deltas))
+    for d in deltas:
+        if not (math.isfinite(d) and d > 0.0):
+            raise BadInput(f"deviation threshold delta = {d} must be finite and > 0")
     th, _ = _angle_tables(1, X, include_nonsplit)
     n = th.size
     if n == 0:
@@ -167,7 +172,7 @@ def sector_scan(
     ).astype(np.int64)
     expected = (gamma / HALF_PI) * n
     deviations = counts / expected - 1.0
-    fractions = {float(d): float(np.mean(np.abs(deviations) > d)) for d in deltas}
+    fractions = {d: float(np.mean(np.abs(deviations) > d)) for d in deltas}
     counts.setflags(write=False)
     deviations.setflags(write=False)
     return SectorScanReport(

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import exact_sum
 from .characters import _weighted_entries, character_sum_table
 from .errors import AliasingRisk, BadInput, TruncationFailure
 from .ideals import HALF_PI
@@ -126,11 +127,11 @@ def psi_eval(
     theta: float, K: float, X: float, f: SmoothWindow, phi: SmoothWindow,
     variant: str = "powers", include_nonsplit: bool = True,
 ) -> float:
-    """The smoothed count at a single angle, by direct compensated summation."""
+    """The smoothed count at a single angle, by a direct, exactly rounded sum."""
     thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
     pw = PeriodizedWindow(base=f, K=float(K))
     vals = periodized_eval(pw, thetas - float(theta))
-    return math.fsum(weights * vals)
+    return exact_sum(weights * vals)
 
 
 def _scatter_grid(thetas, weights, K, f, grid_size):
@@ -258,8 +259,8 @@ def psi_spectrum(
 
 
 def _grid_stats(values: np.ndarray) -> tuple[float, float]:
-    mean = math.fsum(values) / values.size
-    var = math.fsum((values - mean) ** 2) / values.size
+    mean = exact_sum(values) / values.size
+    var = exact_sum((values - mean) ** 2) / values.size
     return mean, var
 
 
@@ -296,7 +297,7 @@ def variance_direct(
 def variance_parseval(spectrum: PsiSpectrum) -> float:
     """Angular variance from the spectrum: 2 sum_{k>=1} |c_k S_k|^2."""
     tail = spectrum.coeffs[1:]
-    return 2.0 * math.fsum(np.abs(tail) ** 2)
+    return 2.0 * exact_sum(np.abs(tail) ** 2)
 
 
 @dataclass(frozen=True)
@@ -370,7 +371,7 @@ def variance_sweep(
             values = psi_grid(K, X, f, phi, "powers", grid_size, include_nonsplit)
             mean_emp, var_dir = _grid_stats(values)
             gap_values = _power_part_grid(K, X, phi, grid_size, include_nonsplit, f)
-            gap = math.fsum(gap_values**2) / grid_size
+            gap = exact_sum(gap_values**2) / grid_size
             reports.append(
                 VarianceReport(
                     X=X, tau=float(tau), K=float(K), variant="powers",

@@ -14,7 +14,7 @@ from sectorlab.characters import (
     xi,
 )
 from sectorlab.errors import BadInput
-from sectorlab.ideals import enumerate_prime_ideals, lambda_entries
+from sectorlab.ideals import _ideal_arrays, enumerate_prime_ideals, lambda_entries
 from sectorlab.windows import custom_window, mollifier_eval, plateau_plus
 
 
@@ -223,3 +223,14 @@ def test_weyl_equidistribution_trend():
         assert rows[-1][j] < rows[0][j]
     worst = [max(r) for r in rows]
     assert all(a > b for a, b in zip(worst, worst[1:]))
+
+
+def test_weyl_sum_pinned_to_fsum_over_python_floats():
+    # the sums are exactly rounded: the same cos/sin arrays summed by
+    # math.fsum one Python float at a time give the same bits
+    thetas = _ideal_arrays(1, 10**5, True)[5]
+    for k in range(1, 9):
+        angles = (4.0 * k) * thetas
+        want = complex(math.fsum(np.cos(angles).tolist()), math.fsum(np.sin(angles).tolist()))
+        got = weyl_sum(k, 1, 10**5)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), k

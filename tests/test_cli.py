@@ -82,6 +82,17 @@ def test_invalid_rho_exits_2(tmp_path, capsys):
     assert "invalid parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["nan", "-1", "inf"])
+def test_sectors_rejects_bad_delta_before_work(tmp_path, capsys, delta):
+    out = tmp_path / "out"
+    assert main(["sectors", "--x", "100", "--rho", "0.3", "--delta", delta,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid parameters" in err and "delta" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bad_kmax_exits_2(tmp_path):
     assert main(["weyl", "--x", "100", "--kmax", "0", "--out", str(tmp_path)]) == 2
 

@@ -1,13 +1,15 @@
-"""The bulk exponential-sum kernel against compensated term-by-term sums."""
+"""The kernels against math.fsum: exact_sum bit for bit, the bulk
+exponential-sum kernel within its error bound of term-by-term sums."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sectorlab._kernels import ERROR_BOUND, geometric_weighted_sums
+from sectorlab._kernels import _SUM_BLOCK, ERROR_BOUND, exact_sum, geometric_weighted_sums
 
 
 def fsum_oracle(phases, weights, k):
@@ -46,6 +48,7 @@ def check_against_oracle(phases, weights, k_max):
 @example(points=[(1e-300, 1.0), (-1e-12, 2.0), (5e-324, -1.0)], k_max=64)
 @example(points=[(2.0 * math.pi, 1.0), (7.5, -0.5), (-19.0, 3.0), (13.0, 1.0)], k_max=63)
 @example(points=[(0.1, 1.0), (0.2, -1.0), (-0.3, 0.5), (4.0, -2.0)], k_max=31)
+@example(points=[(0.0, 2.2250738585e-313)], k_max=2)  # subnormal weights alone
 def test_kernel_matches_fsum_oracle(points, k_max):
     phases = [p for p, _ in points]
     weights = [w for _, w in points]
@@ -66,3 +69,75 @@ def test_kernel_rejects_mismatched_shapes():
         geometric_weighted_sums(np.zeros(3), np.zeros(2), 4)
     with pytest.raises(ValueError):
         geometric_weighted_sums(np.zeros((2, 2)), np.zeros((2, 2)), 4)
+
+
+# ------------------------------------------------------------- exact_sum
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def check_exact(values):
+    values = np.asarray(values, dtype=np.float64)
+    before = values.copy()
+    # bytes, not ==, so that 0.0 and -0.0 differ and NaN equals itself
+    assert bits(exact_sum(values)) == bits(math.fsum(values.tolist()))
+    assert np.array_equal(values, before, equal_nan=True)
+
+
+def scaled(mantissas, exponents):
+    return [math.ldexp(m, e) for m, e in zip(mantissas, exponents)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.integers(-1074, 300)), max_size=300))
+@example([(1.0, 0), (1.0, -53), (1.0, -106)])
+@example([(1.0, 300), (-1.0, 300), (1.0, -1074)])
+def test_exact_sum_matches_fsum_bitwise(terms):
+    check_exact(scaled(*zip(*terms)) if terms else [])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=50),
+       st.integers(-1074, 0), st.randoms(use_true_random=False))
+def test_exact_sum_exact_cancellation(xs, e, rnd):
+    # x and -x cancel exactly; only the tiny residue (and its
+    # rounding-sensitive companions) survives
+    values = xs + [-x for x in xs] + [math.ldexp(1.0, e), 1.0, 2.0**-53, 2.0**-106]
+    rnd.shuffle(values)
+    check_exact(values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-(2**52) + 1, 2**52 - 1), max_size=200))
+def test_exact_sum_subnormals_only(units):
+    check_exact([math.ldexp(u, -1074) for u in units])
+
+
+@pytest.mark.parametrize("n", [0, 1, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 3 * _SUM_BLOCK])
+def test_exact_sum_block_edges(n):
+    rng = np.random.default_rng(n)
+    wide = rng.standard_normal(n) * np.exp2(rng.integers(-1074, 300, n).astype(float))
+    check_exact(wide)
+    check_exact(np.cos(rng.uniform(0.0, 1e4, n)))
+    # one block cancels another's leading bits
+    check_exact(np.concatenate([wide[: n // 2], -wide[: n // 2][::-1], [2.0**-1000]]))
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0], [math.inf], [-math.inf, 1.0],
+    [math.nan], [1.0, math.nan, 2.0], [2.0**960, -(2.0**960), 1.0],
+])
+def test_exact_sum_special_values(values):
+    check_exact(values)
+
+
+@pytest.mark.parametrize("values, error", [
+    ([math.inf, -math.inf], ValueError),
+    ([1e308, 1e308], OverflowError),
+])
+def test_exact_sum_raises_as_fsum(values, error):
+    with pytest.raises(error):
+        math.fsum(values)
+    with pytest.raises(error):
+        exact_sum(np.array(values))

@@ -391,3 +391,13 @@ def test_realquad_reports_are_byte_stable(tmp_path):
         write_realquad_json(str(path), rep)
     assert jsons[0].read_bytes() == jsons[1].read_bytes()
     assert '"format_version": "sectorlab-realquad-v1"' in jsons[0].read_text()
+
+
+def test_report_weyl_pinned_to_fsum_over_python_floats():
+    # each W_k is the exactly rounded mean of cos(pi k t / log eps): recompute
+    # it from the report's own t column with math.fsum over Python floats
+    rep = equidistribution_report_real(10**5, 8)
+    for k in range(9):
+        phase = (math.pi * k / LOG_EPS) * rep.t
+        want = math.fsum(np.cos(phase).tolist()) / rep.ideal_count
+        assert rep.weyl[k].hex() == want.hex(), k

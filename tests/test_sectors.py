@@ -307,3 +307,13 @@ def test_unsmoothing_bracket_small_scale():
         upper = psi_eval(beta, K, X, f_plus, phi_plus) / math.log(X * (1.0 - eps))
         lower = psi_eval(beta, K, X, f_minus, phi_minus) / math.log(2 * X * (1.0 + eps))
         assert lower <= sharp <= upper
+
+
+@pytest.mark.parametrize("delta", [math.nan, -1.0, 0.0, math.inf])
+def test_scan_rejects_bad_delta_before_enumeration(monkeypatch, delta):
+    def no_work(*args):
+        raise AssertionError("enumerated before validating deltas")
+
+    monkeypatch.setattr(sectors_mod, "_angle_tables", no_work)
+    with pytest.raises(BadInput):
+        sector_scan(10**4, 0.3, 64, deltas=(0.5, delta))
