@@ -38,7 +38,7 @@ from .errors import BadInput, InvariantViolation, NonResidue
 HALF_PI = math.pi / 2.0  # period of the ideal angle; other modules import it from here
 
 _SEGMENT = 1 << 23  # sieve block length, keeps masks comfortably in cache
-_SCAN_POINTS = 1 << 20  # lattice points the split scan expands at once (8 MB per int64 array)
+_SCAN_POINTS = 1 << 16  # lattice points the split scan expands at once (512 kB per int64 array)
 _BLOCK = 1 << 14  # array elements converted to Python scalars at once
 
 
@@ -68,9 +68,11 @@ def _primes_in_range(lo: int, hi: int) -> np.ndarray:
                 break
             first = max(p * p, ((start + p - 1) // p) * p)
             mask[first - start :: p] = False
-        chunks.append(np.nonzero(mask)[0] + start)
+        found = np.flatnonzero(mask).astype(np.int64, copy=False)
+        found += start
+        chunks.append(found)
         start = stop + 1
-    return np.concatenate(chunks).astype(np.int64)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def sqrt_mod(n: int, p: int) -> int:
@@ -214,25 +216,31 @@ def _scalars(arr: np.ndarray):
         arr[i:i + _BLOCK].tolist() for i in range(0, arr.size, _BLOCK))
 
 
-def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm):
+def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, per_prime: int):
     """Lattice points (r, c) whose norm is a split prime in (norm_min, norm_max].
 
-    Walks the window one sieve segment [start, stop] of norms at a time;
+    Sieves the window one segment [start, stop] of norms at a time, and
     is_split(primes) picks the split primes of a segment.  rows(start, stop)
     returns arrays (r, c_lo, c_hi): row r holds the points c = c_lo, c_lo + 2,
     ..., <= c_hi, each with norm(r, c) in [start, stop].  Rows are expanded
-    in chunks of whole rows of about _SCAN_POINTS points.  Returns the kept
-    rows, their columns and all split primes of the window, so the caller
-    can check its count of points per prime.
+    in chunks of whole rows of about _SCAN_POINTS points, and the kept points
+    go straight into columns sized per_prime times the split-prime count.  So
+    besides the output and the split primes, only one segment's masks and one
+    chunk are alive.  Returns the rows and columns in scan order, and the
+    split primes; InvariantViolation unless there are per_prime points per
+    split prime.
     """
-    kept_r, kept_c = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    segments = [(start, min(start + _SEGMENT - 1, norm_max))
+                for start in range(norm_min + 1, norm_max + 1, _SEGMENT)]
     splits = [np.empty(0, dtype=np.int64)]
-    start = norm_min + 1
-    while start <= norm_max:
-        stop = min(start + _SEGMENT - 1, norm_max)
+    for start, stop in segments:
         primes = _primes_in_range(start - 1, stop)
-        split = primes[is_split(primes)]
-        splits.append(split)
+        splits.append(primes[is_split(primes)])
+    split_count = sum(split.size for split in splits)
+    out_r = np.empty(per_prime * split_count, dtype=np.int64)
+    out_c = np.empty_like(out_r)
+    found = 0
+    for (start, stop), split in zip(segments, splits[1:]):
         marked = np.zeros(stop - start + 1, dtype=bool)
         marked[split - start] = True
         r, c_lo, c_hi = rows(start, stop)
@@ -247,11 +255,17 @@ def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm):
             chunk_c = np.repeat(c_lo[block] - 2 * (ends[block] - counts[block]), counts[block])
             chunk_c += 2 * np.arange(first, int(ends[last - 1]), dtype=np.int64)
             keep = marked[norm(chunk_r, chunk_c) - start]
-            kept_r.append(chunk_r[keep])
-            kept_c.append(chunk_c[keep])
+            kept = int(np.count_nonzero(keep))
+            if found + kept <= out_r.size:
+                np.compress(keep, chunk_r, out=out_r[found:found + kept])
+                np.compress(keep, chunk_c, out=out_c[found:found + kept])
+            found += kept
             row = last
-        start = stop + 1
-    return np.concatenate(kept_r), np.concatenate(kept_c), np.concatenate(splits)
+    if found != out_r.size:
+        raise InvariantViolation(
+            f"lattice scan found {found} points for {split_count} split primes "
+            f"in ({norm_min}, {norm_max}], not {per_prime} each")
+    return out_r, out_c, np.concatenate(splits)
 
 
 def _two_square_rows(start: int, stop: int):
@@ -274,12 +288,8 @@ def _split_legs(norm_min: int, norm_max: int) -> tuple[np.ndarray, np.ndarray]:
     such points, its conjugates (a, b) and (b, a); any other count raises
     InvariantViolation.
     """
-    split_a, split_b, split = _lattice_scan(
-        norm_min, norm_max, lambda p: p % 4 == 1, _two_square_rows, lambda a, b: a * a + b * b)
-    if split_a.size != 2 * split.size:
-        raise InvariantViolation(
-            f"lattice scan found {split_a.size} points for {split.size} split primes "
-            f"in ({norm_min}, {norm_max}], not two each")
+    split_a, split_b, _ = _lattice_scan(
+        norm_min, norm_max, lambda p: p % 4 == 1, _two_square_rows, lambda a, b: a * a + b * b, 2)
     return split_a, split_b
 
 
@@ -291,26 +301,38 @@ def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
     freely between callers and threads.
     """
     norm_min, norm_max = _validate_window(norm_min, norm_max)
-    # one (p, a, b, norm, code) column block per splitting class
-    split_a, split_b = _split_legs(norm_min, norm_max)
-    split_p = split_a * split_a + split_b * split_b
-    blocks = [(split_p, split_a, split_b, split_p, _SPLIT)]
+    # generators of the split legs, then the ramified 1 + i and the inert p
+    a, b = _split_legs(norm_min, norm_max)
     if include_nonsplit:
-        if norm_min < 2 <= norm_max:
-            blocks.append(([2], [1], [1], [2], _RAMIFIED))
+        ramified = np.ones(int(norm_min < 2 <= norm_max), dtype=np.int64)
         inert_p = _primes_in_range(math.isqrt(norm_min), math.isqrt(norm_max))
         inert_p = inert_p[inert_p % 4 == 3]
-        blocks.append((inert_p, inert_p, np.zeros_like(inert_p), inert_p * inert_p, _INERT))
+        a = np.concatenate((a, ramified, inert_p))
+        b = np.concatenate((b, ramified, np.zeros_like(inert_p)))
 
-    p_arr, a_arr, b_arr, n_arr = (
-        np.concatenate([np.asarray(block[i], dtype=np.int64) for block in blocks])
-        for i in range(4)
-    )
-    c_arr = np.concatenate([np.full(len(block[0]), block[4], dtype=np.int8) for block in blocks])
-    theta = np.arctan2(b_arr.astype(np.float64), a_arr.astype(np.float64))
-
-    order = np.lexsort((theta, n_arr))
-    out = (p_arr[order], a_arr[order], b_arr[order], n_arr[order], c_arr[order], theta[order])
+    # each sorted column replaces its source at once, and code and p come
+    # after the sort: the peak is the four sort columns, the order and one
+    # sorted copy, 48 bytes per ideal for an output of 41
+    theta = a.astype(np.float64)
+    b_float = b.astype(np.float64)
+    np.arctan2(b_float, theta, out=theta)
+    del b_float
+    norm = a * a
+    norm += b * b
+    order = np.lexsort((theta, norm))
+    theta = theta[order]
+    norm = norm[order]
+    a = a[order]
+    b = b[order]
+    del order
+    # no two ideals tie on (norm, theta), so the class and the prime above
+    # each ideal follow from the sorted columns
+    inert = b == 0
+    code = np.full(a.size, _SPLIT, dtype=np.int8)
+    code[norm == 2] = _RAMIFIED
+    code[inert] = _INERT
+    p = np.where(inert, a, norm)
+    out = (p, a, b, norm, code, theta)
     for arr in out:
         arr.setflags(write=False)
     return out

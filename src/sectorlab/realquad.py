@@ -56,7 +56,7 @@ import numpy as np
 
 from ._kernels import exact_sum
 from .errors import BadInput, InvariantViolation, NotSplit
-from .ideals import _isqrt, _lattice_scan, _scalars, sqrt_mod
+from .ideals import _BLOCK, _isqrt, _lattice_scan, sqrt_mod
 
 SQRT2 = math.sqrt(2.0)
 LOG_EPS = math.log(1.0 + SQRT2)
@@ -261,24 +261,47 @@ def _canonical_rows(start: int, stop: int):
     return np.concatenate((b, b)), a_lo, np.concatenate((plus_hi, minus_hi))
 
 
+def _signed_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^2 - 2 b^2 elementwise, with one temporary."""
+    norm = a * a
+    twice = b * b
+    twice <<= 1
+    norm -= twice
+    return norm
+
+
 def _split_generators(limit: int):
     """Columns (p, a, b, sign) of both canonical generators of every split p <= limit.
 
     One lattice scan over the canonical domain (module docstring), ordered
     by p with the norm +p generator first.  InvariantViolation unless every
-    split prime has exactly one point of each sign.
+    split prime has exactly one point of each sign.  The sort key
+    2|N| + (N < 0) is dropped before the columns are gathered, each gathered
+    column replaces its source, and p and sign are formed after the sort, so
+    besides a, b and the split primes at most two int64 columns are alive.
     """
     b, a, split = _lattice_scan(0, limit, lambda q: (q % 8 == 1) | (q % 8 == 7),
-                                _canonical_rows, lambda b, a: np.abs(a * a - 2 * b * b))
-    norm = a * a - 2 * b * b
-    p = np.abs(norm)
-    order = np.argsort(2 * p + (norm < 0))
-    p, a, b, sign = p[order], a[order], b[order], np.sign(norm[order]).astype(np.int8)
-    plus = sign > 0
-    if not (np.array_equal(p[plus], split) and np.array_equal(p[~plus], split)):
+                                _canonical_rows, lambda b, a: np.abs(a * a - 2 * b * b), 2)
+    key = _signed_norm(a, b)
+    negative = key < 0
+    np.abs(key, out=key)
+    key <<= 1
+    key += negative
+    del negative
+    order = np.argsort(key)
+    del key
+    a = a[order]
+    b = b[order]
+    del order
+    p = _signed_norm(a, b)
+    sign = np.sign(p, out=np.empty(p.size, dtype=np.int8))
+    np.abs(p, out=p)
+    if not (np.array_equal(p[0::2], split) and np.array_equal(p[1::2], split)
+            and np.all(sign[0::2] == 1) and np.all(sign[1::2] == -1)):
         raise InvariantViolation(
-            f"lattice scan found {plus.sum()} norm + and {(~plus).sum()} norm - generators "
-            f"for {split.size} split primes up to {limit}, not one of each per prime")
+            f"lattice scan found {np.count_nonzero(sign > 0)} norm + and "
+            f"{np.count_nonzero(sign < 0)} norm - generators for {split.size} split primes "
+            f"up to {limit}, not one of each per prime")
     return p, a, b, sign
 
 
@@ -302,16 +325,22 @@ def equidistribution_report_real(limit: int, k_max: int) -> RealQuadReport:
     if k_max < 0:
         raise BadInput(f"k_max = {k_max} must be >= 0")
     p, a, b, sign = _split_generators(limit)
-    # _raw_t's arithmetic for a, b > 0 and |N| = p; math.log, not np.log,
-    # keeps t bitwise equal to it
-    log_alpha = np.fromiter(map(math.log, _scalars(a + b * SQRT2)), np.float64, p.size)
-    t = 2.0 * log_alpha - np.fromiter(map(math.log, _scalars(p)), np.float64, p.size)
+    # _raw_t's arithmetic for a, b > 0 and |N| = p, a block at a time;
+    # math.log, not np.log, keeps t bitwise equal to it
+    t = np.empty(p.size)
+    for start in range(0, p.size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        log_alpha = np.fromiter(map(math.log, (a[rows] + b[rows] * SQRT2).tolist()), np.float64)
+        log_p = np.fromiter(map(math.log, p[rows].tolist()), np.float64)
+        np.subtract(2.0 * log_alpha, log_p, out=t[rows])
     count = t.size
-    weyl = {}
-    for k in range(k_max + 1):
-        phase = (math.pi * k / LOG_EPS) * t
-        re = exact_sum(np.cos(phase)) / count
-        im = exact_sum(np.sin(phase)) / count
+    # W_0 averages cos 0 = 1: exact_sum of count ones is count
+    weyl = {0: 1.0}
+    phase = np.empty_like(t)  # one buffer for the phases and their cos, then sin
+    for k in range(1, k_max + 1):
+        scale = math.pi * k / LOG_EPS
+        re = exact_sum(np.cos(np.multiply(scale, t, out=phase), out=phase)) / count
+        im = exact_sum(np.sin(np.multiply(scale, t, out=phase), out=phase)) / count
         if not abs(im) <= 1e-12:
             raise InvariantViolation(f"conjugate pairs leave Im W_{k} = {im!r} uncancelled")
         weyl[k] = re

@@ -5,16 +5,18 @@ environment data, floats printed with %.17g (shortest form that round-
 trips a double is used for JSON), keys sorted.  Running the same
 experiment twice therefore produces byte-identical files, which the test
 suite checks.  Each file opens with a format-version tag naming its
-schema.
+schema.  CSV rows are formatted and written _BLOCK lines at a time, so a
+writer holds one block of text, never the whole file.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
 from ._version import __version__
-from .ideals import _CODE_TO_SPLITTING, _ideal_arrays, _scalars
+from .ideals import _BLOCK, _CODE_TO_SPLITTING, _ideal_arrays, _scalars
 from .realquad import RealQuadReport
 from .sectors import SectorScanReport
 from .variance import VarianceReport
@@ -43,23 +45,26 @@ def _dump_json(path: str, obj: dict):
         fh.write("\n")
 
 
-def _dump_lines(path: str, lines: list[str]):
+def _dump_lines(path: str, lines):
+    """Write an iterable of lines, each ended by a newline, _BLOCK lines at a time."""
+    lines = iter(lines)
     with _create(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        while block := list(itertools.islice(lines, _BLOCK)):
+            fh.write("\n".join(block) + "\n")
 
 
 def write_ideal_csv(path: str, norm_min: int, norm_max: int, include_nonsplit: bool = True):
     """Write the ideal enumeration for a norm window as CSV."""
     cols = map(_scalars, _ideal_arrays(int(norm_min), int(norm_max), include_nonsplit))
-    lines = [
+    kinds = {c: s.value for c, s in _CODE_TO_SPLITTING.items()}
+    header = [
         f"# {IDEAL_FORMAT} sectorlab={__version__}",
         f"# norm_min={int(norm_min)} norm_max={int(norm_max)} include_nonsplit={int(include_nonsplit)}",
         "p,a,b,norm,splitting,theta",
     ]
-    kinds = {c: s.value for c, s in _CODE_TO_SPLITTING.items()}
-    lines.extend("%d,%d,%d,%d,%s,%.17g" % (p, a, b, norm, kinds[code], theta)
-                 for p, a, b, norm, code, theta in zip(*cols))
-    _dump_lines(path, lines)
+    rows = ("%d,%d,%d,%d,%s,%.17g" % (p, a, b, norm, kinds[code], theta)
+            for p, a, b, norm, code, theta in zip(*cols))
+    _dump_lines(path, itertools.chain(header, rows))
 
 
 def write_sector_csv(path: str, report: SectorScanReport):
@@ -126,14 +131,14 @@ def write_variance_csv(path: str, reports: list[VarianceReport]):
 
 
 def write_realquad_csv(path: str, report: RealQuadReport):
-    lines = [
+    header = [
         f"# {REALQUAD_FORMAT} sectorlab={__version__}",
         f"# limit={report.limit} ideal_count={report.ideal_count}",
         "p,a,b,sign,t",
     ]
     cols = (report.p, report.a, report.b, report.sign, report.t)
-    lines.extend(map("%d,%d,%d,%d,%.17g".__mod__, zip(*map(_scalars, cols))))
-    _dump_lines(path, lines)
+    rows = map("%d,%d,%d,%d,%.17g".__mod__, zip(*map(_scalars, cols)))
+    _dump_lines(path, itertools.chain(header, rows))
 
 
 def write_realquad_json(path: str, report: RealQuadReport):

@@ -21,17 +21,28 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadInput, BadSector, EmptyRange, InvariantViolation
-from .ideals import HALF_PI, _ideal_arrays
+from .ideals import HALF_PI, _BLOCK, _ideal_arrays
 
 
 @lru_cache(maxsize=32)
 def _angle_tables(norm_min: int, norm_max: int, include_nonsplit: bool):
-    """Angles sorted ascending, with log-norm weights aligned and prefix-summed."""
+    """Angles sorted ascending, with log-norm weights aligned and prefix-summed.
+
+    The weights are gathered a block at a time straight into the prefix
+    buffer, and the sort order is dropped before the angles are sorted, so
+    at most two arrays as long as the input are alive at once.
+    """
     _, _, _, norms, _, thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)
     order = np.argsort(thetas, kind="stable")
-    th = thetas[order]
-    w = np.log(norms[order].astype(np.float64))
-    prefix = np.concatenate([[0.0], np.cumsum(w)])
+    prefix = np.empty(order.size + 1)
+    prefix[0] = 0.0
+    w = prefix[1:]
+    for start in range(0, order.size, _BLOCK):
+        w[start:start + _BLOCK] = norms[order[start:start + _BLOCK]]
+    del order
+    np.log(w, out=w)
+    np.cumsum(w, out=w)
+    th = np.sort(thetas)  # the values thetas[order] hold, equal angles being equal
     th.setflags(write=False)
     prefix.setflags(write=False)
     return th, prefix

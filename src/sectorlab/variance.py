@@ -50,6 +50,7 @@ GRID_CAP = 1 << 25
 """Largest grid_factor * k_max variance_sweep builds: the default factor 4 at
 k_max = 2^23, the largest power of two below KMAX_CAP.  A cell peaks at about
 33 bytes per grid point (measured at 2^20), so 2^25 points take 1.1 GB."""
+_PAIR_BUDGET = 1 << 16  # entry-offset pairs the grid scatter evaluates in one step
 TAIL_RATIO = 1e-14
 CERTIFICATE_RATIO = 1e-12
 
@@ -140,20 +141,24 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     Entry a touches only the counts_a grid points i_lo_a + j, 0 <= j <
     counts_a, inside its translated support.  Every support has the same
     length, about (hi - lo) G / K points, so the loop runs over the offset
-    j and each step is vectorised over the entries: O(N) work per offset,
-    with no entry-grid pair arrays and nothing of size G per step.
-    Entries are sorted by count, so those with counts_a > j are a prefix.
-    That mask matters: f is never evaluated outside an entry's support,
-    because a custom evaluator need not vanish there.  Values land at
-    (i_lo_a mod G) + j in a buffer of G + max(counts) cells, which is
+    j and each step is vectorised over the entries.  Entries are sorted by
+    count, so the n entries live at offset j, those with counts_a > j, are
+    a prefix.  That matters: f is never evaluated outside an entry's
+    support, because a custom evaluator need not vanish there.  Values land
+    at (i_lo_a mod G) + j in a buffer of G + max(counts) cells, which is
     folded mod G once at the end.
 
-    Each step writes its arguments and weighted values into two N-long
-    buffers allocated once.  The arguments are formed by the same
-    operations, in the same order, as (theta_a - (i_lo_a + j) step) scale,
-    so they are bitwise those of the plain expression.  The evaluator's
-    result is only read, never written to: a custom evaluator may return
-    a read-only array, float32, or its own argument.
+    Consecutive offsets with the same live count n are taken together,
+    _PAIR_BUDGET // n of them at a time, as a (j, a) grid of pairs in (j, a)
+    order.  Few entries over many offsets then cost few steps, and an offset
+    with at least _PAIR_BUDGET live entries is a step of its own.  The
+    arguments are formed by the same operations, in the same order, as
+    (theta_a - (i_lo_a + j) step) scale, so they are bitwise those of the
+    plain expression, and np.add.at adds the pairs in (j, a) order: every
+    cell receives the same additions in the same order as with one step per
+    offset.  The evaluator gets a flat array and its result is only read,
+    never written to: a custom evaluator may return a read-only array,
+    float32, or its own argument.
     """
     G = int(grid_size)
     step = HALF_PI / G
@@ -161,24 +166,37 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     # theta_i must satisfy (K/P)(theta_a - theta_i) in [lo, hi] mod K
     i_lo = np.ceil((thetas - f.hi / scale) / step).astype(np.int64)
     i_hi = np.floor((thetas - f.lo / scale) / step).astype(np.int64)
-    counts = np.maximum(i_hi - i_lo + 1, 0)
-    order = np.argsort(-counts, kind="stable")
-    thetas, weights, i_lo, counts = thetas[order], weights[order], i_lo[order], counts[order]
-    span = int(counts.max(initial=0))
+    minus_counts = np.minimum(i_lo - i_hi - 1, 0)  # ascending after the sort
+    order = np.argsort(minus_counts, kind="stable")
+    thetas, weights, i_lo = thetas[order], weights[order], i_lo[order]
+    minus_counts = minus_counts[order]
+    span = -int(minus_counts.min(initial=0))
     first_cell = np.mod(i_lo, G)
     lo_f = i_lo.astype(np.float64)  # exact: |i_lo| is far below 2^53
-    xbuf = np.empty(thetas.size, dtype=np.float64)
-    vbuf = np.empty(thetas.size, dtype=np.float64)
+    xbuf = np.empty(max(thetas.size, _PAIR_BUDGET), dtype=np.float64)
+    vbuf = np.empty_like(xbuf)
     spill = np.zeros(G + span, dtype=np.float64)
-    live = np.searchsorted(-counts, -np.arange(span))  # live[j]: entries with counts > j
-    for j, n in enumerate(live):
-        x = xbuf[:n]
-        np.add(lo_f[:n], j, out=x)
-        x *= step
-        np.subtract(thetas[:n], x, out=x)
-        x *= scale
-        vals = np.multiply(f._eval(x), weights[:n], out=vbuf[:n])
-        np.add.at(spill[j:], first_cell[:n], vals)
+    j = 0
+    while j < span:
+        n = int(np.searchsorted(minus_counts, -j))  # live entries: counts > j
+        # n stay live up to the offset where the n-th entry's support ends
+        stop = min(-int(minus_counts[n - 1]), j + max(1, _PAIR_BUDGET // n))
+        if stop == j + 1:  # flat, as one step per offset would be
+            shape, shift, cells = (n,), j, first_cell[:n]
+        else:
+            offsets = np.arange(stop - j)[:, None]
+            shape, shift = (stop - j, n), offsets + float(j)
+            cells = (first_cell[:n] + offsets).ravel()
+        x = xbuf[:cells.size]
+        pairs = x.reshape(shape)
+        np.add(lo_f[:n], shift, out=pairs)
+        pairs *= step
+        np.subtract(thetas[:n], pairs, out=pairs)
+        pairs *= scale
+        vals = vbuf[:x.size]
+        np.multiply(f._eval(x).reshape(shape), weights[:n], out=vals.reshape(shape))
+        np.add.at(spill[j:], cells, vals)
+        j = stop
     return np.bincount(np.arange(spill.size) % G, weights=spill, minlength=G)
 
 

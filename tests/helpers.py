@@ -3,12 +3,16 @@
 Everything here is deliberately slow and obvious: trial division, full
 2D lattice scans, exhaustive residue tables.  The point is independence
 from the code under test, so each oracle recomputes its answer from the
-definition alone.
+definition alone.  The memory gate's peak measurement and block
+allowances are at the bottom.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
+
+from sectorlab import ideals
 
 
 def brute_primes(limit: int) -> list[int]:
@@ -98,3 +102,47 @@ def ulps_apart(x: float, y: float) -> float:
         return 0.0
     scale = math.ulp(max(abs(x), abs(y)))
     return abs(x - y) / scale
+
+
+# ------------------------------------------------------------ memory gate
+
+MEMORY_GATE_SIZE = 10**6
+# one CSV row of a block: its Python scalars with their list slots (about
+# 6 x 40 B), the formatted line with its slot (about 110 B) and its share of
+# the joined block text (about 60 B), rounded up
+CSV_ROW_BYTES = 512
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the peak of the memory traced while it ran.
+
+    numpy reports its data buffers to tracemalloc, so the peak counts every
+    array the call holds at once.
+    """
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def scan_allowance(window: int) -> int:
+    """Bytes the lattice scan may hold besides its output and split primes.
+
+    One byte per norm of a segment for the sieve mask, and again for the
+    split marks, plus six int64 arrays over one expansion chunk.
+    """
+    return 2 * min(ideals._SEGMENT, window) + 6 * 8 * ideals._SCAN_POINTS
+
+
+def writer_allowance() -> int:
+    """Bytes a CSV writer may hold: one block of rows.  Its output is the
+    file, so no share of it stays in memory."""
+    return CSV_ROW_BYTES * ideals._BLOCK
+
+
+def small_blocks(monkeypatch):
+    """Shrink the segment and the scan chunk so that the part of the peak
+    that grows with the output dominates the block allowance."""
+    monkeypatch.setattr(ideals, "_SEGMENT", 1 << 16)
+    monkeypatch.setattr(ideals, "_SCAN_POINTS", 1 << 12)

@@ -239,14 +239,15 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_variance_bytes_independent_of_thread_count(tmp_path):
-    # the knob is read at import, so each thread count needs its own process
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    # native pools are sized when numpy loads, and sectorlab keeps a preset
+    # count, so each thread count needs its own process
+    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in pools}
     for threads in ("1", "2"):
         proc = subprocess.run(
             [sys.executable, "-m", "sectorlab", "variance", "--x-list", "1e4",
              "--tau", "0.4", "--out", str(tmp_path / threads)],
-            capture_output=True, text=True, env={**env, "SECTORLAB_THREADS": threads},
+            capture_output=True, text=True, env={**env, **dict.fromkeys(pools, threads)},
         )
         assert proc.returncode == 0, proc.stderr
     for name in ("variance.json", "variance.csv"):

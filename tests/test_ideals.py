@@ -8,17 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    MEMORY_GATE_SIZE,
     brute_cornacchia,
     brute_gaussian_ideals,
     brute_is_prime,
     brute_primes,
     brute_sqrt_mod,
+    scan_allowance,
+    small_blocks,
+    traced_peak,
     ulps_apart,
+    writer_allowance,
 )
 from sectorlab import ideals as ideals_mod
+from sectorlab import sectors as sectors_mod
 from sectorlab.cli import main
 from sectorlab.errors import BadInput, InvariantViolation, NonResidue
 from sectorlab.ideals import (
+    _BLOCK,
     GaussianPrimeIdeal,
     Splitting,
     _ideal_arrays,
@@ -29,6 +36,7 @@ from sectorlab.ideals import (
     sieve_rational_primes,
     sqrt_mod,
 )
+from sectorlab.reports import write_ideal_csv
 
 HALF_PI = math.pi / 2.0
 
@@ -383,3 +391,33 @@ def test_lambda_arrays_match_lambda_entries(lo, hi):
     assert r.tolist() == [e.r for e in entries]
     assert theta.tolist() == [e.theta for e in entries]
     assert weight.tolist() == pytest.approx([e.weight for e in entries], rel=1e-15)
+
+
+# ------------------------------------------------------------ memory gate
+
+def _nbytes(arrays):
+    return sum(arr.nbytes for arr in arrays)
+
+
+@pytest.mark.parametrize("blocks", ["module", "small"])
+def test_memory_gate_ideal_arrays(monkeypatch, blocks):
+    # the enumeration keeps at most half its output beyond the output, plus
+    # what one sieve segment and one scan chunk hold
+    if blocks == "small":
+        small_blocks(monkeypatch)
+    out, peak = traced_peak(ideals_mod._ideal_arrays.__wrapped__, 0, MEMORY_GATE_SIZE)
+    assert peak <= 1.5 * _nbytes(out) + scan_allowance(MEMORY_GATE_SIZE), (peak, _nbytes(out))
+
+
+def test_memory_gate_angle_tables():
+    # weights are gathered _BLOCK at a time: an int64 block and its indices
+    _ideal_arrays(0, MEMORY_GATE_SIZE, True)
+    out, peak = traced_peak(sectors_mod._angle_tables.__wrapped__, 0, MEMORY_GATE_SIZE, True)
+    assert peak <= 1.5 * _nbytes(out) + 2 * 8 * _BLOCK, (peak, _nbytes(out))
+
+
+def test_memory_gate_ideal_csv(tmp_path):
+    rows = _ideal_arrays(0, MEMORY_GATE_SIZE, True)[0].size
+    assert rows >= 4 * _BLOCK  # several blocks, so a whole-file buffer shows
+    _, peak = traced_peak(write_ideal_csv, str(tmp_path / "ideals.csv"), 0, MEMORY_GATE_SIZE)
+    assert peak <= writer_allowance(), peak

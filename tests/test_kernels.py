@@ -1,8 +1,10 @@
-"""The kernels against math.fsum: exact_sum bit for bit, the bulk
-exponential-sum kernel within its error bound of term-by-term sums."""
+"""The kernels against exact oracles: exact_sum bit for bit with math.fsum,
+the bulk exponential-sum kernel within its error bound of the exactly
+rounded term sums."""
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +14,16 @@ from hypothesis import strategies as st
 from sectorlab._kernels import _SUM_BLOCK, ERROR_BOUND, exact_sum, geometric_weighted_sums
 
 
-def fsum_oracle(phases, weights, k):
+def exact_oracle(phases, weights, k):
+    """sum_n w_n exp(i k phi_n) with the products w_n cos(k phi_n) and
+    w_n sin(k phi_n) summed exactly as fractions and rounded once."""
     angles = k * np.asarray(phases, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    return complex(math.fsum(w * np.cos(angles)), math.fsum(w * np.sin(angles)))
+    w = [Fraction(x) for x in np.asarray(weights, dtype=np.float64).tolist()]
+
+    def rounded(parts):
+        return float(sum((wn * Fraction(c) for wn, c in zip(w, parts.tolist())), Fraction(0)))
+
+    return complex(rounded(np.cos(angles)), rounded(np.sin(angles)))
 
 
 def check_against_oracle(phases, weights, k_max):
@@ -31,7 +39,7 @@ def check_against_oracle(phases, weights, k_max):
         # the kernel's documented bound, plus one more phase rounding for
         # the oracle's own k * phi
         bound = ERROR_BOUND * mass + k * 2.0**-51 * moment
-        assert abs(out[k] - fsum_oracle(phases, weights, k)) <= bound, k
+        assert abs(out[k] - exact_oracle(phases, weights, k)) <= bound, k
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,6 +57,8 @@ def check_against_oracle(phases, weights, k_max):
 @example(points=[(2.0 * math.pi, 1.0), (7.5, -0.5), (-19.0, 3.0), (13.0, 1.0)], k_max=63)
 @example(points=[(0.1, 1.0), (0.2, -1.0), (-0.3, 0.5), (4.0, -2.0)], k_max=31)
 @example(points=[(0.0, 2.2250738585e-313)], k_max=2)  # subnormal weights alone
+# each product rounds up to one subnormal ulp, their exact sum rounds to one
+@example(points=[(1.0, 5e-324)] * 2, k_max=1)
 def test_kernel_matches_fsum_oracle(points, k_max):
     phases = [p for p, _ in points]
     weights = [w for _, w in points]

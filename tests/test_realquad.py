@@ -8,12 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_primes, brute_realquad_solution, ulps_apart
+from helpers import (
+    MEMORY_GATE_SIZE,
+    brute_primes,
+    brute_realquad_solution,
+    scan_allowance,
+    small_blocks,
+    traced_peak,
+    ulps_apart,
+    writer_allowance,
+)
 from sectorlab import ideals as ideals_mod
 from sectorlab import realquad as realquad_mod
 from sectorlab.cli import main
 from sectorlab.errors import BadInput, InvariantViolation, NotSplit
-from sectorlab.ideals import sieve_rational_primes
+from sectorlab.ideals import _BLOCK, sieve_rational_primes
 from sectorlab.realquad import (
     LOG_EPS,
     PERIOD,
@@ -401,3 +410,23 @@ def test_report_weyl_pinned_to_fsum_over_python_floats():
         phase = (math.pi * k / LOG_EPS) * rep.t
         want = math.fsum(np.cos(phase).tolist()) / rep.ideal_count
         assert rep.weyl[k].hex() == want.hex(), k
+
+
+# ------------------------------------------------------------ memory gate
+
+@pytest.mark.parametrize("blocks", ["module", "small"])
+def test_memory_gate_split_generators(monkeypatch, blocks):
+    # the columns keep at most half their size beyond themselves, plus what
+    # one sieve segment and one scan chunk hold
+    if blocks == "small":
+        small_blocks(monkeypatch)
+    out, peak = traced_peak(realquad_mod._split_generators, MEMORY_GATE_SIZE)
+    nbytes = sum(col.nbytes for col in out)
+    assert peak <= 1.5 * nbytes + scan_allowance(MEMORY_GATE_SIZE), (peak, nbytes)
+
+
+def test_memory_gate_realquad_csv(tmp_path):
+    rep = equidistribution_report_real(MEMORY_GATE_SIZE, 1)
+    assert rep.ideal_count >= 4 * _BLOCK  # several blocks, so a whole-file buffer shows
+    _, peak = traced_peak(write_realquad_csv, str(tmp_path / "realquad.csv"), rep)
+    assert peak <= writer_allowance(), peak

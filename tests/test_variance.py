@@ -8,13 +8,15 @@ and both against explicit entry-list or hand-built oracles.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sectorlab.characters import character_sum
+from sectorlab import variance as variance_mod
+from sectorlab.characters import _weighted_entries, character_sum
 from sectorlab.errors import AliasingRisk, BadInput, TruncationFailure
 from sectorlab.ideals import lambda_entries
 from sectorlab.variance import (
@@ -406,6 +408,83 @@ def test_scatter_stays_inside_support_on_real_cell():
     assert min(lo for lo, _ in seen) >= -1.0 - 1e-12
     assert max(hi for _, hi in seen) <= 1.0 + 1e-12
     assert np.array_equal(got, psi_grid(K, X, bump(), plateau_1_2(), grid_size=4 * k_max))
+
+
+def plain_scatter(thetas, weights, K, f, grid_size):
+    """The direct scatter with one step per support offset: the byte oracle
+    for the blocked loop, which must add the same terms in the same order."""
+    G = int(grid_size)
+    step = HALF_PI / G
+    scale = K / HALF_PI
+    i_lo = np.ceil((thetas - f.hi / scale) / step).astype(np.int64)
+    i_hi = np.floor((thetas - f.lo / scale) / step).astype(np.int64)
+    counts = np.maximum(i_hi - i_lo + 1, 0)
+    order = np.argsort(-counts, kind="stable")
+    thetas, weights, i_lo, counts = thetas[order], weights[order], i_lo[order], counts[order]
+    span = int(counts.max(initial=0))
+    first_cell = np.mod(i_lo, G)
+    lo_f = i_lo.astype(np.float64)
+    xbuf = np.empty(thetas.size, dtype=np.float64)
+    vbuf = np.empty(thetas.size, dtype=np.float64)
+    spill = np.zeros(G + span, dtype=np.float64)
+    live = np.searchsorted(-counts, -np.arange(span))
+    for j, n in enumerate(live):
+        x = xbuf[:n]
+        np.add(lo_f[:n], j, out=x)
+        x *= step
+        np.subtract(thetas[:n], x, out=x)
+        x *= scale
+        vals = np.multiply(f._eval(x), weights[:n], out=vbuf[:n])
+        np.add.at(spill[j:], first_cell[:n], vals)
+    return np.bincount(np.arange(spill.size) % G, weights=spill, minlength=G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    X=st.integers(2, 3000),
+    K=st.floats(1.0, 40.0),
+    grid_size=st.integers(1, 1 << 12),
+    kind=st.sampled_from(sorted(WINDOWS)),
+    budget=st.sampled_from([1, 64, variance_mod._PAIR_BUDGET]),
+)
+# few entries over thousands of offsets: a handful of blocked steps
+@example(X=100, K=2.5, grid_size=1 << 12, kind="mollifier", budget=variance_mod._PAIR_BUDGET)
+# a budget below the live count: one offset per step, over slices
+@example(X=3000, K=3.0, grid_size=1 << 10, kind="leaky", budget=64)
+def test_blocked_scatter_matches_plain_loop_bytes(X, K, grid_size, kind, budget):
+    f = WINDOWS[kind]()
+    thetas, weights, _ = _weighted_entries(float(X), plateau_1_2(), "powers", True)
+    with mock.patch.object(variance_mod, "_PAIR_BUDGET", budget):
+        got = _scatter_grid(thetas, weights, K, f, grid_size)
+    assert got.tobytes() == plain_scatter(thetas, weights, K, f, grid_size).tobytes()
+
+
+def test_blocked_scatter_steps_on_few_entries():
+    # K = 2.5, X = 100: a few dozen entries over about 8e5 offsets each, the
+    # shape one step per offset took minutes over at G = 2^23
+    K, X, G = 2.5, 100.0, 1 << 20
+    calls = []
+
+    def counting(u):
+        calls.append((u.size, float(np.min(u)), float(np.max(u))))
+        return mollifier_eval(u)
+
+    got = psi_grid(K, X, custom_window(counting, -1.0, 1.0), plateau_1_2(), grid_size=G)
+    assert got.tobytes() == psi_grid(K, X, bump(), plateau_1_2(), grid_size=G).tobytes()
+    # never outside an entry's support
+    assert min(lo for _, lo, _ in calls) >= -1.0 - 1e-12
+    assert max(hi for _, _, hi in calls) <= 1.0 + 1e-12
+
+    thetas, _, _ = _weighted_entries(X, plateau_1_2(), "powers", True)
+    step, scale = HALF_PI / G, K / HALF_PI
+    i_lo = np.ceil((thetas - 1.0 / scale) / step).astype(np.int64)
+    i_hi = np.floor((thetas + 1.0 / scale) / step).astype(np.int64)
+    counts = np.sort(np.maximum(i_hi - i_lo + 1, 0))
+    live = counts.size - np.searchsorted(counts, np.arange(counts[-1]), side="right")
+    pairs = int(counts.sum())
+    assert sum(size for size, _, _ in calls) == pairs  # each pair evaluated once
+    new_live = 1 + int(np.count_nonzero(np.diff(live)))
+    assert len(calls) <= -(-pairs // variance_mod._PAIR_BUDGET) + new_live, (len(calls), pairs)
 
 
 def test_psi_grid_validation():
