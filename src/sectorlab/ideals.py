@@ -216,7 +216,7 @@ def _scalars(arr: np.ndarray):
         arr[i:i + _BLOCK].tolist() for i in range(0, arr.size, _BLOCK))
 
 
-def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, per_prime: int):
+def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm):
     """Lattice points (r, c) whose norm is a split prime in (norm_min, norm_max].
 
     Sieves the window one segment [start, stop] of norms at a time, and
@@ -224,11 +224,11 @@ def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, per_prime:
     returns arrays (r, c_lo, c_hi): row r holds the points c = c_lo, c_lo + 2,
     ..., <= c_hi, each with norm(r, c) in [start, stop].  Rows are expanded
     in chunks of whole rows of about _SCAN_POINTS points, and the kept points
-    go straight into columns sized per_prime times the split-prime count.  So
-    besides the output and the split primes, only one segment's masks and one
-    chunk are alive.  Returns the rows and columns in scan order, and the
-    split primes; InvariantViolation unless there are per_prime points per
-    split prime.
+    go straight into columns sized for exactly two points per split prime,
+    which both callers' domains hold.  So besides the output and the split
+    primes, only one segment's masks and one chunk are alive.  Returns the
+    rows and columns in scan order, and the split primes; InvariantViolation
+    unless there are two points per split prime.
     """
     segments = [(start, min(start + _SEGMENT - 1, norm_max))
                 for start in range(norm_min + 1, norm_max + 1, _SEGMENT)]
@@ -237,7 +237,7 @@ def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, per_prime:
         primes = _primes_in_range(start - 1, stop)
         splits.append(primes[is_split(primes)])
     split_count = sum(split.size for split in splits)
-    out_r = np.empty(per_prime * split_count, dtype=np.int64)
+    out_r = np.empty(2 * split_count, dtype=np.int64)
     out_c = np.empty_like(out_r)
     found = 0
     for (start, stop), split in zip(segments, splits[1:]):
@@ -264,7 +264,7 @@ def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, per_prime:
     if found != out_r.size:
         raise InvariantViolation(
             f"lattice scan found {found} points for {split_count} split primes "
-            f"in ({norm_min}, {norm_max}], not {per_prime} each")
+            f"in ({norm_min}, {norm_max}], not two each")
     return out_r, out_c, np.concatenate(splits)
 
 
@@ -289,7 +289,7 @@ def _split_legs(norm_min: int, norm_max: int) -> tuple[np.ndarray, np.ndarray]:
     InvariantViolation.
     """
     split_a, split_b, _ = _lattice_scan(
-        norm_min, norm_max, lambda p: p % 4 == 1, _two_square_rows, lambda a, b: a * a + b * b, 2)
+        norm_min, norm_max, lambda p: p % 4 == 1, _two_square_rows, lambda a, b: a * a + b * b)
     return split_a, split_b
 
 

@@ -281,7 +281,7 @@ def _split_generators(limit: int):
     besides a, b and the split primes at most two int64 columns are alive.
     """
     b, a, split = _lattice_scan(0, limit, lambda q: (q % 8 == 1) | (q % 8 == 7),
-                                _canonical_rows, lambda b, a: np.abs(a * a - 2 * b * b), 2)
+                                _canonical_rows, lambda b, a: np.abs(_signed_norm(a, b)))
     key = _signed_norm(a, b)
     negative = key < 0
     np.abs(key, out=key)

@@ -181,15 +181,12 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
         n = int(np.searchsorted(minus_counts, -j))  # live entries: counts > j
         # n stay live up to the offset where the n-th entry's support ends
         stop = min(-int(minus_counts[n - 1]), j + max(1, _PAIR_BUDGET // n))
-        if stop == j + 1:  # flat, as one step per offset would be
-            shape, shift, cells = (n,), j, first_cell[:n]
-        else:
-            offsets = np.arange(stop - j)[:, None]
-            shape, shift = (stop - j, n), offsets + float(j)
-            cells = (first_cell[:n] + offsets).ravel()
+        offsets = np.arange(stop - j)[:, None]
+        shape = (stop - j, n)
+        cells = (first_cell[:n] + offsets).ravel()
         x = xbuf[:cells.size]
         pairs = x.reshape(shape)
-        np.add(lo_f[:n], shift, out=pairs)
+        np.add(lo_f[:n], offsets + float(j), out=pairs)
         pairs *= step
         np.subtract(thetas[:n], pairs, out=pairs)
         pairs *= scale
