@@ -311,15 +311,19 @@ def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
         b = np.concatenate((b, ramified, np.zeros_like(inert_p)))
 
     # each sorted column replaces its source at once, and code and p come
-    # after the sort: the peak is the four sort columns, the order and one
-    # sorted copy, 48 bytes per ideal for an output of 41
+    # after the sort: the peak is the four sort columns, the order and the
+    # sort key or one sorted copy, 48 bytes per ideal for an output of 41
     theta = a.astype(np.float64)
     b_float = b.astype(np.float64)
     np.arctan2(b_float, theta, out=theta)
     del b_float
     norm = a * a
     norm += b * b
-    order = np.lexsort((theta, norm))
+    # 2 norm + [b > a] is unique and sorts like (norm, theta): the two
+    # conjugate legs of a split p differ in b > a, that is in theta > pi/4;
+    # inert norms are squares, so never a split prime; and 1 + i is the only
+    # ideal of norm 2
+    order = np.argsort(2 * norm + (b > a))
     theta = theta[order]
     norm = norm[order]
     a = a[order]

@@ -10,42 +10,23 @@ deviate from their share, the star discrepancy of the angle sample, and
 the elementary exclusion zone around the axis: a split prime a^2 + b^2
 with b >= 1 has angle > 1/(2 sqrt(norm)), so a neighbourhood of 0 shrinks
 no faster than norm^(-1/2).
+
+Every statistic reads the angle column of the cached enumeration
+(ideals._ideal_arrays) and caches nothing of its own.  A sector count is
+one pass of the arc mask over that column; the grid scan and the
+discrepancy sort a local copy of the angles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from ._kernels import exact_sum
 from .errors import BadInput, BadSector, EmptyRange, InvariantViolation
-from .ideals import HALF_PI, _BLOCK, _ideal_arrays
-
-
-@lru_cache(maxsize=32)
-def _angle_tables(norm_min: int, norm_max: int, include_nonsplit: bool):
-    """Angles sorted ascending, with log-norm weights aligned and prefix-summed.
-
-    The weights are gathered a block at a time straight into the prefix
-    buffer, and the sort order is dropped before the angles are sorted, so
-    at most two arrays as long as the input are alive at once.
-    """
-    _, _, _, norms, _, thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)
-    order = np.argsort(thetas, kind="stable")
-    prefix = np.empty(order.size + 1)
-    prefix[0] = 0.0
-    w = prefix[1:]
-    for start in range(0, order.size, _BLOCK):
-        w[start:start + _BLOCK] = norms[order[start:start + _BLOCK]]
-    del order
-    np.log(w, out=w)
-    np.cumsum(w, out=w)
-    th = np.sort(thetas)  # the values thetas[order] hold, equal angles being equal
-    th.setflags(write=False)
-    prefix.setflags(write=False)
-    return th, prefix
+from .ideals import HALF_PI, _ideal_arrays
 
 
 def _validate_sector(beta: float, gamma: float):
@@ -62,29 +43,26 @@ def sector_count(
     """Ideals with angle in the half-open arc (beta, beta + gamma] mod pi/2.
 
     Unweighted counts are exact ints; with weighted=True each ideal
-    contributes log(norm) instead of 1 and the result is a float.
+    contributes log(norm) instead of 1 and the result is the exactly
+    rounded float sum of those logarithms.
     """
     _validate_sector(beta, gamma)
-    th, prefix = _angle_tables(int(norm_min), int(norm_max), include_nonsplit)
-    n = th.size
+    _, _, _, norms, _, thetas = _ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)
+    mask = _in_arc(thetas, beta, gamma)
+    if weighted:
+        return exact_sum(np.log(norms[mask].astype(np.float64)))
+    return int(np.count_nonzero(mask))
 
-    def rank(x):
-        return int(np.searchsorted(th, x, side="right"))
 
+def _in_arc(thetas: np.ndarray, beta: float, gamma: float) -> np.ndarray:
+    """Mask of the angles in the half-open arc (beta, beta + gamma] mod pi/2."""
     end = beta + gamma
     if end < HALF_PI:
-        i, j = rank(beta), rank(end)
-        if weighted:
-            return float(prefix[j] - prefix[i])
-        return j - i
+        return (thetas > beta) & (thetas <= end)
     # arc reaching or passing pi/2 wraps through 0, where the inert angles
     # live: (beta, pi/2) plus [0, beta + (gamma - pi/2)]; that form of the
     # second endpoint makes gamma = pi/2 an exact full circle
-    tail = rank(beta + (gamma - HALF_PI))
-    i = rank(beta)
-    if weighted:
-        return float(prefix[n] - prefix[i] + prefix[tail])
-    return n - i + tail
+    return (thetas > beta) | (thetas <= beta + (gamma - HALF_PI))
 
 
 def expected_count(
@@ -101,8 +79,8 @@ def expected_count(
     if not (0.0 < gamma <= HALF_PI):
         raise BadSector(f"sector width {gamma} outside (0, pi/2]")
     if mode == "empirical":
-        th, _ = _angle_tables(int(norm_min), int(norm_max), include_nonsplit)
-        return (gamma / HALF_PI) * th.size
+        thetas = _ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)[5]
+        return (gamma / HALF_PI) * thetas.size
     if mode == "pit":
         from .windows import adaptive_simpson
 
@@ -166,7 +144,7 @@ def sector_scan(
     for d in deltas:
         if not (math.isfinite(d) and d > 0.0):
             raise BadInput(f"deviation threshold delta = {d} must be finite and > 0")
-    th, _ = _angle_tables(1, X, include_nonsplit)
+    th = np.sort(_ideal_arrays(1, X, include_nonsplit)[5])
     n = th.size
     if n == 0:
         raise EmptyRange(f"no prime ideals with norm in (1, {X}]")
@@ -200,11 +178,10 @@ def forbidden_region_check(norm_max: int, include_nonsplit: bool = True) -> floa
     InvariantViolation if it fails, and returns the minimum.  Angle-zero
     ideals (the inert ones) are ignored.
     """
-    th, _ = _angle_tables(1, int(norm_max), include_nonsplit)
-    positive = th[th > 0.0]
-    if positive.size == 0:
+    thetas = _ideal_arrays(1, int(norm_max), include_nonsplit)[5]
+    min_angle = float(np.min(thetas, where=thetas > 0.0, initial=math.inf))
+    if min_angle == math.inf:
         raise EmptyRange(f"no ideals with positive angle and norm <= {norm_max}")
-    min_angle = float(positive[0])
     bound = 1.0 / (2.0 * math.sqrt(norm_max))
     if not min_angle > bound:
         raise InvariantViolation(
@@ -214,7 +191,7 @@ def forbidden_region_check(norm_max: int, include_nonsplit: bool = True) -> floa
 
 def discrepancy(norm_min: int, norm_max: int, include_nonsplit: bool = True) -> float:
     """Star discrepancy of the normalised angles theta/(pi/2) in [0, 1)."""
-    th, _ = _angle_tables(int(norm_min), int(norm_max), include_nonsplit)
+    th = np.sort(_ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)[5])
     if th.size == 0:
         raise EmptyRange(f"no prime ideals with norm in ({norm_min}, {norm_max}]")
     u = th / HALF_PI

@@ -194,7 +194,14 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
         np.multiply(f._eval(x).reshape(shape), weights[:n], out=vals.reshape(shape))
         np.add.at(spill[j:], cells, vals)
         j = stop
-    return np.bincount(np.arange(spill.size) % G, weights=spill, minlength=G)
+    # fold mod G: each cell starts from +0.0 and takes its spill cells in
+    # index order, the additions np.bincount(arange % G) makes, without its
+    # two index arrays as long as the spill
+    grid = np.zeros(G)
+    for start in range(0, spill.size, G):
+        part = spill[start:start + G]
+        grid[:part.size] += part
+    return grid
 
 
 def psi_grid(

@@ -13,7 +13,6 @@ import numpy as np
 
 from helpers import brute_cornacchia, brute_gaussian_ideals, brute_primes
 from sectorlab import ideals as ideals_mod
-from sectorlab import sectors as sectors_mod
 from sectorlab import variance as variance_mod
 from sectorlab.characters import character_sum
 from sectorlab.cli import main
@@ -38,7 +37,6 @@ from sectorlab.windows import (
 
 ideals_mod._ideal_arrays.cache_clear()
 ideals_mod._lambda_arrays.cache_clear()
-sectors_mod._angle_tables.cache_clear()
 variance_mod._kmax_cache.clear()
 
 BUMP = mollifier_window()

@@ -409,11 +409,13 @@ def test_memory_gate_ideal_arrays(monkeypatch, blocks):
     assert peak <= 1.5 * _nbytes(out) + scan_allowance(MEMORY_GATE_SIZE), (peak, _nbytes(out))
 
 
-def test_memory_gate_angle_tables():
-    # weights are gathered _BLOCK at a time: an int64 block and its indices
-    _ideal_arrays(0, MEMORY_GATE_SIZE, True)
-    out, peak = traced_peak(sectors_mod._angle_tables.__wrapped__, 0, MEMORY_GATE_SIZE, True)
-    assert peak <= 1.5 * _nbytes(out) + 2 * 8 * _BLOCK, (peak, _nbytes(out))
+def test_memory_gate_sector_scan():
+    # on a cached enumeration the scan holds one sorted copy of the angles
+    # and, besides it, only arrays over the offsets (16 float64 per offset)
+    angles = _ideal_arrays(1, MEMORY_GATE_SIZE, True)[5]
+    grid = 1024
+    _, peak = traced_peak(sectors_mod.sector_scan, MEMORY_GATE_SIZE, 0.3, grid)
+    assert peak <= angles.nbytes + 16 * 8 * grid, (peak, angles.nbytes)
 
 
 def test_memory_gate_ideal_csv(tmp_path):

@@ -37,3 +37,29 @@ def test_math_fsum_only_in_kernels():
         for line in _fsum_calls(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, found
+
+
+def _unused_imports(tree):
+    """Names that module-level imports bind and the module never loads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(name, line) for name, line in bound.items() if name not in loaded]
+
+
+def test_no_unused_imports():
+    # an import nothing reads is left over from deleted code; __init__.py
+    # imports to re-export, so it is exempt
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES if path.name != "__init__.py"
+        for name, line in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, found

@@ -1,5 +1,6 @@
 """Sharp sector counts, scans, forbidden regions and discrepancy."""
 
+import functools
 import math
 
 import numpy as np
@@ -87,6 +88,37 @@ def test_weighted_sector_count():
     full = sector_count(0.0, HALF_PI, 1, 1000, weighted=True)
     assert full == pytest.approx(
         math.fsum(math.log(i.norm) for i in ideals), rel=1e-12)
+
+
+_LOG_WINDOW = 10**5
+
+
+@functools.cache
+def _angles_and_logs():
+    # the log norms come from np.log, as the library's do, so the oracle
+    # checks the arc and the rounding of the sum, not one log against another
+    ideals = enumerate_prime_ideals(1, _LOG_WINDOW)
+    logs = np.log(np.array([i.norm for i in ideals], dtype=np.float64))
+    return [i.theta for i in ideals], logs.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(0.0, HALF_PI, exclude_max=True),
+       gamma=st.floats(0.0, HALF_PI, exclude_min=True))
+@example(beta=0.0, gamma=HALF_PI)
+@example(beta=1.2, gamma=HALF_PI)  # the full circle from an offset
+@example(beta=1.5, gamma=0.3)  # wraps through the inert angles at 0
+@example(beta=0.2, gamma=0.6)
+def test_weighted_count_is_exactly_rounded(beta, gamma):
+    thetas, logs = _angles_and_logs()
+    end = beta + gamma
+    if end < HALF_PI:
+        inside = [beta < t <= end for t in thetas]
+    else:
+        tail = beta + (gamma - HALF_PI)
+        inside = [t > beta or t <= tail for t in thetas]
+    want = math.fsum(w for w, keep in zip(logs, inside) if keep)
+    assert sector_count(beta, gamma, 1, _LOG_WINDOW, weighted=True) == want
 
 
 # arcs on this dyadic grid add, and wrap past pi/2, without rounding: each
@@ -252,8 +284,7 @@ def test_forbidden_region_empty():
 def test_forbidden_region_gate_fails_typed(monkeypatch, tmp_path, capsys):
     # an angle far inside the exclusion zone must be reported, not returned
     angles = np.array([0.0, 1e-9, 0.5])
-    monkeypatch.setattr(sectors_mod, "_angle_tables",
-                        lambda *args: (angles, np.zeros(angles.size + 1)))
+    monkeypatch.setattr(sectors_mod, "_ideal_arrays", lambda *args: (None,) * 5 + (angles,))
     with pytest.raises(InvariantViolation):
         forbidden_region_check(10**6)
     assert main(["forbidden", "--max", "1e6", "--out", str(tmp_path)]) == 3
@@ -314,6 +345,6 @@ def test_scan_rejects_bad_delta_before_enumeration(monkeypatch, delta):
     def no_work(*args):
         raise AssertionError("enumerated before validating deltas")
 
-    monkeypatch.setattr(sectors_mod, "_angle_tables", no_work)
+    monkeypatch.setattr(sectors_mod, "_ideal_arrays", no_work)
     with pytest.raises(BadInput):
         sector_scan(10**4, 0.3, 64, deltas=(0.5, delta))

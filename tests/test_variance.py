@@ -459,6 +459,25 @@ def test_blocked_scatter_matches_plain_loop_bytes(X, K, grid_size, kind, budget)
     assert got.tobytes() == plain_scatter(thetas, weights, K, f, grid_size).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.floats(0.0, HALF_PI, exclude_max=True), st.floats(-3.0, 3.0)),
+        min_size=1, max_size=40,
+    ),
+    K=st.floats(1.0, 4.0),
+    grid_size=st.integers(1, 256),
+)
+# K < 2: a mollifier support is longer than the grid, so the spill holds
+# more than two grid lengths and a cell takes three folded values
+@example(entries=[(0.3, 1.0), (0.31, -1.0), (1.2, 0.7), (1.5, 2.5)], K=1.0, grid_size=8)
+def test_scatter_fold_matches_bincount_bytes(entries, K, grid_size):
+    thetas = np.array([t for t, _ in entries], dtype=float)
+    weights = np.array([w for _, w in entries], dtype=float)
+    got = _scatter_grid(thetas, weights, K, bump(), grid_size)
+    assert got.tobytes() == plain_scatter(thetas, weights, K, bump(), grid_size).tobytes()
+
+
 def test_blocked_scatter_steps_on_few_entries():
     # K = 2.5, X = 100: a few dozen entries over about 8e5 offsets each, the
     # shape one step per offset took minutes over at G = 2^23
