@@ -19,8 +19,8 @@ prime independently and serves as the oracle for the scan.
 
 All enumerations are over half-open norm windows (norm_min, norm_max]
 so that disjoint windows partition exactly; results are sorted by
-(norm, theta).  The array-level helpers at the bottom are cached and
-immutable, and feed the statistical modules.
+(norm, theta).  The array-level helpers at the bottom return read-only
+arrays; the enumeration _ideal_arrays is the package's only cache.
 """
 
 from __future__ import annotations
@@ -356,34 +356,36 @@ def _iroot(n: int, r: int) -> int:
     return m
 
 
-@lru_cache(maxsize=64)
 def _lambda_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
     """Arrays (norm, theta, weight, r) for prime-power ideals in (norm_min, norm_max].
 
     Sorted by (norm, theta).  weight is log of the base norm; the r array
-    lets callers separate genuine primes (r = 1) from higher powers.  Each
-    power r enumerates exactly the bases whose r-th power lands in the
-    window, so base norms stay below the integer r-th root of norm_max and
-    powers fit in int64.
+    lets callers separate genuine primes (r = 1) from higher powers.  Built
+    on each call from the cached enumeration: the primes of the window, and
+    one enumeration up to sqrt(norm_max) whose bases each power r >= 2
+    keeps when their r-th power lands in the window, sorted and merged in.
     """
     norm_min, norm_max = _validate_window(norm_min, norm_max)
-    parts_n, parts_t, parts_w, parts_r = [], [], [], []
-    # every r with 2**r <= norm_max; r = 1 always runs, so an empty window
-    # still yields typed empty arrays
-    for r in range(1, max(2, norm_max.bit_length())):
-        _, _, _, n_arr, _, t_arr = _ideal_arrays(
-            _iroot(norm_min, r), _iroot(norm_max, r), include_nonsplit)
-        parts_n.append(n_arr**r)
-        parts_t.append(np.fmod(r * t_arr, HALF_PI) if r > 1 else t_arr)
-        parts_w.append(np.log(n_arr.astype(np.float64)))
-        parts_r.append(np.full(n_arr.size, r, dtype=np.int32))
-
-    norm = np.concatenate(parts_n)
-    theta = np.concatenate(parts_t)
-    weight = np.concatenate(parts_w)
-    rr = np.concatenate(parts_r)
-    order = np.lexsort((theta, norm))
-    out = (norm[order], theta[order], weight[order], rr[order])
+    _, _, _, norm, _, theta = _ideal_arrays(norm_min, norm_max, include_nonsplit)
+    _, _, _, bases, _, angles = _ideal_arrays(0, _iroot(norm_max, 2), include_nonsplit)
+    powers = []
+    # every r >= 2 with 2**r <= norm_max; r = 2 always runs, so the block is
+    # typed even when empty
+    for r in range(2, max(3, norm_max.bit_length())):
+        lo, hi = np.searchsorted(bases, (_iroot(norm_min, r), _iroot(norm_max, r)), side="right")
+        powers.append((bases[lo:hi]**r, np.fmod(r * angles[lo:hi], HALF_PI),
+                       np.log(bases[lo:hi].astype(np.float64)), np.full(hi - lo, r, np.int32)))
+    pow_n, pow_t, pow_w, pow_r = map(np.concatenate, zip(*powers))
+    order = np.lexsort((pow_t, pow_n))
+    # a power's norm is never a prime ideal's norm (2, p = 1 mod 4, or p^2
+    # for p = 3 mod 4), so the two parts never tie, and the stable lexsort
+    # keeps tied powers in r order: the merge is the (norm, theta) order of
+    # one stable sort over the primes followed by the powers r = 2, 3, ...
+    at = np.searchsorted(norm, pow_n[order])
+    # weights first, so the log column is gone before the other outputs exist
+    weight = np.insert(np.log(norm.astype(np.float64)), at, pow_w[order])
+    out = (np.insert(norm, at, pow_n[order]), np.insert(theta, at, pow_t[order]), weight,
+           np.insert(np.ones(norm.size, dtype=np.int32), at, pow_r[order]))
     for arr in out:
         arr.setflags(write=False)
     return out

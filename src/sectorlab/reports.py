@@ -18,7 +18,7 @@ import os
 from ._version import __version__
 from .ideals import _BLOCK, _CODE_TO_SPLITTING, _ideal_arrays, _scalars
 from .realquad import RealQuadReport
-from .sectors import SectorScanReport
+from .sectors import SectorScanReport, _exclusion_bound
 from .variance import VarianceReport
 
 IDEAL_FORMAT = "sectorlab-ideals-v1"
@@ -169,5 +169,5 @@ def write_forbidden_json(path: str, norm_max: int, min_angle: float):
         "sectorlab": __version__,
         "norm_max": norm_max,
         "min_angle": min_angle,
-        "exclusion_bound": 0.5 / float(norm_max) ** 0.5,
+        "exclusion_bound": _exclusion_bound(norm_max),
     })

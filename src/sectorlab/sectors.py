@@ -26,7 +26,7 @@ import numpy as np
 
 from ._kernels import exact_sum
 from .errors import BadInput, BadSector, EmptyRange, InvariantViolation
-from .ideals import HALF_PI, _ideal_arrays
+from .ideals import _BLOCK, HALF_PI, _ideal_arrays
 
 
 def _validate_sector(beta: float, gamma: float):
@@ -182,19 +182,27 @@ def forbidden_region_check(norm_max: int, include_nonsplit: bool = True) -> floa
     min_angle = float(np.min(thetas, where=thetas > 0.0, initial=math.inf))
     if min_angle == math.inf:
         raise EmptyRange(f"no ideals with positive angle and norm <= {norm_max}")
-    bound = 1.0 / (2.0 * math.sqrt(norm_max))
+    bound = _exclusion_bound(norm_max)
     if not min_angle > bound:
         raise InvariantViolation(
             f"smallest angle {min_angle!r} at norm <= {norm_max} is within the bound {bound!r}")
     return min_angle
 
 
+def _exclusion_bound(norm_max: int) -> float:
+    """The angle 1/(2 sqrt(norm_max)) that every positive ideal angle exceeds."""
+    return 1.0 / (2.0 * math.sqrt(norm_max))
+
+
 def discrepancy(norm_min: int, norm_max: int, include_nonsplit: bool = True) -> float:
     """Star discrepancy of the normalised angles theta/(pi/2) in [0, 1)."""
-    th = np.sort(_ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)[5])
-    if th.size == 0:
+    u = np.sort(_ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)[5])
+    if u.size == 0:
         raise EmptyRange(f"no prime ideals with norm in ({norm_min}, {norm_max}]")
-    u = th / HALF_PI
-    n = u.size
-    i = np.arange(1, n + 1)
-    return float(np.maximum(i / n - u, u - (i - 1) / n).max())
+    u /= HALF_PI  # one sorted copy, normalised in place, then one _BLOCK of terms at a time
+    n, worst = u.size, 0.0
+    for start in range(0, n, _BLOCK):
+        block = u[start:start + _BLOCK]
+        i = np.arange(start + 1, start + block.size + 1)
+        worst = max(worst, float(np.maximum(i / n - block, block - (i - 1) / n).max()))
+    return worst

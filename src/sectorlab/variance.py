@@ -54,8 +54,6 @@ _PAIR_BUDGET = 1 << 16  # entry-offset pairs the grid scatter evaluates in one s
 TAIL_RATIO = 1e-14
 CERTIFICATE_RATIO = 1e-12
 
-_kmax_cache: dict = {}
-
 
 def _midpoint_coefficient(f: SmoothWindow, K: float, k: int) -> complex:
     """c_k by the midpoint rule of fourier_coefficients_bulk, summed for one k."""
@@ -73,20 +71,14 @@ def truncation_kmax(f: SmoothWindow, K: float, kmax_cap: int = KMAX_CAP):
     power of two <= kmax_cap passes.
     """
     K = float(K)
-    key = (f.window_id, K, kmax_cap)
-    if key in _kmax_cache:
-        return _kmax_cache[key]
     c0 = abs(_midpoint_coefficient(f, K, 0))
     if c0 == 0.0:
         u = f.lo + (np.arange(4096) + 0.5) * ((f.hi - f.lo) / 4096)
         if float(np.max(np.abs(f(u)))) == 0.0:
             # identically zero window: the periodisation is 0, one mode
             # (also 0) represents it exactly
-            certificate = {"k_max": 1, "c0": 0.0, "threshold_ratio": TAIL_RATIO,
-                           "checked": {}, "tail_ratio_at_kmax": 0.0, "zero_window": True}
-            result = (1, certificate)
-            _kmax_cache[key] = result
-            return result
+            return 1, {"k_max": 1, "c0": 0.0, "threshold_ratio": TAIL_RATIO,
+                       "checked": {}, "tail_ratio_at_kmax": 0.0, "zero_window": True}
         raise BadInput("signed window integrates to zero; relative tail decay is undefined")
     threshold = TAIL_RATIO * c0
     magnitudes: dict[int, float] = {}
@@ -103,16 +95,13 @@ def truncation_kmax(f: SmoothWindow, K: float, kmax_cap: int = KMAX_CAP):
     q = 1
     while q <= kmax_cap:
         if mag(q) <= threshold and mag(2 * q) <= threshold and mag(4 * q) <= threshold:
-            certificate = {
+            return q, {
                 "k_max": q,
                 "c0": c0,
                 "threshold_ratio": TAIL_RATIO,
                 "checked": {str(k): magnitudes[k] for k in (q, 2 * q, 4 * q)},
                 "tail_ratio_at_kmax": magnitudes[q] / c0,
             }
-            result = (q, certificate)
-            _kmax_cache[key] = result
-            return result
         q *= 2
     raise TruncationFailure(
         f"no certified spectral cutoff <= {kmax_cap} for window {f.kind} at K = {K}"

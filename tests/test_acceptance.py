@@ -13,7 +13,6 @@ import numpy as np
 
 from helpers import brute_cornacchia, brute_gaussian_ideals, brute_primes
 from sectorlab import ideals as ideals_mod
-from sectorlab import variance as variance_mod
 from sectorlab.characters import character_sum
 from sectorlab.cli import main
 from sectorlab.ideals import cornacchia, enumerate_prime_ideals, sieve_rational_primes
@@ -36,8 +35,6 @@ from sectorlab.windows import (
 )
 
 ideals_mod._ideal_arrays.cache_clear()
-ideals_mod._lambda_arrays.cache_clear()
-variance_mod._kmax_cache.clear()
 
 BUMP = mollifier_window()
 PHI = plateau_plus(core=(1.0, 2.0), eps=0.05)

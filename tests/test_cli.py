@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +73,16 @@ def test_forbidden_command(tmp_path):
     assert main(["forbidden", "--max", "5000", "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "forbidden.json").read_text())
     assert payload["min_angle"] > 0.0
+
+
+def test_forbidden_writes_the_checked_bound(tmp_path):
+    # at 5579, 0.5 / n ** 0.5 and 1 / (2 sqrt n) differ in the last bit; the
+    # file must carry the bound that forbidden_region_check compared against
+    bound = 1.0 / (2.0 * math.sqrt(5579))
+    assert 0.5 / 5579 ** 0.5 != bound
+    assert main(["forbidden", "--max", "5579", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "forbidden.json").read_text())
+    assert payload["exclusion_bound"] == bound
 
 
 # ------------------------------------------------------------ exit codes

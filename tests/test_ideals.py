@@ -381,16 +381,28 @@ _LAMBDA_WINDOWS = [(lo, hi) for lo in _POWER_EDGES for hi in (6560, 6561, 8191, 
                    if lo <= hi] + [(0, 1), (5, 5)]
 
 
-@pytest.mark.parametrize("lo, hi", _LAMBDA_WINDOWS)
-def test_lambda_arrays_match_lambda_entries(lo, hi):
-    norm, theta, weight, r = _lambda_arrays(lo, hi)
-    entries = lambda_entries(lo, hi)
+@pytest.mark.parametrize("lo, hi, include_nonsplit", [
+    pytest.param(lo, hi, nonsplit, id=f"{lo}-{hi}" + ("" if nonsplit else "-split"))
+    for nonsplit in (True, False) for lo, hi in _LAMBDA_WINDOWS])
+def test_lambda_arrays_match_lambda_entries(lo, hi, include_nonsplit):
+    norm, theta, weight, r = _lambda_arrays(lo, hi, include_nonsplit)
+    entries = lambda_entries(lo, hi, include_nonsplit)
     assert (norm.dtype, theta.dtype, weight.dtype, r.dtype) == (
         np.int64, np.float64, np.float64, np.int32)
     assert norm.tolist() == [e.norm for e in entries]
     assert r.tolist() == [e.r for e in entries]
     assert theta.tolist() == [e.theta for e in entries]
     assert weight.tolist() == pytest.approx([e.weight for e in entries], rel=1e-15)
+
+
+def test_lambda_arrays_read_two_enumerations():
+    # the table reads the window's primes and one enumeration up to
+    # sqrt(norm_max) for the bases of every higher power; the window is the
+    # variance sweep's at X = 1e6
+    ideals_mod._ideal_arrays.cache_clear()
+    table = _lambda_arrays(949999, 2050000)
+    assert ideals_mod._ideal_arrays.cache_info().currsize <= 2
+    assert (table[3] >= 2).any()
 
 
 # ------------------------------------------------------------ memory gate
@@ -416,6 +428,32 @@ def test_memory_gate_sector_scan():
     grid = 1024
     _, peak = traced_peak(sectors_mod.sector_scan, MEMORY_GATE_SIZE, 0.3, grid)
     assert peak <= angles.nbytes + 16 * 8 * grid, (peak, angles.nbytes)
+
+
+def test_memory_gate_lambda_arrays():
+    # on a cached enumeration the table's outputs are its norm, theta and
+    # weight columns (8 B per row each) and r (4 B).  The weights are built
+    # first, while no other output exists: the log column with its cast (16 B
+    # per prime row), the inserted copy (8 B) and np.insert's bool mask (1 B)
+    # stay below the 28 B of the finished output.  Each later insert holds
+    # the outputs so far, its own copy and a mask, and the r column adds its
+    # int32 ones: output + 5 B per row at most.  One float64 column over the
+    # output bounds that; 64 KiB covers the block of powers, about 80 rows
+    lo, hi = MEMORY_GATE_SIZE, 2 * MEMORY_GATE_SIZE
+    _ideal_arrays(lo, hi, True)
+    _ideal_arrays(0, math.isqrt(hi), True)
+    out, peak = traced_peak(_lambda_arrays, lo, hi)
+    assert peak <= _nbytes(out) + 8 * out[0].size + (1 << 16), (peak, _nbytes(out))
+
+
+def test_memory_gate_discrepancy():
+    # on a cached enumeration the discrepancy holds one sorted copy of the
+    # angles, normalised in place, and the terms of one _BLOCK at a time:
+    # the int64 index and at most three float64 arrays over it, six allowed
+    angles = _ideal_arrays(1, MEMORY_GATE_SIZE, True)[5]
+    assert angles.size >= 4 * _BLOCK  # several blocks, so whole-input terms show
+    _, peak = traced_peak(sectors_mod.discrepancy, 1, MEMORY_GATE_SIZE)
+    assert peak <= angles.nbytes + 6 * 8 * _BLOCK, (peak, angles.nbytes)
 
 
 def test_memory_gate_ideal_csv(tmp_path):

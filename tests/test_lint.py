@@ -63,3 +63,40 @@ def test_no_unused_imports():
         for name, line in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, found
+
+
+def _decorator_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _caches(path):
+    """Cache decorators and module-level dicts named *cache* in one module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list):
+            yield node.lineno, node.name
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        value = getattr(node, "value", None)
+        is_dict = isinstance(value, (ast.Dict, ast.DictComp)) or (
+            isinstance(value, ast.Call) and _decorator_name(value) in ("dict", "defaultdict"))
+        for target in targets:
+            if is_dict and isinstance(target, ast.Name) and "cache" in target.id.lower():
+                yield node.lineno, target.id
+
+
+def test_one_cache():
+    # the enumeration ideals._ideal_arrays is the package's only cache, so
+    # memory that outlives a call sits in one bounded place and every other
+    # array helper is a pure function of its arguments; cached_property is
+    # per-object laziness, not a cache, and is allowed
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for line, name in _caches(path)
+        if (path.name, name) != ("ideals.py", "_ideal_arrays")
+    ]
+    assert not found, found

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sectorlab import sectors as sectors_mod
 from sectorlab.cli import main
 from sectorlab.errors import BadInput, BadSector, EmptyRange, InvariantViolation
-from sectorlab.ideals import enumerate_prime_ideals
+from sectorlab.ideals import _BLOCK, _ideal_arrays, enumerate_prime_ideals
 from sectorlab.sectors import (
     HALF_PI,
     discrepancy,
@@ -313,6 +313,16 @@ def test_discrepancy_decreasing_along_dyadic_windows():
     values = [discrepancy(X, 2 * X) for X in (10**3, 10**4, 10**5, 10**6)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert all(0.0 < v <= 1.0 for v in values)
+
+
+def test_discrepancy_matches_one_pass_over_several_blocks():
+    # the blocked maximum is bitwise the maximum over all terms at once
+    for lo, hi, include_nonsplit in ((1, 10**6, True), (0, 10**6, False)):
+        u = np.sort(_ideal_arrays(lo, hi, include_nonsplit)[5]) / HALF_PI
+        assert u.size > 2 * _BLOCK
+        i = np.arange(1, u.size + 1)
+        want = float(np.maximum(i / u.size - u, u - (i - 1) / u.size).max())
+        assert discrepancy(lo, hi, include_nonsplit) == want
 
 
 def test_discrepancy_empty_range():

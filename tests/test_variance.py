@@ -107,8 +107,8 @@ def test_truncation_signed_zero_integral_rejected():
 
 
 def test_custom_window_identity_distinguishes_evaluators():
-    # the truncation cache is keyed by window_id, so two custom windows
-    # with the same support must not collide on it
+    # reports and certificates name a window by window_id, so two custom
+    # windows with the same support must not share one
     assert zero_window().window_id != step_window().window_id
     assert zero_window().window_id == zero_window().window_id
 
