@@ -102,14 +102,14 @@ class CharacterSumTable:
     rounding for a nonnegative cutoff) of the direct sum.
     """
 
-    X: float
-    k_max: int
-    variant: str
-    phi_id: str
     values: np.ndarray
 
     def __post_init__(self):
         self.values.setflags(write=False)
+
+    @property
+    def k_max(self) -> int:
+        return self.values.size - 1
 
     def __getitem__(self, k: int) -> complex:
         if not 0 <= k <= self.k_max:
@@ -125,6 +125,4 @@ def character_sum_table(
     if k_max < 0:
         raise BadInput(f"k_max = {k_max} must be >= 0")
     thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
-    values = geometric_weighted_sums(4.0 * thetas, weights, k_max)
-    return CharacterSumTable(X=float(X), k_max=int(k_max), variant=variant,
-                             phi_id=phi.window_id, values=values)
+    return CharacterSumTable(geometric_weighted_sums(4.0 * thetas, weights, k_max))

@@ -395,16 +395,10 @@ def enumerate_prime_ideals(
     norm_min: int, norm_max: int, include_nonsplit: bool = True
 ) -> list[GaussianPrimeIdeal]:
     """All prime ideals with norm in (norm_min, norm_max], sorted by (norm, theta)."""
-    p_arr, a_arr, b_arr, n_arr, c_arr, theta = _ideal_arrays(norm_min, norm_max, include_nonsplit)
+    cols = map(_scalars, _ideal_arrays(norm_min, norm_max, include_nonsplit))
     return [
-        GaussianPrimeIdeal(
-            p=int(p), a=int(a), b=int(b), norm=int(n),
-            splitting=_CODE_TO_SPLITTING[int(c)], theta=float(t),
-        )
-        for p, a, b, n, c, t in zip(
-            p_arr.tolist(), a_arr.tolist(), b_arr.tolist(),
-            n_arr.tolist(), c_arr.tolist(), theta.tolist(),
-        )
+        GaussianPrimeIdeal(p=p, a=a, b=b, norm=n, splitting=_CODE_TO_SPLITTING[c], theta=t)
+        for p, a, b, n, c, t in zip(*cols)
     ]
 
 

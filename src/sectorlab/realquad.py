@@ -56,7 +56,7 @@ import numpy as np
 
 from ._kernels import exact_sum
 from .errors import BadInput, InvariantViolation, NotSplit
-from .ideals import _BLOCK, _isqrt, _lattice_scan, sqrt_mod
+from .ideals import _BLOCK, _isqrt, _lattice_scan, _scalars, sqrt_mod
 
 SQRT2 = math.sqrt(2.0)
 LOG_EPS = math.log(1.0 + SQRT2)
@@ -241,7 +241,7 @@ class RealQuadReport:
         """The ideals as RealQuadPrimeIdeal objects, built on first access."""
         cols = (self.p, self.a, self.b, self.sign, self.t)
         return tuple(RealQuadPrimeIdeal(p, a, b, sign, t)
-                     for p, a, b, sign, t in zip(*(col.tolist() for col in cols)))
+                     for p, a, b, sign, t in zip(*map(_scalars, cols)))
 
 
 def _canonical_rows(start: int, stop: int):

@@ -68,17 +68,16 @@ def write_ideal_csv(path: str, norm_min: int, norm_max: int, include_nonsplit: b
 
 
 def write_sector_csv(path: str, report: SectorScanReport):
-    lines = [
+    header = [
         f"# {SECTOR_FORMAT} sectorlab={__version__}",
         f"# X={report.X} rho={_fmt(report.rho)} gamma={_fmt(report.gamma)} grid={report.grid_size}",
         "beta,count,expected,deviation",
     ]
-    betas = report.betas
-    for j in range(report.grid_size):
-        lines.append(
-            f"{_fmt(betas[j])},{int(report.counts[j])},{_fmt(report.expected)},{_fmt(report.deviations[j])}"
-        )
-    _dump_lines(path, lines)
+    expected = _fmt(report.expected)
+    cols = (report.betas, report.counts, report.deviations)
+    rows = ("%.17g,%d,%s,%.17g" % (beta, count, expected, deviation)
+            for beta, count, deviation in zip(*map(_scalars, cols)))
+    _dump_lines(path, itertools.chain(header, rows))
 
 
 def write_sector_json(path: str, report: SectorScanReport):
@@ -90,8 +89,8 @@ def write_sector_json(path: str, report: SectorScanReport):
         "gamma": report.gamma,
         "grid_size": report.grid_size,
         "expected": report.expected,
-        "counts": [int(c) for c in report.counts],
-        "deviations": [float(d) for d in report.deviations],
+        "counts": list(_scalars(report.counts)),
+        "deviations": list(_scalars(report.deviations)),
         "exceptional_fraction": {_fmt(d): f for d, f in report.exceptional_fraction.items()},
     })
 

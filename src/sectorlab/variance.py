@@ -39,6 +39,7 @@ from .windows import (
     PeriodizedWindow,
     SmoothWindow,
     _midpoint_nodes,
+    _sharpness,
     fourier_coefficients_bulk,
     mollifier_window,
     periodized_eval,
@@ -50,7 +51,7 @@ GRID_CAP = 1 << 25
 """Largest grid_factor * k_max variance_sweep builds: the default factor 4 at
 k_max = 2^23, the largest power of two below KMAX_CAP.  A cell peaks at about
 33 bytes per grid point (measured at 2^20), so 2^25 points take 1.1 GB."""
-_PAIR_BUDGET = 1 << 16  # entry-offset pairs the grid scatter evaluates in one step
+_PAIR_BUDGET = 1 << 16  # pairs (entry-offset, angle-mode) one scatter or synthesis step takes
 TAIL_RATIO = 1e-14
 CERTIFICATE_RATIO = 1e-12
 
@@ -70,7 +71,7 @@ def truncation_kmax(f: SmoothWindow, K: float, kmax_cap: int = KMAX_CAP):
     certificate records the sampled magnitudes.  TruncationFailure if no
     power of two <= kmax_cap passes.
     """
-    K = float(K)
+    K = _sharpness(K)
     c0 = abs(_midpoint_coefficient(f, K, 0))
     if c0 == 0.0:
         u = f.lo + (np.arange(4096) + 0.5) * ((f.hi - f.lo) / 4096)
@@ -118,8 +119,8 @@ def psi_eval(
     variant: str = "powers", include_nonsplit: bool = True,
 ) -> float:
     """The smoothed count at a single angle, by a direct, exactly rounded sum."""
-    thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
     pw = PeriodizedWindow(base=f, K=float(K))
+    thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
     vals = periodized_eval(pw, thetas - float(theta))
     return exact_sum(weights * vals)
 
@@ -198,10 +199,11 @@ def psi_grid(
     variant: str = "powers", grid_size: int = 4096, include_nonsplit: bool = True,
 ) -> np.ndarray:
     """The smoothed count on the grid theta_i = i (pi/2)/grid_size, i < grid_size."""
+    K = _sharpness(K)
     if int(grid_size) < 1:
         raise BadInput(f"grid size {grid_size} must be >= 1")
     thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
-    return _scatter_grid(thetas, weights, float(K), f, int(grid_size))
+    return _scatter_grid(thetas, weights, K, f, int(grid_size))
 
 
 @dataclass(frozen=True)
@@ -213,44 +215,57 @@ class PsiSpectrum:
     |c_{k_max}| S_0 < 1e-12 |coeffs[0]|.
     """
 
-    K: float
-    X: float
-    variant: str
-    k_max: int
     coeffs: np.ndarray
-    f_id: str
-    phi_id: str
     certificate: dict
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
 
     @property
+    def k_max(self) -> int:
+        return self.coeffs.size - 1
+
+    @property
     def mean(self) -> float:
         return float(self.coeffs[0].real)
 
     def synthesize(self, theta):
-        """Evaluate psi from the spectrum: c0 S0 + 2 Re sum_{k>=1} coeffs_k e^{-4ik theta}."""
-        arr = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-        k = np.arange(1, self.k_max + 1)
-        out = np.empty_like(arr)
+        """Evaluate psi from the spectrum: c0 S0 + 2 Re sum_{k>=1} coeffs_k e^{-4ik theta}.
+
+        The angles are taken _PAIR_BUDGET // k_max at a time: each block is
+        the broadcast product of its angles with 4k, reduced along k, and
+        its sums overwrite its angles in the output, a C-ordered copy of
+        theta.  So beyond the output a call holds two blocks of (angle,
+        mode) pairs.  The result has theta's shape; a scalar gives a float.
+        """
+        out = np.array(theta, dtype=np.float64, order="C")
+        flat = out.reshape(-1)
+        k4 = 4.0 * np.arange(1, self.k_max + 1)
         tail = self.coeffs[1:]
-        for i, t in enumerate(arr):
-            out[i] = self.coeffs[0].real + 2.0 * float(
-                np.sum(tail.real * np.cos(4.0 * k * t) + tail.imag * np.sin(4.0 * k * t))
-            )
-        if np.isscalar(theta) or np.asarray(theta).ndim == 0:
-            return float(out[0])
-        return out
+        rows = max(1, _PAIR_BUDGET // max(1, self.k_max))
+        phase = np.empty((min(rows, flat.size), self.k_max))
+        terms = np.empty_like(phase)
+        for start in range(0, flat.size, rows):
+            t = flat[start:start + rows]
+            angles, part = phase[:t.size], terms[:t.size]
+            np.multiply(t[:, None], k4, out=angles)
+            np.cos(angles, out=part)
+            part *= tail.real
+            np.sin(angles, out=angles)
+            angles *= tail.imag
+            part += angles
+            np.sum(part, axis=1, out=t)
+        flat *= 2.0
+        flat += self.coeffs[0].real
+        return float(out) if out.ndim == 0 else out
 
 
 def psi_spectrum(
     K: float, X: float, f: SmoothWindow, phi: SmoothWindow,
-    variant: str = "powers", include_nonsplit: bool = True, kmax_cap: int = KMAX_CAP,
+    variant: str = "powers", include_nonsplit: bool = True,
 ) -> PsiSpectrum:
     """Assemble the truncated spectrum c_k S_k with its tail certificate."""
-    K = float(K)
-    k_max, certificate = truncation_kmax(f, K, kmax_cap)
+    k_max, certificate = truncation_kmax(f, K)
     c = fourier_coefficients_bulk(f, K, k_max)
     table = character_sum_table(X, k_max, phi, variant, include_nonsplit)
     coeffs = c * table.values
@@ -263,10 +278,7 @@ def psi_spectrum(
     else:
         certificate["tail_term_over_mean"] = 0.0 if tail_bound == 0.0 else math.inf
     certificate["certified"] = bool(tail_bound <= CERTIFICATE_RATIO * mean_abs)
-    return PsiSpectrum(
-        K=K, X=float(X), variant=variant, k_max=k_max, coeffs=coeffs,
-        f_id=f.window_id, phi_id=phi.window_id, certificate=certificate,
-    )
+    return PsiSpectrum(coeffs=coeffs, certificate=certificate)
 
 
 def _grid_stats(values: np.ndarray) -> tuple[float, float]:

@@ -33,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernels import geometric_weighted_sums
 from .errors import BadEps, BadInput, QuadratureFailure
 from .ideals import HALF_PI
 
@@ -236,10 +237,7 @@ def plateau_eval(window: SmoothWindow, x):
     return window(x)
 
 
-def adaptive_simpson(
-    g: Callable, a: float, b: float, tol: float,
-    max_intervals: int = MAX_QUAD_INTERVALS,
-):
+def adaptive_simpson(g: Callable, a: float, b: float, tol: float):
     """Adaptive Simpson integration of a vectorised callable over [a, b].
 
     g maps a float64 array of nodes to float or complex values.  The
@@ -247,7 +245,7 @@ def adaptive_simpson(
     proportion to their width; each interval is accepted when the classic
     |S2 - S1|/15 estimate fits its budget, with Richardson extrapolation
     applied on acceptance.  Raises QuadratureFailure once the number of
-    simultaneously active intervals would exceed max_intervals.
+    simultaneously active intervals would exceed MAX_QUAD_INTERVALS.
     """
     if not b > a:
         raise BadInput(f"empty integration range [{a}, {b}]")
@@ -261,9 +259,9 @@ def adaptive_simpson(
     width = b - a
     depth = 0
     while left.size:
-        if left.size > max_intervals:
+        if left.size > MAX_QUAD_INTERVALS:
             raise QuadratureFailure(
-                f"adaptive Simpson exceeded {max_intervals} intervals at tolerance {tol}"
+                f"adaptive Simpson exceeded {MAX_QUAD_INTERVALS} intervals at tolerance {tol}"
             )
         lmid = (left + mid) / 2.0
         rmid = (mid + right) / 2.0
@@ -300,11 +298,17 @@ def fourier_hat(window: SmoothWindow, xi: float) -> complex:
     return complex(adaptive_simpson(integrand, window.lo, window.hi, window.quad_tol))
 
 
+def _sharpness(K) -> float:
+    """K as a float; BadInput unless the periodisation sharpness is finite and >= 1."""
+    K = float(K)
+    if not 1.0 <= K < math.inf:
+        raise BadInput(f"periodisation sharpness K = {K} must be finite and >= 1")
+    return K
+
+
 def fourier_coefficient(base: SmoothWindow, K: float, k: int) -> complex:
     """Fourier coefficient c_k = (1/K) w_hat(k/K) of the K-periodisation of base."""
-    K = float(K)
-    if not K >= 1.0:
-        raise BadInput(f"periodisation sharpness K = {K} must be >= 1")
+    K = _sharpness(K)
     return fourier_hat(base, k / K) / K
 
 
@@ -324,11 +328,7 @@ def _midpoint_nodes(base: SmoothWindow, xi_max: float) -> tuple[np.ndarray, np.n
 
 def fourier_coefficients_bulk(base: SmoothWindow, K: float, k_max: int) -> np.ndarray:
     """c_k for k = 0..k_max in one pass; the tests check it against fourier_coefficient."""
-    from ._kernels import geometric_weighted_sums
-
-    K = float(K)
-    if not K >= 1.0:
-        raise BadInput(f"periodisation sharpness K = {K} must be >= 1")
+    K = _sharpness(K)
     u, weights = _midpoint_nodes(base, k_max / K)
     phases = -2.0 * np.pi * u / K
     return geometric_weighted_sums(phases, weights, k_max) / K
@@ -342,12 +342,7 @@ class PeriodizedWindow:
     K: float
 
     def __post_init__(self):
-        if not self.K >= 1.0:
-            raise BadInput(f"periodisation sharpness K = {self.K} must be >= 1")
-
-    @property
-    def period(self) -> float:
-        return HALF_PI
+        _sharpness(self.K)
 
 
 def periodized_eval(pw: PeriodizedWindow, theta):

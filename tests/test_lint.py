@@ -1,6 +1,7 @@
 """Source rules that every module of the package keeps."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import sectorlab
@@ -98,5 +99,49 @@ def test_one_cache():
         for path in MODULES
         for line, name in _caches(path)
         if (path.name, name) != ("ideals.py", "_ideal_arrays")
+    ]
+    assert not found, found
+
+
+def _traced_targets():
+    """(module, function) pairs that perfbench/tracing.py wraps, read with ast."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("SPANS", "_COUNTERS") for t in node.targets):
+            for entry in node.value.elts:
+                yield tuple(ast.literal_eval(e) for e in entry.elts[:2])
+
+
+def test_traced_entry_points_exist():
+    # the benchmark's per-layer metrics come from wrapping these functions;
+    # a renamed one is reported as absent (null), so the rename must show here
+    targets = list(_traced_targets())
+    missing = [f"{module}.{func}" for module, func in targets
+               if not hasattr(importlib.import_module(f"sectorlab.{module}"), func)]
+    assert targets and not missing, missing
+
+
+_BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "linalg"}
+
+
+def _blas_calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            yield from ((node.lineno, a.name) for a in node.names
+                        if a.name in _BLAS_NAMES or "linalg" in node.module)
+
+
+def test_no_blas_calls():
+    # README promises that no BLAS call is made: results then do not depend
+    # on the BLAS build or its thread count
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for line, name in _blas_calls(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, found

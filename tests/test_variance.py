@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import traced_peak
 from sectorlab import variance as variance_mod
 from sectorlab.characters import _weighted_entries, character_sum
 from sectorlab.errors import AliasingRisk, BadInput, TruncationFailure
@@ -104,6 +105,22 @@ def test_truncation_zero_window():
 def test_truncation_signed_zero_integral_rejected():
     with pytest.raises(BadInput):
         truncation_kmax(step_window(), 4.0)
+
+
+SHARPNESS_CALLS = {
+    "truncation_kmax": lambda K: truncation_kmax(bump(), K),
+    "psi_grid": lambda K: psi_grid(K, 1e3, bump(), plateau_1_2(), grid_size=64),
+    "psi_spectrum": lambda K: psi_spectrum(K, 1e3, bump(), plateau_1_2()),
+    "variance_direct": lambda K: variance_direct(K, 1e3, bump(), plateau_1_2()),
+    "psi_eval": lambda K: psi_eval(0.3, K, 1e3, bump(), plateau_1_2()),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SHARPNESS_CALLS))
+@pytest.mark.parametrize("K", [0.0, math.nan, math.inf, -2.0, 0.5])
+def test_sharpness_must_be_finite_and_at_least_one(K, call):
+    with pytest.raises(BadInput):
+        SHARPNESS_CALLS[call](K)
 
 
 def test_custom_window_identity_distinguishes_evaluators():
@@ -228,6 +245,68 @@ def test_spectrum_zero_window_path():
     assert sp.synthesize(0.3) == 0.0
 
 
+def loop_synthesis(sp, theta):
+    """The per-angle loop synthesize once ran, kept as an oracle."""
+    k = np.arange(1, sp.k_max + 1)
+    tail = sp.coeffs[1:]
+    return sp.coeffs[0].real + 2.0 * float(
+        np.sum(tail.real * np.cos(4.0 * k * theta) + tail.imag * np.sin(4.0 * k * theta))
+    )
+
+
+@pytest.fixture(scope="module")
+def spectrum_8_1e4():
+    sp = psi_spectrum(8.0, 1e4, bump(), plateau_1_2())
+    assert sp.k_max == 1024
+    return sp
+
+
+def test_synthesis_matches_per_angle_loop(spectrum_8_1e4):
+    sp = spectrum_8_1e4
+    # 300 angles span several blocks of _PAIR_BUDGET // k_max = 64 angles
+    thetas = np.random.default_rng(20261018).uniform(-HALF_PI, 2.0 * HALF_PI, 300)
+    got = sp.synthesize(thetas)
+    for theta, value in zip(thetas, got):
+        assert abs(value - loop_synthesis(sp, theta)) <= 1e-13 * sp.mean
+
+
+@pytest.mark.parametrize("theta", [0.3, np.float64(0.3), np.array(0.3)])
+def test_synthesis_of_a_scalar_is_a_float(spectrum_8_1e4, theta):
+    sp = spectrum_8_1e4
+    value = sp.synthesize(theta)
+    assert type(value) is float
+    assert abs(value - loop_synthesis(sp, 0.3)) <= 1e-13 * sp.mean
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (0,), (2, 3), (3, 1024)],
+                         ids=lambda shape: "x".join(map(str, shape)) or "0d")
+def test_synthesis_keeps_input_shape(spectrum_8_1e4, shape):
+    sp = spectrum_8_1e4
+    thetas = np.random.default_rng(7).uniform(0.0, HALF_PI, shape)
+    got = sp.synthesize(thetas)
+    assert np.shape(got) == shape
+    flat = np.ravel(got)
+    for j in (0, flat.size // 2, flat.size - 1)[:flat.size]:
+        assert abs(flat[j] - loop_synthesis(sp, thetas.flat[j])) <= 1e-13 * sp.mean
+
+
+def test_memory_gate_synthesis(spectrum_8_1e4):
+    # beyond its output a call holds two blocks of _PAIR_BUDGET (angle, mode)
+    # pairs at 8 B each (1 MiB together); 4k over the k_max modes with the
+    # int64 arange it is made from (16 B per mode, 16 KiB); and numpy's
+    # iterator buffers, np.getbufsize() float64 values for each broadcast
+    # operand of a ufunc, two at most (the angle column and the 4k row of
+    # the outer product), 128 KiB.  64 KiB covers the per-block sums, views
+    # and scalars.  An outer product over all 2^14 angles would hold
+    # 2^14 x 1024 x 8 B = 128 MiB per array
+    sp = spectrum_8_1e4
+    thetas = np.linspace(0.0, HALF_PI, 1 << 14)
+    out, peak = traced_peak(sp.synthesize, thetas)
+    allowance = (2 * 8 * variance_mod._PAIR_BUDGET + 16 * sp.k_max
+                 + 2 * 8 * np.getbufsize() + (1 << 16))
+    assert peak <= out.nbytes + allowance, (peak, out.nbytes)
+
+
 # ------------------------------------------------------------ variance
 
 def test_variance_direct_zero_window():
@@ -235,14 +314,12 @@ def test_variance_direct_zero_window():
 
 
 def test_parseval_zero_and_single_mode():
-    const = PsiSpectrum(K=4.0, X=100.0, variant="powers", k_max=0,
-                        coeffs=np.array([2.5 + 0.0j]), f_id="f", phi_id="p",
-                        certificate={})
+    const = PsiSpectrum(coeffs=np.array([2.5 + 0.0j]), certificate={})
+    assert const.k_max == 0
     assert variance_parseval(const) == 0.0
     z = 0.3 - 0.4j
-    mode = PsiSpectrum(K=4.0, X=100.0, variant="powers", k_max=1,
-                       coeffs=np.array([2.5 + 0.0j, z]), f_id="f", phi_id="p",
-                       certificate={})
+    mode = PsiSpectrum(coeffs=np.array([2.5 + 0.0j, z]), certificate={})
+    assert mode.k_max == 1
     assert variance_parseval(mode) == pytest.approx(2.0 * abs(z) ** 2, rel=1e-14)
     # the synthesised single mode has the same variance on any fine grid
     grid = np.arange(64) * (HALF_PI / 64)

@@ -359,6 +359,16 @@ def test_periodized_rejects_small_K():
         PeriodizedWindow(base=mollifier_window(), K=0.5)
 
 
+@pytest.mark.parametrize("K", [0.5, math.inf, math.nan])
+def test_windows_reject_sharpness_not_finite_at_least_one(K):
+    with pytest.raises(BadInput):
+        PeriodizedWindow(base=mollifier_window(), K=K)
+    with pytest.raises(BadInput):
+        fourier_coefficient(mollifier_window(), K, 1)
+    with pytest.raises(BadInput):
+        fourier_coefficients_bulk(mollifier_window(), K, 8)
+
+
 # ------------------------------------------------------------ descriptors
 
 def test_descriptor_roundtrip_and_window_id():
