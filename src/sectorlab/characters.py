@@ -29,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import exact_sum, geometric_weighted_sums
-from .errors import BadInput
+from .errors import KMAX_CAP, MAX_KMAX, MAX_SIZE, BadInput, check_int, check_real
 from .ideals import _ideal_arrays, _lambda_arrays
 from .windows import SmoothWindow
 
 
 def xi(a: int, b: int, k: int) -> complex:
     """The character exp(4 i k theta) of the ideal generated by a + bi."""
+    a, b, k = check_int("a", a), check_int("b", b), check_int("k", k, -KMAX_CAP, KMAX_CAP)
     if a == 0 and b == 0:
         raise BadInput("xi is undefined at 0")
     theta = math.atan2(b, a)
@@ -56,9 +57,7 @@ def _weighted_entries(X, phi, variant, include_nonsplit):
     """
     if variant not in ("powers", "primes"):
         raise BadInput(f"unknown variant {variant!r}")
-    X = float(X)
-    if not X >= 2.0:
-        raise BadInput(f"scale X = {X} must be >= 2")
+    X = check_real("scale X", X, 2.0, MAX_SIZE)
     if phi.lo < 0.0:
         raise BadInput(f"cutoff support [{phi.lo}, {phi.hi}] must sit in (0, inf)")
     norms, thetas, logs, r = _lambda_arrays(*_norm_window(X, phi), include_nonsplit)
@@ -73,6 +72,7 @@ def character_sum(
     variant: str = "powers", include_nonsplit: bool = True,
 ) -> complex:
     """S_k(X) with cutoff Phi; real and imaginary parts exactly rounded."""
+    k = check_int("k", k, -KMAX_CAP, KMAX_CAP)
     thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
     angles = (4.0 * k) * thetas
     re = exact_sum(weights * np.cos(angles))
@@ -85,9 +85,10 @@ def weyl_sum(k: int, norm_min: int, norm_max: int, include_nonsplit: bool = True
 
     k = 0 is rejected: the unnormalised count is not a cancellation probe.
     """
-    if k == 0:
+    if check_int("k", k, -MAX_KMAX, MAX_KMAX) == 0:
         raise BadInput("weyl_sum needs k != 0")
-    _, _, _, _, _, thetas = _ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)
+    norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
+    _, _, _, _, _, thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)
     angles = (4.0 * k) * thetas
     return complex(exact_sum(np.cos(angles)), exact_sum(np.sin(angles)))
 
@@ -122,7 +123,6 @@ def character_sum_table(
     variant: str = "powers", include_nonsplit: bool = True,
 ) -> CharacterSumTable:
     """Tabulate S_0..S_{k_max} in one pass over the weighted entries."""
-    if k_max < 0:
-        raise BadInput(f"k_max = {k_max} must be >= 0")
+    k_max = check_int("k_max", k_max, 0, KMAX_CAP)
     thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
     return CharacterSumTable(geometric_weighted_sums(4.0 * thetas, weights, k_max))

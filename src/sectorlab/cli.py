@@ -10,9 +10,9 @@ Six subcommands, one per experiment family:
   forbidden  smallest positive angle vs the exclusion bound
 
 Exit codes: 0 on success, 2 on invalid parameters (including a size above
-its ceiling), 3 when a numerical guarantee cannot be met (quadrature or
-spectral-truncation failure, or a computed result that breaks a proven
-invariant).
+its ceiling in sectorlab.errors; the library checks every argument), 3 when
+a numerical guarantee cannot be met (quadrature or spectral-truncation
+failure, or a computed result that breaks a proven invariant).
 Outputs are deterministic; rerunning a command reproduces its files byte
 for byte.
 """
@@ -25,32 +25,7 @@ import sys
 from dataclasses import dataclass, field
 
 from ._version import __version__
-from .errors import BadInput, EmptyRange, SectorLabError
-
-MAX_SIZE = 10**9
-"""Largest norm bound or scale a subcommand accepts.
-
-Every size that drives enumeration (sieve and forbidden --max, sectors
-and weyl --x, realquad --limit, variance --x-list) is checked against it
-before any work starts.  At 1e9 the ideal arrays already hold about 5e7
-entries, several GB; far beyond it the segmented sieve would run without
-end in practice while its output grew.
-"""
-
-MAX_GRID = 1 << 22
-"""Largest sectors --grid.  A scan peaks at about 280 bytes per offset
-(arrays of grid length, one CSV row and two JSON entries per offset; 327 MB
-at 2^20), so 2^22 offsets take about 1.2 GB and 400 MB of output files."""
-
-MAX_KMAX = 10**6
-"""Largest weyl and realquad --kmax.  Each mode is one more pass over every
-ideal, about 130 bytes of weyl.json and 500 bytes of Python objects while it is
-written (measured at 1e4 modes): 130 MB on disk and 500 MB in memory at 1e6."""
-
-# config fields holding sizes, with their ceilings; a subcommand leaves the
-# ones it does not use at their in-range defaults
-_CEILINGS = {"norm_max": MAX_SIZE, "x": MAX_SIZE, "x_list": MAX_SIZE, "limit": MAX_SIZE,
-             "grid": MAX_GRID, "k_max": MAX_KMAX}
+from .errors import MAX_KMAX, BadInput, EmptyRange, SectorLabError, check_int
 
 
 @dataclass
@@ -110,13 +85,12 @@ def _run_weyl(config: ExperimentConfig):
     from .ideals import _ideal_arrays
     from .reports import write_weyl_json
 
-    if config.k_max < 1:
-        raise BadInput(f"k_max = {config.k_max} must be >= 1")
+    k_max = check_int("k_max", config.k_max, 1, MAX_KMAX)
+    # the first sum checks x, so it comes before the count
+    sums = {k: weyl_sum(k, 1, config.x, config.include_nonsplit) for k in range(1, k_max + 1)}
     count = _ideal_arrays(1, config.x, config.include_nonsplit)[0].size
     if count == 0:
         raise EmptyRange(f"no prime ideals with norm in (1, {config.x}]")
-    sums = {k: weyl_sum(k, 1, config.x, config.include_nonsplit)
-            for k in range(1, config.k_max + 1)}
     write_weyl_json(config.path("weyl.json"), config.x, sums, count)
 
 
@@ -158,14 +132,6 @@ _RUNNERS = {
 }
 
 
-def _check_sizes(config: ExperimentConfig):
-    for name, ceiling in _CEILINGS.items():
-        value = getattr(config, name)
-        for size in value if isinstance(value, tuple) else (value,):
-            if size > ceiling:
-                raise BadInput(f"{name} = {size} exceeds the size ceiling {ceiling}")
-
-
 def run(config: ExperimentConfig) -> int:
     """Execute one configured experiment; returns the process exit code."""
     try:
@@ -174,7 +140,6 @@ def run(config: ExperimentConfig) -> int:
         print(f"unknown command {config.command!r}", file=sys.stderr)
         return 2
     try:
-        _check_sizes(config)
         runner(config)
     except BadInput as exc:  # includes BadSector, BadEps, NotSplit, EmptyRange
         print(f"invalid parameters: {exc}", file=sys.stderr)
@@ -192,14 +157,10 @@ def _int_literal(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        value = float(text)
         try:
-            result = int(value)
-        except OverflowError:  # inf, or a literal past the float range
-            raise argparse.ArgumentTypeError(f"{text!r} is not a finite integer") from None
-        if result != value:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        return result
+            return check_int("value", float(text))
+        except BadInput as exc:  # a fraction, inf, or a literal past the float range
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

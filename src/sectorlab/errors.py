@@ -1,4 +1,46 @@
-"""Exception and warning types shared across sectorlab modules."""
+"""Exception and warning types, the size ceilings, and the two argument checks.
+
+Every public entry point checks its arguments with check_int or check_real
+on entry, so a bad or oversized one raises BadInput before any work.
+"""
+
+import math
+import operator
+
+import numpy as np
+
+MAX_SIZE = 10**9
+"""Largest norm bound or scale X a statistic accepts.
+
+Every size that drives enumeration (a norm window's upper end, a scale X,
+the Z[sqrt 2] limit) is checked against it before any work starts.  At 1e9
+the ideal arrays already hold about 5e7 entries, several GB; far beyond it
+the segmented sieve would run without end in practice while its output grew.
+"""
+
+MAX_GRID = 1 << 22
+"""Largest sector_scan grid.  A scan peaks at about 280 bytes per offset
+(arrays of grid length, one CSV row and two JSON entries per offset; 327 MB
+at 2^20), so 2^22 offsets take about 1.2 GB and 400 MB of output files."""
+
+MAX_KMAX = 10**6
+"""Largest Weyl mode: weyl_sum's |k| and the realquad k_max.  Each mode is one
+more pass over every ideal, about 130 bytes of weyl.json and 500 bytes of
+Python objects while it is written (measured at 1e4 modes): 130 MB on disk and
+500 MB in memory at 1e6."""
+
+KMAX_CAP = 10**7
+"""Largest spectral cutoff: truncation_kmax tries powers of two up to it, and
+an S_k table, a c_k vector or a single character has degree at most this."""
+
+GRID_CAP = 1 << 25
+"""Largest psi grid, and so grid_factor * k_max in variance_sweep: the default
+factor 4 at k_max = 2^23, the largest power of two below KMAX_CAP.  A cell
+peaks at about 33 bytes per grid point (measured at 2^20), so 2^25 points
+take 1.1 GB."""
+
+MAX_QUAD_INTERVALS = 1 << 20
+"""Most intervals adaptive_simpson keeps active before QuadratureFailure."""
 
 
 class SectorLabError(Exception):
@@ -43,3 +85,42 @@ class InvariantViolation(SectorLabError, ArithmeticError):
 
 class AliasingRisk(UserWarning):
     """Evaluation grid is too coarse for the spectral content it must resolve."""
+
+
+def check_int(name: str, value, lo=None, hi=None) -> int:
+    """value as an int; it may be an int, a numpy integer or an integral float like 1e6.
+
+    BadInput unless lo <= value <= hi; a bound of None is not checked.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        x = float(value) if isinstance(value, (float, np.floating)) else math.nan
+        if not x.is_integer():
+            raise BadInput(f"{name} = {value!r} is not an integer") from None
+        n = int(x)
+    if lo is not None and n < lo:
+        raise BadInput(f"{name} = {n} must be >= {lo}")
+    if hi is not None and n > hi:
+        raise BadInput(f"{name} = {n} exceeds the size ceiling {hi}")
+    return n
+
+
+def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]", error=BadInput):
+    """value as a float, or a float array, if every element is finite and in the interval.
+
+    lo and hi bound the interval and ends gives its brackets: "[)" is lo <= x < hi.
+    Raises error otherwise.  An array is checked by its minimum and maximum alone.
+    """
+    try:
+        x = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise error(f"{name} = {value!r} is not a real number") from None
+    least, most = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    if x.size and not (math.isfinite(least) and math.isfinite(most)
+                       and (least > lo if ends[0] == "(" else least >= lo)
+                       and (most < hi if ends[1] == ")" else most <= hi)):
+        where = "exceeds the size ceiling of" if most > hi else "must be finite and in"
+        raise error(f"{name} = {float(x) if x.ndim == 0 else x!r} {where} "
+                    f"{ends[0]}{lo:g}, {hi:g}{ends[1]}")
+    return float(x) if x.ndim == 0 else x

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadInput, InvariantViolation, NonResidue
+from .errors import MAX_SIZE, BadInput, InvariantViolation, NonResidue, check_int
 
 HALF_PI = math.pi / 2.0  # period of the ideal angle; other modules import it from here
 
@@ -44,7 +44,7 @@ _BLOCK = 1 << 14  # array elements converted to Python scalars at once
 
 def sieve_rational_primes(limit: int) -> np.ndarray:
     """Return all rational primes <= limit as an ascending int64 array."""
-    return _primes_in_range(0, limit)
+    return _primes_in_range(0, check_int("limit", limit, 0, MAX_SIZE))
 
 
 def _primes_in_range(lo: int, hi: int) -> np.ndarray:
@@ -75,18 +75,51 @@ def _primes_in_range(lo: int, hi: int) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_k (OEIS A014233): the least odd composite that is a strong probable
+# prime to each of the first k prime bases, so below psi_k those k decide
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 2^64, with as few bases as n allows."""
+    if n < 2:
+        return False
+    for q in _BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    k = next((k for k, psi in enumerate(_PSI, 1) if n < psi), len(_BASES))
+    for base in _BASES[:k]:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def sqrt_mod(n: int, p: int) -> int:
-    """Solve r^2 = n (mod p) for odd prime p with gcd(n, p) = 1.
+    """Solve r^2 = n (mod p) for odd prime p < 2^64 with gcd(n, p) = 1.
 
     Returns the canonical smaller root r with 1 <= r <= p - r.  Raises
-    NonResidue when n is not a quadratic residue mod p.  The p = 3 mod 4
-    and p = 5 mod 8 cases use direct exponentiation; the rest run the
-    Tonelli-Shanks loop.
+    BadInput for any other modulus, where the non-residue search below need
+    not end, and NonResidue when n is not a quadratic residue mod p.  The
+    p = 3 mod 4 and p = 5 mod 8 cases use direct exponentiation; the rest
+    run the Tonelli-Shanks loop.
     """
-    p = int(p)
-    if p < 3 or p % 2 == 0:
+    p = check_int("modulus p", p, 3, 2**64 - 1)  # the range _is_prime decides
+    if not _is_prime(p):
         raise BadInput(f"modulus {p} is not an odd prime")
-    n = int(n) % p
+    n = check_int("n", n) % p
     if n == 0:
         raise BadInput("sqrt_mod requires gcd(n, p) = 1")
     if pow(n, (p - 1) // 2, p) != 1:
@@ -126,11 +159,12 @@ def sqrt_mod(n: int, p: int) -> int:
 def cornacchia(p: int) -> tuple[int, int]:
     """Decompose a prime p = 1 mod 4 as a^2 + b^2 with a odd, b even.
 
-    Euclidean descent from a square root of -1 mod p; the first remainder
-    at most sqrt(p) is one leg of the unique decomposition, and exactness
-    of the other leg is asserted rather than trusted.
+    Euclidean descent from a square root of -1 mod p (sqrt_mod rejects a
+    composite p); the first remainder at most sqrt(p) is one leg of the
+    unique decomposition, and exactness of the other leg is asserted rather
+    than trusted.
     """
-    p = int(p)
+    p = check_int("p", p)
     if p % 4 != 1 or p < 5:
         raise BadInput(f"{p} is not a prime congruent to 1 mod 4")
     x = sqrt_mod(p - 1, p)
@@ -142,7 +176,7 @@ def cornacchia(p: int) -> tuple[int, int]:
     c = p - b * b
     r = math.isqrt(c)
     if r * r != c:
-        raise ArithmeticError(f"descent failed for p = {p}")  # unreachable for prime p
+        raise InvariantViolation(f"descent failed for p = {p}")  # unreachable for prime p
     return (b, r) if b % 2 == 1 else (r, b)
 
 
@@ -190,16 +224,6 @@ class LambdaEntry:
     norm: int
     theta: float
     weight: float
-
-
-def _validate_window(norm_min: int, norm_max: int) -> tuple[int, int]:
-    try:
-        norm_min, norm_max = int(norm_min), int(norm_max)
-    except (TypeError, ValueError) as exc:
-        raise BadInput("norm bounds must be integers") from exc
-    if norm_min < 0 or norm_max < norm_min:
-        raise BadInput(f"bad norm window ({norm_min}, {norm_max}]")
-    return norm_min, norm_max
 
 
 def _isqrt(x: np.ndarray) -> np.ndarray:
@@ -298,9 +322,11 @@ def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
     """Arrays (p, a, b, norm, code, theta) for ideals with norm in (norm_min, norm_max].
 
     Sorted by (norm, theta); all arrays are read-only so they can be shared
-    freely between callers and threads.
+    freely between callers and threads.  Public callers check norm_max against
+    MAX_SIZE; at scale X <= MAX_SIZE the variance statistics reach X phi.hi.
     """
-    norm_min, norm_max = _validate_window(norm_min, norm_max)
+    norm_min = check_int("norm_min", norm_min, 0)
+    norm_max = check_int("norm_max", norm_max, norm_min)
     # generators of the split legs, then the ramified 1 + i and the inert p
     a, b = _split_legs(norm_min, norm_max)
     if include_nonsplit:
@@ -343,9 +369,7 @@ def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
 
 
 def _iroot(n: int, r: int) -> int:
-    """Largest integer m with m**r <= n."""
-    if n < 0 or r < 1:
-        raise BadInput("bad arguments to integer root")
+    """Largest integer m with m**r <= n, for n >= 0 and r >= 1."""
     if r == 1 or n < 2:
         return n
     m = int(round(n ** (1.0 / r)))
@@ -365,7 +389,6 @@ def _lambda_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
     one enumeration up to sqrt(norm_max) whose bases each power r >= 2
     keeps when their r-th power lands in the window, sorted and merged in.
     """
-    norm_min, norm_max = _validate_window(norm_min, norm_max)
     _, _, _, norm, _, theta = _ideal_arrays(norm_min, norm_max, include_nonsplit)
     _, _, _, bases, _, angles = _ideal_arrays(0, _iroot(norm_max, 2), include_nonsplit)
     powers = []
@@ -395,6 +418,7 @@ def enumerate_prime_ideals(
     norm_min: int, norm_max: int, include_nonsplit: bool = True
 ) -> list[GaussianPrimeIdeal]:
     """All prime ideals with norm in (norm_min, norm_max], sorted by (norm, theta)."""
+    norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
     cols = map(_scalars, _ideal_arrays(norm_min, norm_max, include_nonsplit))
     return [
         GaussianPrimeIdeal(p=p, a=a, b=b, norm=n, splitting=_CODE_TO_SPLITTING[c], theta=t)
@@ -410,7 +434,8 @@ def lambda_entries(
     The weight attached to base^r is log(base.norm), so summing weights over
     entries recovers the von Mangoldt count for the window.
     """
-    norm_min, norm_max = _validate_window(norm_min, norm_max)
+    norm_min = check_int("norm_min", norm_min, 0)
+    norm_max = check_int("norm_max", norm_max, norm_min, MAX_SIZE)
     entries: list[LambdaEntry] = []
     r = 1
     while norm_max >= 2**r:

@@ -55,7 +55,8 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import exact_sum
-from .errors import BadInput, InvariantViolation, NotSplit
+from .errors import (MAX_KMAX, MAX_SIZE, BadInput, InvariantViolation, NotSplit, check_int,
+                     check_real)
 from .ideals import _BLOCK, _isqrt, _lattice_scan, _scalars, sqrt_mod
 
 SQRT2 = math.sqrt(2.0)
@@ -82,14 +83,14 @@ def _raw_t(a: int, b: int) -> float:
 
 def angle_t(a: int, b: int) -> float:
     """The class of log |alpha / conj(alpha)| in [0, 2 log eps)."""
+    a, b = check_int("a", a), check_int("b", b)
     t = math.fmod(_raw_t(a, b), PERIOD)
     return t + PERIOD if t < 0.0 else t
 
 
 def conjugate_t(t: float) -> float:
     """Reflection t -> -t on the circle of circumference 2 log eps."""
-    if not 0.0 <= t < PERIOD:
-        raise BadInput(f"t = {t} outside [0, {PERIOD})")
+    t = check_real("t", t, 0.0, PERIOD, "[)")
     return 0.0 if t == 0.0 else PERIOD - t
 
 
@@ -126,38 +127,6 @@ def _canonicalize(a: int, b: int, p: int) -> tuple[int, int, int, float]:
     return a, b, norm // p, t
 
 
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# psi_k (OEIS A014233): the least odd composite that is a strong probable
-# prime to each of the first k prime bases, so below psi_k those k decide
-_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-        341550071728321, 341550071728321, 3825123056546413051)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit inputs, with as few bases as n allows."""
-    if n < 2:
-        return False
-    for q in _BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    k = next((k for k, psi in enumerate(_PSI, 1) if n < psi), len(_BASES))
-    for base in _BASES[:k]:
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def solve_norm_equation(p: int) -> tuple[int, int, int]:
     """Canonical (a, b, sign) with a^2 - 2 b^2 = sign * p, sign = +1 always.
 
@@ -165,11 +134,10 @@ def solve_norm_equation(p: int) -> tuple[int, int, int]:
     canonical generator has norm +p is returned.  The half-Euclid descent
     on (p, sqrt of 2 mod p) finds a solution: its first remainder below
     sqrt(2p) already solves the equation up to sign.  NotSplit for p = 2
-    or p = +-3 mod 8.
+    or p = +-3 mod 8; sqrt_mod rejects any other p that is not a prime
+    below 2^64.
     """
-    p = int(p)
-    if not _is_prime(p):
-        raise BadInput(f"{p} is not prime")
+    p = check_int("p", p, 2)
     if p == 2 or p % 8 not in (1, 7):
         raise NotSplit(f"2 is not a square mod {p}")
     # half Euclid: remainders r_i of gcd(p, r) with cofactors t_i satisfying
@@ -305,25 +273,15 @@ def _split_generators(limit: int):
     return p, a, b, sign
 
 
-# largest limit with eps^2 * limit < 2^63: eps^2 = 3 + 2 sqrt 2, so this is
-# floor((2^63 - 1)(3 - 2 sqrt 2)), exact in integers
-_MAX_LIMIT = 3 * (2**63 - 1) - math.isqrt(8 * (2**63 - 1) ** 2) - 1
-
-
 def equidistribution_report_real(limit: int, k_max: int) -> RealQuadReport:
     """Both canonical generators of every split p <= limit, and the averages of chi_k.
 
-    The generators come from one lattice scan of the canonical domain.
-    BadInput for a limit past _MAX_LIMIT, where eps^2 * limit or the scan's
-    squares leave int64.
+    The generators come from one lattice scan of the canonical domain.  The
+    limit runs from 7, the smallest split prime, to MAX_SIZE, far below the
+    2^63 / eps^2 where the scan's norms would leave int64.
     """
-    limit = int(limit)
-    if limit < 7:
-        raise BadInput(f"limit {limit} below the smallest split prime 7")
-    if limit > _MAX_LIMIT:
-        raise BadInput(f"limit {limit} above {_MAX_LIMIT}, where int64 norms overflow")
-    if k_max < 0:
-        raise BadInput(f"k_max = {k_max} must be >= 0")
+    limit = check_int("limit", limit, 7, MAX_SIZE)
+    k_max = check_int("k_max", k_max, 0, MAX_KMAX)
     p, a, b, sign = _split_generators(limit)
     # _raw_t's arithmetic for a, b > 0 and |N| = p, a block at a time;
     # math.log, not np.log, keeps t bitwise equal to it
@@ -347,6 +305,6 @@ def equidistribution_report_real(limit: int, k_max: int) -> RealQuadReport:
     for col in (p, a, b, sign, t):
         col.setflags(write=False)
     return RealQuadReport(
-        limit=limit, k_max=int(k_max), ideal_count=int(count), weyl=weyl,
+        limit=limit, k_max=k_max, ideal_count=int(count), weyl=weyl,
         p=p, a=a, b=b, sign=sign, t=t,
     )

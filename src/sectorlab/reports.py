@@ -16,6 +16,7 @@ import json
 import os
 
 from ._version import __version__
+from .errors import MAX_SIZE, check_int
 from .ideals import _BLOCK, _CODE_TO_SPLITTING, _ideal_arrays, _scalars
 from .realquad import RealQuadReport
 from .sectors import SectorScanReport, _exclusion_bound
@@ -55,11 +56,12 @@ def _dump_lines(path: str, lines):
 
 def write_ideal_csv(path: str, norm_min: int, norm_max: int, include_nonsplit: bool = True):
     """Write the ideal enumeration for a norm window as CSV."""
-    cols = map(_scalars, _ideal_arrays(int(norm_min), int(norm_max), include_nonsplit))
+    norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
+    cols = map(_scalars, _ideal_arrays(norm_min, norm_max, include_nonsplit))
     kinds = {c: s.value for c, s in _CODE_TO_SPLITTING.items()}
     header = [
         f"# {IDEAL_FORMAT} sectorlab={__version__}",
-        f"# norm_min={int(norm_min)} norm_max={int(norm_max)} include_nonsplit={int(include_nonsplit)}",
+        f"# norm_min={int(norm_min)} norm_max={norm_max} include_nonsplit={int(include_nonsplit)}",
         "p,a,b,norm,splitting,theta",
     ]
     rows = ("%d,%d,%d,%d,%s,%.17g" % (p, a, b, norm, kinds[code], theta)

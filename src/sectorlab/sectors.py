@@ -25,15 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import exact_sum
-from .errors import BadInput, BadSector, EmptyRange, InvariantViolation
+from .errors import (MAX_GRID, MAX_SIZE, BadInput, BadSector, EmptyRange, InvariantViolation,
+                     check_int, check_real)
 from .ideals import _BLOCK, HALF_PI, _ideal_arrays
-
-
-def _validate_sector(beta: float, gamma: float):
-    if not (0.0 <= beta < HALF_PI):
-        raise BadSector(f"sector start {beta} outside [0, pi/2)")
-    if not (0.0 < gamma <= HALF_PI):
-        raise BadSector(f"sector width {gamma} outside (0, pi/2]")
 
 
 def sector_count(
@@ -46,8 +40,10 @@ def sector_count(
     contributes log(norm) instead of 1 and the result is the exactly
     rounded float sum of those logarithms.
     """
-    _validate_sector(beta, gamma)
-    _, _, _, norms, _, thetas = _ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)
+    beta = check_real("sector start beta", beta, 0.0, HALF_PI, "[)", BadSector)
+    gamma = check_real("sector width gamma", gamma, 0.0, HALF_PI, "(]", BadSector)
+    norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
+    _, _, _, norms, _, thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)
     mask = _in_arc(thetas, beta, gamma)
     if weighted:
         return exact_sum(np.log(norms[mask].astype(np.float64)))
@@ -74,12 +70,13 @@ def expected_count(
     empirical mode: gamma/(pi/2) times the actual number of ideals in the
     norm range.  pit mode: gamma/(pi/2) times the integral-logarithm count
     int dt/log t over the norm range, the smooth prediction that needs no
-    enumeration.
+    enumeration, so its norm_max has no ceiling.
     """
-    if not (0.0 < gamma <= HALF_PI):
-        raise BadSector(f"sector width {gamma} outside (0, pi/2]")
+    gamma = check_real("sector width gamma", gamma, 0.0, HALF_PI, "(]", BadSector)
+    norm_min = check_int("norm_min", norm_min, 0)
+    norm_max = check_int("norm_max", norm_max, norm_min, MAX_SIZE if mode == "empirical" else None)
     if mode == "empirical":
-        thetas = _ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)[5]
+        thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)[5]
         return (gamma / HALF_PI) * thetas.size
     if mode == "pit":
         from .windows import adaptive_simpson
@@ -132,18 +129,10 @@ def sector_scan(
     deviations blow up for a growing fraction of offsets.  Each threshold
     in deltas must be finite and > 0.
     """
-    X = int(X)
-    if X < 2:
-        raise BadInput(f"norm bound X = {X} must be >= 2")
-    if not (0.0 <= rho < 1.0):
-        raise BadInput(f"narrowing exponent rho = {rho} outside [0, 1)")
-    grid_size = int(grid_size)
-    if grid_size < 1:
-        raise BadInput(f"grid size {grid_size} must be >= 1")
-    deltas = tuple(map(float, deltas))
-    for d in deltas:
-        if not (math.isfinite(d) and d > 0.0):
-            raise BadInput(f"deviation threshold delta = {d} must be finite and > 0")
+    X = check_int("norm bound X", X, 2, MAX_SIZE)
+    rho = check_real("narrowing exponent rho", rho, 0.0, 1.0, "[)")
+    grid_size = check_int("grid size", grid_size, 1, MAX_GRID)
+    deltas = tuple(check_real("deviation threshold delta", d, 0.0, ends="(]") for d in deltas)
     th = np.sort(_ideal_arrays(1, X, include_nonsplit)[5])
     n = th.size
     if n == 0:
@@ -165,7 +154,7 @@ def sector_scan(
     counts.setflags(write=False)
     deviations.setflags(write=False)
     return SectorScanReport(
-        X=X, rho=float(rho), gamma=float(gamma), grid_size=grid_size,
+        X=X, rho=rho, gamma=float(gamma), grid_size=grid_size,
         counts=counts, expected=float(expected), deviations=deviations,
         exceptional_fraction=fractions,
     )
@@ -178,7 +167,8 @@ def forbidden_region_check(norm_max: int, include_nonsplit: bool = True) -> floa
     InvariantViolation if it fails, and returns the minimum.  Angle-zero
     ideals (the inert ones) are ignored.
     """
-    thetas = _ideal_arrays(1, int(norm_max), include_nonsplit)[5]
+    norm_max = check_int("norm_max", norm_max, 1, MAX_SIZE)
+    thetas = _ideal_arrays(1, norm_max, include_nonsplit)[5]
     min_angle = float(np.min(thetas, where=thetas > 0.0, initial=math.inf))
     if min_angle == math.inf:
         raise EmptyRange(f"no ideals with positive angle and norm <= {norm_max}")
@@ -196,7 +186,8 @@ def _exclusion_bound(norm_max: int) -> float:
 
 def discrepancy(norm_min: int, norm_max: int, include_nonsplit: bool = True) -> float:
     """Star discrepancy of the normalised angles theta/(pi/2) in [0, 1)."""
-    u = np.sort(_ideal_arrays(int(norm_min), int(norm_max), include_nonsplit)[5])
+    norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
+    u = np.sort(_ideal_arrays(norm_min, norm_max, include_nonsplit)[5])
     if u.size == 0:
         raise EmptyRange(f"no prime ideals with norm in ({norm_min}, {norm_max}]")
     u /= HALF_PI  # one sorted copy, normalised in place, then one _BLOCK of terms at a time

@@ -33,24 +33,19 @@ import numpy as np
 
 from ._kernels import exact_sum
 from .characters import _weighted_entries, character_sum_table
-from .errors import AliasingRisk, BadInput, TruncationFailure
+from .errors import (GRID_CAP, KMAX_CAP, MAX_SIZE, AliasingRisk, BadInput, TruncationFailure,
+                     check_int, check_real)
 from .ideals import HALF_PI
 from .windows import (
     PeriodizedWindow,
     SmoothWindow,
     _midpoint_nodes,
-    _sharpness,
     fourier_coefficients_bulk,
     mollifier_window,
     periodized_eval,
     plateau_plus,
 )
 
-KMAX_CAP = 10**7
-GRID_CAP = 1 << 25
-"""Largest grid_factor * k_max variance_sweep builds: the default factor 4 at
-k_max = 2^23, the largest power of two below KMAX_CAP.  A cell peaks at about
-33 bytes per grid point (measured at 2^20), so 2^25 points take 1.1 GB."""
 _PAIR_BUDGET = 1 << 16  # pairs (entry-offset, angle-mode) one scatter or synthesis step takes
 TAIL_RATIO = 1e-14
 CERTIFICATE_RATIO = 1e-12
@@ -63,15 +58,15 @@ def _midpoint_coefficient(f: SmoothWindow, K: float, k: int) -> complex:
     return complex(np.sum(w * np.exp(-2j * np.pi * u * xi))) / K
 
 
-def truncation_kmax(f: SmoothWindow, K: float, kmax_cap: int = KMAX_CAP):
+def truncation_kmax(f: SmoothWindow, K: float):
     """Smallest certified spectral cutoff for the K-periodisation of f.
 
     Scans k over powers of two until |c_k| <= 1e-14 |c_0| holds at k and
     at the two following octaves, and returns (k_max, certificate).  The
     certificate records the sampled magnitudes.  TruncationFailure if no
-    power of two <= kmax_cap passes.
+    power of two <= KMAX_CAP passes.
     """
-    K = _sharpness(K)
+    K = check_real("sharpness K", K, 1.0)
     c0 = abs(_midpoint_coefficient(f, K, 0))
     if c0 == 0.0:
         u = f.lo + (np.arange(4096) + 0.5) * ((f.hi - f.lo) / 4096)
@@ -94,7 +89,7 @@ def truncation_kmax(f: SmoothWindow, K: float, kmax_cap: int = KMAX_CAP):
         return magnitudes[k]
 
     q = 1
-    while q <= kmax_cap:
+    while q <= KMAX_CAP:
         if mag(q) <= threshold and mag(2 * q) <= threshold and mag(4 * q) <= threshold:
             return q, {
                 "k_max": q,
@@ -105,13 +100,14 @@ def truncation_kmax(f: SmoothWindow, K: float, kmax_cap: int = KMAX_CAP):
             }
         q *= 2
     raise TruncationFailure(
-        f"no certified spectral cutoff <= {kmax_cap} for window {f.kind} at K = {K}"
+        f"no certified spectral cutoff <= {KMAX_CAP} for window {f.kind} at K = {K}"
     )
 
 
 def mean_formula(K: float, X: float, f: SmoothWindow, phi: SmoothWindow) -> float:
     """Leading-order angular mean (X/K) int f int Phi of the smoothed count."""
-    return (float(X) / float(K)) * f.integral() * phi.integral()
+    X, K = check_real("scale X", X, 2.0, MAX_SIZE), check_real("sharpness K", K, 1.0)
+    return (X / K) * f.integral() * phi.integral()
 
 
 def psi_eval(
@@ -119,9 +115,10 @@ def psi_eval(
     variant: str = "powers", include_nonsplit: bool = True,
 ) -> float:
     """The smoothed count at a single angle, by a direct, exactly rounded sum."""
+    theta = check_real("angle theta", theta)
     pw = PeriodizedWindow(base=f, K=float(K))
     thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
-    vals = periodized_eval(pw, thetas - float(theta))
+    vals = periodized_eval(pw, thetas - theta)
     return exact_sum(weights * vals)
 
 
@@ -199,11 +196,10 @@ def psi_grid(
     variant: str = "powers", grid_size: int = 4096, include_nonsplit: bool = True,
 ) -> np.ndarray:
     """The smoothed count on the grid theta_i = i (pi/2)/grid_size, i < grid_size."""
-    K = _sharpness(K)
-    if int(grid_size) < 1:
-        raise BadInput(f"grid size {grid_size} must be >= 1")
+    K = check_real("sharpness K", K, 1.0)
+    grid_size = check_int("grid size", grid_size, 1, GRID_CAP)
     thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
-    return _scatter_grid(thetas, weights, K, f, int(grid_size))
+    return _scatter_grid(thetas, weights, K, f, grid_size)
 
 
 @dataclass(frozen=True)
@@ -239,6 +235,7 @@ class PsiSpectrum:
         mode) pairs.  The result has theta's shape; a scalar gives a float.
         """
         out = np.array(theta, dtype=np.float64, order="C")
+        check_real("angle theta", out)
         flat = out.reshape(-1)
         k4 = 4.0 * np.arange(1, self.k_max + 1)
         tail = self.coeffs[1:]
@@ -308,12 +305,10 @@ def variance_direct(
     of the underlying trigonometric polynomial exact; explicit coarser
     grids warn AliasingRisk.
     """
-    k_max, _ = truncation_kmax(f, float(K))
-    if grid_size is None:
-        grid_size = 4 * k_max
-    else:
-        _check_grid(int(grid_size), k_max)
-    values = psi_grid(K, X, f, phi, variant, int(grid_size), include_nonsplit)
+    k_max, _ = truncation_kmax(f, K)
+    grid_size = 4 * k_max if grid_size is None else check_int("grid size", grid_size, 1, GRID_CAP)
+    _check_grid(grid_size, k_max)
+    values = psi_grid(K, X, f, phi, variant, grid_size, include_nonsplit)
     return _grid_stats(values)[1]
 
 
@@ -374,22 +369,15 @@ def variance_sweep(
         f = mollifier_window()
     if phi is None:
         phi = plateau_plus(core=(1.0, 2.0), eps=eps)
-    if grid_factor < 1:
-        raise BadInput(f"grid factor {grid_factor} must be >= 1")
+    grid_factor = check_int("grid factor", grid_factor, 1, GRID_CAP)
+    x_list = [check_real("scale X", X, 4.0, MAX_SIZE) for X in x_list]
+    tau_list = [check_real("sharpness exponent tau", tau, 0.0, 1.0, "[)") for tau in tau_list]
     reports = []
     for X in x_list:
-        X = float(X)
-        if not X >= 4.0:
-            raise BadInput(f"scale X = {X} must be >= 4")
         for tau in tau_list:
-            if not 0.0 <= tau < 1.0:
-                raise BadInput(f"sharpness exponent tau = {tau} outside [0, 1)")
             K = X**tau
             spectrum = psi_spectrum(K, X, f, phi, "powers", include_nonsplit)
-            grid_size = grid_factor * spectrum.k_max
-            if grid_size > GRID_CAP:
-                raise BadInput(f"grid of {grid_factor} * k_max = {grid_size} points "
-                               f"exceeds the size ceiling {GRID_CAP}")
+            grid_size = check_int("grid_factor * k_max", grid_factor * spectrum.k_max, 1, GRID_CAP)
             _check_grid(grid_size, spectrum.k_max)
             values = psi_grid(K, X, f, phi, "powers", grid_size, include_nonsplit)
             mean_emp, var_dir = _grid_stats(values)
@@ -397,8 +385,8 @@ def variance_sweep(
             gap = exact_sum(gap_values**2) / grid_size
             reports.append(
                 VarianceReport(
-                    X=X, tau=float(tau), K=float(K), variant="powers",
-                    k_max=spectrum.k_max, grid_size=int(grid_size),
+                    X=X, tau=tau, K=float(K), variant="powers",
+                    k_max=spectrum.k_max, grid_size=grid_size,
                     mean_empirical=mean_emp,
                     mean_formula=mean_formula(K, X, f, phi),
                     var_direct=var_dir,

@@ -34,11 +34,11 @@ from typing import Callable
 import numpy as np
 
 from ._kernels import geometric_weighted_sums
-from .errors import BadEps, BadInput, QuadratureFailure
+from .errors import (KMAX_CAP, MAX_QUAD_INTERVALS, BadEps, BadInput, QuadratureFailure, check_int,
+                     check_real)
 from .ideals import HALF_PI
 
 DEFAULT_QUAD_TOL = 1e-10
-MAX_QUAD_INTERVALS = 1 << 20
 
 _RAMP_PANELS = 4096
 _TINY = np.finfo(np.float64).tiny
@@ -188,8 +188,7 @@ def _plateau_evaluator(lo: float, hi: float, eps: float) -> Callable:
 
 def _make_plateau(kind: str, core: tuple[float, float], eps: float, quad_tol: float) -> SmoothWindow:
     c0, c1 = float(core[0]), float(core[1])
-    if not 0.0 < eps < 0.5:
-        raise BadEps(f"shoulder width {eps} outside (0, 1/2)")
+    eps = check_real("shoulder width eps", eps, 0.0, 0.5, "()", BadEps)
     if not c1 > c0:
         raise BadInput(f"empty core [{c0}, {c1}]")
     if kind == "plateau_plus":
@@ -199,8 +198,8 @@ def _make_plateau(kind: str, core: tuple[float, float], eps: float, quad_tol: fl
         if c1 - c0 <= 2.0 * eps:
             raise BadEps(f"core [{c0}, {c1}] too narrow for shoulders of width {eps}")
     return SmoothWindow(
-        kind=kind, lo=lo, hi=hi, eps=float(eps), quad_tol=quad_tol,
-        _eval=_plateau_evaluator(lo, hi, float(eps)),
+        kind=kind, lo=lo, hi=hi, eps=eps, quad_tol=quad_tol,
+        _eval=_plateau_evaluator(lo, hi, eps),
     )
 
 
@@ -247,8 +246,8 @@ def adaptive_simpson(g: Callable, a: float, b: float, tol: float):
     applied on acceptance.  Raises QuadratureFailure once the number of
     simultaneously active intervals would exceed MAX_QUAD_INTERVALS.
     """
-    if not b > a:
-        raise BadInput(f"empty integration range [{a}, {b}]")
+    a, b = check_real("a", a), check_real("b", b, a, ends="(]")
+    tol = check_real("tol", tol, 0.0, ends="(]")
     n0 = 8
     edges = np.linspace(a, b, n0 + 1)
     left, right = edges[:-1], edges[1:]
@@ -290,7 +289,7 @@ def adaptive_simpson(g: Callable, a: float, b: float, tol: float):
 
 def fourier_hat(window: SmoothWindow, xi: float) -> complex:
     """w_hat(xi) = int w(u) exp(-2 pi i u xi) du over the support, to quad_tol."""
-    xi = float(xi)
+    xi = check_real("frequency xi", xi)
 
     def integrand(u):
         return window(u) * np.exp(-2j * np.pi * u * xi)
@@ -298,18 +297,10 @@ def fourier_hat(window: SmoothWindow, xi: float) -> complex:
     return complex(adaptive_simpson(integrand, window.lo, window.hi, window.quad_tol))
 
 
-def _sharpness(K) -> float:
-    """K as a float; BadInput unless the periodisation sharpness is finite and >= 1."""
-    K = float(K)
-    if not 1.0 <= K < math.inf:
-        raise BadInput(f"periodisation sharpness K = {K} must be finite and >= 1")
-    return K
-
-
 def fourier_coefficient(base: SmoothWindow, K: float, k: int) -> complex:
     """Fourier coefficient c_k = (1/K) w_hat(k/K) of the K-periodisation of base."""
-    K = _sharpness(K)
-    return fourier_hat(base, k / K) / K
+    K = check_real("sharpness K", K, 1.0)
+    return fourier_hat(base, check_int("k", k, -KMAX_CAP, KMAX_CAP) / K) / K
 
 
 def _midpoint_nodes(base: SmoothWindow, xi_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +319,8 @@ def _midpoint_nodes(base: SmoothWindow, xi_max: float) -> tuple[np.ndarray, np.n
 
 def fourier_coefficients_bulk(base: SmoothWindow, K: float, k_max: int) -> np.ndarray:
     """c_k for k = 0..k_max in one pass; the tests check it against fourier_coefficient."""
-    K = _sharpness(K)
+    K = check_real("sharpness K", K, 1.0)
+    k_max = check_int("k_max", k_max, 0, KMAX_CAP)
     u, weights = _midpoint_nodes(base, k_max / K)
     phases = -2.0 * np.pi * u / K
     return geometric_weighted_sums(phases, weights, k_max) / K
@@ -342,7 +334,7 @@ class PeriodizedWindow:
     K: float
 
     def __post_init__(self):
-        _sharpness(self.K)
+        check_real("sharpness K", self.K, 1.0)
 
 
 def periodized_eval(pw: PeriodizedWindow, theta):
@@ -353,7 +345,7 @@ def periodized_eval(pw: PeriodizedWindow, theta):
     many contributing translates are summed; there are at most
     ceil(support_length / K) + 1 of them.
     """
-    arr = np.asarray(theta, dtype=np.float64)
+    arr = np.asarray(check_real("angle theta", theta))
     scalar = np.isscalar(theta) or arr.ndim == 0
     u = np.fmod(arr, HALF_PI)
     u = np.where(u < 0.0, u + HALF_PI, u)

@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from sectorlab.cli import MAX_SIZE, ExperimentConfig, _int_literal, build_parser, main, run
-from sectorlab.errors import InvariantViolation
+from sectorlab.cli import ExperimentConfig, _int_literal, build_parser, main, run
+from sectorlab.errors import MAX_SIZE, InvariantViolation
 
 
 def data_rows(path):

@@ -145,3 +145,24 @@ def test_no_blas_calls():
         for line, name in _blas_calls(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, found
+
+
+def _ceiling_names(tree):
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and (
+                    target.id.startswith("MAX_") or target.id.endswith("_CAP")):
+                yield node.lineno, target.id
+
+
+def test_ceilings_live_in_errors():
+    # every size ceiling is assigned once, in errors.py, next to the checks
+    # that apply it; other modules import it from there
+    found = [(path.name, line, name)
+             for path in MODULES
+             for line, name in _ceiling_names(ast.parse(path.read_text(), filename=str(path)))]
+    elsewhere = [f"{path}:{line} {name}" for path, line, name in found if path != "errors.py"]
+    names = [name for _, _, name in found]
+    assert not elsewhere, elsewhere
+    assert len(names) == len(set(names)) >= 6, names

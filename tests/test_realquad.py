@@ -21,7 +21,7 @@ from helpers import (
 from sectorlab import ideals as ideals_mod
 from sectorlab import realquad as realquad_mod
 from sectorlab.cli import main
-from sectorlab.errors import BadInput, InvariantViolation, NotSplit
+from sectorlab.errors import MAX_SIZE, BadInput, InvariantViolation, NotSplit
 from sectorlab.ideals import _BLOCK, sieve_rational_primes
 from sectorlab.realquad import (
     LOG_EPS,
@@ -76,11 +76,11 @@ def test_is_prime_matches_sieve_and_each_base_bound_is_tight():
     # past psi_2, so the one- and two-base ranges are checked exhaustively
     limit = 1_400_000
     primes = set(sieve_rational_primes(limit).tolist())
-    assert [n for n in range(limit + 1) if realquad_mod._is_prime(n) != (n in primes)] == []
+    assert [n for n in range(limit + 1) if ideals_mod._is_prime(n) != (n in primes)] == []
     # each psi_k fools the first k bases, so _is_prime must go past them there
-    for k, psi in enumerate(realquad_mod._PSI, 1):
-        assert all(_strong_probable_prime(psi, q) for q in realquad_mod._BASES[:k])
-        assert not realquad_mod._is_prime(psi)
+    for k, psi in enumerate(ideals_mod._PSI, 1):
+        assert all(_strong_probable_prime(psi, q) for q in ideals_mod._BASES[:k])
+        assert not ideals_mod._is_prime(psi)
 
 
 def test_splitting_matches_euler_criterion():
@@ -261,21 +261,19 @@ class _ScanReached(Exception):
     pass
 
 
-def test_report_int64_guard_at_the_bound(monkeypatch):
-    # eps^2 * limit must stay below 2^63; the guard fires before the scan
+def test_report_size_ceiling_before_the_scan(monkeypatch):
+    # the limit is checked against MAX_SIZE before the scan runs; eps^2 *
+    # MAX_SIZE is far below 2^63, where the scan's norms would leave int64
     def reached(limit):
         raise _ScanReached(limit)
 
     monkeypatch.setattr(realquad_mod, "_split_generators", reached)
-    bound = realquad_mod._MAX_LIMIT
-    for limit, below in ((bound, True), (bound + 1, False)):
-        # (3 + 2 sqrt 2) * limit < 2^63, decided exactly in integers
-        room = 2**63 - 3 * limit
-        assert (room > 0 and room * room > 8 * limit * limit) == below
+    room = 2**63 - 3 * MAX_SIZE  # (3 + 2 sqrt 2) MAX_SIZE < 2^63, exactly in integers
+    assert room > 0 and room * room > 8 * MAX_SIZE * MAX_SIZE
     with pytest.raises(_ScanReached):
-        equidistribution_report_real(bound, 0)
+        equidistribution_report_real(MAX_SIZE, 0)
     with pytest.raises(BadInput):
-        equidistribution_report_real(bound + 1, 0)
+        equidistribution_report_real(MAX_SIZE + 1, 0)
 
 
 def test_report_validation():

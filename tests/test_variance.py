@@ -88,9 +88,10 @@ def test_truncation_kmax_monotone_in_sharpness():
     assert cuts == {1.0: 128, 8.0: 1024, 64.0: 8192}
 
 
-def test_truncation_cap_failure():
+def test_truncation_cap_failure(monkeypatch):
+    monkeypatch.setattr(variance_mod, "KMAX_CAP", 2)
     with pytest.raises(TruncationFailure):
-        truncation_kmax(bump(), 8.0, kmax_cap=2)
+        truncation_kmax(bump(), 8.0)
 
 
 def test_truncation_zero_window():
