@@ -52,6 +52,7 @@ from .characters import (
     character_sum,
     character_sum_table,
     weyl_sum,
+    weyl_sums,
     xi,
 )
 from .sectors import (
@@ -96,7 +97,8 @@ __all__ = [
     "plateau_plus", "plateau_minus", "plateau_eval", "custom_window",
     "adaptive_simpson", "fourier_hat", "fourier_coefficient",
     "fourier_coefficients_bulk", "periodized_eval",
-    "xi", "character_sum", "weyl_sum", "CharacterSumTable", "character_sum_table",
+    "xi", "character_sum", "weyl_sum", "weyl_sums", "CharacterSumTable",
+    "character_sum_table",
     "sector_count", "expected_count", "sector_scan", "SectorScanReport",
     "forbidden_region_check", "discrepancy",
     "PsiSpectrum", "VarianceReport", "truncation_kmax", "mean_formula",

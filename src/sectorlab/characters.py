@@ -18,7 +18,11 @@ equidistribution of the prime ideals.
 Single sums are exactly rounded (_kernels.exact_sum), so they do not
 depend on the order of the entry tables and repeated runs are
 bit-identical; the bulk table comes from one Gaussian-gridded FFT (see
-_kernels) and is cross-checked against the single sums in the tests.
+_kernels) and is cross-checked against the single sums in the tests.  The
+unweighted Weyl sums have two routes too: weyl_sum rounds each phase 4 k
+theta and takes its cos and sin, weyl_sums forms the running powers of
+xi_1 (_kernels.unit_power_sums); both are exactly rounded sums of their
+terms, and the tests hold them within the two routes' error notes.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import exact_sum, geometric_weighted_sums
-from .errors import KMAX_CAP, MAX_KMAX, MAX_SIZE, BadInput, check_int, check_real
+from ._kernels import exact_sum, geometric_weighted_sums, unit_power_sums
+from .errors import KMAX_CAP, MAX_KMAX, MAX_NORM, MAX_SIZE, BadInput, check_int, check_real
 from .ideals import _ideal_arrays, _lambda_arrays
 from .windows import SmoothWindow
 
@@ -45,9 +49,8 @@ def xi(a: int, b: int, k: int) -> complex:
 
 def _norm_window(X: float, phi: SmoothWindow) -> tuple[int, int]:
     """Half-open integer norm range (lo, hi] on which Phi(n/X) can be nonzero."""
-    lo = max(0, math.ceil(X * phi.lo) - 1)
-    hi = math.floor(X * phi.hi)
-    return lo, hi
+    reach = check_real("norm reach X phi.hi", X * phi.hi, 0.0, MAX_NORM)
+    return max(0, math.ceil(X * phi.lo) - 1), math.floor(reach)
 
 
 def _weighted_entries(X, phi, variant, include_nonsplit):
@@ -84,6 +87,8 @@ def weyl_sum(k: int, norm_min: int, norm_max: int, include_nonsplit: bool = True
     """Unweighted sum of xi_k over prime ideals with norm in (norm_min, norm_max].
 
     k = 0 is rejected: the unnormalised count is not a cancellation probe.
+    Each term is cos and sin of the phase 4 k theta, rounded once, so its
+    error is at most 2 pi |k| 2^-53 plus one ulp of each part.
     """
     if check_int("k", k, -MAX_KMAX, MAX_KMAX) == 0:
         raise BadInput("weyl_sum needs k != 0")
@@ -91,6 +96,21 @@ def weyl_sum(k: int, norm_min: int, norm_max: int, include_nonsplit: bool = True
     _, _, _, _, _, thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)
     angles = (4.0 * k) * thetas
     return complex(exact_sum(np.cos(angles)), exact_sum(np.sin(angles)))
+
+
+def weyl_sums(k_max: int, norm_min: int, norm_max: int,
+              include_nonsplit: bool = True) -> np.ndarray:
+    """W_k = sum of xi_k over prime ideals with norm in (norm_min, norm_max], k = 0..k_max.
+
+    W_0 is the ideal count.  The terms are the running powers xi_1^k, one
+    complex product per ideal and mode, within 6 k 2^-53 of exp(4 i k theta)
+    (the error note of _kernels.unit_power_sums); W_1 equals weyl_sum(1, ...)
+    bit for bit.
+    """
+    k_max = check_int("k_max", k_max, 0, MAX_KMAX)
+    norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
+    thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)[5]
+    return unit_power_sums(thetas, 4.0, k_max)
 
 
 @dataclass(frozen=True)

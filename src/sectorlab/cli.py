@@ -81,17 +81,15 @@ def _run_sectors(config: ExperimentConfig):
 
 
 def _run_weyl(config: ExperimentConfig):
-    from .characters import weyl_sum
-    from .ideals import _ideal_arrays
+    from .characters import weyl_sums
     from .reports import write_weyl_json
 
     k_max = check_int("k_max", config.k_max, 1, MAX_KMAX)
-    # the first sum checks x, so it comes before the count
-    sums = {k: weyl_sum(k, 1, config.x, config.include_nonsplit) for k in range(1, k_max + 1)}
-    count = _ideal_arrays(1, config.x, config.include_nonsplit)[0].size
+    sums = weyl_sums(k_max, 1, config.x, config.include_nonsplit).tolist()
+    count = int(sums[0].real)
     if count == 0:
         raise EmptyRange(f"no prime ideals with norm in (1, {config.x}]")
-    write_weyl_json(config.path("weyl.json"), config.x, sums, count)
+    write_weyl_json(config.path("weyl.json"), config.x, dict(enumerate(sums[1:], start=1)), count)
 
 
 def _run_variance(config: ExperimentConfig):

@@ -18,16 +18,26 @@ the ideal arrays already hold about 5e7 entries, several GB; far beyond it
 the segmented sieve would run without end in practice while its output grew.
 """
 
+MAX_NORM = 5 * MAX_SIZE // 2
+"""Largest norm a smoothed statistic may enumerate to: its scale X times the
+support end phi.hi of its cutoff.  The CLI's cutoff, a plateau majorant of
+[1, 2] with shoulder eps < 1/2, ends below 2.5, so every scale up to MAX_SIZE
+passes with every shoulder; a custom cutoff that reaches further is refused
+before the enumeration, which at 2.5e9 already holds about 1.2e8 ideals, 5 GB.
+"""
+
 MAX_GRID = 1 << 22
 """Largest sector_scan grid.  A scan peaks at about 280 bytes per offset
 (arrays of grid length, one CSV row and two JSON entries per offset; 327 MB
 at 2^20), so 2^22 offsets take about 1.2 GB and 400 MB of output files."""
 
 MAX_KMAX = 10**6
-"""Largest Weyl mode: weyl_sum's |k| and the realquad k_max.  Each mode is one
-more pass over every ideal, about 130 bytes of weyl.json and 500 bytes of
-Python objects while it is written (measured at 1e4 modes): 130 MB on disk and
-500 MB in memory at 1e6."""
+"""Largest Weyl mode: weyl_sum's |k|, the weyl_sums k_max and the realquad k_max.
+Each mode is one more complex product per ideal (a running power of the unit
+character, no cos or sin), about 400 bytes of carried partial sums while the
+sums run (measured at 2e4 modes), then about 130 bytes of weyl.json and 500
+bytes of Python objects while it is written (measured at 1e4 modes): 130 MB on
+disk and 500 MB in memory at 1e6."""
 
 KMAX_CAP = 10**7
 """Largest spectral cutoff: truncation_kmax tries powers of two up to it, and

@@ -40,10 +40,11 @@ oracle for the scan.
 Equidistribution of the t values is probed by the real Weyl sums over
 the characters
 
-    chi_k(t) = exp(i pi k t / log eps),
+    chi_k(t) = exp(i pi k t / log eps) = chi_1(t)^k,
 
 summed over both members of every conjugate pair, which forces the
-imaginary parts to cancel.
+imaginary parts to cancel.  The terms are the running powers of chi_1
+(_kernels.unit_power_sums), exactly rounded.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import exact_sum
+from ._kernels import unit_power_sums
 from .errors import (MAX_KMAX, MAX_SIZE, BadInput, InvariantViolation, NotSplit, check_int,
                      check_real)
 from .ideals import _BLOCK, _isqrt, _lattice_scan, _scalars, sqrt_mod
@@ -273,6 +274,35 @@ def _split_generators(limit: int):
     return p, a, b, sign
 
 
+def _weyl_means(t: np.ndarray, limit: int, k_max: int) -> dict:
+    """{k: mean of chi_k(t)} for k = 0..k_max over the t column of a report.
+
+    The imaginary parts must cancel over the conjugate pairs up to rounding,
+    bounded per mode before any measurement.  With u = 2^-53 and p <= limit:
+    - t = 2 log(a + b sqrt 2) - log p is within u (12 + 4 log limit) of its
+      exact value (3 u in a + b sqrt 2, one ulp of each log, one rounding
+      of the difference, and log(a + b sqrt 2) < log eps + log(p) / 2);
+    - the exact t of a pair add up to 2 log eps, so their phases
+      fl(s t) with s = fl(pi / log eps) add up to 2 pi within
+      2 s u (12 + 4 log limit) + 44 u (s and the two products add at most
+      7 u of relative error to the sum 2 pi);
+    - the imaginary parts of exp(i k phi) over the pair then cancel to k
+      times that gap, and each computed term is within 6 k u of its exact
+      value (the error note of _kernels.unit_power_sums).
+    So |Im W_k| <= k u (s (12 + 4 log limit) + 28); InvariantViolation beyond.
+    """
+    scale = math.pi / LOG_EPS
+    sums = unit_power_sums(t, scale, k_max)
+    slack = 2.0**-53 * (scale * (12.0 + 4.0 * math.log(limit)) + 28.0)
+    weyl = {}
+    for k, value in enumerate(sums.tolist()):
+        im = value.imag / t.size
+        if not abs(im) <= k * slack:
+            raise InvariantViolation(f"conjugate pairs leave Im W_{k} = {im!r} uncancelled")
+        weyl[k] = value.real / t.size
+    return weyl
+
+
 def equidistribution_report_real(limit: int, k_max: int) -> RealQuadReport:
     """Both canonical generators of every split p <= limit, and the averages of chi_k.
 
@@ -291,20 +321,10 @@ def equidistribution_report_real(limit: int, k_max: int) -> RealQuadReport:
         log_alpha = np.fromiter(map(math.log, (a[rows] + b[rows] * SQRT2).tolist()), np.float64)
         log_p = np.fromiter(map(math.log, p[rows].tolist()), np.float64)
         np.subtract(2.0 * log_alpha, log_p, out=t[rows])
-    count = t.size
-    # W_0 averages cos 0 = 1: exact_sum of count ones is count
-    weyl = {0: 1.0}
-    phase = np.empty_like(t)  # one buffer for the phases and their cos, then sin
-    for k in range(1, k_max + 1):
-        scale = math.pi * k / LOG_EPS
-        re = exact_sum(np.cos(np.multiply(scale, t, out=phase), out=phase)) / count
-        im = exact_sum(np.sin(np.multiply(scale, t, out=phase), out=phase)) / count
-        if not abs(im) <= 1e-12:
-            raise InvariantViolation(f"conjugate pairs leave Im W_{k} = {im!r} uncancelled")
-        weyl[k] = re
+    weyl = _weyl_means(t, limit, k_max)
     for col in (p, a, b, sign, t):
         col.setflags(write=False)
     return RealQuadReport(
-        limit=limit, k_max=k_max, ideal_count=int(count), weyl=weyl,
+        limit=limit, k_max=k_max, ideal_count=t.size, weyl=weyl,
         p=p, a=a, b=b, sign=sign, t=t,
     )

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 import tracemalloc
 
-from sectorlab import ideals
+import numpy as np
+
+from sectorlab import _kernels, ideals
 
 
 def brute_primes(limit: int) -> list[int]:
@@ -96,6 +98,20 @@ def brute_realquad_solution(p: int) -> tuple[int, int]:
         a += 1
 
 
+def running_power_sums(phases, k_max: int) -> list[complex]:
+    """sum_n z_n^k for k = 1..k_max by math.fsum over Python floats, where
+    z_n = cos(phases_n) + i sin(phases_n) and z_n^k = z_n^(k-1) z_n is the
+    textbook product: the terms of _kernels.unit_power_sums one at a time."""
+    c, s = np.cos(phases).tolist(), np.sin(phases).tolist()
+    re, im = c, s
+    sums = [complex(math.fsum(re), math.fsum(im))]
+    for _ in range(2, k_max + 1):
+        re, im = ([a * cn - b * sn for a, b, cn, sn in zip(re, im, c, s)],
+                  [a * sn + b * cn for a, b, cn, sn in zip(re, im, c, s)])
+        sums.append(complex(math.fsum(re), math.fsum(im)))
+    return sums
+
+
 def ulps_apart(x: float, y: float) -> float:
     """Distance between two floats in units of the larger one's ulp."""
     if x == y:
@@ -141,8 +157,17 @@ def writer_allowance() -> int:
     return CSV_ROW_BYTES * ideals._BLOCK
 
 
+def power_sum_allowance(k_max: int) -> int:
+    """Bytes unit_power_sums may hold besides its input: six float64 arrays
+    of one block, per mode its output and a few carried partials, and 64 kB
+    of Python objects."""
+    return 6 * 8 * _kernels._SUM_BLOCK + 1024 * (k_max + 1) + (1 << 16)
+
+
 def small_blocks(monkeypatch):
-    """Shrink the segment and the scan chunk so that the part of the peak
-    that grows with the output dominates the block allowance."""
+    """Shrink the segment, the scan chunk and the summation block so that
+    the part of the peak that grows with the output dominates the block
+    allowance."""
     monkeypatch.setattr(ideals, "_SEGMENT", 1 << 16)
     monkeypatch.setattr(ideals, "_SCAN_POINTS", 1 << 12)
+    monkeypatch.setattr(_kernels, "_SUM_BLOCK", 1 << 10)

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ulps_apart
+from helpers import MEMORY_GATE_SIZE, power_sum_allowance, small_blocks, traced_peak, ulps_apart
 from sectorlab.characters import (
     character_sum,
     character_sum_table,
     weyl_sum,
+    weyl_sums,
     xi,
 )
 from sectorlab.errors import BadInput
@@ -234,3 +235,51 @@ def test_weyl_sum_pinned_to_fsum_over_python_floats():
         want = complex(math.fsum(np.cos(angles).tolist()), math.fsum(np.sin(angles).tolist()))
         got = weyl_sum(k, 1, 10**5)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), k
+
+
+# ------------------------------------------------------------- weyl_sums
+
+def two_route_bound(count: int, k: int) -> float:
+    """|weyl_sums - weyl_sum| at mode k over count ideals, derived from the
+    two error notes: the angle route rounds 4 k theta <= 2 pi k once and cos
+    and sin one ulp each, the power route's terms are within 6 k u of
+    exp(4 i k theta), and each exactly rounded sum of |W| <= count adds u."""
+    return count * (k * (2.0 * math.pi + 6.0) + 5.0) * 2.0**-53
+
+
+@pytest.mark.parametrize("split_only", [False, True])
+def test_weyl_sums_first_mode_is_weyl_sum_bitwise(split_only):
+    sums = weyl_sums(8, 1, 10**5, not split_only)
+    assert sums[0] == _ideal_arrays(1, 10**5, not split_only)[0].size
+    assert sums[1] == weyl_sum(1, 1, 10**5, not split_only)
+
+
+@pytest.mark.parametrize("X", [10**4, 10**5])
+def test_weyl_sums_two_route_gate(X):
+    sums = weyl_sums(8, 1, X)
+    count = int(sums[0].real)
+    for k in range(1, 9):
+        assert abs(sums[k] - weyl_sum(k, 1, X)) <= two_route_bound(count, k), k
+    # a single term moved by 1e-10 would show
+    assert two_route_bound(count, 1) < 1e-10
+
+
+def test_weyl_sums_two_route_gate_at_a_high_mode():
+    k = 10**4
+    sums = weyl_sums(k, 1, 1000)
+    count = int(sums[0].real)
+    assert abs(sums[k] - weyl_sum(k, 1, 1000)) <= two_route_bound(count, k)
+
+
+@pytest.mark.parametrize("blocks", ["module", "small"])
+def test_memory_gate_weyl_sums(monkeypatch, blocks):
+    # beyond the cached enumeration, a few summation blocks however many
+    # ideals there are
+    thetas = _ideal_arrays(1, MEMORY_GATE_SIZE, True)[5]
+    if blocks == "small":
+        small_blocks(monkeypatch)
+    _, peak = traced_peak(weyl_sums, 8, 1, MEMORY_GATE_SIZE)
+    assert peak <= power_sum_allowance(8), (peak, thetas.nbytes)
+    if blocks == "small":
+        # one array the length of the angles would not fit
+        assert power_sum_allowance(8) < thetas.nbytes

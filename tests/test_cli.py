@@ -108,6 +108,11 @@ def test_bad_kmax_exits_2(tmp_path):
     assert main(["weyl", "--x", "100", "--kmax", "0", "--out", str(tmp_path)]) == 2
 
 
+def test_realquad_high_modes_exit_0(tmp_path):
+    # the conjugate-cancellation gate allows for phase rounding growing with k
+    assert main(["realquad", "--limit", "100", "--kmax", "2000", "--out", str(tmp_path)]) == 0
+
+
 def test_bad_limit_exits_2(tmp_path):
     assert main(["realquad", "--limit", "5", "--out", str(tmp_path)]) == 2
 

@@ -1,6 +1,7 @@
 """The kernels against exact oracles: exact_sum bit for bit with math.fsum,
 the bulk exponential-sum kernel within its error bound of the exactly
-rounded term sums."""
+rounded term sums, and the unit power sums bit for bit with math.fsum over
+their terms formed in Python floats."""
 
 import math
 import struct
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sectorlab._kernels import _SUM_BLOCK, ERROR_BOUND, exact_sum, geometric_weighted_sums
+from helpers import running_power_sums
+from sectorlab._kernels import (_SUM_BLOCK, ERROR_BOUND, exact_sum, geometric_weighted_sums,
+                                 unit_power_sums)
 
 
 def exact_oracle(phases, weights, k):
@@ -151,3 +154,32 @@ def test_exact_sum_raises_as_fsum(values, error):
         math.fsum(values)
     with pytest.raises(error):
         exact_sum(np.array(values))
+
+
+# ------------------------------------------------------- unit_power_sums
+
+@pytest.mark.parametrize("n", [0, 1, 5, 2 * _SUM_BLOCK + 77])
+def test_unit_power_sums_pinned_to_fsum_over_python_floats(n):
+    # exactly rounded sums of the running-power terms, across block edges
+    rng = np.random.default_rng(n)
+    angles = rng.uniform(0.0, math.pi / 2, n)
+    out = unit_power_sums(angles, 4.0, 8)
+    assert out.shape == (9,) and out[0] == n
+    for k, want in enumerate(running_power_sums(4.0 * angles, 8), start=1):
+        assert (out[k].real.hex(), out[k].imag.hex()) == (want.real.hex(), want.imag.hex()), k
+
+
+def test_unit_power_sums_first_mode_sums_cos_and_sin():
+    angles = np.random.default_rng(1).uniform(-20.0, 20.0, _SUM_BLOCK + 3)
+    out = unit_power_sums(angles, 0.75, 1)
+    phases = 0.75 * angles
+    assert out[1] == complex(math.fsum(np.cos(phases)), math.fsum(np.sin(phases)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_unit_power_sums_rejects_bad_angles():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            unit_power_sums(np.array([0.1, bad]), 1.0, 2)
+    with pytest.raises(ValueError):
+        unit_power_sums(np.zeros((2, 2)), 1.0, 2)

@@ -12,6 +12,8 @@ from helpers import (
     MEMORY_GATE_SIZE,
     brute_primes,
     brute_realquad_solution,
+    power_sum_allowance,
+    running_power_sums,
     scan_allowance,
     small_blocks,
     traced_peak,
@@ -228,8 +230,17 @@ def test_report_conjugate_cancellation_gate_fails_typed(monkeypatch):
     # t values that no longer reflect t -> 2 log eps - t across a conjugate
     # pair leave the imaginary parts uncancelled, though the columns are right
     monkeypatch.setattr(realquad_mod, "SQRT2", SQRT2 + 1e-6)
-    with pytest.raises(InvariantViolation):
-        equidistribution_report_real(100, 3)
+    for k_max in (3, 2000):
+        with pytest.raises(InvariantViolation):
+            equidistribution_report_real(100, k_max)
+
+
+@pytest.mark.parametrize("limit, k_max", [(100, 2000), (10**4, 20000)])
+def test_cancellation_gate_holds_at_high_modes(limit, k_max):
+    # phase rounding grows with k: a fixed threshold of 1e-12 failed here at
+    # W_1975 and W_5214, while the derived bound k u (...) holds
+    rep = equidistribution_report_real(limit, k_max)
+    assert len(rep.weyl) == k_max + 1
 
 
 def test_scan_cancellation_gate_fails_typed(monkeypatch):
@@ -401,13 +412,21 @@ def test_realquad_reports_are_byte_stable(tmp_path):
 
 
 def test_report_weyl_pinned_to_fsum_over_python_floats():
-    # each W_k is the exactly rounded mean of cos(pi k t / log eps): recompute
-    # it from the report's own t column with math.fsum over Python floats
+    # each W_k is the exactly rounded mean of the running powers chi_1(t)^k:
+    # recompute it from the report's own t column with math.fsum over Python
+    # floats
     rep = equidistribution_report_real(10**5, 8)
-    for k in range(9):
-        phase = (math.pi * k / LOG_EPS) * rep.t
-        want = math.fsum(np.cos(phase).tolist()) / rep.ideal_count
+    sums = running_power_sums((math.pi / LOG_EPS) * rep.t, 8)
+    assert rep.weyl[0] == 1.0
+    for k in range(1, 9):
+        want = sums[k - 1].real / rep.ideal_count
         assert rep.weyl[k].hex() == want.hex(), k
+        # the per-mode angle route cos(pi k t / log eps): both phases are
+        # within 3 u of relative error of (pi / log eps) k t < 2 pi k, the
+        # power adds 6 k u, cos one ulp and each rounded sum one more
+        phase = (math.pi * k / LOG_EPS) * rep.t
+        angle_route = math.fsum(np.cos(phase).tolist()) / rep.ideal_count
+        assert abs(rep.weyl[k] - angle_route) <= (k * (12 * math.pi + 6) + 5) * 2.0**-53, k
 
 
 # ------------------------------------------------------------ memory gate
@@ -421,6 +440,21 @@ def test_memory_gate_split_generators(monkeypatch, blocks):
     out, peak = traced_peak(realquad_mod._split_generators, MEMORY_GATE_SIZE)
     nbytes = sum(col.nbytes for col in out)
     assert peak <= 1.5 * nbytes + scan_allowance(MEMORY_GATE_SIZE), (peak, nbytes)
+
+
+@pytest.mark.parametrize("blocks", ["module", "small"])
+def test_memory_gate_report_weyl(monkeypatch, blocks):
+    # the Weyl part holds a few summation blocks beyond the t column, however
+    # many ideals there are
+    rep = equidistribution_report_real(MEMORY_GATE_SIZE, 1)
+    if blocks == "small":
+        small_blocks(monkeypatch)
+    weyl, peak = traced_peak(realquad_mod._weyl_means, rep.t, rep.limit, 8)
+    assert len(weyl) == 9 and {k: weyl[k] for k in rep.weyl} == rep.weyl
+    assert peak <= power_sum_allowance(8), (peak, rep.t.nbytes)
+    if blocks == "small":
+        # one array the length of t would not fit
+        assert power_sum_allowance(8) < rep.t.nbytes
 
 
 def test_memory_gate_realquad_csv(tmp_path):

@@ -153,6 +153,13 @@ ACCEPTANCE_CALLS = {
     "forbidden inf": lambda: sectorlab.forbidden_region_check(math.inf),
     "weyl_sum nan": lambda: sectorlab.weyl_sum(1, 0, math.nan),
     "weyl_sum k 2.5": lambda: sectorlab.weyl_sum(2.5, 0, 1000),
+    "weyl_sums nan": lambda: sectorlab.weyl_sums(4, 0, math.nan),
+    "weyl_sums k_max 2.5": lambda: sectorlab.weyl_sums(2.5, 0, 1000),
+    # a cutoff's support end takes the enumeration to X phi.hi
+    "character_sum support end 1e300": lambda: sectorlab.character_sum(
+        1, 1e9, sectorlab.custom_window(sectorlab.mollifier_eval, 0.5, 1e300)),
+    "character_sum support end 1e12": lambda: sectorlab.character_sum(
+        1, 1e6, sectorlab.custom_window(sectorlab.mollifier_eval, 0.5, 1e12)),
     "xi k 2.5": lambda: sectorlab.xi(1, 2, 2.5),
     "character_sum k 2.5": lambda: sectorlab.character_sum(2.5, 1e4, PHI),
     "psi_grid grid 1e30": lambda: sectorlab.psi_grid(4.0, 1e3, F, PHI, grid_size=1e30),
@@ -276,6 +283,14 @@ def test_cli_accepts_every_size_at_its_ceiling(tmp_path, monkeypatch, argv, targ
     monkeypatch.setattr(*target, _reached)
     with pytest.raises(_Reached):
         main(argv + ["--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.49])
+def test_cli_cutoff_reaches_below_the_norm_ceiling(eps):
+    # variance at X = MAX_SIZE enumerates to X phi.hi, 2.05e9 for the default
+    # shoulder and below 2.5e9 for any shoulder the CLI accepts
+    phi = sectorlab.plateau_plus(core=(1.0, 2.0), eps=eps)
+    assert characters_mod._norm_window(MAX_SIZE, phi)[1] == math.floor(MAX_SIZE * (2.0 + eps))
 
 
 def test_ceilings_relate_as_documented():
