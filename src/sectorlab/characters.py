@@ -54,7 +54,7 @@ def _norm_window(X: float, phi: SmoothWindow) -> tuple[int, int]:
 
 
 def _weighted_entries(X, phi, variant, include_nonsplit):
-    """(thetas, weights, r) of the prime-power table, weights Phi(N/X) Lambda.
+    """(thetas, weights) of the prime-power table, weights Phi(N/X) Lambda.
 
     variant "powers" keeps every row, "primes" only the prime rows r = 1.
     """
@@ -66,8 +66,8 @@ def _weighted_entries(X, phi, variant, include_nonsplit):
     norms, thetas, logs, r = _lambda_arrays(*_norm_window(X, phi), include_nonsplit)
     if variant == "primes":
         keep = r == 1
-        norms, thetas, logs, r = norms[keep], thetas[keep], logs[keep], r[keep]
-    return thetas, phi(norms / X) * logs, r
+        norms, thetas, logs = norms[keep], thetas[keep], logs[keep]
+    return thetas, phi(norms / X) * logs
 
 
 def character_sum(
@@ -76,7 +76,7 @@ def character_sum(
 ) -> complex:
     """S_k(X) with cutoff Phi; real and imaginary parts exactly rounded."""
     k = check_int("k", k, -KMAX_CAP, KMAX_CAP)
-    thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
+    thetas, weights = _weighted_entries(X, phi, variant, include_nonsplit)
     angles = (4.0 * k) * thetas
     re = exact_sum(weights * np.cos(angles))
     im = exact_sum(weights * np.sin(angles)) if k != 0 else 0.0
@@ -144,5 +144,5 @@ def character_sum_table(
 ) -> CharacterSumTable:
     """Tabulate S_0..S_{k_max} in one pass over the weighted entries."""
     k_max = check_int("k_max", k_max, 0, KMAX_CAP)
-    thetas, weights, _ = _weighted_entries(X, phi, variant, include_nonsplit)
+    thetas, weights = _weighted_entries(X, phi, variant, include_nonsplit)
     return CharacterSumTable(geometric_weighted_sums(4.0 * thetas, weights, k_max))

@@ -1,10 +1,11 @@
 """Brute-force oracles shared by the test modules.
 
 Everything here is deliberately slow and obvious: trial division, full
-2D lattice scans, exhaustive residue tables.  The point is independence
-from the code under test, so each oracle recomputes its answer from the
-definition alone.  The memory gate's peak measurement and block
-allowances are at the bottom.
+2D lattice scans, exhaustive residue tables, CSV lines formatted one row
+at a time with the % operator.  The point is independence from the code
+under test, so each oracle recomputes its answer from the definition
+alone.  The memory gate's peak measurement and block allowances are at
+the bottom.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import tracemalloc
 
 import numpy as np
 
-from sectorlab import _kernels, ideals
+from sectorlab import _kernels, ideals, reports
+from sectorlab._version import __version__
 
 
 def brute_primes(limit: int) -> list[int]:
@@ -120,13 +122,66 @@ def ulps_apart(x: float, y: float) -> float:
     return abs(x - y) / scale
 
 
+# ------------------------------------------------------------ CSV oracles
+
+def _oracle_lines(path, lines):
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def oracle_ideal_csv(path, norm_min, norm_max, include_nonsplit=True):
+    """reports.write_ideal_csv one row at a time: "%d" and "%.17g" per value."""
+    cols = [col.tolist() for col in ideals._ideal_arrays(norm_min, norm_max, include_nonsplit)]
+    kinds = {c: s.value for c, s in ideals._CODE_TO_SPLITTING.items()}
+    header = [
+        f"# {reports.IDEAL_FORMAT} sectorlab={__version__}",
+        f"# norm_min={int(norm_min)} norm_max={norm_max} include_nonsplit={int(include_nonsplit)}",
+        "p,a,b,norm,splitting,theta",
+    ]
+    rows = ["%d,%d,%d,%d,%s,%.17g" % (p, a, b, norm, kinds[code], theta)
+            for p, a, b, norm, code, theta in zip(*cols)]
+    _oracle_lines(path, header + rows)
+
+
+def oracle_sector_csv(path, report):
+    """reports.write_sector_csv one row at a time."""
+    header = [
+        f"# {reports.SECTOR_FORMAT} sectorlab={__version__}",
+        f"# X={report.X} rho={'%.17g' % report.rho} gamma={'%.17g' % report.gamma} "
+        f"grid={report.grid_size}",
+        "beta,count,expected,deviation",
+    ]
+    expected = "%.17g" % report.expected
+    cols = (report.betas.tolist(), report.counts.tolist(), report.deviations.tolist())
+    rows = ["%.17g,%d,%s,%.17g" % (beta, count, expected, deviation)
+            for beta, count, deviation in zip(*cols)]
+    _oracle_lines(path, header + rows)
+
+
+def oracle_realquad_csv(path, report):
+    """reports.write_realquad_csv one row at a time."""
+    header = [
+        f"# {reports.REALQUAD_FORMAT} sectorlab={__version__}",
+        f"# limit={report.limit} ideal_count={report.ideal_count}",
+        "p,a,b,sign,t",
+    ]
+    cols = (report.p, report.a, report.b, report.sign, report.t)
+    rows = ["%d,%d,%d,%d,%.17g" % row for row in zip(*(col.tolist() for col in cols))]
+    _oracle_lines(path, header + rows)
+
+
 # ------------------------------------------------------------ memory gate
 
 MEMORY_GATE_SIZE = 10**6
-# one CSV row of a block: its Python scalars with their list slots (about
-# 6 x 40 B), the formatted line with its slot (about 110 B) and its share of
-# the joined block text (about 60 B), rounded up
-CSV_ROW_BYTES = 512
+# one CSV row of a block of the byte-matrix writers.  At MEMORY_GATE_SIZE
+# the widest row is at most 64 bytes of the matrix (ideals: p and norm below
+# 10^7, a and b below 10^4, the splitting word 8 and the float field 24, so
+# 7 + 4 + 4 + 7 + 8 + 24 plus six separators, 60).  The matrix, its nonzero
+# mask and the compressed copy of its nonzero bytes take at most 3 x 64; the
+# float kernel's named float64 temporaries (|v|, the product hi + lo, the
+# Veltkamp halves of |v| and of the power of ten, one partial product) at
+# most 8 x 8 more
+CSV_ROW_BYTES = 3 * 64 + 8 * 8
 
 
 def traced_peak(fn, *args):

@@ -5,6 +5,7 @@ import importlib
 from pathlib import Path
 
 import sectorlab
+from sectorlab import reports
 
 MODULES = sorted(Path(sectorlab.__file__).parent.glob("*.py"))
 
@@ -166,3 +167,21 @@ def test_ceilings_live_in_errors():
     names = [name for _, _, name in found]
     assert not elsewhere, elsewhere
     assert len(names) == len(set(names)) >= 6, names
+
+
+def _called_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_report_writers_are_called_from_cli():
+    # perfbench times every reports.write_* callable as a reports.write span,
+    # so a helper named write_* would count as a writer: each must be one
+    # that the CLI calls
+    writers = {name for name in dir(reports)
+               if name.startswith("write_") and callable(getattr(reports, name))}
+    cli = Path(sectorlab.__file__).parent / "cli.py"
+    called = set(_called_names(ast.parse(cli.read_text(), filename=str(cli))))
+    assert writers and not writers - called, sorted(writers - called)

@@ -531,7 +531,7 @@ def plain_scatter(thetas, weights, K, f, grid_size):
 @example(X=3000, K=3.0, grid_size=1 << 10, kind="leaky", budget=64)
 def test_blocked_scatter_matches_plain_loop_bytes(X, K, grid_size, kind, budget):
     f = WINDOWS[kind]()
-    thetas, weights, _ = _weighted_entries(float(X), plateau_1_2(), "powers", True)
+    thetas, weights = _weighted_entries(float(X), plateau_1_2(), "powers", True)
     with mock.patch.object(variance_mod, "_PAIR_BUDGET", budget):
         got = _scatter_grid(thetas, weights, K, f, grid_size)
     assert got.tobytes() == plain_scatter(thetas, weights, K, f, grid_size).tobytes()
@@ -572,7 +572,7 @@ def test_blocked_scatter_steps_on_few_entries():
     assert min(lo for _, lo, _ in calls) >= -1.0 - 1e-12
     assert max(hi for _, _, hi in calls) <= 1.0 + 1e-12
 
-    thetas, _, _ = _weighted_entries(X, plateau_1_2(), "powers", True)
+    thetas, _ = _weighted_entries(X, plateau_1_2(), "powers", True)
     step, scale = HALF_PI / G, K / HALF_PI
     i_lo = np.ceil((thetas - 1.0 / scale) / step).astype(np.int64)
     i_hi = np.floor((thetas + 1.0 / scale) / step).astype(np.int64)
