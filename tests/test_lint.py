@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import inspect
+import textwrap
 from pathlib import Path
 
 import sectorlab
-from sectorlab import reports
+from sectorlab import reports, variance
 
 MODULES = sorted(Path(sectorlab.__file__).parent.glob("*.py"))
 
@@ -185,3 +187,40 @@ def test_report_writers_are_called_from_cli():
     cli = Path(sectorlab.__file__).parent / "cli.py"
     called = set(_called_names(ast.parse(cli.read_text(), filename=str(cli))))
     assert writers and not writers - called, sorted(writers - called)
+
+
+def _reached_names(func, seen=None):
+    """Names and attributes the source of func loads, and, transitively, those
+    of every package function it names."""
+    seen = set() if seen is None else seen
+    if func in seen:
+        return set()
+    seen.add(func)
+    names = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+            target = func.__globals__.get(node.id)
+            if inspect.isfunction(target) and target.__module__.startswith("sectorlab"):
+                names |= _reached_names(target, seen)
+    return names
+
+
+_SPECTRAL_NAMES = {"fft", "geometric_weighted_sums", "character_sum_table",
+                   "fourier_coefficients_bulk", "psi_spectrum"}
+
+
+def test_direct_and_synthesis_routes_stay_independent():
+    # the route gaps compare two computations of psi; each must reach none of
+    # the other's kernels, or a fault shared by both would cancel in the gap
+    for func in (variance._scatter_grid, variance.psi_grid, variance._power_part_grid):
+        reached = _reached_names(func) & _SPECTRAL_NAMES
+        assert not reached, (func.__name__, sorted(reached))
+    assert "_scatter_grid" not in _reached_names(variance.PsiSpectrum.synthesize)
+    # the walk sees through calls: psi_grid reaches the scatter, and the
+    # spectrum reaches its kernels through character_sum_table
+    assert "_scatter_grid" in _reached_names(variance.psi_grid)
+    assert {"character_sum_table", "geometric_weighted_sums"} <= _reached_names(
+        variance.psi_spectrum)

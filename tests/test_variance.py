@@ -7,7 +7,9 @@ and both against explicit entry-list or hand-built oracles.
 """
 
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from helpers import traced_peak
 from sectorlab import variance as variance_mod
 from sectorlab.characters import _weighted_entries, character_sum
-from sectorlab.errors import AliasingRisk, BadInput, TruncationFailure
+from sectorlab.errors import GRID_CAP, MAX_PAIRS, AliasingRisk, BadInput, TruncationFailure
 from sectorlab.ideals import lambda_entries
 from sectorlab.variance import (
     PsiSpectrum,
@@ -501,17 +503,14 @@ def plain_scatter(thetas, weights, K, f, grid_size):
     thetas, weights, i_lo, counts = thetas[order], weights[order], i_lo[order], counts[order]
     span = int(counts.max(initial=0))
     first_cell = np.mod(i_lo, G)
-    lo_f = i_lo.astype(np.float64)
+    x0 = (thetas - i_lo * step) * scale
+    dx = step * scale
     xbuf = np.empty(thetas.size, dtype=np.float64)
     vbuf = np.empty(thetas.size, dtype=np.float64)
     spill = np.zeros(G + span, dtype=np.float64)
     live = np.searchsorted(-counts, -np.arange(span))
     for j, n in enumerate(live):
-        x = xbuf[:n]
-        np.add(lo_f[:n], j, out=x)
-        x *= step
-        np.subtract(thetas[:n], x, out=x)
-        x *= scale
+        x = np.subtract(x0[:n], j * dx, out=xbuf[:n])
         vals = np.multiply(f._eval(x), weights[:n], out=vbuf[:n])
         np.add.at(spill[j:], first_cell[:n], vals)
     return np.bincount(np.arange(spill.size) % G, weights=spill, minlength=G)
@@ -587,6 +586,111 @@ def test_blocked_scatter_steps_on_few_entries():
 def test_psi_grid_validation():
     with pytest.raises(BadInput):
         psi_grid(4.0, 500.0, bump(), plateau_1_2(), grid_size=0)
+
+
+def _support_counts(thetas, K, G):
+    """counts_a, the grid points inside each mollifier support, as the scatter finds them."""
+    step, scale = HALF_PI / G, K / HALF_PI
+    i_lo = np.ceil((thetas - 1.0 / scale) / step).astype(np.int64)
+    i_hi = np.floor((thetas + 1.0 / scale) / step).astype(np.int64)
+    return np.maximum(i_hi - i_lo + 1, 0)
+
+
+def test_scatter_refuses_work_past_the_pair_ceiling_at_once():
+    # K = 1 at G = GRID_CAP on X = 1e6: 77,613 entries, each over 2G grid
+    # points, 5e12 pairs, about 15 hours; it must raise before the spill
+    # (G + 2G cells, 805 MB) or any pair buffer exists
+    thetas, weights = _weighted_entries(1e6, plateau_1_2(), "powers", True)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadInput, match="scattered pairs"):
+            _scatter_grid(thetas, weights, 1.0, bump(), GRID_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * thetas.size, peak
+    with pytest.raises(BadInput, match="scattered pairs"):
+        psi_grid(1.0, 1e6, bump(), plateau_1_2(), grid_size=GRID_CAP)
+
+
+def test_pair_ceiling_counts_every_pair():
+    # the check compares Sigma counts_a itself: a ceiling one below it refuses
+    thetas, weights = _weighted_entries(3000.0, plateau_1_2(), "powers", True)
+    K, G = 5.0, 1 << 10
+    pairs = int(_support_counts(thetas, K, G).sum())
+    assert 0 < pairs <= MAX_PAIRS
+    with mock.patch.object(variance_mod, "MAX_PAIRS", pairs):
+        want = _scatter_grid(thetas, weights, K, bump(), G)
+    assert want.tobytes() == _scatter_grid(thetas, weights, K, bump(), G).tobytes()
+    with mock.patch.object(variance_mod, "MAX_PAIRS", pairs - 1):
+        with pytest.raises(BadInput, match="scattered pairs"):
+            _scatter_grid(thetas, weights, K, bump(), G)
+
+
+def _scatter_arguments(theta, K, G):
+    """The arguments the scatter hands the window for one entry, in offset order."""
+    seen = []
+
+    def recording(u):
+        seen.append(np.array(u))
+        return mollifier_eval(u)
+
+    _scatter_grid(np.array([theta]), np.array([1.0]), K, custom_window(recording, -1.0, 1.0), G)
+    return np.concatenate(seen) if seen else np.empty(0)
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta=st.floats(0.0, HALF_PI, exclude_max=True),
+    K=st.one_of(st.just(1.0), st.floats(1.0, 1e4)),
+    G=st.integers(1, 1 << 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+# i_lo < 0: the support wraps past 0, and at K = 1 covers two periods
+@example(theta=0.0, K=1.0, G=1 << 20, seed=0)
+@example(theta=1e-3, K=1.0, G=(1 << 20) - 1, seed=1)
+@example(theta=HALF_PI - 1e-9, K=1.0, G=999_983, seed=2)
+# the direct workload's K and grid
+@example(theta=1.5, K=10**(6 * 0.2), G=1 << 14, seed=3)
+def test_scatter_arguments_within_derived_bound(theta, K, G, seed):
+    # x~ = x0_a - fl(j dx) against the exact (theta - m P/G) K/P, m = i_lo + j,
+    # within the bound derived in _scatter_grid's docstring
+    got = _scatter_arguments(theta, K, G)
+    step, scale = HALF_PI / G, K / HALF_PI
+    i_lo = int(math.ceil((theta - 1.0 / scale) / step))
+    assert got.size == int(_support_counts(np.array([theta]), K, G)[0])
+    if not got.size:
+        return
+    rng = np.random.default_rng(seed)
+    js = {*range(min(got.size, 20)), *range(max(0, got.size - 20), got.size),
+          *rng.integers(0, got.size, 60).tolist()}
+    u, P, KF = Fraction(1, 2**53), Fraction(HALF_PI), Fraction(K)
+    x0 = abs(Fraction(float(got[0])))
+    for j in sorted(js):
+        m = i_lo + j
+        x = (Fraction(theta) - m * P / G) * KF / P
+        bound = u * (2 * abs(x) + 2 * x0 + (abs(m) + abs(i_lo) + 2 * j) * KF / G) * (1 + 8 * u)
+        err = abs(Fraction(float(got[j])) - x)
+        assert err <= bound, (j, float(err / u), float(bound / u))
+
+
+@pytest.mark.parametrize("X, K, G, budget", [
+    (1e5, 10.0, 256, 1 << 10),  # entries dominate: 9,274 of them over 52 offsets
+    (1e4, 3.0, 4096, variance_mod._PAIR_BUDGET),  # the spill dominates: 2,731 offsets
+])
+def test_memory_gate_scatter(monkeypatch, X, K, G, budget):
+    # beyond its inputs the scatter holds seven entry-length 8-byte arrays
+    # (support ends, counts, sort order, sorted copies and their temporaries),
+    # six pair buffers of _PAIR_BUDGET values (arguments, values, the
+    # evaluator's output and temporaries, cells, shifts), the spill of G +
+    # span cells and the grid of G; no pair buffer grows with the entries
+    monkeypatch.setattr(variance_mod, "_PAIR_BUDGET", budget)
+    thetas, weights = _weighted_entries(X, plateau_1_2(), "powers", True)
+    span = int(_support_counts(thetas, K, G).max())
+    _, peak = traced_peak(_scatter_grid, thetas, weights, K, bump(), G)
+    allowance = 8 * (7 * thetas.size + 6 * budget + 2 * G + span)
+    assert peak <= allowance, (peak, allowance)
 
 
 # ------------------------------------------------------------ sweep
