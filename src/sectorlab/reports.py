@@ -61,9 +61,11 @@ def _create(path: str, mode: str = "w"):
     return open(path, mode, newline="\n" if mode == "w" else None)
 
 
-def _dump_json(path: str, obj: dict):
+def _dump_json(path: str, fmt: str, fields: dict):
+    """Write fields, with the format_version and sectorlab keys, as sorted indented JSON."""
     with _create(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump({"format_version": fmt, "sectorlab": __version__, **fields}, fh,
+                  sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -263,9 +265,7 @@ def write_sector_csv(path: str, report: SectorScanReport):
 
 
 def write_sector_json(path: str, report: SectorScanReport):
-    _dump_json(path, {
-        "format_version": SECTOR_FORMAT,
-        "sectorlab": __version__,
+    _dump_json(path, SECTOR_FORMAT, {
         "X": report.X,
         "rho": report.rho,
         "gamma": report.gamma,
@@ -289,11 +289,7 @@ def write_variance_json(path: str, reports: list[VarianceReport]):
             "f": r.f_descriptor, "phi": r.phi_descriptor,
             "certificate": r.certificate,
         })
-    _dump_json(path, {
-        "format_version": VARIANCE_FORMAT,
-        "sectorlab": __version__,
-        "cells": cells,
-    })
+    _dump_json(path, VARIANCE_FORMAT, {"cells": cells})
 
 
 def write_variance_csv(path: str, reports: list[VarianceReport]):
@@ -321,9 +317,7 @@ def write_realquad_csv(path: str, report: RealQuadReport):
 
 
 def write_realquad_json(path: str, report: RealQuadReport):
-    _dump_json(path, {
-        "format_version": REALQUAD_FORMAT,
-        "sectorlab": __version__,
+    _dump_json(path, REALQUAD_FORMAT, {
         "limit": report.limit,
         "k_max": report.k_max,
         "ideal_count": report.ideal_count,
@@ -332,9 +326,7 @@ def write_realquad_json(path: str, report: RealQuadReport):
 
 
 def write_weyl_json(path: str, X: int, sums: dict, count: int):
-    _dump_json(path, {
-        "format_version": CHARSUM_FORMAT,
-        "sectorlab": __version__,
+    _dump_json(path, CHARSUM_FORMAT, {
         "X": X,
         "ideal_count": count,
         "sums": {str(k): {"re": v.real, "im": v.imag, "normalized": abs(v) / count}
@@ -343,9 +335,7 @@ def write_weyl_json(path: str, X: int, sums: dict, count: int):
 
 
 def write_forbidden_json(path: str, norm_max: int, min_angle: float):
-    _dump_json(path, {
-        "format_version": FORBIDDEN_FORMAT,
-        "sectorlab": __version__,
+    _dump_json(path, FORBIDDEN_FORMAT, {
         "norm_max": norm_max,
         "min_angle": min_angle,
         "exclusion_bound": _exclusion_bound(norm_max),

@@ -28,6 +28,7 @@ from ._kernels import exact_sum
 from .errors import (MAX_GRID, MAX_SIZE, BadInput, BadSector, EmptyRange, InvariantViolation,
                      check_int, check_real)
 from .ideals import _BLOCK, HALF_PI, _ideal_arrays
+from .windows import adaptive_simpson
 
 
 def sector_count(
@@ -79,8 +80,6 @@ def expected_count(
         thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)[5]
         return (gamma / HALF_PI) * thetas.size
     if mode == "pit":
-        from .windows import adaptive_simpson
-
         lo = max(2.0, float(norm_min))
         hi = float(norm_max)
         if hi <= lo:

@@ -20,13 +20,12 @@ period pi/2 are c_k = (1/K) f_hat(k/K); that identity is what the
 spectral variance module exploits.
 
 Windows are descriptor-serialisable: {kind, lo, hi, eps, quad_tol}
-determines the shape, and window_id is a stable hash of the descriptor.
+determines the shape.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -137,7 +136,7 @@ class SmoothWindow:
         return out
 
     def descriptor(self) -> dict:
-        """JSON-ready shape descriptor; determines window_id."""
+        """JSON-ready shape descriptor, as the reports record it."""
         desc = {
             "kind": self.kind,
             "lo": self.lo,
@@ -153,12 +152,6 @@ class SmoothWindow:
             probe = np.asarray(self._eval(u), dtype=np.float64)
             desc["fingerprint"] = hashlib.sha256(probe.tobytes()).hexdigest()[:16]
         return desc
-
-    @property
-    def window_id(self) -> str:
-        """Stable hex digest of the descriptor."""
-        blob = json.dumps(self.descriptor(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
     def integral(self) -> float:
         """int w(u) du over the support, to quad_tol."""

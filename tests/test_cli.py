@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from sectorlab.cli import ExperimentConfig, _int_literal, build_parser, main, run
+from sectorlab.cli import _int_literal, build_parser, main
 from sectorlab.errors import MAX_SIZE, InvariantViolation
 
 
@@ -194,8 +194,10 @@ def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch):
 
 
 def test_unknown_command_exits_2(capsys):
-    assert run(ExperimentConfig(command="nope")) == 2
-    assert "unknown command" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["nope"])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_fractional_literal_rejected():
@@ -207,10 +209,24 @@ def test_fractional_literal_rejected():
 # ------------------------------------------------------------ argument forms
 
 def test_scientific_notation_matches_plain(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["sieve", "--max", "1e3", "--out", str(a)]) == 0
-    assert main(["sieve", "--max", "1000", "--out", str(b)]) == 0
-    assert (a / "ideals.csv").read_bytes() == (b / "ideals.csv").read_bytes()
+    for sci, plain, names in (
+        (["sieve", "--max", "1e3"], ["sieve", "--max", "1000"], ("ideals.csv",)),
+        (["sectors", "--x", "1e3", "--rho", "0.3", "--grid", "5e2"],
+         ["sectors", "--x", "1000", "--rho", "0.3", "--grid", "500"],
+         ("sectors.csv", "sectors.json")),
+        (["weyl", "--x", "1000", "--kmax", "8e0"], ["weyl", "--x", "1000", "--kmax", "8"],
+         ("weyl.json",)),
+        (["realquad", "--limit", "300", "--kmax", "8e0"],
+         ["realquad", "--limit", "300", "--kmax", "8"], ("realquad.csv", "realquad.json")),
+        (["variance", "--x-list", "400", "--tau", "0.3", "--grid-factor", "4e0"],
+         ["variance", "--x-list", "400", "--tau", "0.3", "--grid-factor", "4"],
+         ("variance.csv", "variance.json")),
+    ):
+        a, b = tmp_path / ("sci-" + sci[0]), tmp_path / ("plain-" + sci[0])
+        assert main(sci + ["--out", str(a)]) == 0, sci
+        assert main(plain + ["--out", str(b)]) == 0, plain
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_split_only_drops_nonsplit_rows(tmp_path):
@@ -222,11 +238,18 @@ def test_split_only_drops_nonsplit_rows(tmp_path):
     assert "inert" not in text and "ramified" not in text
 
 
-def test_config_defaults():
-    config = ExperimentConfig(command="sieve")
-    assert config.include_nonsplit is True
-    assert ExperimentConfig(command="sieve", split_only=True).include_nonsplit is False
-    assert config.taus == (0.2, 0.4, 0.55)
+def test_unset_options_take_the_library_defaults(tmp_path):
+    # the CLI passes only the options given, so these are variance_sweep's
+    # and sector_scan's own defaults
+    assert main(["variance", "--x-list", "400", "--out", str(tmp_path)]) == 0
+    cells = json.loads((tmp_path / "variance.json").read_text())["cells"]
+    assert [cell["tau"] for cell in cells] == [0.2, 0.4, 0.55]
+    for cell in cells:
+        assert cell["phi"]["eps"] == 0.05
+        assert cell["grid_size"] == 4 * cell["k_max"]
+    assert main(["sectors", "--x", "1000", "--rho", "0.3", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "sectors.json").read_text())
+    assert sorted(map(float, summary["exceptional_fraction"])) == [0.1, 0.25, 0.5]
 
 
 def test_version_flag(capsys):

@@ -69,6 +69,25 @@ def test_no_unused_imports():
     assert not found, found
 
 
+def _function_level_imports(tree):
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    yield node.lineno, func.name
+
+
+def test_no_function_level_imports():
+    # every import sits at module level, where the unused-import lint sees it
+    # and a reader finds a module's dependencies in one place
+    found = sorted({
+        (path.name, line, name)
+        for path in MODULES
+        for line, name in _function_level_imports(ast.parse(path.read_text(), filename=str(path)))
+    })
+    assert MODULES and not found, [f"{path}:{line} in {name}" for path, line, name in found]
+
+
 def _decorator_name(node):
     if isinstance(node, ast.Call):
         node = node.func

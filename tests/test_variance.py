@@ -127,10 +127,10 @@ def test_sharpness_must_be_finite_and_at_least_one(K, call):
 
 
 def test_custom_window_identity_distinguishes_evaluators():
-    # reports and certificates name a window by window_id, so two custom
-    # windows with the same support must not share one
-    assert zero_window().window_id != step_window().window_id
-    assert zero_window().window_id == zero_window().window_id
+    # reports name a window by its descriptor, so two custom windows with
+    # the same support must not share one
+    assert zero_window().descriptor() != step_window().descriptor()
+    assert zero_window().descriptor() == zero_window().descriptor()
 
 
 # ------------------------------------------------------------ psi_eval

@@ -371,16 +371,14 @@ def test_windows_reject_sharpness_not_finite_at_least_one(K):
 
 # ------------------------------------------------------------ descriptors
 
-def test_descriptor_roundtrip_and_window_id():
+def test_descriptor_roundtrip_and_identity():
     w = plateau_plus(core=(1.0, 2.0), eps=0.05)
     d = w.descriptor()
     assert d == json.loads(json.dumps(d))
     assert d["kind"] == "plateau_plus"
     assert d["lo"] == 0.95 and d["hi"] == 2.05
     assert d["eps"] == 0.05
-    rebuilt = plateau_plus(core=(1.0, 2.0), eps=0.05)
-    assert rebuilt.window_id == w.window_id
-    assert len(w.window_id) == 16
-    assert plateau_minus(core=(1.0, 2.0), eps=0.05).window_id != w.window_id
-    assert plateau_plus(core=(1.0, 2.0), eps=0.1).window_id != w.window_id
-    assert mollifier_window().window_id != w.window_id
+    assert plateau_plus(core=(1.0, 2.0), eps=0.05).descriptor() == d
+    assert plateau_minus(core=(1.0, 2.0), eps=0.05).descriptor() != d
+    assert plateau_plus(core=(1.0, 2.0), eps=0.1).descriptor() != d
+    assert mollifier_window().descriptor() != d
