@@ -10,12 +10,14 @@ the first quadrant (a > 0, b >= 0) so that the angle
     theta = atan2(b, a)  in  [0, pi/2)
 
 is a well-defined invariant of the ideal.  Enumeration is driven by a
-segmented sieve of rational primes.  The split ideals come from a lattice
-scan: the points (a, b) with a, b >= 1 whose norm a^2 + b^2 the sieve
-marks as a prime = 1 mod 4 are exactly the generators (a, b) and (b, a)
-of the two conjugate ideals above that prime.  Cornacchia's algorithm,
-with Tonelli-Shanks for the square root of -1 mod p, resolves a single
-prime independently and serves as the oracle for the scan.
+segmented sieve of rational primes over odd numbers only.  The split
+ideals come from a lattice scan of the half domain 1 <= a < b: by Fermat's
+two-square theorem, each prime = 1 mod 4 that the sieve marks is the norm
+a^2 + b^2 of exactly one point there, the generator (a, b) of one of its
+two conjugate ideals, and the mirror (b, a) generates the other.
+Cornacchia's algorithm, with Tonelli-Shanks for the square root of -1
+mod p, resolves a single prime independently and serves as the oracle
+for the scan.
 
 All enumerations are over half-open norm windows (norm_min, norm_max]
 so that disjoint windows partition exactly; results are sorted by
@@ -37,7 +39,7 @@ from .errors import MAX_SIZE, BadInput, InvariantViolation, NonResidue, check_in
 
 HALF_PI = math.pi / 2.0  # period of the ideal angle; other modules import it from here
 
-_SEGMENT = 1 << 23  # sieve block length, keeps masks comfortably in cache
+_SEGMENT = 1 << 23  # norms per sieve segment; its odd-only mask is half as many bytes
 _SCAN_POINTS = 1 << 16  # lattice points the split scan expands at once (512 kB per int64 array)
 _BLOCK = 1 << 14  # array elements converted to Python scalars at once
 
@@ -50,26 +52,35 @@ def sieve_rational_primes(limit: int) -> np.ndarray:
 def _primes_in_range(lo: int, hi: int) -> np.ndarray:
     """Primes in the half-open window (lo, hi], sieved segment by segment.
 
-    The base primes up to sqrt(hi) come from this same routine, so no mask
-    longer than one segment is ever allocated.
+    Each segment of _SEGMENT norms [start, stop] is one mask over its odd
+    numbers only, entry i standing for odd0 + 2 i, half a byte per norm.
+    An odd prime p strikes from its first odd multiple >= max(p^2, start),
+    every p-th entry.  The window's 2 rides in the slot of 1, which no
+    odd prime strikes.  The base primes up to sqrt(hi) come from this same
+    routine, so no mask longer than half a segment is ever allocated.
     """
     lo, hi = int(lo), int(hi)
     if hi < 2 or hi <= lo:
         return np.empty(0, dtype=np.int64)
     lo = max(lo, 1)
-    base = _primes_in_range(1, math.isqrt(hi))
+    base = _primes_in_range(2, math.isqrt(hi))
     chunks = []
     start = lo + 1
     while start <= hi:
         stop = min(start + _SEGMENT - 1, hi)
-        mask = np.ones(stop - start + 1, dtype=bool)
+        odd0 = 1 if start == 2 else start | 1
+        mask = np.ones((stop - odd0) // 2 + 1, dtype=bool)
         for p in base.tolist():
             if p * p > stop:
                 break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            mask[first - start :: p] = False
-        found = np.flatnonzero(mask).astype(np.int64, copy=False)
-        found += start
+            first = max(p * p, (start + p - 1) // p * p)
+            first += p * (first % 2 == 0)
+            mask[(first - odd0) // 2 :: p] = False
+        found = np.flatnonzero(mask)
+        found <<= 1
+        found += odd0
+        if start == 2:
+            found[0] = 2
         chunks.append(found)
         start = stop + 1
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
@@ -240,19 +251,21 @@ def _scalars(arr: np.ndarray):
         arr[i:i + _BLOCK].tolist() for i in range(0, arr.size, _BLOCK))
 
 
-def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm):
+def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, per_prime: int):
     """Lattice points (r, c) whose norm is a split prime in (norm_min, norm_max].
 
     Sieves the window one segment [start, stop] of norms at a time, and
     is_split(primes) picks the split primes of a segment.  rows(start, stop)
     returns arrays (r, c_lo, c_hi): row r holds the points c = c_lo, c_lo + 2,
-    ..., <= c_hi, each with norm(r, c) in [start, stop].  Rows are expanded
-    in chunks of whole rows of about _SCAN_POINTS points, and the kept points
-    go straight into columns sized for exactly two points per split prime,
-    which both callers' domains hold.  So besides the output and the split
-    primes, only one segment's masks and one chunk are alive.  Returns the
-    rows and columns in scan order, and the split primes; InvariantViolation
-    unless there are two points per split prime.
+    ..., <= c_hi, each with norm(r, c) odd and in [start, stop], so the split
+    marks of a segment, like its sieve mask, take one byte per odd norm.  The
+    caller's domain holds exactly per_prime points above each split prime.
+    Rows are expanded in chunks of whole rows of about _SCAN_POINTS points,
+    and the kept points go straight into columns sized for per_prime points
+    per split prime.  So besides the output and the split primes, only one
+    segment's masks and one chunk are alive.  Returns the rows and columns in
+    scan order, and the split primes; InvariantViolation unless there are
+    per_prime points per split prime.
     """
     segments = [(start, min(start + _SEGMENT - 1, norm_max))
                 for start in range(norm_min + 1, norm_max + 1, _SEGMENT)]
@@ -261,12 +274,12 @@ def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm):
         primes = _primes_in_range(start - 1, stop)
         splits.append(primes[is_split(primes)])
     split_count = sum(split.size for split in splits)
-    out_r = np.empty(2 * split_count, dtype=np.int64)
+    out_r = np.empty(per_prime * split_count, dtype=np.int64)
     out_c = np.empty_like(out_r)
     found = 0
     for (start, stop), split in zip(segments, splits[1:]):
-        marked = np.zeros(stop - start + 1, dtype=bool)
-        marked[split - start] = True
+        marked = np.zeros((stop - start) // 2 + 1, dtype=bool)
+        marked[(split - start) >> 1] = True
         r, c_lo, c_hi = rows(start, stop)
         counts = np.maximum((c_hi - c_lo) // 2 + 1, 0)
         ends = np.cumsum(counts)
@@ -278,7 +291,10 @@ def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm):
             chunk_r = np.repeat(r[block], counts[block])
             chunk_c = np.repeat(c_lo[block] - 2 * (ends[block] - counts[block]), counts[block])
             chunk_c += 2 * np.arange(first, int(ends[last - 1]), dtype=np.int64)
-            keep = marked[norm(chunk_r, chunk_c) - start]
+            at = norm(chunk_r, chunk_c)
+            at -= start
+            at >>= 1
+            keep = marked[at]
             kept = int(np.count_nonzero(keep))
             if found + kept <= out_r.size:
                 np.compress(keep, chunk_r, out=out_r[found:found + kept])
@@ -288,33 +304,22 @@ def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm):
     if found != out_r.size:
         raise InvariantViolation(
             f"lattice scan found {found} points for {split_count} split primes "
-            f"in ({norm_min}, {norm_max}], not two each")
+            f"in ({norm_min}, {norm_max}], not {per_prime} each")
     return out_r, out_c, np.concatenate(splits)
 
 
 def _two_square_rows(start: int, stop: int):
-    """Rows a >= 1 of the points (a, b), b >= 1, with start <= a^2 + b^2 <= stop.
+    """Rows a >= 1 of the points (a, b), b > a, with start <= a^2 + b^2 <= stop.
 
-    A norm = 1 mod 4 needs a and b of opposite parity, so each row starts
-    at the first b of the parity opposite to a.
+    The half domain b > a: 2 a^2 < a^2 + b^2 <= stop bounds a, and each row
+    starts at b = a + 1 at the least.  A norm = 1 mod 4 needs a and b of
+    opposite parity, so each row then starts at the first b of the parity
+    opposite to a.
     """
-    a = np.arange(1, math.isqrt(stop - 1) + 1, dtype=np.int64)
-    b_lo = _isqrt(np.maximum(start - 1 - a * a, 0)) + 1
+    a = np.arange(1, math.isqrt((stop - 1) // 2) + 1, dtype=np.int64)
+    b_lo = np.maximum(_isqrt(np.maximum(start - 1 - a * a, 0)) + 1, a + 1)
     b_lo += (a + b_lo) % 2 == 0
     return a, b_lo, _isqrt(stop - a * a)
-
-
-def _split_legs(norm_min: int, norm_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Generators (a, b) of the split ideals with norm in (norm_min, norm_max].
-
-    The lattice points with a, b >= 1 whose norm a^2 + b^2 is a prime = 1
-    mod 4.  By Fermat's two-square theorem each split prime has exactly two
-    such points, its conjugates (a, b) and (b, a); any other count raises
-    InvariantViolation.
-    """
-    split_a, split_b, _ = _lattice_scan(
-        norm_min, norm_max, lambda p: p % 4 == 1, _two_square_rows, lambda a, b: a * a + b * b)
-    return split_a, split_b
 
 
 @lru_cache(maxsize=64)
@@ -324,39 +329,56 @@ def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
     Sorted by (norm, theta); all arrays are read-only so they can be shared
     freely between callers and threads.  Public callers check norm_max against
     MAX_SIZE; at scale X <= MAX_SIZE the variance statistics reach X phi.hi.
+    The split ideals come from one lattice scan of the half domain b > a:
+    by Fermat's two-square theorem each split prime p has exactly one point
+    (a, b) there, a != b since p is odd, and its conjugate is the mirror
+    (b, a) with theta < pi/4, so the mirror leg goes first.  Only the half
+    domain is sorted; each split point then fills two slots.
     """
     norm_min = check_int("norm_min", norm_min, 0)
     norm_max = check_int("norm_max", norm_max, norm_min)
-    # generators of the split legs, then the ramified 1 + i and the inert p
-    a, b = _split_legs(norm_min, norm_max)
+    half_a, half_b = _lattice_scan(
+        norm_min, norm_max, lambda p: p % 4 == 1, _two_square_rows,
+        lambda a, b: a * a + b * b, 1)[:2]
     if include_nonsplit:
+        # 1 + i and the inert p join as (1, 1) and (0, p)
         ramified = np.ones(int(norm_min < 2 <= norm_max), dtype=np.int64)
         inert_p = _primes_in_range(math.isqrt(norm_min), math.isqrt(norm_max))
         inert_p = inert_p[inert_p % 4 == 3]
-        a = np.concatenate((a, ramified, inert_p))
-        b = np.concatenate((b, ramified, np.zeros_like(inert_p)))
-
-    # each sorted column replaces its source at once, and code and p come
-    # after the sort: the peak is the four sort columns, the order and the
-    # sort key or one sorted copy, 48 bytes per ideal for an output of 41
-    theta = a.astype(np.float64)
-    b_float = b.astype(np.float64)
-    np.arctan2(b_float, theta, out=theta)
-    del b_float
-    norm = a * a
-    norm += b * b
-    # 2 norm + [b > a] is unique and sorts like (norm, theta): the two
-    # conjugate legs of a split p differ in b > a, that is in theta > pi/4;
-    # inert norms are squares, so never a split prime; and 1 + i is the only
-    # ideal of norm 2
-    order = np.argsort(2 * norm + (b > a))
-    theta = theta[order]
-    norm = norm[order]
-    a = a[order]
-    b = b[order]
-    del order
-    # no two ideals tie on (norm, theta), so the class and the prime above
-    # each ideal follow from the sorted columns
+        half_a = np.concatenate((half_a, ramified, np.zeros_like(inert_p)))
+        half_b = np.concatenate((half_b, ramified, inert_p))
+    # sort (norm, a) packed in one int64, in place: the norms 2, p = 1 mod 4
+    # and p^2 never tie, and a < 2^shift since 2 a^2 <= norm_max, so the
+    # key fits for norm_max < 2^41
+    shift = norm_max.bit_length() // 2 + 1
+    key = half_a * half_a
+    key += half_b * half_b
+    key <<= shift
+    key |= half_a
+    del half_a, half_b
+    key.sort()
+    half_a = key & ((1 << shift) - 1)
+    key >>= shift
+    half_b = _isqrt(key - half_a * half_a)
+    # a split point (a, b), a < b, takes two slots: its mirror (b, a), of
+    # angle below pi/4, then itself.  1 + i and the inert p take one each
+    slots = 1 + ((0 < half_a) & (half_a < half_b))
+    norm = np.repeat(key, slots)
+    a = np.repeat(half_b, slots)
+    b = np.repeat(half_a, slots)
+    del key, half_a, half_b, slots
+    # both slots of a split prime now hold the mirror; the second one takes
+    # the point's legs back
+    second = norm[1:] == norm[:-1]
+    np.copyto(a[1:], b[1:], where=second)
+    np.copyto(b[1:], a[:-1], where=second)
+    del second
+    # theta a block at a time, so no float copy of a whole column is alive:
+    # the peak, 42 bytes per ideal for an output of 41, comes with p
+    theta = np.empty(a.size)
+    for i in range(0, a.size, _BLOCK):
+        block = slice(i, i + _BLOCK)
+        np.arctan2(b[block].astype(np.float64), a[block].astype(np.float64), out=theta[block])
     inert = b == 0
     code = np.full(a.size, _SPLIT, dtype=np.int8)
     code[norm == 2] = _RAMIFIED

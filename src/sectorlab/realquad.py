@@ -250,7 +250,7 @@ def _split_generators(limit: int):
     besides a, b and the split primes at most two int64 columns are alive.
     """
     b, a, split = _lattice_scan(0, limit, lambda q: (q % 8 == 1) | (q % 8 == 7),
-                                _canonical_rows, lambda b, a: np.abs(_signed_norm(a, b)))
+                                _canonical_rows, lambda b, a: np.abs(_signed_norm(a, b)), 2)
     key = _signed_norm(a, b)
     negative = key < 0
     np.abs(key, out=key)

@@ -71,6 +71,36 @@ def test_enumerate_across_segment_edge():
     assert got == want
 
 
+_SMALL_PRIMES = brute_primes(3000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment=st.sampled_from([1, 2, 3, 64]),
+       ends=st.one_of(
+           st.lists(st.integers(0, 3000), min_size=2, max_size=2),
+           st.sampled_from([[0, 1], [1, 2], [2, 3], [0, 0], [2, 2], [7, 7]])))
+def test_odd_sieve_matches_brute_force(segment, ends):
+    # odd and even window ends, windows that hold only 2 or 3 or nothing,
+    # and segments of one, two and three norms, where a segment may hold no
+    # odd number at all
+    lo, hi = sorted(ends)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals_mod, "_SEGMENT", segment)
+        got = ideals_mod._primes_in_range(lo, hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == [q for q in _SMALL_PRIMES if lo < q <= hi]
+
+
+@pytest.mark.parametrize("lo", [0, 10**7 - (1 << 20)])
+def test_memory_gate_sieve_mask(monkeypatch, lo):
+    # one window of one segment: beyond its output the sieve holds only the
+    # odd-only mask, half a byte per norm, and the few base primes
+    monkeypatch.setattr(ideals_mod, "_SEGMENT", 1 << 20)
+    out, peak = traced_peak(ideals_mod._primes_in_range, lo, lo + (1 << 20))
+    assert out.size > 0
+    assert peak <= out.nbytes + (1 << 19) + (1 << 16), (peak, out.nbytes)
+
+
 def test_sieve_and_enumeration_across_many_segments(monkeypatch):
     # 64-wide segments put dozens of segment boundaries inside each range,
     # for the sieve itself and for the base primes it sieves with
@@ -210,7 +240,7 @@ def test_lattice_scan_matches_cornacchia_route_random(ends, include_nonsplit):
 
 def test_lattice_scan_gate_fails_typed(monkeypatch, cold_ideal_cache, tmp_path, capsys):
     # 21 = 1 mod 4 is no sum of two squares, so a sieve that called it prime
-    # leaves the scan two points short of two per split prime
+    # leaves the scan one point short of one per split prime
     sieve = ideals_mod._primes_in_range
     monkeypatch.setattr(ideals_mod, "_primes_in_range", lambda lo, hi: np.sort(
         np.append(sieve(lo, hi), 21)) if lo < 21 <= hi else sieve(lo, hi))
@@ -219,6 +249,20 @@ def test_lattice_scan_gate_fails_typed(monkeypatch, cold_ideal_cache, tmp_path, 
     assert main(["sieve", "--max", "30", "--out", str(tmp_path)]) == 3
     assert "numerical guarantee failed" in capsys.readouterr().err
     assert not (tmp_path / "ideals.csv").exists()
+
+
+def test_lattice_scan_gate_fails_on_extra_points():
+    # the full domain b >= 1 holds both conjugates of every split prime,
+    # two points where the half domain b > a holds one
+    def full_rows(start, stop):
+        a = np.arange(1, math.isqrt(stop - 1) + 1, dtype=np.int64)
+        b_lo = ideals_mod._isqrt(np.maximum(start - 1 - a * a, 0)) + 1
+        b_lo += (a + b_lo) % 2 == 0
+        return a, b_lo, ideals_mod._isqrt(stop - a * a)
+
+    with pytest.raises(InvariantViolation):
+        ideals_mod._lattice_scan(0, 100, lambda p: p % 4 == 1, full_rows,
+                                 lambda a, b: a * a + b * b, 1)
 
 
 # ------------------------------------------------------------ enumerate
