@@ -43,7 +43,6 @@ from .windows import (
     mollifier_eval,
     mollifier_window,
     periodized_eval,
-    plateau_eval,
     plateau_minus,
     plateau_plus,
 )
@@ -94,7 +93,7 @@ __all__ = [
     "sieve_rational_primes", "sqrt_mod", "cornacchia",
     "enumerate_prime_ideals", "lambda_entries",
     "SmoothWindow", "PeriodizedWindow", "mollifier_eval", "mollifier_window",
-    "plateau_plus", "plateau_minus", "plateau_eval", "custom_window",
+    "plateau_plus", "plateau_minus", "custom_window",
     "adaptive_simpson", "fourier_hat", "fourier_coefficient",
     "fourier_coefficients_bulk", "periodized_eval",
     "xi", "character_sum", "weyl_sum", "weyl_sums", "CharacterSumTable",

@@ -53,30 +53,19 @@ def _norm_window(X: float, phi: SmoothWindow) -> tuple[int, int]:
     return max(0, math.ceil(X * phi.lo) - 1), math.floor(reach)
 
 
-def _weighted_entries(X, phi, variant, include_nonsplit):
-    """(thetas, weights) of the prime-power table, weights Phi(N/X) Lambda.
-
-    variant "powers" keeps every row, "primes" only the prime rows r = 1.
-    """
-    if variant not in ("powers", "primes"):
-        raise BadInput(f"unknown variant {variant!r}")
+def _weighted_entries(X, phi, include_nonsplit):
+    """(thetas, weights) of the prime-power table, weights Phi(N/X) Lambda."""
     X = check_real("scale X", X, 2.0, MAX_SIZE)
     if phi.lo < 0.0:
         raise BadInput(f"cutoff support [{phi.lo}, {phi.hi}] must sit in (0, inf)")
-    norms, thetas, logs, r = _lambda_arrays(*_norm_window(X, phi), include_nonsplit)
-    if variant == "primes":
-        keep = r == 1
-        norms, thetas, logs = norms[keep], thetas[keep], logs[keep]
+    norms, thetas, logs, _ = _lambda_arrays(*_norm_window(X, phi), include_nonsplit)
     return thetas, phi(norms / X) * logs
 
 
-def character_sum(
-    k: int, X: float, phi: SmoothWindow,
-    variant: str = "powers", include_nonsplit: bool = True,
-) -> complex:
+def character_sum(k: int, X: float, phi: SmoothWindow, include_nonsplit: bool = True) -> complex:
     """S_k(X) with cutoff Phi; real and imaginary parts exactly rounded."""
     k = check_int("k", k, -KMAX_CAP, KMAX_CAP)
-    thetas, weights = _weighted_entries(X, phi, variant, include_nonsplit)
+    thetas, weights = _weighted_entries(X, phi, include_nonsplit)
     angles = (4.0 * k) * thetas
     re = exact_sum(weights * np.cos(angles))
     im = exact_sum(weights * np.sin(angles)) if k != 0 else 0.0
@@ -139,10 +128,9 @@ class CharacterSumTable:
 
 
 def character_sum_table(
-    X: float, k_max: int, phi: SmoothWindow,
-    variant: str = "powers", include_nonsplit: bool = True,
+    X: float, k_max: int, phi: SmoothWindow, include_nonsplit: bool = True,
 ) -> CharacterSumTable:
     """Tabulate S_0..S_{k_max} in one pass over the weighted entries."""
     k_max = check_int("k_max", k_max, 0, KMAX_CAP)
-    thetas, weights = _weighted_entries(X, phi, variant, include_nonsplit)
+    thetas, weights = _weighted_entries(X, phi, include_nonsplit)
     return CharacterSumTable(geometric_weighted_sums(4.0 * thetas, weights, k_max))

@@ -280,8 +280,8 @@ def write_sector_json(path: str, report: SectorScanReport):
 def write_variance_json(path: str, reports: list[VarianceReport]):
     cells = []
     for r in reports:
-        cells.append({
-            "X": r.X, "tau": r.tau, "K": r.K, "variant": r.variant,
+        cells.append({  # "variant": psi carries every prime power
+            "X": r.X, "tau": r.tau, "K": r.K, "variant": "powers",
             "k_max": r.k_max, "grid_size": r.grid_size,
             "mean_empirical": r.mean_empirical, "mean_formula": r.mean_formula,
             "var_direct": r.var_direct, "var_parseval": r.var_parseval,

@@ -81,7 +81,7 @@ def truncation_kmax(f: SmoothWindow, K: float):
 
     def mag(k: int) -> float:
         # midpoint rule, not the adaptive route: certifying decay to
-        # 1e-14 relative needs quadrature error far below quad_tol, and
+        # 1e-14 relative needs quadrature error far below DEFAULT_QUAD_TOL, and
         # for these C-infinity compactly supported windows the midpoint
         # sum is spectrally exact
         if k not in magnitudes:
@@ -112,12 +112,12 @@ def mean_formula(K: float, X: float, f: SmoothWindow, phi: SmoothWindow) -> floa
 
 def psi_eval(
     theta: float, K: float, X: float, f: SmoothWindow, phi: SmoothWindow,
-    variant: str = "powers", include_nonsplit: bool = True,
+    include_nonsplit: bool = True,
 ) -> float:
     """The smoothed count at a single angle, by a direct, exactly rounded sum."""
     theta = check_real("angle theta", theta)
     pw = PeriodizedWindow(base=f, K=float(K))
-    thetas, weights = _weighted_entries(X, phi, variant, include_nonsplit)
+    thetas, weights = _weighted_entries(X, phi, include_nonsplit)
     vals = periodized_eval(pw, thetas - theta)
     return exact_sum(weights * vals)
 
@@ -222,12 +222,12 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
 
 def psi_grid(
     K: float, X: float, f: SmoothWindow, phi: SmoothWindow,
-    variant: str = "powers", grid_size: int = 4096, include_nonsplit: bool = True,
+    grid_size: int = 4096, include_nonsplit: bool = True,
 ) -> np.ndarray:
     """The smoothed count on the grid theta_i = i (pi/2)/grid_size, i < grid_size."""
     K = check_real("sharpness K", K, 1.0)
     grid_size = check_int("grid size", grid_size, 1, GRID_CAP)
-    thetas, weights = _weighted_entries(X, phi, variant, include_nonsplit)
+    thetas, weights = _weighted_entries(X, phi, include_nonsplit)
     return _scatter_grid(thetas, weights, K, f, grid_size)
 
 
@@ -287,13 +287,12 @@ class PsiSpectrum:
 
 
 def psi_spectrum(
-    K: float, X: float, f: SmoothWindow, phi: SmoothWindow,
-    variant: str = "powers", include_nonsplit: bool = True,
+    K: float, X: float, f: SmoothWindow, phi: SmoothWindow, include_nonsplit: bool = True,
 ) -> PsiSpectrum:
     """Assemble the truncated spectrum c_k S_k with its tail certificate."""
     k_max, certificate = truncation_kmax(f, K)
     c = fourier_coefficients_bulk(f, K, k_max)
-    table = character_sum_table(X, k_max, phi, variant, include_nonsplit)
+    table = character_sum_table(X, k_max, phi, include_nonsplit)
     coeffs = c * table.values
     s0 = float(table.values[0].real)
     tail_bound = abs(c[k_max]) * abs(s0)
@@ -325,8 +324,7 @@ def _check_grid(grid_size: int, k_max: int):
 
 def variance_direct(
     K: float, X: float, f: SmoothWindow, phi: SmoothWindow,
-    variant: str = "powers", grid_size: int | None = None,
-    include_nonsplit: bool = True,
+    grid_size: int | None = None, include_nonsplit: bool = True,
 ) -> float:
     """Angular variance of the smoothed count from a uniform grid.
 
@@ -337,7 +335,7 @@ def variance_direct(
     k_max, _ = truncation_kmax(f, K)
     grid_size = 4 * k_max if grid_size is None else check_int("grid size", grid_size, 1, GRID_CAP)
     _check_grid(grid_size, k_max)
-    values = psi_grid(K, X, f, phi, variant, grid_size, include_nonsplit)
+    values = psi_grid(K, X, f, phi, grid_size, include_nonsplit)
     return _grid_stats(values)[1]
 
 
@@ -353,15 +351,14 @@ class VarianceReport:
 
     ratio = var_direct / mean_empirical^2 is the squared relative
     fluctuation; its decay with X at fixed tau < 3/5 is the smoothed
-    form of the almost-all-sectors phenomenon.  prime_power_gap is the
-    grid mean of |psi_powers - psi_primes|^2, the (negligible) cost of
-    dropping higher prime powers.
+    form of the almost-all-sectors phenomenon.  psi carries every prime
+    power; prime_power_gap is the grid mean of the square of its r >= 2
+    part, the (negligible) cost of keeping only the primes.
     """
 
     X: float
     tau: float
     K: float
-    variant: str
     k_max: int
     grid_size: int
     mean_empirical: float
@@ -410,16 +407,16 @@ def variance_sweep(
     for X in x_list:
         for tau in tau_list:
             K = X**tau
-            spectrum = psi_spectrum(K, X, f, phi, "powers", include_nonsplit)
+            spectrum = psi_spectrum(K, X, f, phi, include_nonsplit)
             grid_size = check_int("grid_factor * k_max", grid_factor * spectrum.k_max, 1, GRID_CAP)
             _check_grid(grid_size, spectrum.k_max)
-            values = psi_grid(K, X, f, phi, "powers", grid_size, include_nonsplit)
+            values = psi_grid(K, X, f, phi, grid_size, include_nonsplit)
             mean_emp, var_dir = _grid_stats(values)
             gap_values = _power_part_grid(K, X, phi, grid_size, include_nonsplit, f)
             gap = exact_sum(gap_values**2) / grid_size
             reports.append(
                 VarianceReport(
-                    X=X, tau=tau, K=float(K), variant="powers",
+                    X=X, tau=tau, K=float(K),
                     k_max=spectrum.k_max, grid_size=grid_size,
                     mean_empirical=mean_emp,
                     mean_formula=mean_formula(K, X, f, phi),

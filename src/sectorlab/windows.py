@@ -10,7 +10,7 @@ Three window families drive every smoothed statistic in this package:
 
 A window w enters the statistics twice: directly, and through the
 transform  w_hat(xi) = integral w(u) exp(-2 pi i u xi) du,  computed by
-adaptive Simpson quadrature to absolute tolerance quad_tol.  Periodising
+adaptive Simpson quadrature to absolute tolerance DEFAULT_QUAD_TOL.  Periodising
 a window f to the quarter circle,
 
     F_K(theta) = sum_j f((K / (pi/2)) (theta - j pi/2)),
@@ -19,8 +19,9 @@ gives a spike of width ~ (pi/2)/K whose Fourier coefficients on the
 period pi/2 are c_k = (1/K) f_hat(k/K); that identity is what the
 spectral variance module exploits.
 
-Windows are descriptor-serialisable: {kind, lo, hi, eps, quad_tol}
-determines the shape.
+Windows are descriptor-serialisable: {kind, lo, hi, eps} determines the
+shape (plus a value fingerprint for a custom evaluator); the descriptor
+also records quad_tol, always DEFAULT_QUAD_TOL.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _ramp(t):
 
 @dataclass(frozen=True)
 class SmoothWindow:
-    """A smooth compactly supported weight with quadrature metadata.
+    """A smooth compactly supported weight.
 
     kind is one of mollifier / plateau_plus / plateau_minus / custom; the
     support is [lo, hi]; eps is the shoulder width for the plateau kinds.
@@ -125,7 +126,6 @@ class SmoothWindow:
     lo: float
     hi: float
     eps: float | None
-    quad_tol: float = DEFAULT_QUAD_TOL
     _eval: Callable = field(repr=False, compare=False, default=None)
 
     def __call__(self, x):
@@ -142,7 +142,7 @@ class SmoothWindow:
             "lo": self.lo,
             "hi": self.hi,
             "eps": self.eps,
-            "quad_tol": self.quad_tol,
+            "quad_tol": DEFAULT_QUAD_TOL,
         }
         if self.kind == "custom":
             # named kinds are pinned down by their parameters; a custom
@@ -154,15 +154,13 @@ class SmoothWindow:
         return desc
 
     def integral(self) -> float:
-        """int w(u) du over the support, to quad_tol."""
+        """int w(u) du over the support, to DEFAULT_QUAD_TOL."""
         return fourier_hat(self, 0.0).real
 
 
-def mollifier_window(quad_tol: float = DEFAULT_QUAD_TOL) -> SmoothWindow:
+def mollifier_window() -> SmoothWindow:
     """The reference bump exp(-1/(1-x^2)) as a window on [-1, 1]."""
-    return SmoothWindow(
-        kind="mollifier", lo=-1.0, hi=1.0, eps=None, quad_tol=quad_tol, _eval=mollifier_eval
-    )
+    return SmoothWindow(kind="mollifier", lo=-1.0, hi=1.0, eps=None, _eval=mollifier_eval)
 
 
 def _plateau_evaluator(lo: float, hi: float, eps: float) -> Callable:
@@ -179,7 +177,7 @@ def _plateau_evaluator(lo: float, hi: float, eps: float) -> Callable:
     return evaluate
 
 
-def _make_plateau(kind: str, core: tuple[float, float], eps: float, quad_tol: float) -> SmoothWindow:
+def _make_plateau(kind: str, core: tuple[float, float], eps: float) -> SmoothWindow:
     c0, c1 = float(core[0]), float(core[1])
     eps = check_real("shoulder width eps", eps, 0.0, 0.5, "()", BadEps)
     if not c1 > c0:
@@ -190,43 +188,24 @@ def _make_plateau(kind: str, core: tuple[float, float], eps: float, quad_tol: fl
         lo, hi = c0, c1
         if c1 - c0 <= 2.0 * eps:
             raise BadEps(f"core [{c0}, {c1}] too narrow for shoulders of width {eps}")
-    return SmoothWindow(
-        kind=kind, lo=lo, hi=hi, eps=eps, quad_tol=quad_tol,
-        _eval=_plateau_evaluator(lo, hi, eps),
-    )
+    return SmoothWindow(kind=kind, lo=lo, hi=hi, eps=eps, _eval=_plateau_evaluator(lo, hi, eps))
 
 
-def plateau_plus(
-    core: tuple[float, float] = (0.0, 1.0), eps: float = 0.1,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-) -> SmoothWindow:
+def plateau_plus(core: tuple[float, float] = (0.0, 1.0), eps: float = 0.1) -> SmoothWindow:
     """Smooth majorant of the indicator of core: 1 there, supported eps beyond it."""
-    return _make_plateau("plateau_plus", core, eps, quad_tol)
+    return _make_plateau("plateau_plus", core, eps)
 
 
-def plateau_minus(
-    core: tuple[float, float] = (0.0, 1.0), eps: float = 0.1,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-) -> SmoothWindow:
+def plateau_minus(core: tuple[float, float] = (0.0, 1.0), eps: float = 0.1) -> SmoothWindow:
     """Smooth minorant of the indicator of core: supported there, 1 off an eps margin."""
-    return _make_plateau("plateau_minus", core, eps, quad_tol)
+    return _make_plateau("plateau_minus", core, eps)
 
 
-def custom_window(
-    evaluator: Callable, lo: float, hi: float, quad_tol: float = DEFAULT_QUAD_TOL
-) -> SmoothWindow:
+def custom_window(evaluator: Callable, lo: float, hi: float) -> SmoothWindow:
     """Wrap an arbitrary array-aware evaluator supported on [lo, hi]."""
     if not hi > lo:
         raise BadInput(f"empty support [{lo}, {hi}]")
-    return SmoothWindow(kind="custom", lo=float(lo), hi=float(hi), eps=None,
-                        quad_tol=quad_tol, _eval=evaluator)
-
-
-def plateau_eval(window: SmoothWindow, x):
-    """Evaluate a plateau window; rejects other kinds."""
-    if window.kind not in ("plateau_plus", "plateau_minus"):
-        raise BadInput(f"plateau_eval got a {window.kind} window")
-    return window(x)
+    return SmoothWindow(kind="custom", lo=float(lo), hi=float(hi), eps=None, _eval=evaluator)
 
 
 def adaptive_simpson(g: Callable, a: float, b: float, tol: float):
@@ -281,13 +260,13 @@ def adaptive_simpson(g: Callable, a: float, b: float, tol: float):
 
 
 def fourier_hat(window: SmoothWindow, xi: float) -> complex:
-    """w_hat(xi) = int w(u) exp(-2 pi i u xi) du over the support, to quad_tol."""
+    """w_hat(xi) = int w(u) exp(-2 pi i u xi) du over the support, to DEFAULT_QUAD_TOL."""
     xi = check_real("frequency xi", xi)
 
     def integrand(u):
         return window(u) * np.exp(-2j * np.pi * u * xi)
 
-    return complex(adaptive_simpson(integrand, window.lo, window.hi, window.quad_tol))
+    return complex(adaptive_simpson(integrand, window.lo, window.hi, DEFAULT_QUAD_TOL))
 
 
 def fourier_coefficient(base: SmoothWindow, K: float, k: int) -> complex:

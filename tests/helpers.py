@@ -200,10 +200,11 @@ def traced_peak(fn, *args):
 def scan_allowance(window: int) -> int:
     """Bytes the lattice scan may hold besides its output and split primes.
 
-    One byte per norm of a segment for the sieve mask, and again for the
-    split marks, plus six int64 arrays over one expansion chunk.
+    Half a byte per norm of a segment for the odd-only sieve mask, and
+    again for the split marks, plus six int64 arrays over one expansion
+    chunk.
     """
-    return 2 * min(ideals._SEGMENT, window) + 6 * 8 * ideals._SCAN_POINTS
+    return min(ideals._SEGMENT, window) + 6 * 8 * ideals._SCAN_POINTS
 
 
 def writer_allowance() -> int:

@@ -134,29 +134,13 @@ def test_character_sum_partition_additivity():
 
 
 def test_character_sum_variants_and_validation():
+    # S_0 carries every prime power, so it exceeds the sum over the prime rows
     phi = plateau_plus(core=(1.0, 2.0), eps=0.05)
-    powers = character_sum(0, 300.0, phi, variant="powers").real
-    primes = character_sum(0, 300.0, phi, variant="primes").real
-    assert powers >= primes > 0.0
-    with pytest.raises(BadInput):
-        character_sum(1, 300.0, phi, variant="everything")
+    powers = character_sum(0, 300.0, phi).real
+    primes = math.fsum(phi(e.norm / 300.0) * e.weight for e in lambda_entries(0, 615) if e.r == 1)
+    assert powers > primes > 0.0
     with pytest.raises(BadInput):
         character_sum(1, 1.0, phi)
-
-
-def test_character_sum_primes_variant_direct_oracle():
-    # the primes variant is the r = 1 rows of the prime-power table; the
-    # powers it must leave out carry about 1% of S_0 at this scale
-    phi = plateau_plus(core=(1.0, 2.0), eps=0.05)
-    X = 2000.0
-    primes = [e for e in lambda_entries(0, math.floor(X * phi.hi)) if e.r == 1]
-    s0 = math.fsum(phi(e.norm / X) * e.weight for e in primes)
-    for k in (0, 1, 3, 7):
-        terms = [(phi(e.norm / X) * e.weight, 4.0 * k * e.theta) for e in primes]
-        want = complex(math.fsum(w * math.cos(a) for w, a in terms),
-                       math.fsum(w * math.sin(a) for w, a in terms))
-        got = character_sum(k, X, phi, variant="primes")
-        assert abs(got - want) <= 1e-13 * s0
 
 
 # ------------------------------------------------------------- sum table

@@ -12,6 +12,7 @@ import pytest
 
 from sectorlab.cli import _int_literal, build_parser, main
 from sectorlab.errors import MAX_SIZE, InvariantViolation
+from sectorlab.windows import DEFAULT_QUAD_TOL
 
 
 def data_rows(path):
@@ -247,6 +248,8 @@ def test_unset_options_take_the_library_defaults(tmp_path):
     for cell in cells:
         assert cell["phi"]["eps"] == 0.05
         assert cell["grid_size"] == 4 * cell["k_max"]
+        assert cell["variant"] == "powers"
+        assert cell["f"]["quad_tol"] == cell["phi"]["quad_tol"] == DEFAULT_QUAD_TOL
     assert main(["sectors", "--x", "1000", "--rho", "0.3", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "sectors.json").read_text())
     assert sorted(map(float, summary["exceptional_fraction"])) == [0.1, 0.25, 0.5]

@@ -465,6 +465,26 @@ def test_memory_gate_ideal_arrays(monkeypatch, blocks):
     assert peak <= 1.5 * _nbytes(out) + scan_allowance(MEMORY_GATE_SIZE), (peak, _nbytes(out))
 
 
+@pytest.mark.parametrize("lo", [0, 10**7 - (1 << 20)])
+def test_memory_gate_lattice_scan(monkeypatch, lo):
+    # one window of one segment.  The peak comes while the split marks are
+    # set.  Besides the output (the columns, and the split primes, held in a
+    # list until they are joined) the scan then holds the segment's primes
+    # from the sieve, the marks at half a byte per norm, and the marks'
+    # index, split - start and its shift: two int64 per split prime, one
+    # above 256 KiB, where numpy reuses the first.  The rows and one chunk
+    # come after the index is freed and take less here (5 int64 per row, 6
+    # per point of the chunk); 64 KiB covers numpy's indexing buffers
+    monkeypatch.setattr(ideals_mod, "_SEGMENT", 1 << 20)
+    monkeypatch.setattr(ideals_mod, "_SCAN_POINTS", 1 << 10)
+    hi = lo + (1 << 20)
+    primes = ideals_mod._primes_in_range(lo, hi)
+    out, peak = traced_peak(ideals_mod._lattice_scan, lo, hi, lambda p: p % 4 == 1,
+                            ideals_mod._two_square_rows, lambda a, b: a * a + b * b, 1)
+    allowance = primes.nbytes + 2 * out[2].nbytes + (1 << 19) + (1 << 16)
+    assert peak <= _nbytes(out) + allowance, (peak, _nbytes(out))
+
+
 def test_memory_gate_sector_scan():
     # on a cached enumeration the scan holds one sorted copy of the angles
     # and, besides it, only arrays over the offsets (16 float64 per offset)

@@ -42,7 +42,7 @@ NUMERIC = {
     "limit": 100, "norm_min": 0, "norm_max": 100, "X": 1000, "p": 17, "n": 4,
     "a": 0, "b": 1, "k": 1, "k_max": 4, "K": 4.0, "grid_size": 64, "grid_factor": 4,
     "theta": 0.3, "beta": 0.1, "gamma": 0.2, "rho": 0.3, "eps": 0.1, "t": 0.5,
-    "x": 0.5, "xi": 0.5, "lo": -1.0, "hi": 1.0, "tol": 1e-8, "quad_tol": 1e-10,
+    "x": 0.5, "xi": 0.5, "lo": -1.0, "hi": 1.0, "tol": 1e-8,
 }
 # sequences of numbers: the bad value goes in as an element
 SEQUENCES = {
@@ -60,8 +60,8 @@ OBJECTS = {
 
 FUNCTIONS = sorted(name for name in sectorlab.__all__
                    if inspect.isfunction(getattr(sectorlab, name)))
-# the one function with no number among its arguments
-UNFUZZED = ("variance_parseval",)
+# the functions with no number among their arguments
+UNFUZZED = ("mollifier_window", "variance_parseval")
 
 
 def _fuzzed(name):

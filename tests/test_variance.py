@@ -25,6 +25,7 @@ from sectorlab.ideals import lambda_entries
 from sectorlab.variance import (
     PsiSpectrum,
     _midpoint_coefficient,
+    _power_part_grid,
     _scatter_grid,
     mean_formula,
     psi_eval,
@@ -163,16 +164,15 @@ def test_psi_eval_zero_window_vanishes():
 
 
 def test_psi_powers_dominates_primes():
+    # the r >= 2 part of psi is a sum of nonnegative terms, and the prime
+    # part it leaves behind is too
     phi = plateau_1_2()
-    diffs = []
-    for theta in np.linspace(0.0, HALF_PI, 9, endpoint=False):
-        p_all = psi_eval(theta, 4.0, 300.0, bump(), phi, variant="powers")
-        p_prime = psi_eval(theta, 4.0, 300.0, bump(), phi, variant="primes")
-        assert p_all >= 0.0 and p_prime >= 0.0
-        assert p_all - p_prime >= -1e-12 * max(1.0, p_all)
-        diffs.append(p_all - p_prime)
+    powers = _power_part_grid(4.0, 300.0, phi, 64, True, bump())
+    whole = psi_grid(4.0, 300.0, bump(), phi, grid_size=64)
+    assert np.all(powers >= 0.0)
+    assert np.all(whole - powers >= -1e-12 * np.maximum(1.0, whole))
     # the window (285, 615] contains prime powers (17^2, 7^3, 19^2, ...)
-    assert max(diffs) > 0.0
+    assert powers.max() > 0.0
 
 
 # ------------------------------------------------------------ mean
@@ -530,7 +530,7 @@ def plain_scatter(thetas, weights, K, f, grid_size):
 @example(X=3000, K=3.0, grid_size=1 << 10, kind="leaky", budget=64)
 def test_blocked_scatter_matches_plain_loop_bytes(X, K, grid_size, kind, budget):
     f = WINDOWS[kind]()
-    thetas, weights = _weighted_entries(float(X), plateau_1_2(), "powers", True)
+    thetas, weights = _weighted_entries(float(X), plateau_1_2(), True)
     with mock.patch.object(variance_mod, "_PAIR_BUDGET", budget):
         got = _scatter_grid(thetas, weights, K, f, grid_size)
     assert got.tobytes() == plain_scatter(thetas, weights, K, f, grid_size).tobytes()
@@ -571,7 +571,7 @@ def test_blocked_scatter_steps_on_few_entries():
     assert min(lo for _, lo, _ in calls) >= -1.0 - 1e-12
     assert max(hi for _, _, hi in calls) <= 1.0 + 1e-12
 
-    thetas, _ = _weighted_entries(X, plateau_1_2(), "powers", True)
+    thetas, _ = _weighted_entries(X, plateau_1_2(), True)
     step, scale = HALF_PI / G, K / HALF_PI
     i_lo = np.ceil((thetas - 1.0 / scale) / step).astype(np.int64)
     i_hi = np.floor((thetas + 1.0 / scale) / step).astype(np.int64)
@@ -600,7 +600,7 @@ def test_scatter_refuses_work_past_the_pair_ceiling_at_once():
     # K = 1 at G = GRID_CAP on X = 1e6: 77,613 entries, each over 2G grid
     # points, 5e12 pairs, about 15 hours; it must raise before the spill
     # (G + 2G cells, 805 MB) or any pair buffer exists
-    thetas, weights = _weighted_entries(1e6, plateau_1_2(), "powers", True)
+    thetas, weights = _weighted_entries(1e6, plateau_1_2(), True)
     tracemalloc.start()
     try:
         with pytest.raises(BadInput, match="scattered pairs"):
@@ -615,7 +615,7 @@ def test_scatter_refuses_work_past_the_pair_ceiling_at_once():
 
 def test_pair_ceiling_counts_every_pair():
     # the check compares Sigma counts_a itself: a ceiling one below it refuses
-    thetas, weights = _weighted_entries(3000.0, plateau_1_2(), "powers", True)
+    thetas, weights = _weighted_entries(3000.0, plateau_1_2(), True)
     K, G = 5.0, 1 << 10
     pairs = int(_support_counts(thetas, K, G).sum())
     assert 0 < pairs <= MAX_PAIRS
@@ -686,7 +686,7 @@ def test_memory_gate_scatter(monkeypatch, X, K, G, budget):
     # evaluator's output and temporaries, cells, shifts), the spill of G +
     # span cells and the grid of G; no pair buffer grows with the entries
     monkeypatch.setattr(variance_mod, "_PAIR_BUDGET", budget)
-    thetas, weights = _weighted_entries(X, plateau_1_2(), "powers", True)
+    thetas, weights = _weighted_entries(X, plateau_1_2(), True)
     span = int(_support_counts(thetas, K, G).max())
     _, peak = traced_peak(_scatter_grid, thetas, weights, K, bump(), G)
     allowance = 8 * (7 * thetas.size + 6 * budget + 2 * G + span)
@@ -699,7 +699,7 @@ def test_sweep_report_fields_and_invariants():
     reports = variance_sweep(x_list=(1000.0,), tau_list=(0.0, 0.3, 0.55))
     assert [r.tau for r in reports] == [0.0, 0.3, 0.55]
     for r in reports:
-        assert r.X == 1000.0 and r.variant == "powers"
+        assert r.X == 1000.0
         assert r.K == pytest.approx(1000.0**r.tau, rel=1e-15)
         assert r.grid_size == 4 * r.k_max
         assert r.var_direct >= 0.0 and r.var_parseval >= 0.0

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from sectorlab import windows
 from sectorlab.errors import BadEps, BadInput, QuadratureFailure
 from sectorlab.windows import (
+    DEFAULT_QUAD_TOL,
     HALF_PI,
     PeriodizedWindow,
     adaptive_simpson,
@@ -20,7 +22,6 @@ from sectorlab.windows import (
     mollifier_eval,
     mollifier_window,
     periodized_eval,
-    plateau_eval,
     plateau_minus,
     plateau_plus,
 )
@@ -160,12 +161,6 @@ def test_plateau_eps_validation():
         plateau_minus(core=(0.0, 0.5), eps=0.3)
 
 
-def test_plateau_eval_rejects_other_kinds():
-    with pytest.raises(BadInput):
-        plateau_eval(mollifier_window(), 0.5)
-    assert plateau_eval(plateau_plus(eps=0.1), 0.5) == 1.0
-
-
 def test_custom_window_rejects_empty_support():
     with pytest.raises(BadInput):
         custom_window(lambda u: u, lo=1.0, hi=1.0)
@@ -218,10 +213,10 @@ def test_adaptive_simpson_unattainable_tolerance_fails():
         adaptive_simpson(mollifier_eval, -1.0, 1.0, tol=1e-18)
 
 
-def test_quadrature_failure_propagates_through_fourier_hat():
-    f = mollifier_window(quad_tol=1e-18)
+def test_quadrature_failure_propagates_through_fourier_hat(monkeypatch):
+    monkeypatch.setattr(windows, "DEFAULT_QUAD_TOL", 1e-18)
     with pytest.raises(QuadratureFailure):
-        fourier_hat(f, 0.3)
+        fourier_hat(mollifier_window(), 0.3)
 
 
 # ------------------------------------------------------------ fourier_hat
@@ -266,7 +261,7 @@ def test_fourier_hat_against_scipy():
 
 
 def test_fourier_hat_richardson_stability():
-    # the adaptive answer must sit within quad_tol of a much finer
+    # the adaptive answer must sit within DEFAULT_QUAD_TOL of a much finer
     # fixed-resolution midpoint evaluation
     f = mollifier_window()
     for xi in (0.0, 1.5):
@@ -274,7 +269,7 @@ def test_fourier_hat_richardson_stability():
         h = (f.hi - f.lo) / n
         u = f.lo + (np.arange(n) + 0.5) * h
         brute = np.sum(f(u) * np.exp(-2j * np.pi * u * xi)) * h
-        assert abs(fourier_hat(f, xi) - brute) < f.quad_tol
+        assert abs(fourier_hat(f, xi) - brute) < DEFAULT_QUAD_TOL
 
 
 # ----------------------------------------------------- fourier coefficient
