@@ -33,7 +33,6 @@ from .ideals import (
     sqrt_mod,
 )
 from .windows import (
-    PeriodizedWindow,
     SmoothWindow,
     adaptive_simpson,
     custom_window,
@@ -92,7 +91,7 @@ __all__ = [
     "Splitting", "GaussianPrimeIdeal", "LambdaEntry",
     "sieve_rational_primes", "sqrt_mod", "cornacchia",
     "enumerate_prime_ideals", "lambda_entries",
-    "SmoothWindow", "PeriodizedWindow", "mollifier_eval", "mollifier_window",
+    "SmoothWindow", "mollifier_eval", "mollifier_window",
     "plateau_plus", "plateau_minus", "custom_window",
     "adaptive_simpson", "fourier_hat", "fourier_coefficient",
     "fourier_coefficients_bulk", "periodized_eval",

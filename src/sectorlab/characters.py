@@ -9,9 +9,10 @@ modulo pi/2 and
 depends only on the ideal.  Summing xi_k against a smooth cutoff in the
 norm, with von Mangoldt weights, gives the character sums
 
-    S_k(X) = sum_a Phi(N(a)/X) Lambda(a) xi_k(a),
+    S_k(X) = sum_a Phi(N(a)/X) Lambda(a) xi_k(a)
 
-the Fourier data behind every smoothed sector statistic here.  Cancella-
+over every prime-power ideal a, inert and ramified ones included: the
+Fourier data behind every smoothed sector statistic here.  Cancella-
 tion in S_k for k != 0 (against the trivial bound S_0) is exactly angular
 equidistribution of the prime ideals.
 
@@ -53,19 +54,19 @@ def _norm_window(X: float, phi: SmoothWindow) -> tuple[int, int]:
     return max(0, math.ceil(X * phi.lo) - 1), math.floor(reach)
 
 
-def _weighted_entries(X, phi, include_nonsplit):
+def _weighted_entries(X, phi):
     """(thetas, weights) of the prime-power table, weights Phi(N/X) Lambda."""
     X = check_real("scale X", X, 2.0, MAX_SIZE)
     if phi.lo < 0.0:
         raise BadInput(f"cutoff support [{phi.lo}, {phi.hi}] must sit in (0, inf)")
-    norms, thetas, logs, _ = _lambda_arrays(*_norm_window(X, phi), include_nonsplit)
+    norms, thetas, logs, _ = _lambda_arrays(*_norm_window(X, phi))
     return thetas, phi(norms / X) * logs
 
 
-def character_sum(k: int, X: float, phi: SmoothWindow, include_nonsplit: bool = True) -> complex:
+def character_sum(k: int, X: float, phi: SmoothWindow) -> complex:
     """S_k(X) with cutoff Phi; real and imaginary parts exactly rounded."""
     k = check_int("k", k, -KMAX_CAP, KMAX_CAP)
-    thetas, weights = _weighted_entries(X, phi, include_nonsplit)
+    thetas, weights = _weighted_entries(X, phi)
     angles = (4.0 * k) * thetas
     re = exact_sum(weights * np.cos(angles))
     im = exact_sum(weights * np.sin(angles)) if k != 0 else 0.0
@@ -127,10 +128,8 @@ class CharacterSumTable:
         return complex(self.values[k])
 
 
-def character_sum_table(
-    X: float, k_max: int, phi: SmoothWindow, include_nonsplit: bool = True,
-) -> CharacterSumTable:
+def character_sum_table(X: float, k_max: int, phi: SmoothWindow) -> CharacterSumTable:
     """Tabulate S_0..S_{k_max} in one pass over the weighted entries."""
     k_max = check_int("k_max", k_max, 0, KMAX_CAP)
-    thetas, weights = _weighted_entries(X, phi, include_nonsplit)
+    thetas, weights = _weighted_entries(X, phi)
     return CharacterSumTable(geometric_weighted_sums(4.0 * thetas, weights, k_max))

@@ -12,7 +12,10 @@ Six subcommands, one per experiment family:
 Each subcommand is one call into the library. An option left unset is not
 passed, so the library function's own default applies; only --out, --min,
 --grid and --kmax have defaults of their own. Every integer option accepts
-scientific notation like 1e6.
+scientific notation like 1e6. --split-only, which drops the ramified and
+inert ideals, belongs to the four enumeration subcommands sieve, sectors,
+weyl and forbidden; variance counts every prime-power ideal, as the
+paper's psi does.
 
 Exit codes: 0 on success, 2 on invalid parameters (including a size above
 its ceiling in sectorlab.errors; the library checks every argument), 3 when
@@ -65,8 +68,7 @@ def _run_weyl(ns, path):
 
 
 def _run_variance(ns, path):
-    reports = variance_sweep(include_nonsplit=ns.include_nonsplit,
-                             **_given(ns, "x_list", "tau_list", "eps", "grid_factor"))
+    reports = variance_sweep(**_given(ns, "x_list", "tau_list", "eps", "grid_factor"))
     write_variance_json(path("variance.json"), reports)
     write_variance_csv(path("variance.csv"), reports)
 
@@ -136,10 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("forbidden", _run_forbidden, "smallest positive angle vs 1/(2 sqrt X)")
     p.add_argument("--max", dest="norm_max", type=_int_literal, required=True)
 
-    for p in sub.choices.values():
+    for name, p in sub.choices.items():
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--split-only", dest="include_nonsplit", action="store_false",
-                       help="drop ramified and inert ideals")
+        if name in ("sieve", "sectors", "weyl", "forbidden"):
+            p.add_argument("--split-only", dest="include_nonsplit", action="store_false",
+                           help="drop ramified and inert ideals")
     return parser
 
 

@@ -269,10 +269,11 @@ def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, per_prime:
     """
     segments = [(start, min(start + _SEGMENT - 1, norm_max))
                 for start in range(norm_min + 1, norm_max + 1, _SEGMENT)]
+    # the comprehension's scope ends before any marks are set, and with it
+    # the last segment's primes
     splits = [np.empty(0, dtype=np.int64)]
-    for start, stop in segments:
-        primes = _primes_in_range(start - 1, stop)
-        splits.append(primes[is_split(primes)])
+    splits += [primes[is_split(primes)]
+               for primes in (_primes_in_range(start - 1, stop) for start, stop in segments)]
     split_count = sum(split.size for split in splits)
     out_r = np.empty(per_prime * split_count, dtype=np.int64)
     out_c = np.empty_like(out_r)
@@ -402,17 +403,20 @@ def _iroot(n: int, r: int) -> int:
     return m
 
 
-def _lambda_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
+def _lambda_arrays(norm_min: int, norm_max: int):
     """Arrays (norm, theta, weight, r) for prime-power ideals in (norm_min, norm_max].
 
-    Sorted by (norm, theta).  weight is log of the base norm; the r array
-    lets callers separate genuine primes (r = 1) from higher powers.  Built
-    on each call from the cached enumeration: the primes of the window, and
-    one enumeration up to sqrt(norm_max) whose bases each power r >= 2
-    keeps when their r-th power lands in the window, sorted and merged in.
+    Sorted by (norm, theta).  Every prime ideal is a base, ramified and
+    inert included, as in the paper's psi.  weight is log of the base norm;
+    the r array lets callers separate genuine primes (r = 1) from higher
+    powers.  Built on each call from the cached enumeration: the primes of
+    the window, and one enumeration up to sqrt(norm_max) whose bases each
+    power r >= 2 keeps when their r-th power lands in the window, sorted and
+    merged in.  Both reads pass True positionally, as the sharp statistics
+    do, so they hit the same cache entries.
     """
-    _, _, _, norm, _, theta = _ideal_arrays(norm_min, norm_max, include_nonsplit)
-    _, _, _, bases, _, angles = _ideal_arrays(0, _iroot(norm_max, 2), include_nonsplit)
+    _, _, _, norm, _, theta = _ideal_arrays(norm_min, norm_max, True)
+    _, _, _, bases, _, angles = _ideal_arrays(0, _iroot(norm_max, 2), True)
     powers = []
     # every r >= 2 with 2**r <= norm_max; r = 2 always runs, so the block is
     # typed even when empty
@@ -448,13 +452,12 @@ def enumerate_prime_ideals(
     ]
 
 
-def lambda_entries(
-    norm_min: int, norm_max: int, include_nonsplit: bool = True
-) -> list[LambdaEntry]:
+def lambda_entries(norm_min: int, norm_max: int) -> list[LambdaEntry]:
     """Prime-power ideals base^r with norm in (norm_min, norm_max], sorted by (norm, theta).
 
-    The weight attached to base^r is log(base.norm), so summing weights over
-    entries recovers the von Mangoldt count for the window.
+    Every prime ideal is a base, ramified and inert included.  The weight
+    attached to base^r is log(base.norm), so summing weights over entries
+    recovers the von Mangoldt count for the window.
     """
     norm_min = check_int("norm_min", norm_min, 0)
     norm_max = check_int("norm_max", norm_max, norm_min, MAX_SIZE)
@@ -462,7 +465,7 @@ def lambda_entries(
     r = 1
     while norm_max >= 2**r:
         cap = _iroot(norm_max, r)
-        for ideal in enumerate_prime_ideals(0, cap, include_nonsplit):
+        for ideal in enumerate_prime_ideals(0, cap):
             norm_r = ideal.norm**r
             if norm_r <= norm_min or norm_r > norm_max:
                 continue

@@ -37,7 +37,6 @@ from .errors import (GRID_CAP, KMAX_CAP, MAX_PAIRS, MAX_SIZE, AliasingRisk, BadI
                      TruncationFailure, check_int, check_real)
 from .ideals import HALF_PI, _lambda_arrays
 from .windows import (
-    PeriodizedWindow,
     SmoothWindow,
     _midpoint_nodes,
     fourier_coefficients_bulk,
@@ -110,16 +109,12 @@ def mean_formula(K: float, X: float, f: SmoothWindow, phi: SmoothWindow) -> floa
     return (X / K) * f.integral() * phi.integral()
 
 
-def psi_eval(
-    theta: float, K: float, X: float, f: SmoothWindow, phi: SmoothWindow,
-    include_nonsplit: bool = True,
-) -> float:
+def psi_eval(theta: float, K: float, X: float, f: SmoothWindow, phi: SmoothWindow) -> float:
     """The smoothed count at a single angle, by a direct, exactly rounded sum."""
     theta = check_real("angle theta", theta)
-    pw = PeriodizedWindow(base=f, K=float(K))
-    thetas, weights = _weighted_entries(X, phi, include_nonsplit)
-    vals = periodized_eval(pw, thetas - theta)
-    return exact_sum(weights * vals)
+    K = check_real("sharpness K", K, 1.0)
+    thetas, weights = _weighted_entries(X, phi)
+    return exact_sum(weights * periodized_eval(f, K, thetas - theta))
 
 
 def _scatter_grid(thetas, weights, K, f, grid_size):
@@ -153,8 +148,11 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     the entry's first cell, x0_a = fl(fl(theta_a - fl(i_lo_a step)) scale),
     and dx = fl(step scale), with step = fl(P/G), scale = fl(K/P) and P the
     double HALF_PI.  Against the exact x = (theta_a - m P/G) K/P of the
-    float inputs, write each rounding as (1 + e), |e| <= u = 2^-53 (no
-    underflow: |x0_a| and dx are normal).  Note (P/G)(K/P) = K/G exactly.
+    float inputs, write each rounding as (1 + e), |e| <= u = 2^-53.  Only
+    x0_a can underflow: step, scale and dx are normal, fl(j dx) is 0 or
+    normal, and a subtraction with a subnormal result is exact.  So
+    underflow adds at most 2^-1075 to x0_a, and at most 2^-1074 once the
+    last subtraction rounds it.  Note (P/G)(K/P) = K/G exactly.
     Then x0_a - fl(j dx) equals (1 + e_scale) times
 
         x - e_step m K/G - e_t (1 + e_step) i_lo_a K/G
@@ -167,7 +165,8 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     |x0_a| / (1 - u)^3.  Collecting the products of (1 + e) factors, each
     below 1 + 8u,
 
-        |x~ - x| <= u (2|x| + 2|x0_a| + (|m| + |i_lo_a| + 2j) K/G) (1 + 8u).
+        |x~ - x| <= u (2|x| + 2|x0_a| + (|m| + |i_lo_a| + 2j) K/G) (1 + 8u)
+                    + 2^-1074.
 
     |m| K/G is about theta_a K/P <= K: the cancellation in theta_a - m P/G
     costs the same in any formula from these inputs.  At the direct
@@ -220,14 +219,11 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     return grid
 
 
-def psi_grid(
-    K: float, X: float, f: SmoothWindow, phi: SmoothWindow,
-    grid_size: int = 4096, include_nonsplit: bool = True,
-) -> np.ndarray:
+def psi_grid(K: float, X: float, f: SmoothWindow, phi: SmoothWindow, grid_size: int) -> np.ndarray:
     """The smoothed count on the grid theta_i = i (pi/2)/grid_size, i < grid_size."""
     K = check_real("sharpness K", K, 1.0)
     grid_size = check_int("grid size", grid_size, 1, GRID_CAP)
-    thetas, weights = _weighted_entries(X, phi, include_nonsplit)
+    thetas, weights = _weighted_entries(X, phi)
     return _scatter_grid(thetas, weights, K, f, grid_size)
 
 
@@ -286,13 +282,11 @@ class PsiSpectrum:
         return float(out) if out.ndim == 0 else out
 
 
-def psi_spectrum(
-    K: float, X: float, f: SmoothWindow, phi: SmoothWindow, include_nonsplit: bool = True,
-) -> PsiSpectrum:
+def psi_spectrum(K: float, X: float, f: SmoothWindow, phi: SmoothWindow) -> PsiSpectrum:
     """Assemble the truncated spectrum c_k S_k with its tail certificate."""
     k_max, certificate = truncation_kmax(f, K)
     c = fourier_coefficients_bulk(f, K, k_max)
-    table = character_sum_table(X, k_max, phi, include_nonsplit)
+    table = character_sum_table(X, k_max, phi)
     coeffs = c * table.values
     s0 = float(table.values[0].real)
     tail_bound = abs(c[k_max]) * abs(s0)
@@ -323,8 +317,7 @@ def _check_grid(grid_size: int, k_max: int):
 
 
 def variance_direct(
-    K: float, X: float, f: SmoothWindow, phi: SmoothWindow,
-    grid_size: int | None = None, include_nonsplit: bool = True,
+    K: float, X: float, f: SmoothWindow, phi: SmoothWindow, grid_size: int | None = None,
 ) -> float:
     """Angular variance of the smoothed count from a uniform grid.
 
@@ -335,7 +328,7 @@ def variance_direct(
     k_max, _ = truncation_kmax(f, K)
     grid_size = 4 * k_max if grid_size is None else check_int("grid size", grid_size, 1, GRID_CAP)
     _check_grid(grid_size, k_max)
-    values = psi_grid(K, X, f, phi, grid_size, include_nonsplit)
+    values = psi_grid(K, X, f, phi, grid_size)
     return _grid_stats(values)[1]
 
 
@@ -372,13 +365,13 @@ class VarianceReport:
     certificate: dict
 
 
-def _power_part_grid(K, X, phi, grid_size, include_nonsplit, f):
+def _power_part_grid(K, X, f, phi, grid_size):
     """Grid values of the r >= 2 part of psi (prime powers only).
 
     X and phi were checked by the caller's spectrum.  The power rows, about
     80 of 77,613 at X = 1e6, are kept before Phi is evaluated.
     """
-    norms, thetas, logs, r = _lambda_arrays(*_norm_window(X, phi), include_nonsplit)
+    norms, thetas, logs, r = _lambda_arrays(*_norm_window(X, phi))
     keep = r >= 2
     weights = phi(norms[keep] / X) * logs[keep]
     return _scatter_grid(thetas[keep], weights, float(K), f, int(grid_size))
@@ -386,20 +379,17 @@ def _power_part_grid(K, X, phi, grid_size, include_nonsplit, f):
 
 def variance_sweep(
     x_list=(10**4, 10**5, 10**6), tau_list=(0.2, 0.4, 0.55),
-    f: SmoothWindow | None = None, phi: SmoothWindow | None = None,
-    eps: float = 0.05, grid_factor: int = 4, include_nonsplit: bool = True,
+    eps: float = 0.05, grid_factor: int = 4,
 ) -> list[VarianceReport]:
     """Measure mean and variance of psi over a grid of (X, tau) cells, K = X^tau.
 
-    Defaults: f the reference mollifier, Phi a plateau majorant of [1, 2]
+    f is the reference mollifier and Phi the plateau majorant of [1, 2]
     with shoulder eps.  Cells are visited in (X, tau) lexicographic order
     and each yields a VarianceReport with both variance routes, the mean
     against its (X/K) int f int Phi prediction, and the prime-power gap.
     """
-    if f is None:
-        f = mollifier_window()
-    if phi is None:
-        phi = plateau_plus(core=(1.0, 2.0), eps=eps)
+    f = mollifier_window()
+    phi = plateau_plus(core=(1.0, 2.0), eps=eps)
     grid_factor = check_int("grid factor", grid_factor, 1, GRID_CAP)
     x_list = [check_real("scale X", X, 4.0, MAX_SIZE) for X in x_list]
     tau_list = [check_real("sharpness exponent tau", tau, 0.0, 1.0, "[)") for tau in tau_list]
@@ -407,12 +397,12 @@ def variance_sweep(
     for X in x_list:
         for tau in tau_list:
             K = X**tau
-            spectrum = psi_spectrum(K, X, f, phi, include_nonsplit)
+            spectrum = psi_spectrum(K, X, f, phi)
             grid_size = check_int("grid_factor * k_max", grid_factor * spectrum.k_max, 1, GRID_CAP)
             _check_grid(grid_size, spectrum.k_max)
-            values = psi_grid(K, X, f, phi, grid_size, include_nonsplit)
+            values = psi_grid(K, X, f, phi, grid_size)
             mean_emp, var_dir = _grid_stats(values)
-            gap_values = _power_part_grid(K, X, phi, grid_size, include_nonsplit, f)
+            gap_values = _power_part_grid(K, X, f, phi, grid_size)
             gap = exact_sum(gap_values**2) / grid_size
             reports.append(
                 VarianceReport(

@@ -298,39 +298,27 @@ def fourier_coefficients_bulk(base: SmoothWindow, K: float, k_max: int) -> np.nd
     return geometric_weighted_sums(phases, weights, k_max) / K
 
 
-@dataclass(frozen=True)
-class PeriodizedWindow:
-    """F_K: the base window scaled by K and wrapped around the quarter circle."""
-
-    base: SmoothWindow
-    K: float
-
-    def __post_init__(self):
-        check_real("sharpness K", self.K, 1.0)
-
-
-def periodized_eval(pw: PeriodizedWindow, theta):
-    """Evaluate F_K(theta) = sum_j base((K/P)(theta - jP)), P = pi/2.
+def periodized_eval(base: SmoothWindow, K: float, theta):
+    """Evaluate F_K(theta) = sum_j base((K/P)(theta - jP)), P = pi/2, for finite K >= 1.
 
     theta is reduced mod P first (fmod is exact, so arguments differing by
     a representable multiple of P evaluate identically), then the finitely
     many contributing translates are summed; there are at most
     ceil(support_length / K) + 1 of them.
     """
+    K = check_real("sharpness K", K, 1.0)
     arr = np.asarray(check_real("angle theta", theta))
     scalar = np.isscalar(theta) or arr.ndim == 0
     u = np.fmod(arr, HALF_PI)
     u = np.where(u < 0.0, u + HALF_PI, u)
-    x = u * (pw.K / HALF_PI)
-    jlo = np.ceil((x - pw.base.hi) / pw.K).astype(np.int64)
-    jhi = np.floor((x - pw.base.lo) / pw.K).astype(np.int64)
+    x = u * (K / HALF_PI)
+    jlo = np.ceil((x - base.hi) / K).astype(np.int64)
+    jhi = np.floor((x - base.lo) / K).astype(np.int64)
     out = np.zeros_like(x)
     spans = jhi - jlo
     for d in range(int(spans.max()) + 1 if spans.size else 0):
         live = d <= spans
-        if not np.any(live):
-            break
-        out[live] += pw.base._eval(x[live] - (jlo[live] + d) * pw.K)
+        out[live] += base._eval(x[live] - (jlo[live] + d) * K)
     if scalar:
         return float(out)
     return out

@@ -133,14 +133,27 @@ def test_weyl_over_no_ideals_exits_2(tmp_path, capsys, args):
     ["weyl", "--x", "1e30"],
     ["realquad", "--limit", "1e12"],
     ["variance", "--x-list", "1e4", "--x-list", str(MAX_SIZE + 1), "--tau", "0.01"],
+    # --split-only reaches the library on sectors and forbidden (sieve and
+    # weyl have their own --split-only tests) ...
+    ["sectors", "--x", "1e30", "--rho", "0.3", "--split-only"],
+    ["forbidden", "--max", "1e30", "--split-only"],
+    # ... and argparse refuses it on the two subcommands that never read it
+    ["variance", "--x-list", "1e4", "--tau", "0.01", "--split-only"],
+    ["realquad", "--limit", "1e12", "--split-only"],
 ])
 def test_size_above_ceiling_exits_2_before_work(tmp_path, capsys, args):
     # without the ceiling each of these enumerates for hours
     out = tmp_path / "out"
     start = time.perf_counter()
-    assert main(args + ["--out", str(out)]) == 2
+    refused = "--split-only" in args and args[0] in ("variance", "realquad")
+    try:
+        code = main(args + ["--out", str(out)])
+    except SystemExit as exc:  # argparse refused an option
+        code = exc.code
+    assert code == 2
     assert time.perf_counter() - start < 5.0
-    assert "size ceiling" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("unrecognized arguments: --split-only" if refused else "size ceiling") in err
     assert not out.exists()
 
 

@@ -425,12 +425,11 @@ _LAMBDA_WINDOWS = [(lo, hi) for lo in _POWER_EDGES for hi in (6560, 6561, 8191, 
                    if lo <= hi] + [(0, 1), (5, 5)]
 
 
-@pytest.mark.parametrize("lo, hi, include_nonsplit", [
-    pytest.param(lo, hi, nonsplit, id=f"{lo}-{hi}" + ("" if nonsplit else "-split"))
-    for nonsplit in (True, False) for lo, hi in _LAMBDA_WINDOWS])
-def test_lambda_arrays_match_lambda_entries(lo, hi, include_nonsplit):
-    norm, theta, weight, r = _lambda_arrays(lo, hi, include_nonsplit)
-    entries = lambda_entries(lo, hi, include_nonsplit)
+@pytest.mark.parametrize("lo, hi", [
+    pytest.param(lo, hi, id=f"{lo}-{hi}") for lo, hi in _LAMBDA_WINDOWS])
+def test_lambda_arrays_match_lambda_entries(lo, hi):
+    norm, theta, weight, r = _lambda_arrays(lo, hi)
+    entries = lambda_entries(lo, hi)
     assert (norm.dtype, theta.dtype, weight.dtype, r.dtype) == (
         np.int64, np.float64, np.float64, np.int32)
     assert norm.tolist() == [e.norm for e in entries]
@@ -469,19 +468,19 @@ def test_memory_gate_ideal_arrays(monkeypatch, blocks):
 def test_memory_gate_lattice_scan(monkeypatch, lo):
     # one window of one segment.  The peak comes while the split marks are
     # set.  Besides the output (the columns, and the split primes, held in a
-    # list until they are joined) the scan then holds the segment's primes
-    # from the sieve, the marks at half a byte per norm, and the marks'
-    # index, split - start and its shift: two int64 per split prime, one
-    # above 256 KiB, where numpy reuses the first.  The rows and one chunk
-    # come after the index is freed and take less here (5 int64 per row, 6
-    # per point of the chunk); 64 KiB covers numpy's indexing buffers
+    # list until they are joined) the scan then holds the marks at half a
+    # byte per norm, and the marks' index, split - start and its shift: two
+    # int64 per split prime, one above 256 KiB, where numpy reuses the
+    # first.  The segment's primes from the sieve are gone by then.  The
+    # rows and one chunk come after the index is freed and take less here
+    # (5 int64 per row, 6 per point of the chunk); 64 KiB covers numpy's
+    # indexing buffers
     monkeypatch.setattr(ideals_mod, "_SEGMENT", 1 << 20)
     monkeypatch.setattr(ideals_mod, "_SCAN_POINTS", 1 << 10)
     hi = lo + (1 << 20)
-    primes = ideals_mod._primes_in_range(lo, hi)
     out, peak = traced_peak(ideals_mod._lattice_scan, lo, hi, lambda p: p % 4 == 1,
                             ideals_mod._two_square_rows, lambda a, b: a * a + b * b, 1)
-    allowance = primes.nbytes + 2 * out[2].nbytes + (1 << 19) + (1 << 16)
+    allowance = 2 * out[2].nbytes + (1 << 19) + (1 << 16)
     assert peak <= _nbytes(out) + allowance, (peak, _nbytes(out))
 
 

@@ -53,7 +53,6 @@ VALID_SEQUENCES = {"core": (0.0, 1.0), "deltas": (0.5,), "x_list": (1000,), "tau
 # arguments that are objects, held fixed
 OBJECTS = {
     "f": F, "phi": PHI, "base": F, "window": PHI,
-    "pw": sectorlab.PeriodizedWindow(base=F, K=4.0),
     "evaluator": sectorlab.mollifier_eval, "g": lambda u: u * u,
     "spectrum": sectorlab.psi_spectrum(4.0, 1000, F, PHI),
 }
@@ -216,9 +215,8 @@ def test_composite_or_out_of_range_modulus_is_bad_input(call):
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 def test_non_finite_angle_is_bad_input_on_both_routes(theta):
     spectrum = sectorlab.psi_spectrum(4.0, 1000, F, PHI)
-    pw = sectorlab.PeriodizedWindow(base=F, K=4.0)
     for call in (lambda: sectorlab.psi_eval(theta, 4.0, 1000, F, PHI),
-                 lambda: sectorlab.periodized_eval(pw, np.array([0.1, theta])),
+                 lambda: sectorlab.periodized_eval(F, 4.0, np.array([0.1, theta])),
                  lambda: spectrum.synthesize(theta),
                  lambda: spectrum.synthesize(np.array([[0.1, theta]]))):
         with pytest.raises(BadInput):

@@ -38,7 +38,6 @@ from sectorlab.variance import (
 )
 from sectorlab.windows import (
     HALF_PI,
-    PeriodizedWindow,
     custom_window,
     fourier_coefficient,
     fourier_coefficients_bulk,
@@ -122,7 +121,13 @@ SHARPNESS_CALLS = {
 
 @pytest.mark.parametrize("call", sorted(SHARPNESS_CALLS))
 @pytest.mark.parametrize("K", [0.0, math.nan, math.inf, -2.0, 0.5])
-def test_sharpness_must_be_finite_and_at_least_one(K, call):
+def test_sharpness_must_be_finite_and_at_least_one(monkeypatch, K, call):
+    # the check comes before any work: the prime-power table is never read
+    def no_table(*args):
+        raise AssertionError("read the prime-power table before checking K")
+
+    for module in ("characters", "variance"):
+        monkeypatch.setattr(f"sectorlab.{module}._lambda_arrays", no_table)
     with pytest.raises(BadInput):
         SHARPNESS_CALLS[call](K)
 
@@ -167,7 +172,7 @@ def test_psi_powers_dominates_primes():
     # the r >= 2 part of psi is a sum of nonnegative terms, and the prime
     # part it leaves behind is too
     phi = plateau_1_2()
-    powers = _power_part_grid(4.0, 300.0, phi, 64, True, bump())
+    powers = _power_part_grid(4.0, 300.0, bump(), phi, 64)
     whole = psi_grid(4.0, 300.0, bump(), phi, grid_size=64)
     assert np.all(powers >= 0.0)
     assert np.all(whole - powers >= -1e-12 * np.maximum(1.0, whole))
@@ -399,9 +404,8 @@ WINDOWS = {"mollifier": bump, "plateau": lambda: plateau_plus(core=(0.3, 1.1), e
 
 def brute_scatter(thetas, weights, K, f, grid_size):
     """Per-angle oracle: F_K(theta_a - theta_i) summed over entries at each grid angle."""
-    pw = PeriodizedWindow(base=f, K=K)
     grid = np.arange(grid_size) * (HALF_PI / grid_size)
-    return np.array([math.fsum(weights * periodized_eval(pw, thetas - t)) for t in grid])
+    return np.array([math.fsum(weights * periodized_eval(f, K, thetas - t)) for t in grid])
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,7 +534,7 @@ def plain_scatter(thetas, weights, K, f, grid_size):
 @example(X=3000, K=3.0, grid_size=1 << 10, kind="leaky", budget=64)
 def test_blocked_scatter_matches_plain_loop_bytes(X, K, grid_size, kind, budget):
     f = WINDOWS[kind]()
-    thetas, weights = _weighted_entries(float(X), plateau_1_2(), True)
+    thetas, weights = _weighted_entries(float(X), plateau_1_2())
     with mock.patch.object(variance_mod, "_PAIR_BUDGET", budget):
         got = _scatter_grid(thetas, weights, K, f, grid_size)
     assert got.tobytes() == plain_scatter(thetas, weights, K, f, grid_size).tobytes()
@@ -571,7 +575,7 @@ def test_blocked_scatter_steps_on_few_entries():
     assert min(lo for _, lo, _ in calls) >= -1.0 - 1e-12
     assert max(hi for _, _, hi in calls) <= 1.0 + 1e-12
 
-    thetas, _ = _weighted_entries(X, plateau_1_2(), True)
+    thetas, _ = _weighted_entries(X, plateau_1_2())
     step, scale = HALF_PI / G, K / HALF_PI
     i_lo = np.ceil((thetas - 1.0 / scale) / step).astype(np.int64)
     i_hi = np.floor((thetas + 1.0 / scale) / step).astype(np.int64)
@@ -600,7 +604,7 @@ def test_scatter_refuses_work_past_the_pair_ceiling_at_once():
     # K = 1 at G = GRID_CAP on X = 1e6: 77,613 entries, each over 2G grid
     # points, 5e12 pairs, about 15 hours; it must raise before the spill
     # (G + 2G cells, 805 MB) or any pair buffer exists
-    thetas, weights = _weighted_entries(1e6, plateau_1_2(), True)
+    thetas, weights = _weighted_entries(1e6, plateau_1_2())
     tracemalloc.start()
     try:
         with pytest.raises(BadInput, match="scattered pairs"):
@@ -615,7 +619,7 @@ def test_scatter_refuses_work_past_the_pair_ceiling_at_once():
 
 def test_pair_ceiling_counts_every_pair():
     # the check compares Sigma counts_a itself: a ceiling one below it refuses
-    thetas, weights = _weighted_entries(3000.0, plateau_1_2(), True)
+    thetas, weights = _weighted_entries(3000.0, plateau_1_2())
     K, G = 5.0, 1 << 10
     pairs = int(_support_counts(thetas, K, G).sum())
     assert 0 < pairs <= MAX_PAIRS
@@ -653,6 +657,8 @@ def _scatter_arguments(theta, K, G):
 @example(theta=HALF_PI - 1e-9, K=1.0, G=999_983, seed=2)
 # the direct workload's K and grid
 @example(theta=1.5, K=10**(6 * 0.2), G=1 << 14, seed=3)
+# a subnormal theta: x0_a = fl(theta scale) underflows
+@example(theta=5e-324, K=2.0, G=1, seed=0)
 def test_scatter_arguments_within_derived_bound(theta, K, G, seed):
     # x~ = x0_a - fl(j dx) against the exact (theta - m P/G) K/P, m = i_lo + j,
     # within the bound derived in _scatter_grid's docstring
@@ -671,6 +677,7 @@ def test_scatter_arguments_within_derived_bound(theta, K, G, seed):
         m = i_lo + j
         x = (Fraction(theta) - m * P / G) * KF / P
         bound = u * (2 * abs(x) + 2 * x0 + (abs(m) + abs(i_lo) + 2 * j) * KF / G) * (1 + 8 * u)
+        bound += Fraction(1, 2**1074)
         err = abs(Fraction(float(got[j])) - x)
         assert err <= bound, (j, float(err / u), float(bound / u))
 
@@ -686,7 +693,7 @@ def test_memory_gate_scatter(monkeypatch, X, K, G, budget):
     # evaluator's output and temporaries, cells, shifts), the spill of G +
     # span cells and the grid of G; no pair buffer grows with the entries
     monkeypatch.setattr(variance_mod, "_PAIR_BUDGET", budget)
-    thetas, weights = _weighted_entries(X, plateau_1_2(), True)
+    thetas, weights = _weighted_entries(X, plateau_1_2())
     span = int(_support_counts(thetas, K, G).max())
     _, peak = traced_peak(_scatter_grid, thetas, weights, K, bump(), G)
     allowance = 8 * (7 * thetas.size + 6 * budget + 2 * G + span)

@@ -13,7 +13,6 @@ from sectorlab.errors import BadEps, BadInput, QuadratureFailure
 from sectorlab.windows import (
     DEFAULT_QUAD_TOL,
     HALF_PI,
-    PeriodizedWindow,
     adaptive_simpson,
     custom_window,
     fourier_coefficient,
@@ -314,24 +313,24 @@ def test_coefficient_sum_recovers_periodization_at_zero():
     K = 10.0
     bulk = fourier_coefficients_bulk(f, K, 400)
     total = bulk[0].real + 2.0 * math.fsum(bulk[1:].real)
-    direct = periodized_eval(PeriodizedWindow(base=f, K=K), 0.0)
+    direct = periodized_eval(f, K, 0.0)
     assert abs(total - direct) < 1e-8
 
 
 # ------------------------------------------------------------ periodized
 
 def test_periodized_single_translate_examples():
-    pw = PeriodizedWindow(base=mollifier_window(), K=100.0)
-    assert periodized_eval(pw, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert periodized_eval(pw, math.pi / 4.0) == 0.0
+    f = mollifier_window()
+    assert periodized_eval(f, 100.0, 0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert periodized_eval(f, 100.0, math.pi / 4.0) == 0.0
 
 
 def test_periodized_periodicity():
-    pw = PeriodizedWindow(base=mollifier_window(), K=3.0)
+    f = mollifier_window()
     rng = np.random.default_rng(20260814)
     thetas = rng.uniform(-2.0, 2.0, 256)
-    base = periodized_eval(pw, thetas)
-    shifted = periodized_eval(pw, thetas + HALF_PI)
+    base = periodized_eval(f, 3.0, thetas)
+    shifted = periodized_eval(f, 3.0, thetas + HALF_PI)
     np.testing.assert_allclose(shifted, base, atol=1e-12, rtol=0)
     # where the shift is exactly representable the values are identical
     exact = (thetas + HALF_PI) - HALF_PI == thetas
@@ -341,23 +340,23 @@ def test_periodized_periodicity():
 
 def test_periodized_wraparound_mass():
     # K = 1: every theta collects contributions from both neighbours
-    pw = PeriodizedWindow(base=mollifier_window(), K=1.0)
     th = np.linspace(0.0, HALF_PI, 97, endpoint=False)
     direct = np.zeros_like(th)
     for j in range(-3, 4):
         direct += mollifier_eval((th - j * HALF_PI) / HALF_PI)
-    np.testing.assert_allclose(periodized_eval(pw, th), direct, atol=1e-13, rtol=0)
+    np.testing.assert_allclose(periodized_eval(mollifier_window(), 1.0, th), direct,
+                               atol=1e-13, rtol=0)
 
 
 def test_periodized_rejects_small_K():
     with pytest.raises(BadInput):
-        PeriodizedWindow(base=mollifier_window(), K=0.5)
+        periodized_eval(mollifier_window(), 0.5, 0.0)
 
 
 @pytest.mark.parametrize("K", [0.5, math.inf, math.nan])
 def test_windows_reject_sharpness_not_finite_at_least_one(K):
     with pytest.raises(BadInput):
-        PeriodizedWindow(base=mollifier_window(), K=K)
+        periodized_eval(mollifier_window(), K, 0.0)
     with pytest.raises(BadInput):
         fourier_coefficient(mollifier_window(), K, 1)
     with pytest.raises(BadInput):
