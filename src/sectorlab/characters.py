@@ -55,12 +55,18 @@ def _norm_window(X: float, phi: SmoothWindow) -> tuple[int, int]:
 
 
 def _weighted_entries(X, phi):
-    """(thetas, weights) of the prime-power table, weights Phi(N/X) Lambda."""
+    """(thetas, weights) of the prime-power table, weights Phi(N/X) Lambda.
+
+    Every S_k and psi samples its cutoff here, so it admits the cutoff:
+    BadInput unless the weights, and so their sum, are finite.
+    """
     X = check_real("scale X", X, 2.0, MAX_SIZE)
     if phi.lo < 0.0:
         raise BadInput(f"cutoff support [{phi.lo}, {phi.hi}] must sit in (0, inf)")
     norms, thetas, logs, _ = _lambda_arrays(*_norm_window(X, phi))
-    return thetas, phi(norms / X) * logs
+    weights = phi(norms / X) * logs
+    check_real("sum of the cutoff weights Phi(N/X) log N", np.sum(weights))
+    return thetas, weights
 
 
 def character_sum(k: int, X: float, phi: SmoothWindow) -> complex:

@@ -26,6 +26,18 @@ passes with every shoulder; a custom cutoff that reaches further is refused
 before the enumeration, which at 2.5e9 already holds about 1.2e8 ideals, 5 GB.
 """
 
+MAX_SUPPORT = 512.0
+"""Largest |lo| and |hi| a window's support may have; the named windows reach 2.5.
+
+The direct-route scatter turns support ends into int64 grid cells.  Entry a
+starts at cell i_lo = ceil((theta_a - hi P/K) / (P/G)), theta_a in [0, P),
+P = pi/2, so with K >= 1 and G <= GRID_CAP = 2^25 its magnitude is at most
+G (1 + MAX_SUPPORT) + 1 < 2^35, exact in a double (< 2^53).  An entry covers
+at most (hi - lo) G/K + 1 <= 2^10 2^25 + 1 cells, and fewer than 2^27 entries
+lie below MAX_NORM (about 1.2e8 prime ideals at 2.5e9, a few thousand
+powers), so the int64 pair count stays below 2^62 + 2^27 and cannot wrap.
+"""
+
 MAX_GRID = 1 << 22
 """Largest sector_scan grid.  A scan peaks at about 280 bytes per offset
 (arrays of grid length, one CSV row and two JSON entries per offset; 327 MB

@@ -123,9 +123,9 @@ def sqrt_mod(n: int, p: int) -> int:
 
     Returns the canonical smaller root r with 1 <= r <= p - r.  Raises
     BadInput for any other modulus, where the non-residue search below need
-    not end, and NonResidue when n is not a quadratic residue mod p.  The
-    p = 3 mod 4 and p = 5 mod 8 cases use direct exponentiation; the rest
-    run the Tonelli-Shanks loop.
+    not end, and NonResidue when n is not a quadratic residue mod p.  One
+    Tonelli-Shanks loop serves every odd prime; at p = 3 mod 4 its loop
+    never runs and r = n^((p + 1)/4).
     """
     p = check_int("modulus p", p, 3, 2**64 - 1)  # the range _is_prime decides
     if not _is_prime(p):
@@ -135,35 +135,28 @@ def sqrt_mod(n: int, p: int) -> int:
         raise BadInput("sqrt_mod requires gcd(n, p) = 1")
     if pow(n, (p - 1) // 2, p) != 1:
         raise NonResidue(f"{n} is not a square modulo {p}")
-    if p % 4 == 3:
-        r = pow(n, (p + 1) // 4, p)
-    elif p % 8 == 5:
-        r = pow(n, (p + 3) // 8, p)
-        if r * r % p != n:
-            r = r * pow(2, (p - 1) // 4, p) % p
-    else:
-        # Tonelli-Shanks: write p - 1 = q * 2^s with q odd
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        c = pow(z, q, p)
-        r = pow(n, (q + 1) // 2, p)
-        t = pow(n, q, p)
-        m = s
-        while t != 1:
-            t2, i = t * t % p, 1
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m = i
-            c = b * b % p
-            r = r * b % p
-            t = t * c % p
+    # write p - 1 = q * 2^s with q odd
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    r = pow(n, (q + 1) // 2, p)
+    t = pow(n, q, p)
+    m = s
+    while t != 1:
+        t2, i = t * t % p, 1
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m = i
+        c = b * b % p
+        r = r * b % p
+        t = t * c % p
     return min(r, p - r)
 
 
@@ -324,12 +317,14 @@ def _two_square_rows(start: int, stop: int):
 
 
 @lru_cache(maxsize=64)
-def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool = True):
+def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool, /):
     """Arrays (p, a, b, norm, code, theta) for ideals with norm in (norm_min, norm_max].
 
     Sorted by (norm, theta); all arrays are read-only so they can be shared
-    freely between callers and threads.  Public callers check norm_max against
-    MAX_SIZE; at scale X <= MAX_SIZE the variance statistics reach X phi.hi.
+    freely between callers and threads.  Every argument is positional and
+    required, so each window has one cache key.  Public callers check
+    norm_max against MAX_SIZE; at scale X <= MAX_SIZE the variance
+    statistics reach X phi.hi.
     The split ideals come from one lattice scan of the half domain b > a:
     by Fermat's two-square theorem each split prime p has exactly one point
     (a, b) there, a != b since p is odd, and its conjugate is the mirror
@@ -412,8 +407,7 @@ def _lambda_arrays(norm_min: int, norm_max: int):
     powers.  Built on each call from the cached enumeration: the primes of
     the window, and one enumeration up to sqrt(norm_max) whose bases each
     power r >= 2 keeps when their r-th power lands in the window, sorted and
-    merged in.  Both reads pass True positionally, as the sharp statistics
-    do, so they hit the same cache entries.
+    merged in.
     """
     _, _, _, norm, _, theta = _ideal_arrays(norm_min, norm_max, True)
     _, _, _, bases, _, angles = _ideal_arrays(0, _iroot(norm_max, 2), True)

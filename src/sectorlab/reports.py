@@ -22,6 +22,7 @@ value at a time, into the same matrix.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -278,17 +279,8 @@ def write_sector_json(path: str, report: SectorScanReport):
 
 
 def write_variance_json(path: str, reports: list[VarianceReport]):
-    cells = []
-    for r in reports:
-        cells.append({  # "variant": psi carries every prime power
-            "X": r.X, "tau": r.tau, "K": r.K, "variant": "powers",
-            "k_max": r.k_max, "grid_size": r.grid_size,
-            "mean_empirical": r.mean_empirical, "mean_formula": r.mean_formula,
-            "var_direct": r.var_direct, "var_parseval": r.var_parseval,
-            "ratio": r.ratio, "prime_power_gap": r.prime_power_gap,
-            "f": r.f_descriptor, "phi": r.phi_descriptor,
-            "certificate": r.certificate,
-        })
+    # "variant": psi carries every prime power
+    cells = [{**dataclasses.asdict(r), "variant": "powers"} for r in reports]
     _dump_json(path, VARIANCE_FORMAT, {"cells": cells})
 
 

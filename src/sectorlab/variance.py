@@ -25,7 +25,6 @@ polynomial are exact; coarser grids trigger an AliasingRisk warning.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,8 +32,8 @@ import numpy as np
 
 from ._kernels import exact_sum
 from .characters import _norm_window, _weighted_entries, character_sum_table
-from .errors import (GRID_CAP, KMAX_CAP, MAX_PAIRS, MAX_SIZE, AliasingRisk, BadInput,
-                     TruncationFailure, check_int, check_real)
+from .errors import (GRID_CAP, KMAX_CAP, MAX_PAIRS, MAX_SIZE, AliasingRisk, TruncationFailure,
+                     check_int, check_real)
 from .ideals import HALF_PI, _lambda_arrays
 from .windows import (
     SmoothWindow,
@@ -60,44 +59,34 @@ def _midpoint_coefficient(f: SmoothWindow, K: float, k: int) -> complex:
 def truncation_kmax(f: SmoothWindow, K: float):
     """Smallest certified spectral cutoff for the K-periodisation of f.
 
-    Scans k over powers of two until |c_k| <= 1e-14 |c_0| holds at k and
-    at the two following octaves, and returns (k_max, certificate).  The
+    Walks k over powers of two until |c_k| <= 1e-14 |c_0| holds at some q
+    and at the two following octaves, and returns (q, certificate).  The
     certificate records the sampled magnitudes.  TruncationFailure if no
-    power of two <= KMAX_CAP passes.
+    power of two q <= KMAX_CAP passes.  The magnitudes come from the
+    midpoint rule, not the adaptive route: certifying decay to 1e-14
+    relative needs quadrature error far below DEFAULT_QUAD_TOL, and for
+    these C-infinity compactly supported windows the midpoint sum is
+    spectrally exact.  It also admits f: BadInput unless its integral is
+    finite and nonzero.
     """
     K = check_real("sharpness K", K, 1.0)
     c0 = abs(_midpoint_coefficient(f, K, 0))
-    if c0 == 0.0:
-        u = f.lo + (np.arange(4096) + 0.5) * ((f.hi - f.lo) / 4096)
-        if float(np.max(np.abs(f(u)))) == 0.0:
-            # identically zero window: the periodisation is 0, one mode
-            # (also 0) represents it exactly
-            return 1, {"k_max": 1, "c0": 0.0, "threshold_ratio": TAIL_RATIO,
-                       "checked": {}, "tail_ratio_at_kmax": 0.0, "zero_window": True}
-        raise BadInput("signed window integrates to zero; relative tail decay is undefined")
     threshold = TAIL_RATIO * c0
-    magnitudes: dict[int, float] = {}
-
-    def mag(k: int) -> float:
-        # midpoint rule, not the adaptive route: certifying decay to
-        # 1e-14 relative needs quadrature error far below DEFAULT_QUAD_TOL, and
-        # for these C-infinity compactly supported windows the midpoint
-        # sum is spectrally exact
-        if k not in magnitudes:
-            magnitudes[k] = abs(_midpoint_coefficient(f, K, k))
-        return magnitudes[k]
-
-    q = 1
+    mags = []  # |c_1|, |c_2|, |c_4|, ...
+    q = 1  # the smallest cutoff the magnitudes so far leave open
     while q <= KMAX_CAP:
-        if mag(q) <= threshold and mag(2 * q) <= threshold and mag(4 * q) <= threshold:
+        k = 1 << len(mags)
+        mags.append(abs(_midpoint_coefficient(f, K, k)))
+        if not mags[-1] <= threshold:  # NaN never passes
+            q = 2 * k
+        elif k == 4 * q:
             return q, {
                 "k_max": q,
                 "c0": c0,
                 "threshold_ratio": TAIL_RATIO,
-                "checked": {str(k): magnitudes[k] for k in (q, 2 * q, 4 * q)},
-                "tail_ratio_at_kmax": magnitudes[q] / c0,
+                "checked": {str(q << i): m for i, m in enumerate(mags[-3:])},
+                "tail_ratio_at_kmax": mags[-3] / c0,
             }
-        q *= 2
     raise TruncationFailure(
         f"no certified spectral cutoff <= {KMAX_CAP} for window {f.kind} at K = {K}"
     )
@@ -292,10 +281,8 @@ def psi_spectrum(K: float, X: float, f: SmoothWindow, phi: SmoothWindow) -> PsiS
     tail_bound = abs(c[k_max]) * abs(s0)
     mean_abs = abs(float(coeffs[0].real))
     certificate = dict(certificate)
-    if mean_abs:
-        certificate["tail_term_over_mean"] = tail_bound / mean_abs
-    else:
-        certificate["tail_term_over_mean"] = 0.0 if tail_bound == 0.0 else math.inf
+    # c_0 is nonzero, so a zero mean has S_0 = 0 and a zero tail term
+    certificate["tail_term_over_mean"] = tail_bound / mean_abs if mean_abs else 0.0
     certificate["certified"] = bool(tail_bound <= CERTIFICATE_RATIO * mean_abs)
     return PsiSpectrum(coeffs=coeffs, certificate=certificate)
 
@@ -360,8 +347,8 @@ class VarianceReport:
     var_parseval: float
     ratio: float
     prime_power_gap: float
-    f_descriptor: dict
-    phi_descriptor: dict
+    f: dict
+    phi: dict
     certificate: dict
 
 
@@ -414,8 +401,8 @@ def variance_sweep(
                     var_parseval=variance_parseval(spectrum),
                     ratio=var_dir / mean_emp**2,
                     prime_power_gap=gap,
-                    f_descriptor=f.descriptor(),
-                    phi_descriptor=phi.descriptor(),
+                    f=f.descriptor(),
+                    phi=phi.descriptor(),
                     certificate=spectrum.certificate,
                 )
             )

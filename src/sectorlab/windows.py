@@ -19,14 +19,18 @@ gives a spike of width ~ (pi/2)/K whose Fourier coefficients on the
 period pi/2 are c_k = (1/K) f_hat(k/K); that identity is what the
 spectral variance module exploits.
 
-Windows are descriptor-serialisable: {kind, lo, hi, eps} determines the
-shape (plus a value fingerprint for a custom evaluator); the descriptor
-also records quad_tol, always DEFAULT_QUAD_TOL.
+A named window is descriptor-serialisable: {kind, lo, hi, eps} determines
+its shape, and the descriptor also records quad_tol, always
+DEFAULT_QUAD_TOL.  A custom window's descriptor records its support alone,
+so two custom windows on one support share it; no report holds one.
+
+Every support lies in [-MAX_SUPPORT, MAX_SUPPORT].  The smoothed layer
+samples a bump through _midpoint_nodes, which admits it only when its
+midpoint weights have a finite, nonzero sum.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -34,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from ._kernels import geometric_weighted_sums
-from .errors import (KMAX_CAP, MAX_QUAD_INTERVALS, BadEps, BadInput, QuadratureFailure, check_int,
-                     check_real)
+from .errors import (KMAX_CAP, MAX_PAIRS, MAX_QUAD_INTERVALS, MAX_SUPPORT, BadEps, BadInput,
+                     QuadratureFailure, check_int, check_real)
 from .ideals import HALF_PI
 
 DEFAULT_QUAD_TOL = 1e-10
@@ -120,6 +124,7 @@ class SmoothWindow:
     support is [lo, hi]; eps is the shoulder width for the plateau kinds.
     Calling the window evaluates it (scalar or array in, same shape out);
     evaluation vanishes outside the support, including at both endpoints.
+    BadInput unless -MAX_SUPPORT <= lo < hi <= MAX_SUPPORT.
     """
 
     kind: str
@@ -127,6 +132,11 @@ class SmoothWindow:
     hi: float
     eps: float | None
     _eval: Callable = field(repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        check_real("support [lo, hi]", (self.lo, self.hi), -MAX_SUPPORT, MAX_SUPPORT)
+        if not self.hi > self.lo:
+            raise BadInput(f"empty support [{self.lo}, {self.hi}]")
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=np.float64)
@@ -137,21 +147,13 @@ class SmoothWindow:
 
     def descriptor(self) -> dict:
         """JSON-ready shape descriptor, as the reports record it."""
-        desc = {
+        return {
             "kind": self.kind,
             "lo": self.lo,
             "hi": self.hi,
             "eps": self.eps,
             "quad_tol": DEFAULT_QUAD_TOL,
         }
-        if self.kind == "custom":
-            # named kinds are pinned down by their parameters; a custom
-            # evaluator is only identified by its values, so sample a
-            # fixed probe grid and fold the bytes into the identity
-            u = self.lo + (np.arange(64) + 0.5) * ((self.hi - self.lo) / 64.0)
-            probe = np.asarray(self._eval(u), dtype=np.float64)
-            desc["fingerprint"] = hashlib.sha256(probe.tobytes()).hexdigest()[:16]
-        return desc
 
     def integral(self) -> float:
         """int w(u) du over the support, to DEFAULT_QUAD_TOL."""
@@ -203,8 +205,6 @@ def plateau_minus(core: tuple[float, float] = (0.0, 1.0), eps: float = 0.1) -> S
 
 def custom_window(evaluator: Callable, lo: float, hi: float) -> SmoothWindow:
     """Wrap an arbitrary array-aware evaluator supported on [lo, hi]."""
-    if not hi > lo:
-        raise BadInput(f"empty support [{lo}, {hi}]")
     return SmoothWindow(kind="custom", lo=float(lo), hi=float(hi), eps=None, _eval=evaluator)
 
 
@@ -281,12 +281,17 @@ def _midpoint_nodes(base: SmoothWindow, xi_max: float) -> tuple[np.ndarray, np.n
     The window vanishes to all orders at its support endpoints, so a
     uniform midpoint rule is spectrally accurate; the node count is
     chosen so that the first aliased frequency sits far beyond where the
-    transform has decayed below double precision.
+    transform has decayed below double precision.  Every c_k of the
+    smoothed layer samples its bump here, so this is where a bump is
+    admitted: BadInput unless the weights have a finite, nonzero sum, K c_0.
     """
     n = 1 << max(11, int(math.ceil(math.log2(4.0 * xi_max + 1024.0))))
     h = (base.hi - base.lo) / n
     u = base.lo + (np.arange(n) + 0.5) * h
-    return u, base(u) * h
+    weights = base(u) * h
+    if check_real("midpoint integral of the bump", np.sum(weights)) == 0.0:
+        raise BadInput(f"bump {base.kind} on [{base.lo}, {base.hi}] integrates to zero")
+    return u, weights
 
 
 def fourier_coefficients_bulk(base: SmoothWindow, K: float, k_max: int) -> np.ndarray:
@@ -304,7 +309,8 @@ def periodized_eval(base: SmoothWindow, K: float, theta):
     theta is reduced mod P first (fmod is exact, so arguments differing by
     a representable multiple of P evaluate identically), then the finitely
     many contributing translates are summed; there are at most
-    ceil(support_length / K) + 1 of them.
+    ceil(support_length / K) + 1 of them.  BadInput when angles times
+    translates passes MAX_PAIRS.
     """
     K = check_real("sharpness K", K, 1.0)
     arr = np.asarray(check_real("angle theta", theta))
@@ -316,7 +322,9 @@ def periodized_eval(base: SmoothWindow, K: float, theta):
     jhi = np.floor((x - base.lo) / K).astype(np.int64)
     out = np.zeros_like(x)
     spans = jhi - jlo
-    for d in range(int(spans.max()) + 1 if spans.size else 0):
+    translates = int(spans.max()) + 1 if spans.size else 0
+    check_int("periodized pairs", x.size * translates, 0, MAX_PAIRS)
+    for d in range(translates):
         live = d <= spans
         out[live] += base._eval(x[live] - (jlo[live] + d) * K)
     if scalar:

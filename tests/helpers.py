@@ -17,6 +17,7 @@ import numpy as np
 
 from sectorlab import _kernels, ideals, reports
 from sectorlab._version import __version__
+from sectorlab.windows import custom_window
 
 
 def brute_primes(limit: int) -> list[int]:
@@ -182,6 +183,11 @@ MEMORY_GATE_SIZE = 10**6
 # Veltkamp halves of |v| and of the power of ten, one partial product) at
 # most 8 x 8 more
 CSV_ROW_BYTES = 3 * 64 + 8 * 8
+
+
+def constant_window(value: float, lo: float, hi: float):
+    """The custom window with one value on its whole support [lo, hi]."""
+    return custom_window(lambda u: np.full(np.shape(u), value), lo, hi)
 
 
 def traced_peak(fn, *args):

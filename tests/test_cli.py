@@ -321,6 +321,14 @@ def test_import_pins_thread_pools_unless_preset():
         assert proc.stdout.strip() == expected
 
 
+def test_cli_import_loads_no_hashlib():
+    # no window is fingerprinted, so nothing loads hashlib and its libcrypto
+    code = "import sys, sectorlab.cli; print('hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # ------------------------------------------------------------ entry point
 
 def test_module_invocation(tmp_path):

@@ -245,7 +245,7 @@ def test_lattice_scan_gate_fails_typed(monkeypatch, cold_ideal_cache, tmp_path, 
     monkeypatch.setattr(ideals_mod, "_primes_in_range", lambda lo, hi: np.sort(
         np.append(sieve(lo, hi), 21)) if lo < 21 <= hi else sieve(lo, hi))
     with pytest.raises(InvariantViolation):
-        _ideal_arrays(0, 30)
+        _ideal_arrays(0, 30, True)
     assert main(["sieve", "--max", "30", "--out", str(tmp_path)]) == 3
     assert "numerical guarantee failed" in capsys.readouterr().err
     assert not (tmp_path / "ideals.csv").exists()
@@ -448,6 +448,15 @@ def test_lambda_arrays_read_two_enumerations():
     assert (table[3] >= 2).any()
 
 
+def test_ideal_arrays_has_one_spelling():
+    # lru_cache keys on the spelling, so a default or a keyword would cache
+    # one table under several keys
+    with pytest.raises(TypeError):
+        _ideal_arrays(0, 100)
+    with pytest.raises(TypeError):
+        _ideal_arrays(0, 100, include_nonsplit=True)
+
+
 # ------------------------------------------------------------ memory gate
 
 def _nbytes(arrays):
@@ -460,7 +469,7 @@ def test_memory_gate_ideal_arrays(monkeypatch, blocks):
     # what one sieve segment and one scan chunk hold
     if blocks == "small":
         small_blocks(monkeypatch)
-    out, peak = traced_peak(ideals_mod._ideal_arrays.__wrapped__, 0, MEMORY_GATE_SIZE)
+    out, peak = traced_peak(ideals_mod._ideal_arrays.__wrapped__, 0, MEMORY_GATE_SIZE, True)
     assert peak <= 1.5 * _nbytes(out) + scan_allowance(MEMORY_GATE_SIZE), (peak, _nbytes(out))
 
 

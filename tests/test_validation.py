@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import constant_window
 import sectorlab
 from sectorlab import characters as characters_mod
 from sectorlab import realquad as realquad_mod
@@ -139,6 +140,29 @@ def test_fuzz_public_function(name):
     probe()
 
 
+# windows that break the smoothed layer, as bumps on [-1, 1] and cutoffs on
+# [1, 2]; the fuzz swaps each into one window argument at a time
+BAD_WINDOWS = {
+    role: [constant_window(value, *support) for value in (0.0, math.nan, math.inf, 1e308)]
+    for role, support in (("f", (-1.0, 1.0)), ("base", (-1.0, 1.0)),
+                          ("window", (-1.0, 1.0)), ("phi", (1.0, 2.0)))
+}
+WINDOWED = [name for name in FUNCTIONS
+            if BAD_WINDOWS.keys() & inspect.signature(getattr(sectorlab, name)).parameters.keys()]
+
+
+@pytest.mark.filterwarnings("ignore::sectorlab.errors.AliasingRisk")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", WINDOWED)
+def test_fuzz_window_arguments(name):
+    _, valid = _fuzzed(name)
+    for param in BAD_WINDOWS.keys() & valid.keys():
+        for window in BAD_WINDOWS[param]:
+            kwargs = {k: v for k, v in valid.items() if v is not None}
+            kwargs[param] = window
+            _returns_or_raises_typed(lambda: getattr(sectorlab, name)(**kwargs))
+
+
 ACCEPTANCE_CALLS = {
     "character_sum_table k_max 2.5": lambda: sectorlab.character_sum_table(1e4, 2.5, PHI),
     "character_sum_table k_max nan": lambda: sectorlab.character_sum_table(1e4, math.nan, PHI),
@@ -159,6 +183,8 @@ ACCEPTANCE_CALLS = {
         1, 1e9, sectorlab.custom_window(sectorlab.mollifier_eval, 0.5, 1e300)),
     "character_sum support end 1e12": lambda: sectorlab.character_sum(
         1, 1e6, sectorlab.custom_window(sectorlab.mollifier_eval, 0.5, 1e12)),
+    "character_sum reach 5.12e11": lambda: sectorlab.character_sum(
+        1, 1e9, sectorlab.custom_window(sectorlab.mollifier_eval, 0.5, 512.0)),
     "xi k 2.5": lambda: sectorlab.xi(1, 2, 2.5),
     "character_sum k 2.5": lambda: sectorlab.character_sum(2.5, 1e4, PHI),
     "psi_grid grid 1e30": lambda: sectorlab.psi_grid(4.0, 1e3, F, PHI, grid_size=1e30),

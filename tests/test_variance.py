@@ -7,6 +7,7 @@ and both against explicit entry-list or hand-built oracles.
 """
 
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import traced_peak
+from helpers import constant_window, traced_peak
 from sectorlab import variance as variance_mod
-from sectorlab.characters import _weighted_entries, character_sum
+from sectorlab.characters import _weighted_entries, character_sum, character_sum_table
 from sectorlab.errors import GRID_CAP, MAX_PAIRS, AliasingRisk, BadInput, TruncationFailure
 from sectorlab.ideals import lambda_entries
 from sectorlab.variance import (
@@ -96,13 +97,22 @@ def test_truncation_cap_failure(monkeypatch):
         truncation_kmax(bump(), 8.0)
 
 
-def test_truncation_zero_window():
-    k_max, cert = truncation_kmax(zero_window(), 4.0)
-    assert k_max == 1
-    assert cert["zero_window"] is True
-    assert cert["c0"] == 0.0
-    assert cert["tail_ratio_at_kmax"] == 0.0
-    assert cert["checked"] == {}
+@pytest.fixture
+def no_table(monkeypatch):
+    """Make any read of the prime-power table fail, so a check must come first."""
+    def fail(*args):
+        raise AssertionError("read the prime-power table before checking the arguments")
+
+    for module in ("characters", "variance"):
+        monkeypatch.setattr(f"sectorlab.{module}._lambda_arrays", fail)
+
+
+def test_truncation_zero_window(no_table):
+    # the zero bump has no relative tail decay: both samplers of c_k refuse it
+    with pytest.raises(BadInput):
+        truncation_kmax(zero_window(), 4.0)
+    with pytest.raises(BadInput):
+        fourier_coefficients_bulk(zero_window(), 4.0, 8)
 
 
 def test_truncation_signed_zero_integral_rejected():
@@ -121,22 +131,50 @@ SHARPNESS_CALLS = {
 
 @pytest.mark.parametrize("call", sorted(SHARPNESS_CALLS))
 @pytest.mark.parametrize("K", [0.0, math.nan, math.inf, -2.0, 0.5])
-def test_sharpness_must_be_finite_and_at_least_one(monkeypatch, K, call):
+def test_sharpness_must_be_finite_and_at_least_one(no_table, K, call):
     # the check comes before any work: the prime-power table is never read
-    def no_table(*args):
-        raise AssertionError("read the prime-power table before checking K")
-
-    for module in ("characters", "variance"):
-        monkeypatch.setattr(f"sectorlab.{module}._lambda_arrays", no_table)
     with pytest.raises(BadInput):
         SHARPNESS_CALLS[call](K)
 
 
-def test_custom_window_identity_distinguishes_evaluators():
-    # reports name a window by its descriptor, so two custom windows with
-    # the same support must not share one
-    assert zero_window().descriptor() != step_window().descriptor()
-    assert zero_window().descriptor() == zero_window().descriptor()
+BUMP_CALLS = {
+    "truncation_kmax": lambda f: truncation_kmax(f, 4.0),
+    "psi_spectrum": lambda f: psi_spectrum(4.0, 1e3, f, plateau_1_2()),
+    "variance_direct": lambda f: variance_direct(4.0, 1e3, f, plateau_1_2()),
+    "fourier_coefficients_bulk": lambda f: fourier_coefficients_bulk(f, 4.0, 8),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BUMP_CALLS))
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
+def test_bump_needs_a_finite_integral(no_table, value, call):
+    # a constant 1e308 on [-1, 1] integrates to 2e308, past the largest
+    # double; each call samples the bump through the midpoint rule, which
+    # refuses it at once and before any enumeration
+    window = constant_window(value, -1.0, 1.0)
+    start = time.perf_counter()
+    with np.errstate(over="ignore"), pytest.raises(BadInput):
+        BUMP_CALLS[call](window)
+    assert time.perf_counter() - start < 0.1
+
+
+CUTOFF_CALLS = {
+    "character_sum": lambda phi: character_sum(1, 1e3, phi),
+    "character_sum_table": lambda phi: character_sum_table(1e3, 8, phi),
+    "psi_eval": lambda phi: psi_eval(0.3, 4.0, 1e3, bump(), phi),
+    "psi_grid": lambda phi: psi_grid(4.0, 1e3, bump(), phi, grid_size=64),
+    "psi_spectrum": lambda phi: psi_spectrum(4.0, 1e3, bump(), phi),
+    "variance_direct": lambda phi: variance_direct(4.0, 1e3, bump(), phi),
+}
+
+
+@pytest.mark.parametrize("call", sorted(CUTOFF_CALLS))
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
+def test_cutoff_weights_must_be_finite(value, call):
+    # at X = 1e3 the norms on [1, 2] exceed 999, so log N > 6.9 and a
+    # constant 1e308 gives Phi(N/X) log N = inf
+    with np.errstate(over="ignore"), pytest.raises(BadInput):
+        CUTOFF_CALLS[call](constant_window(value, 1.0, 2.0))
 
 
 # ------------------------------------------------------------ psi_eval
@@ -242,15 +280,9 @@ def test_synthesized_series_is_real():
         assert abs(full.real - sp.synthesize(theta)) <= 1e-10 * sp.mean
 
 
-def test_spectrum_zero_window_path():
-    sp = psi_spectrum(4.0, 200.0, zero_window(), plateau_1_2())
-    assert sp.k_max == 1
-    assert np.all(sp.coeffs == 0.0)
-    assert sp.mean == 0.0
-    assert sp.certificate["certified"] is True
-    assert sp.certificate["tail_term_over_mean"] == 0.0
-    assert variance_parseval(sp) == 0.0
-    assert sp.synthesize(0.3) == 0.0
+def test_spectrum_zero_window_path(no_table):
+    with pytest.raises(BadInput):
+        psi_spectrum(4.0, 200.0, zero_window(), plateau_1_2())
 
 
 def loop_synthesis(sp, theta):
@@ -317,8 +349,9 @@ def test_memory_gate_synthesis(spectrum_8_1e4):
 
 # ------------------------------------------------------------ variance
 
-def test_variance_direct_zero_window():
-    assert variance_direct(4.0, 200.0, zero_window(), plateau_1_2()) == 0.0
+def test_variance_direct_zero_window(no_table):
+    with pytest.raises(BadInput):
+        variance_direct(4.0, 200.0, zero_window(), plateau_1_2())
 
 
 def test_parseval_zero_and_single_mode():
@@ -717,8 +750,8 @@ def test_sweep_report_fields_and_invariants():
         assert r.prime_power_gap > 0.0
         assert abs(r.mean_empirical - r.mean_formula) <= 0.05 * r.mean_formula
         assert r.certificate["certified"] is True
-        assert r.f_descriptor["kind"] == "mollifier"
-        assert r.phi_descriptor["kind"] == "plateau_plus"
+        assert r.f["kind"] == "mollifier"
+        assert r.phi["kind"] == "plateau_plus"
     # K = 1 smooths psi to nearly its mean; sharper windows fluctuate more
     assert reports[0].ratio < 1e-4
     assert reports[0].ratio < reports[1].ratio < reports[2].ratio

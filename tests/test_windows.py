@@ -9,7 +9,7 @@ import pytest
 import scipy.integrate
 
 from sectorlab import windows
-from sectorlab.errors import BadEps, BadInput, QuadratureFailure
+from sectorlab.errors import MAX_SUPPORT, BadEps, BadInput, QuadratureFailure
 from sectorlab.windows import (
     DEFAULT_QUAD_TOL,
     HALF_PI,
@@ -163,6 +163,35 @@ def test_plateau_eps_validation():
 def test_custom_window_rejects_empty_support():
     with pytest.raises(BadInput):
         custom_window(lambda u: u, lo=1.0, hi=1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: plateau_plus(core=(0.0, 1e19), eps=0.1),
+    lambda: plateau_minus(core=(-math.inf, 1.0), eps=0.1),
+    lambda: plateau_plus(core=(0.0, 512.0), eps=0.1),
+    lambda: custom_window(lambda u: mollifier_eval(u / 1e19), -1e19, 1e19),
+    lambda: custom_window(mollifier_eval, math.nan, 1.0),
+    lambda: custom_window(mollifier_eval, -1.0, math.inf),
+], ids=["plateau 1e19", "plateau -inf", "plateau 512.1", "custom 1e19", "custom nan",
+        "custom inf"])
+def test_support_past_the_ceiling_is_refused_where_built(build):
+    # the scatter's int64 cells and pair count are exact only for supports
+    # within MAX_SUPPORT; the named windows reach 2.5
+    with pytest.raises(BadInput):
+        build()
+
+
+def test_support_at_the_ceiling_is_accepted():
+    assert custom_window(mollifier_eval, -MAX_SUPPORT, MAX_SUPPORT).hi == MAX_SUPPORT
+
+
+def test_periodized_eval_checks_its_pairs(monkeypatch):
+    # 10 angles and a support of length 2 at K = 1: three translates each
+    monkeypatch.setattr(windows, "MAX_PAIRS", 29)
+    with pytest.raises(BadInput):
+        periodized_eval(mollifier_window(), 1.0, np.linspace(0.0, 1.0, 10))
+    monkeypatch.setattr(windows, "MAX_PAIRS", 30)
+    assert periodized_eval(mollifier_window(), 1.0, np.linspace(0.0, 1.0, 10)).shape == (10,)
 
 
 def test_window_immutable():
