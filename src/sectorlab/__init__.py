@@ -22,16 +22,7 @@ from .errors import (
     SectorLabError,
     TruncationFailure,
 )
-from .ideals import (
-    GaussianPrimeIdeal,
-    LambdaEntry,
-    Splitting,
-    cornacchia,
-    enumerate_prime_ideals,
-    lambda_entries,
-    sieve_rational_primes,
-    sqrt_mod,
-)
+from .ideals import cornacchia, sieve_rational_primes, sqrt_mod
 from .windows import (
     SmoothWindow,
     adaptive_simpson,
@@ -73,24 +64,14 @@ from .variance import (
     variance_parseval,
     variance_sweep,
 )
-from .realquad import (
-    RealQuadPrimeIdeal,
-    RealQuadReport,
-    angle_t,
-    conjugate_pair,
-    conjugate_t,
-    equidistribution_report_real,
-    solve_norm_equation,
-)
+from .realquad import RealQuadReport, angle_t, equidistribution_report_real, solve_norm_equation
 
 __all__ = [
     "__version__",
     "SectorLabError", "BadInput", "BadSector", "BadEps", "NotSplit",
     "EmptyRange", "NonResidue", "QuadratureFailure", "TruncationFailure",
     "InvariantViolation", "AliasingRisk",
-    "Splitting", "GaussianPrimeIdeal", "LambdaEntry",
     "sieve_rational_primes", "sqrt_mod", "cornacchia",
-    "enumerate_prime_ideals", "lambda_entries",
     "SmoothWindow", "mollifier_eval", "mollifier_window",
     "plateau_plus", "plateau_minus", "custom_window",
     "adaptive_simpson", "fourier_hat", "fourier_coefficient",
@@ -102,6 +83,5 @@ __all__ = [
     "PsiSpectrum", "VarianceReport", "truncation_kmax", "mean_formula",
     "psi_eval", "psi_grid", "psi_spectrum", "variance_direct",
     "variance_parseval", "variance_sweep",
-    "RealQuadPrimeIdeal", "RealQuadReport", "solve_norm_equation",
-    "angle_t", "conjugate_t", "conjugate_pair", "equidistribution_report_real",
+    "RealQuadReport", "solve_norm_equation", "angle_t", "equidistribution_report_real",
 ]

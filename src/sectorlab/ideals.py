@@ -20,17 +20,15 @@ mod p, resolves a single prime independently and serves as the oracle
 for the scan.
 
 All enumerations are over half-open norm windows (norm_min, norm_max]
-so that disjoint windows partition exactly; results are sorted by
-(norm, theta).  The array-level helpers at the bottom return read-only
-arrays; the enumeration _ideal_arrays is the package's only cache.
+so that disjoint windows partition exactly, and return read-only
+columns, one row per ideal, sorted by (norm, theta); the enumeration
+_ideal_arrays is the package's only cache.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -184,50 +182,10 @@ def cornacchia(p: int) -> tuple[int, int]:
     return (b, r) if b % 2 == 1 else (r, b)
 
 
-class Splitting(str, enum.Enum):
-    """How a rational prime decomposes in Z[i]."""
-
-    SPLIT = "split"
-    RAMIFIED = "ramified"
-    INERT = "inert"
-
-
+# how a rational prime decomposes in Z[i]: the codes of the enumeration's
+# code column, and the name of each code, indexed by it
 _SPLIT, _RAMIFIED, _INERT = 0, 1, 2
-_CODE_TO_SPLITTING = {0: Splitting.SPLIT, 1: Splitting.RAMIFIED, 2: Splitting.INERT}
-
-
-@dataclass(frozen=True, slots=True)
-class GaussianPrimeIdeal:
-    """A prime ideal of Z[i] with its normalised generator and angle."""
-
-    p: int
-    a: int
-    b: int
-    norm: int
-    splitting: Splitting
-    theta: float
-
-    def __post_init__(self):
-        if self.a * self.a + self.b * self.b != self.norm:
-            raise BadInput(f"generator ({self.a}, {self.b}) does not have norm {self.norm}")
-        if self.a <= 0 or self.b < 0:
-            raise BadInput("generator must lie in the first quadrant: a > 0, b >= 0")
-
-
-@dataclass(frozen=True, slots=True)
-class LambdaEntry:
-    """A prime-power ideal with the von Mangoldt weight of its base.
-
-    The ideal is base^r; its norm is base.norm ** r, its angle is
-    r * base.theta reduced mod pi/2, and the weight log(base.norm) does
-    not depend on r.
-    """
-
-    base: GaussianPrimeIdeal
-    r: int
-    norm: int
-    theta: float
-    weight: float
+_SPLITTING = ("split", "ramified", "inert")
 
 
 def _isqrt(x: np.ndarray) -> np.ndarray:
@@ -432,44 +390,3 @@ def _lambda_arrays(norm_min: int, norm_max: int):
     for arr in out:
         arr.setflags(write=False)
     return out
-
-
-def enumerate_prime_ideals(
-    norm_min: int, norm_max: int, include_nonsplit: bool = True
-) -> list[GaussianPrimeIdeal]:
-    """All prime ideals with norm in (norm_min, norm_max], sorted by (norm, theta)."""
-    norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
-    cols = map(_scalars, _ideal_arrays(norm_min, norm_max, include_nonsplit))
-    return [
-        GaussianPrimeIdeal(p=p, a=a, b=b, norm=n, splitting=_CODE_TO_SPLITTING[c], theta=t)
-        for p, a, b, n, c, t in zip(*cols)
-    ]
-
-
-def lambda_entries(norm_min: int, norm_max: int) -> list[LambdaEntry]:
-    """Prime-power ideals base^r with norm in (norm_min, norm_max], sorted by (norm, theta).
-
-    Every prime ideal is a base, ramified and inert included.  The weight
-    attached to base^r is log(base.norm), so summing weights over entries
-    recovers the von Mangoldt count for the window.
-    """
-    norm_min = check_int("norm_min", norm_min, 0)
-    norm_max = check_int("norm_max", norm_max, norm_min, MAX_SIZE)
-    entries: list[LambdaEntry] = []
-    r = 1
-    while norm_max >= 2**r:
-        cap = _iroot(norm_max, r)
-        for ideal in enumerate_prime_ideals(0, cap):
-            norm_r = ideal.norm**r
-            if norm_r <= norm_min or norm_r > norm_max:
-                continue
-            theta = math.fmod(r * ideal.theta, HALF_PI) if r > 1 else ideal.theta
-            entries.append(
-                LambdaEntry(
-                    base=ideal, r=r, norm=norm_r, theta=theta,
-                    weight=math.log(ideal.norm),
-                )
-            )
-        r += 1
-    entries.sort(key=lambda e: (e.norm, e.theta))
-    return entries

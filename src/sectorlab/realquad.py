@@ -51,14 +51,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ._kernels import unit_power_sums
-from .errors import (MAX_KMAX, MAX_SIZE, BadInput, InvariantViolation, NotSplit, check_int,
-                     check_real)
-from .ideals import _BLOCK, _isqrt, _lattice_scan, _scalars, sqrt_mod
+from .errors import MAX_KMAX, MAX_SIZE, BadInput, InvariantViolation, NotSplit, check_int
+from .ideals import _BLOCK, _isqrt, _lattice_scan, sqrt_mod
 
 SQRT2 = math.sqrt(2.0)
 LOG_EPS = math.log(1.0 + SQRT2)
@@ -87,12 +85,6 @@ def angle_t(a: int, b: int) -> float:
     a, b = check_int("a", a), check_int("b", b)
     t = math.fmod(_raw_t(a, b), PERIOD)
     return t + PERIOD if t < 0.0 else t
-
-
-def conjugate_t(t: float) -> float:
-    """Reflection t -> -t on the circle of circumference 2 log eps."""
-    t = check_real("t", t, 0.0, PERIOD, "[)")
-    return 0.0 if t == 0.0 else PERIOD - t
 
 
 def _unit_up(a: int, b: int) -> tuple[int, int]:
@@ -159,40 +151,15 @@ def solve_norm_equation(p: int) -> tuple[int, int, int]:
     return a, b, sign
 
 
-@dataclass(frozen=True, slots=True)
-class RealQuadPrimeIdeal:
-    """One prime ideal of Z[sqrt 2] above a split p, in canonical form."""
-
-    p: int
-    a: int
-    b: int
-    sign: int
-    t: float
-
-    def __post_init__(self):
-        if self.a * self.a - 2 * self.b * self.b != self.sign * self.p:
-            raise BadInput(f"norm of {self.a} + {self.b} sqrt 2 is not {self.sign} * {self.p}")
-
-
-def conjugate_pair(p: int) -> tuple[RealQuadPrimeIdeal, RealQuadPrimeIdeal]:
-    """Both prime ideals above p, the sign +1 one first."""
-    a, b, sign = solve_norm_equation(p)
-    t = angle_t(a, b)
-    first = RealQuadPrimeIdeal(p=p, a=a, b=b, sign=sign, t=t)
-    a2, b2, sign2, t2 = _canonicalize(a, -b, p)
-    second = RealQuadPrimeIdeal(p=p, a=a2, b=b2, sign=sign2, t=t2)
-    return first, second
-
-
 @dataclass(frozen=True, eq=False)
 class RealQuadReport:
     """Weyl sums of the t angles over all split primes up to a limit.
 
     weyl[k] is the average of exp(i pi k t / log eps) over both conjugates
     of every split p <= limit; pairing makes it real, and decay in k with
-    growing limit is equidistribution on the 2 log eps circle.  The ideals
-    are held as read-only columns p, a, b, sign, t, ordered by p with the
-    sign +1 ideal first.
+    growing limit is equidistribution on the 2 log eps circle.  Each ideal
+    is one row of the read-only columns p, a, b, sign, t, ordered by p with
+    the sign +1 ideal first.
     """
 
     limit: int
@@ -204,13 +171,6 @@ class RealQuadReport:
     b: np.ndarray
     sign: np.ndarray
     t: np.ndarray
-
-    @cached_property
-    def ideals(self) -> tuple:
-        """The ideals as RealQuadPrimeIdeal objects, built on first access."""
-        cols = (self.p, self.a, self.b, self.sign, self.t)
-        return tuple(RealQuadPrimeIdeal(p, a, b, sign, t)
-                     for p, a, b, sign, t in zip(*map(_scalars, cols)))
 
 
 def _canonical_rows(start: int, stop: int):

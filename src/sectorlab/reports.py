@@ -31,7 +31,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import MAX_SIZE, InvariantViolation, check_int
-from .ideals import _BLOCK, _CODE_TO_SPLITTING, _ideal_arrays, _scalars
+from .ideals import _BLOCK, _SPLITTING, _ideal_arrays, _scalars
 from .realquad import RealQuadReport
 from .sectors import SectorScanReport, _exclusion_bound
 from .variance import VarianceReport
@@ -246,13 +246,12 @@ def write_ideal_csv(path: str, norm_min: int, norm_max: int, include_nonsplit: b
     """Write the ideal enumeration for a norm window as CSV."""
     norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
     p, a, b, norm, code, theta = _ideal_arrays(norm_min, norm_max, include_nonsplit)
-    kinds = _table([_CODE_TO_SPLITTING[c].value for c in range(len(_CODE_TO_SPLITTING))])
     header = [
         f"# {IDEAL_FORMAT} sectorlab={__version__}",
         f"# norm_min={int(norm_min)} norm_max={norm_max} include_nonsplit={int(include_nonsplit)}",
         "p,a,b,norm,splitting,theta",
     ]
-    _dump_rows(path, header, [p, a, b, norm, (kinds, code), theta])
+    _dump_rows(path, header, [p, a, b, norm, (_table(_SPLITTING), code), theta])
 
 
 def write_sector_csv(path: str, report: SectorScanReport):

@@ -216,7 +216,9 @@ def adaptive_simpson(g: Callable, a: float, b: float, tol: float):
     proportion to their width; each interval is accepted when the classic
     |S2 - S1|/15 estimate fits its budget, with Richardson extrapolation
     applied on acceptance.  Raises QuadratureFailure once the number of
-    simultaneously active intervals would exceed MAX_QUAD_INTERVALS.
+    simultaneously active intervals would exceed MAX_QUAD_INTERVALS, and in
+    the first round whose Simpson sums are not all finite: refining a NaN
+    or inf integrand never meets a budget.
     """
     a, b = check_real("a", a), check_real("b", b, a, ends="(]")
     tol = check_real("tol", tol, 0.0, ends="(]")
@@ -241,6 +243,8 @@ def adaptive_simpson(g: Callable, a: float, b: float, tol: float):
         s_left = h6 * (f_left + 4.0 * f_lmid + f_mid)
         s_right = h6 * (f_mid + 4.0 * f_rmid + f_right)
         fine = s_left + s_right
+        if not np.all(np.isfinite(fine)):
+            raise QuadratureFailure(f"adaptive Simpson met a non-finite integrand on [{a}, {b}]")
         err = np.abs(fine - coarse) / 15.0
         budget = tol * (right - left) / width
         done = err <= budget

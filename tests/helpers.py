@@ -4,19 +4,23 @@ Everything here is deliberately slow and obvious: trial division, full
 2D lattice scans, exhaustive residue tables, CSV lines formatted one row
 at a time with the % operator.  The point is independence from the code
 under test, so each oracle recomputes its answer from the definition
-alone.  The memory gate's peak measurement and block allowances are at
-the bottom.
+alone.  The per-ideal oracles build the prime-power table and the
+Z[sqrt 2] conjugate pairs one ideal at a time, from the enumeration's rows
+and from the per-prime solver.  The memory gate's peak measurement and
+block allowances are at the bottom.
 """
 
 from __future__ import annotations
 
 import math
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 
-from sectorlab import _kernels, ideals, reports
+from sectorlab import _kernels, ideals, realquad, reports
 from sectorlab._version import __version__
+from sectorlab.errors import check_real
 from sectorlab.windows import custom_window
 
 
@@ -101,6 +105,61 @@ def brute_realquad_solution(p: int) -> tuple[int, int]:
         a += 1
 
 
+# ------------------------------------------------------- per-ideal oracles
+
+def ideal_rows(norm_min: int, norm_max: int, include_nonsplit: bool = True) -> list[tuple]:
+    """The enumeration of (norm_min, norm_max] as rows (p, a, b, norm, code,
+    theta) of Python scalars."""
+    cols = ideals._ideal_arrays(norm_min, norm_max, include_nonsplit)
+    return list(zip(*(col.tolist() for col in cols)))
+
+
+LambdaEntry = namedtuple("LambdaEntry", "base r norm theta weight")
+
+
+def lambda_entries(norm_min: int, norm_max: int) -> list[LambdaEntry]:
+    """Prime-power ideals base^r with norm in (norm_min, norm_max], sorted by (norm, theta).
+
+    The table ideals._lambda_arrays builds, rebuilt one ideal at a time in
+    Python: for each r with 2^r <= norm_max, every row (p, a, b, norm, code,
+    theta) of the enumeration up to the r-th root of norm_max is a base, kept
+    when its r-th power lands in the window.  Every prime ideal is a base,
+    ramified and inert included, and the weight of base^r is log of the base
+    norm, so summing weights recovers the von Mangoldt count for the window.
+    """
+    entries = []
+    r = 1
+    while norm_max >= 2**r:
+        cap = ideals._iroot(norm_max, r)
+        for base in ideal_rows(0, cap):
+            base_norm, base_theta = base[3], base[5]
+            norm_r = base_norm**r
+            if norm_r <= norm_min or norm_r > norm_max:
+                continue
+            theta = math.fmod(r * base_theta, ideals.HALF_PI) if r > 1 else base_theta
+            entries.append(LambdaEntry(base=base, r=r, norm=norm_r, theta=theta,
+                                       weight=math.log(base_norm)))
+        r += 1
+    entries.sort(key=lambda e: (e.norm, e.theta))
+    return entries
+
+
+def conjugate_pair(p: int):
+    """Both prime ideals of Z[sqrt 2] above a split p as rows (p, a, b, sign, t),
+    the sign +1 one first: realquad.solve_norm_equation's generator, then the
+    canonical form of its conjugate."""
+    a, b, sign = realquad.solve_norm_equation(p)
+    first = (p, a, b, sign, realquad.angle_t(a, b))
+    a2, b2, sign2, t2 = realquad._canonicalize(a, -b, p)
+    return first, (p, a2, b2, sign2, t2)
+
+
+def conjugate_t(t: float) -> float:
+    """Reflection t -> -t on the circle of circumference 2 log eps."""
+    t = check_real("t", t, 0.0, realquad.PERIOD, "[)")
+    return 0.0 if t == 0.0 else realquad.PERIOD - t
+
+
 def running_power_sums(phases, k_max: int) -> list[complex]:
     """sum_n z_n^k for k = 1..k_max by math.fsum over Python floats, where
     z_n = cos(phases_n) + i sin(phases_n) and z_n^k = z_n^(k-1) z_n is the
@@ -132,15 +191,14 @@ def _oracle_lines(path, lines):
 
 def oracle_ideal_csv(path, norm_min, norm_max, include_nonsplit=True):
     """reports.write_ideal_csv one row at a time: "%d" and "%.17g" per value."""
-    cols = [col.tolist() for col in ideals._ideal_arrays(norm_min, norm_max, include_nonsplit)]
-    kinds = {c: s.value for c, s in ideals._CODE_TO_SPLITTING.items()}
+    kinds = {ideals._SPLIT: "split", ideals._RAMIFIED: "ramified", ideals._INERT: "inert"}
     header = [
         f"# {reports.IDEAL_FORMAT} sectorlab={__version__}",
         f"# norm_min={int(norm_min)} norm_max={norm_max} include_nonsplit={int(include_nonsplit)}",
         "p,a,b,norm,splitting,theta",
     ]
     rows = ["%d,%d,%d,%d,%s,%.17g" % (p, a, b, norm, kinds[code], theta)
-            for p, a, b, norm, code, theta in zip(*cols)]
+            for p, a, b, norm, code, theta in ideal_rows(norm_min, norm_max, include_nonsplit)]
     _oracle_lines(path, header + rows)
 
 

@@ -15,7 +15,7 @@ from helpers import brute_cornacchia, brute_gaussian_ideals, brute_primes
 from sectorlab import ideals as ideals_mod
 from sectorlab.characters import character_sum
 from sectorlab.cli import main
-from sectorlab.ideals import cornacchia, enumerate_prime_ideals, sieve_rational_primes
+from sectorlab.ideals import _ideal_arrays, cornacchia, sieve_rational_primes
 from sectorlab.realquad import equidistribution_report_real
 from sectorlab.sectors import forbidden_region_check, sector_count, sector_scan
 from sectorlab.variance import (
@@ -65,7 +65,8 @@ def announce(capsys, num, ok, detail, elapsed, budget=None):
 
 def test_criterion_01_enumeration_oracle(capsys):
     start = time.perf_counter()
-    got = {(i.norm, i.a, i.b) for i in enumerate_prime_ideals(1, 10**4)}
+    _, a, b, norm, _, _ = _ideal_arrays(1, 10**4, True)
+    got = set(zip(norm.tolist(), a.tolist(), b.tolist()))
     want = brute_gaussian_ideals(1, 10**4)
     elapsed = time.perf_counter() - start
     announce(
@@ -90,15 +91,13 @@ def test_criterion_02_cornacchia_oracle(capsys):
 
 def test_criterion_03_conjugate_angles(capsys):
     start = time.perf_counter()
-    split = enumerate_prime_ideals(1, 10**6, include_nonsplit=False)
-    norms = np.array([i.norm for i in split], dtype=np.int64)
-    thetas = np.array([i.theta for i in split])
-    paired = split and len(split) % 2 == 0 and bool(np.all(norms[0::2] == norms[1::2]))
+    _, _, _, norms, _, thetas = _ideal_arrays(1, 10**6, False)
+    paired = norms.size > 0 and norms.size % 2 == 0 and bool(np.all(norms[0::2] == norms[1::2]))
     worst = float(np.max(np.abs(thetas[0::2] + thetas[1::2] - HALF_PI)))
     elapsed = time.perf_counter() - start
     announce(
         capsys, 3, paired and worst <= 1e-12,
-        f"conjugate angles of {len(split) // 2} split p < 1e6 sum to pi/2, "
+        f"conjugate angles of {norms.size // 2} split p < 1e6 sum to pi/2, "
         f"worst |error| {worst:.2e} vs 1e-12",
         elapsed, 30.0,
     )
@@ -263,7 +262,8 @@ def test_criterion_12_real_quadratic(capsys):
         reports[limit] = equidistribution_report_real(limit, 3)
         mags[limit] = [abs(reports[limit].weyl[k]) for k in (1, 2, 3)]
     top = reports[10**5]
-    verified = all(i.a * i.a - 2 * i.b * i.b == i.sign * i.p for i in top.ideals)
+    verified = all(a * a - 2 * b * b == sign * p for p, a, b, sign in zip(
+        top.p.tolist(), top.a.tolist(), top.b.tolist(), top.sign.tolist()))
     split_count = sum(1 for p in sieve_rational_primes(10**5) if p % 8 in (1, 7))
     complete = top.ideal_count == 2 * split_count
     endpoint = all(mags[10**5][k] < mags[10**3][k] for k in range(3))

@@ -14,6 +14,8 @@ from helpers import (
     brute_is_prime,
     brute_primes,
     brute_sqrt_mod,
+    ideal_rows,
+    lambda_entries,
     scan_allowance,
     small_blocks,
     traced_peak,
@@ -26,19 +28,22 @@ from sectorlab.cli import main
 from sectorlab.errors import BadInput, InvariantViolation, NonResidue
 from sectorlab.ideals import (
     _BLOCK,
-    GaussianPrimeIdeal,
-    Splitting,
     _ideal_arrays,
     _lambda_arrays,
     cornacchia,
-    enumerate_prime_ideals,
-    lambda_entries,
     sieve_rational_primes,
     sqrt_mod,
 )
 from sectorlab.reports import write_ideal_csv
 
 HALF_PI = math.pi / 2.0
+
+
+def _norm_a_b(lo, hi):
+    """The set of (norm, a, b) over the enumeration's columns for (lo, hi]."""
+    _, a, b, norm, _, _ = _ideal_arrays(lo, hi, True)
+    return set(zip(norm.tolist(), a.tolist(), b.tolist()))
+
 
 
 # ---------------------------------------------------------------- sieve
@@ -57,7 +62,7 @@ def test_sieve_matches_trial_division():
 def test_enumerate_across_segment_edge():
     # norm window straddling the segmented sieve's block size
     lo, hi = (1 << 23) - 60, (1 << 23) + 60
-    got = {(i.norm, i.a, i.b) for i in enumerate_prime_ideals(lo, hi)}
+    got = _norm_a_b(lo, hi)
     want = set()
     for n in range(lo + 1, hi + 1):
         if brute_is_prime(n) and n % 4 == 1:
@@ -107,8 +112,7 @@ def test_sieve_and_enumeration_across_many_segments(monkeypatch):
     monkeypatch.setattr(ideals_mod, "_SEGMENT", 64)
     ideals_mod._ideal_arrays.cache_clear()  # force a fresh enumeration
     assert sieve_rational_primes(10**4).tolist() == brute_primes(10**4)
-    got = {(i.norm, i.a, i.b) for i in enumerate_prime_ideals(1000, 3000)}
-    assert got == brute_gaussian_ideals(1000, 3000)
+    assert _norm_a_b(1000, 3000) == brute_gaussian_ideals(1000, 3000)
 
 
 # ------------------------------------------------------------- sqrt_mod
@@ -268,58 +272,58 @@ def test_lattice_scan_gate_fails_on_extra_points():
 # ------------------------------------------------------------ enumerate
 
 def test_enumerate_window_1_to_10():
-    ideals = enumerate_prime_ideals(1, 10)
-    got = [(i.norm, i.a, i.b, i.splitting) for i in ideals]
+    p, a, b, norm, code, theta = _ideal_arrays(1, 10, True)
+    got = list(zip(norm.tolist(), a.tolist(), b.tolist(), code.tolist()))
     assert got == [
-        (2, 1, 1, Splitting.RAMIFIED),
-        (5, 2, 1, Splitting.SPLIT),
-        (5, 1, 2, Splitting.SPLIT),
-        (9, 3, 0, Splitting.INERT),
+        (2, 1, 1, ideals_mod._RAMIFIED),
+        (5, 2, 1, ideals_mod._SPLIT),
+        (5, 1, 2, ideals_mod._SPLIT),
+        (9, 3, 0, ideals_mod._INERT),
     ]
-    assert ideals[0].theta == pytest.approx(math.pi / 4.0, abs=0)
-    assert ideals[1].theta == pytest.approx(math.atan2(1, 2), abs=0)
-    assert ideals[2].theta == pytest.approx(math.atan2(2, 1), abs=0)
-    assert ideals[3].theta == 0.0
+    assert p.tolist() == [2, 5, 5, 3]
+    assert theta[0] == pytest.approx(math.pi / 4.0, abs=0)
+    assert theta[1] == pytest.approx(math.atan2(1, 2), abs=0)
+    assert theta[2] == pytest.approx(math.atan2(2, 1), abs=0)
+    assert theta[3] == 0.0
 
 
 def test_enumerate_window_10_to_20():
-    assert [i.norm for i in enumerate_prime_ideals(10, 20)] == [13, 13, 17, 17]
+    assert _ideal_arrays(10, 20, True)[3].tolist() == [13, 13, 17, 17]
 
 
 def test_enumerate_empty_window():
-    assert enumerate_prime_ideals(5, 5) == []
+    assert [col.size for col in _ideal_arrays(5, 5, True)] == [0] * 6
 
 
 def test_enumerate_matches_2d_scan():
-    got = {(i.norm, i.a, i.b) for i in enumerate_prime_ideals(1, 3000)}
-    assert got == brute_gaussian_ideals(1, 3000)
+    assert _norm_a_b(1, 3000) == brute_gaussian_ideals(1, 3000)
 
 
 def test_enumerate_sorted_and_integer_exact():
-    ideals = enumerate_prime_ideals(1, 5000)
-    keys = [(i.norm, i.theta) for i in ideals]
+    rows = ideal_rows(1, 5000)
+    keys = [(norm, theta) for _, _, _, norm, _, theta in rows]
     assert keys == sorted(keys)
-    for i in ideals:
-        assert i.a * i.a + i.b * i.b == i.norm
-        assert i.a > 0 and i.b >= 0
-        assert 0.0 <= i.theta < HALF_PI
-        if i.splitting is Splitting.INERT:
-            assert i.b == 0 and i.theta == 0.0 and i.norm == i.p * i.p
+    for p, a, b, norm, code, theta in rows:
+        assert a * a + b * b == norm
+        assert a > 0 and b >= 0
+        assert 0.0 <= theta < HALF_PI
+        if code == ideals_mod._INERT:
+            assert b == 0 and theta == 0.0 and norm == p * p
         else:
-            assert i.norm == i.p
+            assert norm == p
 
 
 def test_partition_invariance():
-    whole = enumerate_prime_ideals(1, 400)
-    parts = enumerate_prime_ideals(1, 137) + enumerate_prime_ideals(137, 400)
+    whole = ideal_rows(1, 400)
+    parts = ideal_rows(1, 137) + ideal_rows(137, 400)
     assert whole == parts
 
 
 def test_conjugate_pairs_sum_to_half_pi():
     by_p = {}
-    for i in enumerate_prime_ideals(1, 10**5):
-        if i.splitting is Splitting.SPLIT:
-            by_p.setdefault(i.p, []).append(i.theta)
+    for p, _, _, _, code, theta in ideal_rows(1, 10**5):
+        if code == ideals_mod._SPLIT:
+            by_p.setdefault(p, []).append(theta)
     for p, pair in by_p.items():
         assert len(pair) == 2
         assert ulps_apart(pair[0] + pair[1], HALF_PI) <= 4.0
@@ -330,43 +334,33 @@ def test_unit_rotation_angle_invariance():
     # mod pi/2 must land on the stored angle; the reduction itself costs
     # about one ulp of pi/2, so ulps are measured at the circle scale
     budget = 4.0 * math.ulp(HALF_PI)
-    for ideal in enumerate_prime_ideals(1, 2000):
-        a, b = ideal.a, ideal.b
+    for _, a, b, _, _, stored in ideal_rows(1, 2000):
         for _ in range(4):
             theta = math.atan2(b, a) % HALF_PI
-            d = abs(theta - ideal.theta)
+            d = abs(theta - stored)
             assert min(d, abs(d - HALF_PI)) <= budget
             a, b = -b, a  # multiply the generator by i
 
 
 def test_split_only_flag_drops_ramified_and_inert():
-    kept = enumerate_prime_ideals(1, 100, include_nonsplit=False)
-    assert all(i.splitting is Splitting.SPLIT for i in kept)
-    full = enumerate_prime_ideals(1, 100)
-    assert len(full) - len(kept) == sum(
-        1 for i in full if i.splitting is not Splitting.SPLIT
-    )
-
-
-def test_ideal_dataclass_validates():
-    with pytest.raises(BadInput):
-        GaussianPrimeIdeal(p=5, a=1, b=1, norm=5, splitting=Splitting.SPLIT, theta=0.5)
-    with pytest.raises(BadInput):
-        GaussianPrimeIdeal(p=5, a=-2, b=1, norm=5, splitting=Splitting.SPLIT, theta=0.5)
+    kept = _ideal_arrays(1, 100, False)[4]
+    assert np.all(kept == ideals_mod._SPLIT)
+    full = _ideal_arrays(1, 100, True)[4]
+    assert full.size - kept.size == np.count_nonzero(full != ideals_mod._SPLIT)
 
 
 def test_enumerate_rejects_bad_window():
     with pytest.raises(BadInput):
-        enumerate_prime_ideals(10, 5)
+        _ideal_arrays(10, 5, True)
     with pytest.raises(BadInput):
-        enumerate_prime_ideals(-3, 5)
+        _ideal_arrays(-3, 5, True)
 
 
-# --------------------------------------------------------- lambda_entries
+# ---------------------------------------------------------- lambda table
 
 def test_lambda_entries_window_1_to_10():
-    entries = lambda_entries(1, 10)
-    got = [(e.norm, e.weight, e.theta) for e in entries]
+    norm, theta, weight, _ = _lambda_arrays(1, 10)
+    got = list(zip(norm.tolist(), weight.tolist(), theta.tolist()))
     want = [
         (2, math.log(2), math.pi / 4.0),
         (4, math.log(2), 0.0),
@@ -383,38 +377,40 @@ def test_lambda_entries_window_1_to_10():
 
 
 def test_lambda_entry_of_one_plus_two_i_squared():
-    entries = [e for e in lambda_entries(20, 30) if e.norm == 25]
-    assert len(entries) == 2
-    thetas = sorted(e.theta for e in entries)
+    norm, theta, _, _ = _lambda_arrays(20, 30)
+    thetas = sorted(theta[norm == 25].tolist())
+    assert len(thetas) == 2
     assert thetas[0] == pytest.approx(2 * math.atan2(2, 1) - HALF_PI, abs=1e-12)
     assert thetas[1] == pytest.approx(2 * math.atan2(1, 2), abs=1e-12)
 
 
 def test_lambda_entries_empty_window():
+    assert [col.size for col in _lambda_arrays(5, 5)] == [0] * 4
     assert lambda_entries(5, 5) == []
 
 
 def test_lambda_entries_match_enumerate_and_power_oracle():
-    # build the oracle directly: every base ideal up to the window top,
-    # raised while the power stays inside the window
+    # check the per-ideal oracle itself: every base ideal up to the window
+    # top, raised while the power stays inside the window
     hi = 2000
     want = []
-    for base in enumerate_prime_ideals(1, hi):
-        r, norm = 1, base.norm
+    for base_norm in _ideal_arrays(1, hi, True)[3].tolist():
+        r, norm = 1, base_norm
         while norm <= hi:
             if norm > 1:
-                want.append((norm, base.norm, r))
+                want.append((norm, base_norm, r))
             r += 1
-            norm *= base.norm
+            norm *= base_norm
     want.sort()
-    got = sorted((e.norm, e.base.norm, e.r) for e in lambda_entries(1, hi))
+    got = sorted((e.norm, e.base[3], e.r) for e in lambda_entries(1, hi))
     assert got == want
     for e in lambda_entries(1, hi):
-        assert e.weight == pytest.approx(math.log(e.base.norm), rel=1e-15)
-        assert e.norm == e.base.norm**e.r
+        base_norm, base_theta = e.base[3], e.base[5]
+        assert e.weight == pytest.approx(math.log(base_norm), rel=1e-15)
+        assert e.norm == base_norm**e.r
         assert 0.0 <= e.theta < HALF_PI
-        assert ulps_apart(e.theta, (e.r * e.base.theta) % HALF_PI) <= 8.0 or \
-            e.theta == pytest.approx((e.r * e.base.theta) % HALF_PI, abs=1e-12)
+        assert ulps_apart(e.theta, (e.r * base_theta) % HALF_PI) <= 8.0 or \
+            e.theta == pytest.approx((e.r * base_theta) % HALF_PI, abs=1e-12)
 
 
 # lower ends on and just below the prime-power norms 5^2, 5^3, 2^10, 49^2 and

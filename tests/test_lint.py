@@ -114,8 +114,7 @@ def _caches(path):
 def test_one_cache():
     # the enumeration ideals._ideal_arrays is the package's only cache, so
     # memory that outlives a call sits in one bounded place and every other
-    # array helper is a pure function of its arguments; cached_property is
-    # per-object laziness, not a cache, and is allowed
+    # array helper is a pure function of its arguments
     found = [
         f"{path.name}:{line} {name}"
         for path in MODULES

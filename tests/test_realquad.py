@@ -12,6 +12,8 @@ from helpers import (
     MEMORY_GATE_SIZE,
     brute_primes,
     brute_realquad_solution,
+    conjugate_pair,
+    conjugate_t,
     power_sum_allowance,
     running_power_sums,
     scan_allowance,
@@ -29,10 +31,7 @@ from sectorlab.realquad import (
     LOG_EPS,
     PERIOD,
     SQRT2,
-    RealQuadPrimeIdeal,
     angle_t,
-    conjugate_pair,
-    conjugate_t,
     equidistribution_report_real,
     solve_norm_equation,
 )
@@ -109,11 +108,11 @@ def test_any_solution_lands_on_a_conjugate_ideal():
             continue
         a, b = brute_realquad_solution(p)
         assert abs(a * a - 2 * b * b) == p
-        first, second = conjugate_pair(p)
+        (_, a1, b1, _, t1), (_, a2, b2, _, t2) = conjugate_pair(p)
         t = angle_t(a, b)
-        assert min(abs(t - first.t), abs(t - second.t)) <= 1e-9
-        assert first.a > 2 * first.b >= 0
-        assert 0 < second.a < second.b
+        assert min(abs(t - t1), abs(t - t2)) <= 1e-9
+        assert a1 > 2 * b1 >= 0
+        assert 0 < a2 < b2
 
 
 def test_unit_companion_has_opposite_norm():
@@ -171,29 +170,23 @@ def test_conjugate_t_values_and_involution():
 
 def test_conjugate_pair_example():
     first, second = conjugate_pair(7)
-    assert (first.a, first.b, first.sign) == (3, 1, 1)
-    assert (second.a, second.b, second.sign) == (1, 2, -1)
-    assert first.t + second.t == pytest.approx(PERIOD, abs=1e-12)
+    assert first[:4] == (7, 3, 1, 1)
+    assert second[:4] == (7, 1, 2, -1)
+    assert first[4] + second[4] == pytest.approx(PERIOD, abs=1e-12)
 
 
 def test_conjugate_pair_reflection_across_primes():
     for p in brute_primes(500):
         if p % 8 in (1, 7):
-            first, second = conjugate_pair(p)
-            assert first.p == second.p == p
-            assert first.sign == 1 and second.sign == -1
-            assert first.a * first.a - 2 * first.b * first.b == p
-            assert second.a * second.a - 2 * second.b * second.b == -p
-            assert 0.0 < first.t < PERIOD and 0.0 < second.t < PERIOD
+            (p1, a1, b1, sign1, t1), (p2, a2, b2, sign2, t2) = conjugate_pair(p)
+            assert p1 == p2 == p
+            assert sign1 == 1 and sign2 == -1
+            assert a1 * a1 - 2 * b1 * b1 == p
+            assert a2 * a2 - 2 * b2 * b2 == -p
+            assert 0.0 < t1 < PERIOD and 0.0 < t2 < PERIOD
             # t = 0 would need |alpha| = |conj alpha|, impossible for norm +-p
-            assert first.t + second.t == pytest.approx(PERIOD, abs=1e-9)
-            assert conjugate_t(first.t) == pytest.approx(second.t, abs=1e-9)
-
-
-def test_ideal_dataclass_validates_norm():
-    with pytest.raises(BadInput):
-        RealQuadPrimeIdeal(p=7, a=3, b=2, sign=1, t=0.5)
-    RealQuadPrimeIdeal(p=7, a=3, b=1, sign=1, t=angle_t(3, 1))
+            assert t1 + t2 == pytest.approx(PERIOD, abs=1e-9)
+            assert conjugate_t(t1) == pytest.approx(t2, abs=1e-9)
 
 
 # ------------------------------------------------------------ equidistribution
@@ -203,15 +196,13 @@ def test_report_small_limit():
     assert rep.weyl[0] == 1.0
     assert rep.ideal_count == 22
     assert rep.limit == 100 and rep.k_max == 4
-    assert len(rep.ideals) == rep.ideal_count
+    assert rep.t.size == rep.ideal_count
     assert set(rep.weyl) == {0, 1, 2, 3, 4}
     for k, value in rep.weyl.items():
         assert isinstance(value, float)
         assert abs(value) <= 1.0 + 1e-12
-    for i in range(0, rep.ideal_count, 2):
-        first, second = rep.ideals[i], rep.ideals[i + 1]
-        assert first.p == second.p
-        assert first.sign == 1 and second.sign == -1
+    assert rep.p[0::2].tolist() == rep.p[1::2].tolist()
+    assert set(rep.sign[0::2].tolist()) == {1} and set(rep.sign[1::2].tolist()) == {-1}
 
 
 def test_weyl_sums_equidistribute():
@@ -302,9 +293,6 @@ def test_report_columns_are_read_only_and_back_the_ideals():
     for col in cols:
         assert not col.flags.writeable
         assert col.size == rep.ideal_count
-    assert [(i.p, i.a, i.b, i.sign, i.t) for i in rep.ideals] == list(
-        zip(*(col.tolist() for col in cols)))
-    assert rep.ideals is rep.ideals
 
 
 # ------------------------------------------------- lattice scan vs per-prime routes
@@ -326,8 +314,7 @@ def _columns(rows):
 @functools.lru_cache(maxsize=1)
 def _solver_oracle():
     """Columns (p, a, b, sign, t) up to 1e5, one conjugate_pair(p) per split p."""
-    return _columns([(i.p, i.a, i.b, i.sign, i.t)
-                     for p in _split_primes() for i in conjugate_pair(p)])
+    return _columns([row for p in _split_primes() for row in conjugate_pair(p)])
 
 
 def _search_canonical(p):

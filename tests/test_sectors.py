@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sectorlab import sectors as sectors_mod
 from sectorlab.cli import main
 from sectorlab.errors import BadInput, BadSector, EmptyRange, InvariantViolation
-from sectorlab.ideals import _BLOCK, _ideal_arrays, enumerate_prime_ideals
+from sectorlab.ideals import _BLOCK, _ideal_arrays
 from sectorlab.sectors import (
     HALF_PI,
     discrepancy,
@@ -30,7 +30,7 @@ from sectorlab.windows import plateau_minus, plateau_plus
 
 def test_full_sector_counts_everything():
     assert sector_count(0.0, HALF_PI, 1, 10) == 4
-    n = len(enumerate_prime_ideals(1, 5000))
+    n = _ideal_arrays(1, 5000, True)[0].size
     assert sector_count(0.0, HALF_PI, 1, 5000) == n
     # the full circle from any offset
     for beta in (0.3, 1.0, 1.5):
@@ -79,15 +79,15 @@ def test_wrapping_consistency():
 
 
 def test_weighted_sector_count():
-    ideals = enumerate_prime_ideals(1, 1000)
+    _, _, _, norms, _, thetas = _ideal_arrays(1, 1000, True)
     beta, gamma = 0.2, 0.6
-    want = math.fsum(
-        math.log(i.norm) for i in ideals if beta < i.theta <= beta + gamma)
+    want = math.fsum(math.log(norm) for norm, theta in zip(norms.tolist(), thetas.tolist())
+                     if beta < theta <= beta + gamma)
     got = sector_count(beta, gamma, 1, 1000, weighted=True)
     assert got == pytest.approx(want, rel=1e-12)
     full = sector_count(0.0, HALF_PI, 1, 1000, weighted=True)
     assert full == pytest.approx(
-        math.fsum(math.log(i.norm) for i in ideals), rel=1e-12)
+        math.fsum(math.log(norm) for norm in norms.tolist()), rel=1e-12)
 
 
 _LOG_WINDOW = 10**5
@@ -97,9 +97,8 @@ _LOG_WINDOW = 10**5
 def _angles_and_logs():
     # the log norms come from np.log, as the library's do, so the oracle
     # checks the arc and the rounding of the sum, not one log against another
-    ideals = enumerate_prime_ideals(1, _LOG_WINDOW)
-    logs = np.log(np.array([i.norm for i in ideals], dtype=np.float64))
-    return [i.theta for i in ideals], logs.tolist()
+    _, _, _, norms, _, thetas = _ideal_arrays(1, _LOG_WINDOW, True)
+    return thetas.tolist(), np.log(norms.astype(np.float64)).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,7 +149,7 @@ def test_adjacent_arcs_sum_to_their_union(start, first, second):
 @settings(max_examples=100, deadline=None)
 @given(beta=st.floats(0.0, HALF_PI, exclude_max=True))
 def test_quarter_turn_counts_every_ideal(beta):
-    logs = [math.log(i.norm) for i in enumerate_prime_ideals(1, 5000)]
+    logs = [math.log(norm) for norm in _ideal_arrays(1, 5000, True)[3].tolist()]
     assert sector_count(beta, HALF_PI, 1, 5000) == len(logs)
     assert sector_count(beta, HALF_PI, 1, 5000, weighted=True) == pytest.approx(
         math.fsum(logs), rel=1e-12)
@@ -170,7 +169,7 @@ def test_sector_count_validation():
 # ---------------------------------------------------------- expected_count
 
 def test_expected_full_circle_is_total():
-    n = len(enumerate_prime_ideals(1, 10000))
+    n = _ideal_arrays(1, 10000, True)[0].size
     assert expected_count(HALF_PI, 1, 10000) == pytest.approx(n, rel=1e-15)
 
 
@@ -211,7 +210,7 @@ def test_scan_rho_zero_every_deviation_zero():
     assert report.gamma == HALF_PI
     assert np.all(report.deviations == 0.0)
     assert report.exceptional_fraction[0.5] == 0.0
-    n = len(enumerate_prime_ideals(1, 10**4))
+    n = _ideal_arrays(1, 10**4, True)[0].size
     assert np.all(report.counts == n)
 
 
@@ -224,7 +223,7 @@ def test_scan_counts_match_sector_count():
 def test_scan_partition_totals():
     # aligned grid: sectors of width (pi/2)/M partition the circle
     X = 5000
-    n = len(enumerate_prime_ideals(1, X))
+    n = _ideal_arrays(1, X, True)[0].size
     M = 128
     rho = math.log(M) / math.log(X)  # makes gamma exactly (pi/2)/M up to fp
     report = sector_scan(X, rho, M)

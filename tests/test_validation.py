@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import constant_window
 import sectorlab
 from sectorlab import characters as characters_mod
+from sectorlab import ideals as ideals_mod
 from sectorlab import realquad as realquad_mod
 from sectorlab import reports as reports_mod
 from sectorlab import sectors as sectors_mod
@@ -42,8 +43,8 @@ PHI = sectorlab.plateau_plus(core=(1.0, 2.0), eps=0.05)
 NUMERIC = {
     "limit": 100, "norm_min": 0, "norm_max": 100, "X": 1000, "p": 17, "n": 4,
     "a": 0, "b": 1, "k": 1, "k_max": 4, "K": 4.0, "grid_size": 64, "grid_factor": 4,
-    "theta": 0.3, "beta": 0.1, "gamma": 0.2, "rho": 0.3, "eps": 0.1, "t": 0.5,
-    "x": 0.5, "xi": 0.5, "lo": -1.0, "hi": 1.0, "tol": 1e-8,
+    "theta": 0.3, "beta": 0.1, "gamma": 0.2, "rho": 0.3, "eps": 0.1, "x": 0.5,
+    "xi": 0.5, "lo": -1.0, "hi": 1.0, "tol": 1e-8,
 }
 # sequences of numbers: the bad value goes in as an element
 SEQUENCES = {
@@ -201,8 +202,8 @@ ACCEPTANCE_CALLS = {
     "sqrt_mod inf": lambda: sectorlab.sqrt_mod(4, math.inf),
     "solve_norm_equation nan": lambda: sectorlab.solve_norm_equation(math.nan),
     "solve_norm_equation inf": lambda: sectorlab.solve_norm_equation(math.inf),
-    "enumerate inf": lambda: sectorlab.enumerate_prime_ideals(0, math.inf),
-    "lambda_entries inf": lambda: sectorlab.lambda_entries(0, math.inf),
+    "ideal_arrays inf": lambda: ideals_mod._ideal_arrays(0, math.inf, True),
+    "lambda_arrays inf": lambda: ideals_mod._lambda_arrays(0, math.inf),
     "expected_count nan": lambda: sectorlab.expected_count(0.2, 0, math.nan),
     "expected_count pit reversed": lambda: sectorlab.expected_count(0.2, 100, 10, mode="pit"),
 }

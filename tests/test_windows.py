@@ -237,8 +237,26 @@ def test_adaptive_simpson_narrow_interval_converges():
 
 
 def test_adaptive_simpson_unattainable_tolerance_fails():
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(QuadratureFailure, match="exceeded"):
         adaptive_simpson(mollifier_eval, -1.0, 1.0, tol=1e-18)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_adaptive_simpson_non_finite_integrand_fails_in_first_round(kind, value):
+    # refining a NaN or inf integrand never meets a budget, so the failure
+    # comes with the first round's sums: g is called on the edges, the
+    # midpoints and the two quarter points, and no more
+    fill = value if kind == "real" else complex(1.0, value)
+    calls = []
+
+    def g(u):
+        calls.append(u.size)
+        return np.full(u.shape, fill)
+
+    with np.errstate(invalid="ignore"), pytest.raises(QuadratureFailure, match="non-finite"):
+        adaptive_simpson(g, -1.0, 1.0, tol=1e-8)
+    assert len(calls) == 5
 
 
 def test_quadrature_failure_propagates_through_fourier_hat(monkeypatch):
