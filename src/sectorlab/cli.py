@@ -68,7 +68,7 @@ def _run_weyl(ns, path):
 
 
 def _run_variance(ns, path):
-    reports = variance_sweep(**_given(ns, "x_list", "tau_list", "eps", "grid_factor"))
+    reports = variance_sweep(**_given(ns, "x_list", "tau_list", "eps"))
     write_variance_json(path("variance.json"), reports)
     write_variance_csv(path("variance.csv"), reports)
 
@@ -129,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-list", dest="x_list", type=_int_literal, action="append",
                    help="scales X (repeatable)")
     p.add_argument("--eps", type=float)
-    p.add_argument("--grid-factor", dest="grid_factor", type=_int_literal)
 
     p = add_parser("realquad", _run_realquad, "norm equation and Weyl sums over Z[sqrt 2]")
     p.add_argument("--limit", type=_int_literal, required=True)

@@ -56,10 +56,15 @@ KMAX_CAP = 10**7
 an S_k table, a c_k vector or a single character has degree at most this."""
 
 GRID_CAP = 1 << 25
-"""Largest psi grid, and so grid_factor * k_max in variance_sweep: the default
-factor 4 at k_max = 2^23, the largest power of two below KMAX_CAP.  A cell
-peaks at about 33 bytes per grid point (measured at 2^20), so 2^25 points
-take 1.1 GB."""
+"""Largest psi grid; variance_sweep's 4 k_max reaches it at k_max = 2^23, the
+largest power of two below KMAX_CAP.  A cell peaks at about 33 bytes per grid
+point (measured at 2^20), so 2^25 points take 1.1 GB."""
+
+MAX_NODES = 1 << 20
+"""Most midpoint-rule nodes a c_k sample or c_k vector may take, about 150 MB at
+most: 48 (mollifier) to 145 (plateau) bytes per node, measured at 2^20.  The
+mollifier's truncation_kmax walk needs 2^13 (K from 1 to 1e3).  A plateau's
+samples can hover near the threshold; at such K its walk ends here, refused."""
 
 MAX_PAIRS = 3 * 10**10
 """Most (entry, grid point) pairs one direct-route scatter may evaluate.
@@ -67,8 +72,8 @@ MAX_PAIRS = 3 * 10**10
 The scatter's memory does not grow with its pairs, only its time: about
 10 ns per pair over many entries (X = 1e6, tau = 0.2, G = 2^14: 160.5 M pairs
 in 1.4-1.7 s on a 2 vCPU host; the default sweep's 373.5 M pairs, many of
-them over small cells, take 11-12 ns each), so the ceiling is a 300 s budget.  At
-grid factor 4 an entry has 1,036-2,107 grid points in its support whatever
+them over small cells, take 11-12 ns each), so the ceiling is a 300 s budget.  On
+the sweep's 4 k_max grid an entry has 1,036-2,107 grid points in its support at any
 K, so every cell up to X = 1e8 passes (5.8 M entries, at most 1.2e10 pairs,
 about 2 min) and every cell at X = 1e9 is refused (about 5e7 entries, 5e10
 pairs or more).  A psi_grid at K = 1 and G = GRID_CAP on X = 1e6 would hold

@@ -27,7 +27,6 @@ _ideal_arrays is the package's only cache.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -39,7 +38,7 @@ HALF_PI = math.pi / 2.0  # period of the ideal angle; other modules import it fr
 
 _SEGMENT = 1 << 23  # norms per sieve segment; its odd-only mask is half as many bytes
 _SCAN_POINTS = 1 << 16  # lattice points the split scan expands at once (512 kB per int64 array)
-_BLOCK = 1 << 14  # array elements converted to Python scalars at once
+_BLOCK = 1 << 14  # array elements a blocked loop takes at once
 
 
 def sieve_rational_primes(limit: int) -> np.ndarray:
@@ -194,12 +193,6 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
     r -= r * r > x
     r += (r + 1) * (r + 1) <= x
     return r
-
-
-def _scalars(arr: np.ndarray):
-    """Iterator over the elements of arr as Python scalars, a block at a time."""
-    return itertools.chain.from_iterable(
-        arr[i:i + _BLOCK].tolist() for i in range(0, arr.size, _BLOCK))
 
 
 def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, per_prime: int):

@@ -23,7 +23,6 @@ value at a time, into the same matrix.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import os
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import MAX_SIZE, InvariantViolation, check_int
-from .ideals import _BLOCK, _SPLITTING, _ideal_arrays, _scalars
+from .ideals import _BLOCK, _SPLITTING, _ideal_arrays
 from .realquad import RealQuadReport
 from .sectors import SectorScanReport, _exclusion_bound
 from .variance import VarianceReport
@@ -68,14 +67,6 @@ def _dump_json(path: str, fmt: str, fields: dict):
         json.dump({"format_version": fmt, "sectorlab": __version__, **fields}, fh,
                   sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _dump_lines(path: str, lines):
-    """Write an iterable of lines, each ended by a newline, _BLOCK lines at a time."""
-    lines = iter(lines)
-    with _create(path) as fh:
-        while block := list(itertools.islice(lines, _BLOCK)):
-            fh.write("\n".join(block) + "\n")
 
 
 def _table(words) -> np.ndarray:
@@ -271,8 +262,8 @@ def write_sector_json(path: str, report: SectorScanReport):
         "gamma": report.gamma,
         "grid_size": report.grid_size,
         "expected": report.expected,
-        "counts": list(_scalars(report.counts)),
-        "deviations": list(_scalars(report.deviations)),
+        "counts": report.counts.tolist(),
+        "deviations": report.deviations.tolist(),
         "exceptional_fraction": {_fmt(d): f for d, f in report.exceptional_fraction.items()},
     })
 
@@ -295,7 +286,8 @@ def write_variance_csv(path: str, reports: list[VarianceReport]):
     for x in xs:
         cells = ",".join(_fmt(by_cell[(x, t)]) if (x, t) in by_cell else "" for t in taus)
         lines.append(f"{_fmt(x)},{cells}")
-    _dump_lines(path, lines)
+    with _create(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_realquad_csv(path: str, report: RealQuadReport):

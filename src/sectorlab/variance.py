@@ -18,9 +18,9 @@ error, which is certified by the decay of c_k.
 
 Truncation rule: k_max is the first power of two at which |c_k| has
 dropped below 1e-14 |c_0| and stays below it for the next two octaves.
-The grid for the direct route defaults to 4 k_max points, the Nyquist
-margin under which grid statistics of a degree-k_max trigonometric
-polynomial are exact; coarser grids trigger an AliasingRisk warning.
+The sweep's direct-route grid is 4 k_max points, the Nyquist margin under
+which grid statistics of a degree-k_max trigonometric polynomial are
+exact; an explicit variance_direct grid below that warns AliasingRisk.
 """
 
 from __future__ import annotations
@@ -32,12 +32,13 @@ import numpy as np
 
 from ._kernels import exact_sum
 from .characters import _norm_window, _weighted_entries, character_sum_table
-from .errors import (GRID_CAP, KMAX_CAP, MAX_PAIRS, MAX_SIZE, AliasingRisk, TruncationFailure,
-                     check_int, check_real)
+from .errors import (GRID_CAP, KMAX_CAP, MAX_NODES, MAX_PAIRS, MAX_SIZE, AliasingRisk,
+                     TruncationFailure, check_int, check_real)
 from .ideals import HALF_PI, _lambda_arrays
 from .windows import (
     SmoothWindow,
     _midpoint_nodes,
+    _node_count,
     fourier_coefficients_bulk,
     mollifier_window,
     periodized_eval,
@@ -62,7 +63,8 @@ def truncation_kmax(f: SmoothWindow, K: float):
     Walks k over powers of two until |c_k| <= 1e-14 |c_0| holds at some q
     and at the two following octaves, and returns (q, certificate).  The
     certificate records the sampled magnitudes.  TruncationFailure if no
-    power of two q <= KMAX_CAP passes.  The magnitudes come from the
+    power of two q <= KMAX_CAP passes before an octave would need more than
+    MAX_NODES midpoint nodes.  The magnitudes come from the
     midpoint rule, not the adaptive route: certifying decay to 1e-14
     relative needs quadrature error far below DEFAULT_QUAD_TOL, and for
     these C-infinity compactly supported windows the midpoint sum is
@@ -76,6 +78,8 @@ def truncation_kmax(f: SmoothWindow, K: float):
     q = 1  # the smallest cutoff the magnitudes so far leave open
     while q <= KMAX_CAP:
         k = 1 << len(mags)
+        if _node_count(k / K) > MAX_NODES:  # refused before its nodes are allocated
+            break
         mags.append(abs(_midpoint_coefficient(f, K, k)))
         if not mags[-1] <= threshold:  # NaN never passes
             q = 2 * k
@@ -87,9 +91,8 @@ def truncation_kmax(f: SmoothWindow, K: float):
                 "checked": {str(q << i): m for i, m in enumerate(mags[-3:])},
                 "tail_ratio_at_kmax": mags[-3] / c0,
             }
-    raise TruncationFailure(
-        f"no certified spectral cutoff <= {KMAX_CAP} for window {f.kind} at K = {K}"
-    )
+    raise TruncationFailure(f"no certified spectral cutoff <= {KMAX_CAP} within {MAX_NODES} "
+                            f"midpoint nodes for window {f.kind} at K = {K}")
 
 
 def mean_formula(K: float, X: float, f: SmoothWindow, phi: SmoothWindow) -> float:
@@ -118,7 +121,8 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     support, because a custom evaluator need not vanish there.  Values land
     at (i_lo_a mod G) + j in a buffer of G + max(counts) cells, which is
     folded mod G once at the end.  Before any of that, Sigma counts_a, the
-    number of (entry, offset) pairs, is checked against MAX_PAIRS.
+    number of (entry, offset) pairs, is checked against MAX_PAIRS; the folded
+    grid is checked once to be finite, so a NaN or inf bump raises BadInput.
 
     Consecutive offsets with the same live count n are taken together,
     _PAIR_BUDGET // n of them at a time, as a (j, a) grid of pairs in (j, a)
@@ -205,7 +209,7 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     for start in range(0, spill.size, G):
         part = spill[start:start + G]
         grid[:part.size] += part
-    return grid
+    return check_real(f"psi grid of bump {f.kind} on [{f.lo}, {f.hi}]", grid)
 
 
 def psi_grid(K: float, X: float, f: SmoothWindow, phi: SmoothWindow, grid_size: int) -> np.ndarray:
@@ -293,16 +297,6 @@ def _grid_stats(values: np.ndarray) -> tuple[float, float]:
     return mean, var
 
 
-def _check_grid(grid_size: int, k_max: int):
-    if grid_size < 4 * k_max:
-        warnings.warn(
-            f"grid of {grid_size} points undersamples a degree-{k_max} spectrum; "
-            f"grid statistics may alias (want >= {4 * k_max})",
-            AliasingRisk,
-            stacklevel=3,
-        )
-
-
 def variance_direct(
     K: float, X: float, f: SmoothWindow, phi: SmoothWindow, grid_size: int | None = None,
 ) -> float:
@@ -314,7 +308,13 @@ def variance_direct(
     """
     k_max, _ = truncation_kmax(f, K)
     grid_size = 4 * k_max if grid_size is None else check_int("grid size", grid_size, 1, GRID_CAP)
-    _check_grid(grid_size, k_max)
+    if grid_size < 4 * k_max:
+        warnings.warn(
+            f"grid of {grid_size} points undersamples a degree-{k_max} spectrum; "
+            f"grid statistics may alias (want >= {4 * k_max})",
+            AliasingRisk,
+            stacklevel=2,
+        )
     values = psi_grid(K, X, f, phi, grid_size)
     return _grid_stats(values)[1]
 
@@ -366,7 +366,7 @@ def _power_part_grid(K, X, f, phi, grid_size):
 
 def variance_sweep(
     x_list=(10**4, 10**5, 10**6), tau_list=(0.2, 0.4, 0.55),
-    eps: float = 0.05, grid_factor: int = 4,
+    eps: float = 0.05,
 ) -> list[VarianceReport]:
     """Measure mean and variance of psi over a grid of (X, tau) cells, K = X^tau.
 
@@ -374,10 +374,10 @@ def variance_sweep(
     with shoulder eps.  Cells are visited in (X, tau) lexicographic order
     and each yields a VarianceReport with both variance routes, the mean
     against its (X/K) int f int Phi prediction, and the prime-power gap.
+    The grid has 4 k_max points, so its mean and variance are exact.
     """
     f = mollifier_window()
     phi = plateau_plus(core=(1.0, 2.0), eps=eps)
-    grid_factor = check_int("grid factor", grid_factor, 1, GRID_CAP)
     x_list = [check_real("scale X", X, 4.0, MAX_SIZE) for X in x_list]
     tau_list = [check_real("sharpness exponent tau", tau, 0.0, 1.0, "[)") for tau in tau_list]
     reports = []
@@ -385,8 +385,7 @@ def variance_sweep(
         for tau in tau_list:
             K = X**tau
             spectrum = psi_spectrum(K, X, f, phi)
-            grid_size = check_int("grid_factor * k_max", grid_factor * spectrum.k_max, 1, GRID_CAP)
-            _check_grid(grid_size, spectrum.k_max)
+            grid_size = 4 * spectrum.k_max
             values = psi_grid(K, X, f, phi, grid_size)
             mean_emp, var_dir = _grid_stats(values)
             gap_values = _power_part_grid(K, X, f, phi, grid_size)

@@ -38,8 +38,8 @@ from typing import Callable
 import numpy as np
 
 from ._kernels import geometric_weighted_sums
-from .errors import (KMAX_CAP, MAX_PAIRS, MAX_QUAD_INTERVALS, MAX_SUPPORT, BadEps, BadInput,
-                     QuadratureFailure, check_int, check_real)
+from .errors import (KMAX_CAP, MAX_NODES, MAX_PAIRS, MAX_QUAD_INTERVALS, MAX_SUPPORT, BadEps,
+                     BadInput, QuadratureFailure, check_int, check_real)
 from .ideals import HALF_PI
 
 DEFAULT_QUAD_TOL = 1e-10
@@ -124,16 +124,18 @@ class SmoothWindow:
     support is [lo, hi]; eps is the shoulder width for the plateau kinds.
     Calling the window evaluates it (scalar or array in, same shape out);
     evaluation vanishes outside the support, including at both endpoints.
-    BadInput unless -MAX_SUPPORT <= lo < hi <= MAX_SUPPORT.
+    BadInput unless the evaluator is callable and -MAX_SUPPORT <= lo < hi <= MAX_SUPPORT.
     """
 
     kind: str
     lo: float
     hi: float
     eps: float | None
-    _eval: Callable = field(repr=False, compare=False, default=None)
+    _eval: Callable = field(repr=False, compare=False)
 
     def __post_init__(self):
+        if not callable(self._eval):
+            raise BadInput(f"window evaluator {self._eval!r} is not callable")
         check_real("support [lo, hi]", (self.lo, self.hi), -MAX_SUPPORT, MAX_SUPPORT)
         if not self.hi > self.lo:
             raise BadInput(f"empty support [{self.lo}, {self.hi}]")
@@ -279,6 +281,11 @@ def fourier_coefficient(base: SmoothWindow, K: float, k: int) -> complex:
     return fourier_hat(base, check_int("k", k, -KMAX_CAP, KMAX_CAP) / K) / K
 
 
+def _node_count(xi_max: float) -> int:
+    """Nodes of the midpoint rule for w_hat up to |xi| = xi_max: a power of two >= 4 xi_max."""
+    return 1 << max(11, int(math.ceil(math.log2(4.0 * xi_max + 1024.0))))
+
+
 def _midpoint_nodes(base: SmoothWindow, xi_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u and weights base(u) h of the midpoint rule for w_hat up to |xi| = xi_max.
 
@@ -287,9 +294,10 @@ def _midpoint_nodes(base: SmoothWindow, xi_max: float) -> tuple[np.ndarray, np.n
     chosen so that the first aliased frequency sits far beyond where the
     transform has decayed below double precision.  Every c_k of the
     smoothed layer samples its bump here, so this is where a bump is
-    admitted: BadInput unless the weights have a finite, nonzero sum, K c_0.
+    admitted: BadInput unless the weights have a finite, nonzero sum, K c_0,
+    and, before any allocation, unless the node count is within MAX_NODES.
     """
-    n = 1 << max(11, int(math.ceil(math.log2(4.0 * xi_max + 1024.0))))
+    n = check_int("midpoint nodes", _node_count(xi_max), 1, MAX_NODES)
     h = (base.hi - base.lo) / n
     u = base.lo + (np.arange(n) + 0.5) * h
     weights = base(u) * h
@@ -314,7 +322,7 @@ def periodized_eval(base: SmoothWindow, K: float, theta):
     a representable multiple of P evaluate identically), then the finitely
     many contributing translates are summed; there are at most
     ceil(support_length / K) + 1 of them.  BadInput when angles times
-    translates passes MAX_PAIRS.
+    translates passes MAX_PAIRS, or when a value is not finite.
     """
     K = check_real("sharpness K", K, 1.0)
     arr = np.asarray(check_real("angle theta", theta))
@@ -331,6 +339,7 @@ def periodized_eval(base: SmoothWindow, K: float, theta):
     for d in range(translates):
         live = d <= spans
         out[live] += base._eval(x[live] - (jlo[live] + d) * K)
+    check_real(f"periodized bump {base.kind} on [{base.lo}, {base.hi}]", out)
     if scalar:
         return float(out)
     return out

@@ -137,15 +137,18 @@ def test_weyl_over_no_ideals_exits_2(tmp_path, capsys, args):
     # weyl have their own --split-only tests) ...
     ["sectors", "--x", "1e30", "--rho", "0.3", "--split-only"],
     ["forbidden", "--max", "1e30", "--split-only"],
-    # ... and argparse refuses it on the two subcommands that never read it
+    # ... and argparse refuses it on the two subcommands that never read it,
+    # as it refuses a grid option on variance, whose grid is always 4 k_max
     ["variance", "--x-list", "1e4", "--tau", "0.01", "--split-only"],
     ["realquad", "--limit", "1e12", "--split-only"],
+    ["variance", "--x-list", "1e4", "--tau", "0.2", "--grid-factor", "4"],
 ])
 def test_size_above_ceiling_exits_2_before_work(tmp_path, capsys, args):
     # without the ceiling each of these enumerates for hours
     out = tmp_path / "out"
     start = time.perf_counter()
-    refused = "--split-only" in args and args[0] in ("variance", "realquad")
+    refused = [a for a in args if a in ("--split-only", "--grid-factor")
+               and args[0] in ("variance", "realquad")]
     try:
         code = main(args + ["--out", str(out)])
     except SystemExit as exc:  # argparse refused an option
@@ -153,7 +156,7 @@ def test_size_above_ceiling_exits_2_before_work(tmp_path, capsys, args):
     assert code == 2
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
-    assert ("unrecognized arguments: --split-only" if refused else "size ceiling") in err
+    assert (f"unrecognized arguments: {refused[0]}" if refused else "size ceiling") in err
     assert not out.exists()
 
 
@@ -181,7 +184,7 @@ def test_every_integer_option_rejects_huge_values_before_work(tmp_path, capsys):
     # value up front; one without a ceiling crashes, hangs or runs past 5 s
     cases = list(_integer_option_cases())
     assert ["sectors", "--x", "100", "--rho", "0.3", "--grid", str(10**15)] in cases
-    assert ["variance", "--grid-factor", str(10**15)] in cases
+    assert ["variance", "--x-list", str(10**15)] in cases
     for argv in cases:
         out = tmp_path / "-".join(argv)
         start = time.perf_counter()
@@ -232,8 +235,8 @@ def test_scientific_notation_matches_plain(tmp_path):
          ("weyl.json",)),
         (["realquad", "--limit", "300", "--kmax", "8e0"],
          ["realquad", "--limit", "300", "--kmax", "8"], ("realquad.csv", "realquad.json")),
-        (["variance", "--x-list", "400", "--tau", "0.3", "--grid-factor", "4e0"],
-         ["variance", "--x-list", "400", "--tau", "0.3", "--grid-factor", "4"],
+        (["variance", "--x-list", "4e2", "--tau", "0.3"],
+         ["variance", "--x-list", "400", "--tau", "0.3"],
          ("variance.csv", "variance.json")),
     ):
         a, b = tmp_path / ("sci-" + sci[0]), tmp_path / ("plain-" + sci[0])

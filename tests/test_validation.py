@@ -42,7 +42,7 @@ PHI = sectorlab.plateau_plus(core=(1.0, 2.0), eps=0.05)
 # fuzz replaces one of them at a time by a bad value
 NUMERIC = {
     "limit": 100, "norm_min": 0, "norm_max": 100, "X": 1000, "p": 17, "n": 4,
-    "a": 0, "b": 1, "k": 1, "k_max": 4, "K": 4.0, "grid_size": 64, "grid_factor": 4,
+    "a": 0, "b": 1, "k": 1, "k_max": 4, "K": 4.0, "grid_size": 64,
     "theta": 0.3, "beta": 0.1, "gamma": 0.2, "rho": 0.3, "eps": 0.1, "x": 0.5,
     "xi": 0.5, "lo": -1.0, "hi": 1.0, "tol": 1e-8,
 }
@@ -193,7 +193,6 @@ ACCEPTANCE_CALLS = {
     "psi_grid grid 2.5": lambda: sectorlab.psi_grid(4.0, 1e3, F, PHI, grid_size=2.5),
     "variance_direct grid nan":
         lambda: sectorlab.variance_direct(4.0, 1e3, F, PHI, grid_size=math.nan),
-    "variance_sweep factor 2.5": lambda: sectorlab.variance_sweep(grid_factor=2.5),
     "bulk k_max -1": lambda: sectorlab.fourier_coefficients_bulk(F, 4, -1),
     "bulk k_max 2.5": lambda: sectorlab.fourier_coefficients_bulk(F, 4, 2.5),
     "cornacchia nan": lambda: sectorlab.cornacchia(math.nan),

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from helpers import constant_window, lambda_entries, traced_peak
 from sectorlab import variance as variance_mod
 from sectorlab.characters import _weighted_entries, character_sum, character_sum_table
-from sectorlab.errors import GRID_CAP, MAX_PAIRS, AliasingRisk, BadInput, TruncationFailure
+from sectorlab.errors import (GRID_CAP, KMAX_CAP, MAX_NODES, MAX_PAIRS, AliasingRisk, BadInput,
+                              TruncationFailure)
 from sectorlab.variance import (
     PsiSpectrum,
     _midpoint_coefficient,
@@ -119,6 +120,28 @@ def test_truncation_signed_zero_integral_rejected():
         truncation_kmax(step_window(), 4.0)
 
 
+def _refused(error, call, *args):
+    with pytest.raises(error):
+        call(*args)
+
+
+@pytest.mark.parametrize("K", [16.0, 1.0])
+def test_truncation_walk_stops_at_the_node_ceiling(K):
+    # the indicator of [-0.7, 0.6] has a transform decaying like 1/xi, so no
+    # octave certifies it; the walk stops before an octave past MAX_NODES,
+    # whose last sample holds about 48 bytes per node (nodes, weights,
+    # complex phases and terms), not the gigabytes of a walk to KMAX_CAP
+    indicator = custom_window(lambda u: ((u > -0.7) & (u < 0.6)).astype(float), -1.0, 1.0)
+    _, peak = traced_peak(_refused, TruncationFailure, truncation_kmax, indicator, K)
+    assert peak <= 64 * MAX_NODES
+
+
+def test_bulk_refuses_nodes_past_the_ceiling():
+    # k_max = KMAX_CAP at K = 1 would take 2^26 nodes: refused before allocation
+    _, peak = traced_peak(_refused, BadInput, fourier_coefficients_bulk, bump(), 1.0, KMAX_CAP)
+    assert peak < 1 << 16
+
+
 SHARPNESS_CALLS = {
     "truncation_kmax": lambda K: truncation_kmax(bump(), K),
     "psi_grid": lambda K: psi_grid(K, 1e3, bump(), plateau_1_2(), grid_size=64),
@@ -174,6 +197,34 @@ def test_cutoff_weights_must_be_finite(value, call):
     # constant 1e308 gives Phi(N/X) log N = inf
     with np.errstate(over="ignore"), pytest.raises(BadInput):
         CUTOFF_CALLS[call](constant_window(value, 1.0, 2.0))
+
+
+GRID_CALLS = {
+    "periodized_eval": lambda f: periodized_eval(f, 4.0, np.linspace(0.0, HALF_PI, 16)),
+    "psi_eval": lambda f: psi_eval(0.3, 4.0, 1e3, f, plateau_1_2()),
+    "psi_grid": lambda f: psi_grid(4.0, 1e3, f, plateau_1_2(), grid_size=64),
+}
+NON_FINITE_BUMPS = {
+    "nan": lambda: constant_window(math.nan, -1.0, 1.0),
+    "inf": lambda: constant_window(math.inf, -1.0, 1.0),
+    "+-inf": lambda: custom_window(lambda u: np.where(u < 0.0, math.inf, -math.inf), -1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(GRID_CALLS))
+@pytest.mark.parametrize("bump_values", sorted(NON_FINITE_BUMPS))
+def test_non_finite_bump_values_are_refused(bump_values, call):
+    # these never sample the bump through the midpoint rule; each checks its
+    # output once, so a NaN or inf bump is BadInput, not NaN, inf or an
+    # untyped error from the exact sum
+    with np.errstate(invalid="ignore"), pytest.raises(BadInput, match="bump custom"):
+        GRID_CALLS[call](NON_FINITE_BUMPS[bump_values]())
+
+
+def test_zero_bump_gives_zero_values():
+    # the zero bump's psi is identically zero, which is the right answer
+    assert not psi_grid(4.0, 1e3, zero_window(), plateau_1_2(), grid_size=64).any()
+    assert psi_eval(0.3, 4.0, 1e3, zero_window(), plateau_1_2()) == 0.0
 
 
 # ------------------------------------------------------------ psi_eval
@@ -763,5 +814,3 @@ def test_sweep_validation():
         variance_sweep(x_list=(100.0,), tau_list=(1.0,))
     with pytest.raises(BadInput):
         variance_sweep(x_list=(100.0,), tau_list=(-0.1,))
-    with pytest.raises(BadInput):
-        variance_sweep(x_list=(100.0,), tau_list=(0.3,), grid_factor=0)

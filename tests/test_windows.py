@@ -165,6 +165,13 @@ def test_custom_window_rejects_empty_support():
         custom_window(lambda u: u, lo=1.0, hi=1.0)
 
 
+@pytest.mark.parametrize("evaluator", [5, None])
+def test_custom_window_requires_a_callable_evaluator(evaluator):
+    # refused where built, not with a TypeError at its first use
+    with pytest.raises(BadInput, match="not callable"):
+        custom_window(evaluator, -1.0, 1.0)
+
+
 @pytest.mark.parametrize("build", [
     lambda: plateau_plus(core=(0.0, 1e19), eps=0.1),
     lambda: plateau_minus(core=(-math.inf, 1.0), eps=0.1),
