@@ -36,14 +36,7 @@ from .windows import (
     plateau_minus,
     plateau_plus,
 )
-from .characters import (
-    CharacterSumTable,
-    character_sum,
-    character_sum_table,
-    weyl_sum,
-    weyl_sums,
-    xi,
-)
+from .characters import character_sum, character_sum_table, weyl_sum, weyl_sums, xi
 from .sectors import (
     SectorScanReport,
     discrepancy,
@@ -76,8 +69,7 @@ __all__ = [
     "plateau_plus", "plateau_minus", "custom_window",
     "adaptive_simpson", "fourier_hat", "fourier_coefficient",
     "fourier_coefficients_bulk", "periodized_eval",
-    "xi", "character_sum", "weyl_sum", "weyl_sums", "CharacterSumTable",
-    "character_sum_table",
+    "xi", "character_sum", "weyl_sum", "weyl_sums", "character_sum_table",
     "sector_count", "expected_count", "sector_scan", "SectorScanReport",
     "forbidden_region_check", "discrepancy",
     "PsiSpectrum", "VarianceReport", "truncation_kmax", "mean_formula",

@@ -29,7 +29,6 @@ terms, and the tests hold them within the two routes' error notes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,33 +108,16 @@ def weyl_sums(k_max: int, norm_min: int, norm_max: int,
     return unit_power_sums(thetas, 4.0, k_max)
 
 
-@dataclass(frozen=True)
-class CharacterSumTable:
-    """S_k for all k = 0..k_max at a fixed scale and cutoff.
+def character_sum_table(X: float, k_max: int, phi: SmoothWindow) -> np.ndarray:
+    """S_0..S_{k_max} as a read-only complex array, in one pass over the weighted entries.
 
-    values[k] = S_k; values[0] is exactly real.  Built by one spread of
-    the entries onto a grid of fewer than 12 (k_max + 1) cells and one real
-    FFT, each value within the kernel's error bound (1e-13 S_0 plus phase
-    rounding for a nonnegative cutoff) of the direct sum.
+    S_0 is exactly real.  One spread of the entries onto a grid of fewer
+    than 12 (k_max + 1) cells and one real FFT give each value within the
+    kernel's error bound (1e-13 S_0 plus phase rounding for a nonnegative
+    cutoff) of the direct sum.
     """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    @property
-    def k_max(self) -> int:
-        return self.values.size - 1
-
-    def __getitem__(self, k: int) -> complex:
-        if not 0 <= k <= self.k_max:
-            raise BadInput(f"k = {k} outside table range 0..{self.k_max}")
-        return complex(self.values[k])
-
-
-def character_sum_table(X: float, k_max: int, phi: SmoothWindow) -> CharacterSumTable:
-    """Tabulate S_0..S_{k_max} in one pass over the weighted entries."""
     k_max = check_int("k_max", k_max, 0, KMAX_CAP)
     thetas, weights = _weighted_entries(X, phi)
-    return CharacterSumTable(geometric_weighted_sums(4.0 * thetas, weights, k_max))
+    sums = geometric_weighted_sums(4.0 * thetas, weights, k_max)
+    sums.setflags(write=False)
+    return sums

@@ -13,9 +13,9 @@ Each subcommand is one call into the library. An option left unset is not
 passed, so the library function's own default applies; only --out, --min,
 --grid and --kmax have defaults of their own. Every integer option accepts
 scientific notation like 1e6. --split-only, which drops the ramified and
-inert ideals, belongs to the four enumeration subcommands sieve, sectors,
-weyl and forbidden; variance counts every prime-power ideal, as the
-paper's psi does.
+inert ideals, belongs to the enumeration subcommands sieve, sectors and
+weyl; variance counts every prime-power ideal, as the paper's psi does,
+and forbidden's smallest positive angle is a split ideal's from norm 5 on.
 
 Exit codes: 0 on success, 2 on invalid parameters (including a size above
 its ceiling in sectorlab.errors; the library checks every argument), 3 when
@@ -60,11 +60,10 @@ def _run_sectors(ns, path):
 
 def _run_weyl(ns, path):
     k_max = check_int("k_max", ns.k_max, 1, MAX_KMAX)
-    sums = weyl_sums(k_max, 1, ns.x, ns.include_nonsplit).tolist()
-    count = int(sums[0].real)
-    if count == 0:
+    sums = weyl_sums(k_max, 1, ns.x, ns.include_nonsplit)
+    if sums[0] == 0:
         raise EmptyRange(f"no prime ideals with norm in (1, {ns.x}]")
-    write_weyl_json(path("weyl.json"), ns.x, dict(enumerate(sums[1:], start=1)), count)
+    write_weyl_json(path("weyl.json"), ns.x, sums)
 
 
 def _run_variance(ns, path):
@@ -80,7 +79,7 @@ def _run_realquad(ns, path):
 
 
 def _run_forbidden(ns, path):
-    min_angle = forbidden_region_check(ns.norm_max, ns.include_nonsplit)
+    min_angle = forbidden_region_check(ns.norm_max)
     write_forbidden_json(path("forbidden.json"), ns.norm_max, min_angle)
 
 
@@ -139,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, p in sub.choices.items():
         p.add_argument("--out", default=".", help="output directory")
-        if name in ("sieve", "sectors", "weyl", "forbidden"):
+        if name in ("sieve", "sectors", "weyl"):
             p.add_argument("--split-only", dest="include_nonsplit", action="store_false",
                            help="drop ramified and inert ideals")
     return parser

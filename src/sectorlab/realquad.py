@@ -155,17 +155,18 @@ def solve_norm_equation(p: int) -> tuple[int, int, int]:
 class RealQuadReport:
     """Weyl sums of the t angles over all split primes up to a limit.
 
-    weyl[k] is the average of exp(i pi k t / log eps) over both conjugates
-    of every split p <= limit; pairing makes it real, and decay in k with
-    growing limit is equidistribution on the 2 log eps circle.  Each ideal
-    is one row of the read-only columns p, a, b, sign, t, ordered by p with
-    the sign +1 ideal first.
+    weyl[k], k = 0..k_max, is the average of exp(i pi k t / log eps) over
+    both conjugates of every split p <= limit, a read-only float array;
+    pairing makes each average real, and decay in k with growing limit is
+    equidistribution on the 2 log eps circle.  Each ideal is one row of the
+    read-only columns p, a, b, sign, t, ordered by p with the sign +1 ideal
+    first.
     """
 
     limit: int
     k_max: int
     ideal_count: int
-    weyl: dict
+    weyl: np.ndarray
     p: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -234,8 +235,8 @@ def _split_generators(limit: int):
     return p, a, b, sign
 
 
-def _weyl_means(t: np.ndarray, limit: int, k_max: int) -> dict:
-    """{k: mean of chi_k(t)} for k = 0..k_max over the t column of a report.
+def _weyl_means(t: np.ndarray, limit: int, k_max: int) -> np.ndarray:
+    """The means of chi_k(t), k = 0..k_max, over the t column of a report.
 
     The imaginary parts must cancel over the conjugate pairs up to rounding,
     bounded per mode before any measurement.  With u = 2^-53 and p <= limit:
@@ -254,13 +255,12 @@ def _weyl_means(t: np.ndarray, limit: int, k_max: int) -> dict:
     scale = math.pi / LOG_EPS
     sums = unit_power_sums(t, scale, k_max)
     slack = 2.0**-53 * (scale * (12.0 + 4.0 * math.log(limit)) + 28.0)
-    weyl = {}
-    for k, value in enumerate(sums.tolist()):
-        im = value.imag / t.size
-        if not abs(im) <= k * slack:
-            raise InvariantViolation(f"conjugate pairs leave Im W_{k} = {im!r} uncancelled")
-        weyl[k] = value.real / t.size
-    return weyl
+    im = sums.imag / t.size
+    uncancelled = np.flatnonzero(~(np.abs(im) <= np.arange(k_max + 1) * slack))
+    if uncancelled.size:
+        k = int(uncancelled[0])
+        raise InvariantViolation(f"conjugate pairs leave Im W_{k} = {float(im[k])!r} uncancelled")
+    return sums.real / t.size
 
 
 def equidistribution_report_real(limit: int, k_max: int) -> RealQuadReport:
@@ -282,7 +282,7 @@ def equidistribution_report_real(limit: int, k_max: int) -> RealQuadReport:
         log_p = np.fromiter(map(math.log, p[rows].tolist()), np.float64)
         np.subtract(2.0 * log_alpha, log_p, out=t[rows])
     weyl = _weyl_means(t, limit, k_max)
-    for col in (p, a, b, sign, t):
+    for col in (weyl, p, a, b, sign, t):
         col.setflags(write=False)
     return RealQuadReport(
         limit=limit, k_max=k_max, ideal_count=t.size, weyl=weyl,

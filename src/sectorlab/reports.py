@@ -304,16 +304,19 @@ def write_realquad_json(path: str, report: RealQuadReport):
         "limit": report.limit,
         "k_max": report.k_max,
         "ideal_count": report.ideal_count,
-        "weyl": {str(k): v for k, v in report.weyl.items()},
+        "weyl": {str(k): v for k, v in enumerate(report.weyl.tolist())},
     })
 
 
-def write_weyl_json(path: str, X: int, sums: dict, count: int):
+def write_weyl_json(path: str, X: int, sums: np.ndarray):
+    """The Weyl sums W_1..W_kmax of weyl_sums; the ideal count is W_0."""
+    w0, *modes = sums.tolist()
+    count = int(w0.real)
     _dump_json(path, CHARSUM_FORMAT, {
         "X": X,
         "ideal_count": count,
         "sums": {str(k): {"re": v.real, "im": v.imag, "normalized": abs(v) / count}
-                 for k, v in sums.items()},
+                 for k, v in enumerate(modes, start=1)},
     })
 
 

@@ -159,15 +159,16 @@ def sector_scan(
     )
 
 
-def forbidden_region_check(norm_max: int, include_nonsplit: bool = True) -> float:
+def forbidden_region_check(norm_max: int) -> float:
     """Smallest positive angle among ideals with norm <= norm_max.
 
     Checks the exclusion bound min_angle > 1/(2 sqrt(norm_max)), raising
     InvariantViolation if it fails, and returns the minimum.  Angle-zero
-    ideals (the inert ones) are ignored.
+    ideals (the inert ones) are ignored; the ramified ideal's pi/4 is the
+    minimum only below norm 5, where the split (2 + i) comes in.
     """
     norm_max = check_int("norm_max", norm_max, 1, MAX_SIZE)
-    thetas = _ideal_arrays(1, norm_max, include_nonsplit)[5]
+    thetas = _ideal_arrays(1, norm_max, True)[5]
     min_angle = float(np.min(thetas, where=thetas > 0.0, initial=math.inf))
     if min_angle == math.inf:
         raise EmptyRange(f"no ideals with positive angle and norm <= {norm_max}")

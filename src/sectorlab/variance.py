@@ -66,10 +66,13 @@ def truncation_kmax(f: SmoothWindow, K: float):
     power of two q <= KMAX_CAP passes before an octave would need more than
     MAX_NODES midpoint nodes.  The magnitudes come from the
     midpoint rule, not the adaptive route: certifying decay to 1e-14
-    relative needs quadrature error far below DEFAULT_QUAD_TOL, and for
-    these C-infinity compactly supported windows the midpoint sum is
-    spectrally exact.  It also admits f: BadInput unless its integral is
-    finite and nonzero.
+    relative needs quadrature error far below DEFAULT_QUAD_TOL, and for a
+    C-infinity compactly supported window such as the mollifier the
+    midpoint sum is spectrally exact.  A plateau is only C^1 (windows._ramp),
+    so the note does not cover it.  The default plateau as the bump is
+    refused at K = 3.16 (ROADMAP item 2); that this is the cause is not
+    shown.  It also admits f: BadInput unless its integral is finite and
+    nonzero.
     """
     K = check_real("sharpness K", K, 1.0)
     c0 = abs(_midpoint_coefficient(f, K, 0))
@@ -116,8 +119,8 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     counts_a, inside its translated support.  Every support has the same
     length, about (hi - lo) G / K points, so the loop runs over the offset
     j and each step is vectorised over the entries.  Entries are sorted by
-    count, so the n entries live at offset j, those with counts_a > j, are
-    a prefix.  That matters: f is never evaluated outside an entry's
+    count, descending, so the n entries live at offset j, those with counts_a
+    > j, are a prefix.  That matters: f is never evaluated outside an entry's
     support, because a custom evaluator need not vanish there.  Values land
     at (i_lo_a mod G) + j in a buffer of G + max(counts) cells, which is
     folded mod G once at the end.  Before any of that, Sigma counts_a, the
@@ -135,6 +138,16 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     offset and one slice.  The evaluator gets a flat array and its result is
     only read, never written to: a custom evaluator may return a read-only
     array, float32, or its own argument.
+
+    Cell order.  Within one count the entries are ordered by first cell
+    i_lo_a mod G, by one stable lexsort, so a one-offset step of np.add.at
+    walks the spill forwards, not at random, which counts once the spill
+    (8 MB at G = 2^20) outgrows the cache.  No cell's sum changes.  The
+    entries that reach spill cell c at offset j all have first cell c - j,
+    so the cell key ties among them.  Those with equal counts keep their
+    input order, as the sort is stable; those with unequal counts are
+    ordered by count, as by a sort on the counts alone.  So every cell
+    receives the same additions in the same order.
 
     Arguments.  Pair (a, j) is grid point m = i_lo_a + j, and its argument
     is formed as one subtraction, x~ = x0_a - fl(j dx), from the argument at
@@ -174,16 +187,16 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     minus_counts -= 1
     np.minimum(minus_counts, 0, out=minus_counts)  # -counts_a, ascending after the sort
     check_int("scattered pairs", -int(minus_counts.sum()), 0, MAX_PAIRS)
-    order = np.argsort(minus_counts, kind="stable")
+    first_cell = np.mod(i_lo, G)
+    order = np.lexsort((first_cell, minus_counts))
     minus_counts = minus_counts[order]
+    first_cell = first_cell[order]
     x0 = ((thetas - i_lo * step) * scale)[order]  # i_lo converts exactly: |i_lo| << 2^53
-    first_cell = np.mod(i_lo, G)[order]
     weights = weights[order]
     del i_lo, order  # the loop adds only O(_PAIR_BUDGET) buffers and the spill
     dx = step * scale
     span = -int(minus_counts.min(initial=0))
-    xbuf = np.empty(_PAIR_BUDGET, dtype=np.float64)
-    vbuf = np.empty_like(xbuf)
+    xbuf, vbuf = np.empty((2, _PAIR_BUDGET))
     spill = np.zeros(G + span, dtype=np.float64)
     j = 0
     while j < span:
@@ -279,10 +292,9 @@ def psi_spectrum(K: float, X: float, f: SmoothWindow, phi: SmoothWindow) -> PsiS
     """Assemble the truncated spectrum c_k S_k with its tail certificate."""
     k_max, certificate = truncation_kmax(f, K)
     c = fourier_coefficients_bulk(f, K, k_max)
-    table = character_sum_table(X, k_max, phi)
-    coeffs = c * table.values
-    s0 = float(table.values[0].real)
-    tail_bound = abs(c[k_max]) * abs(s0)
+    sums = character_sum_table(X, k_max, phi)
+    coeffs = c * sums
+    tail_bound = abs(c[k_max]) * abs(float(sums[0].real))
     mean_abs = abs(float(coeffs[0].real))
     certificate = dict(certificate)
     # c_0 is nonzero, so a zero mean has S_0 = 0 and a zero tail term

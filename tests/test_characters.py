@@ -157,15 +157,16 @@ def test_table_matches_single_sums():
 
 def test_table_zero_mode_exactly_real():
     table = character_sum_table(200.0, 8, plateau_plus(core=(1.0, 2.0), eps=0.05))
-    assert table.values[0].imag == 0.0
+    assert table[0].imag == 0.0
 
 
-def test_table_bounds_checked():
+def test_table_is_read_only_and_k_max_checked():
+    # S_0..S_kmax is a plain read-only array, like the c_k vector
     table = character_sum_table(100.0, 4, plateau_plus(core=(1.0, 2.0), eps=0.05))
-    with pytest.raises(BadInput):
-        table[5]
-    with pytest.raises(BadInput):
-        table[-1]
+    assert table.shape == (5,) and table.dtype == np.complex128
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[1] = 0.0
     with pytest.raises(BadInput):
         character_sum_table(100.0, -2, plateau_plus(core=(1.0, 2.0), eps=0.05))
 

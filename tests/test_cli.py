@@ -133,12 +133,12 @@ def test_weyl_over_no_ideals_exits_2(tmp_path, capsys, args):
     ["weyl", "--x", "1e30"],
     ["realquad", "--limit", "1e12"],
     ["variance", "--x-list", "1e4", "--x-list", str(MAX_SIZE + 1), "--tau", "0.01"],
-    # --split-only reaches the library on sectors and forbidden (sieve and
-    # weyl have their own --split-only tests) ...
+    # --split-only reaches the library on sectors (sieve and weyl have their
+    # own --split-only tests) ...
     ["sectors", "--x", "1e30", "--rho", "0.3", "--split-only"],
+    # ... and argparse refuses it on the three subcommands that never read
+    # it, as it refuses a grid option on variance, whose grid is always 4 k_max
     ["forbidden", "--max", "1e30", "--split-only"],
-    # ... and argparse refuses it on the two subcommands that never read it,
-    # as it refuses a grid option on variance, whose grid is always 4 k_max
     ["variance", "--x-list", "1e4", "--tau", "0.01", "--split-only"],
     ["realquad", "--limit", "1e12", "--split-only"],
     ["variance", "--x-list", "1e4", "--tau", "0.2", "--grid-factor", "4"],
@@ -148,7 +148,7 @@ def test_size_above_ceiling_exits_2_before_work(tmp_path, capsys, args):
     out = tmp_path / "out"
     start = time.perf_counter()
     refused = [a for a in args if a in ("--split-only", "--grid-factor")
-               and args[0] in ("variance", "realquad")]
+               and args[0] in ("variance", "realquad", "forbidden")]
     try:
         code = main(args + ["--out", str(out)])
     except SystemExit as exc:  # argparse refused an option

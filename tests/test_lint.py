@@ -134,6 +134,38 @@ def _traced_targets():
                 yield tuple(ast.literal_eval(e) for e in entry.elts[:2])
 
 
+def _traced_arguments():
+    """(function, index, name) for each _arg(args, kwargs, index, name) call in
+    perfbench/tracing.py, with function the sectorlab function whose call the
+    hook or counter reads, as "module.function"; read with ast."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    body = ast.parse(path.read_text(), filename=str(path)).body
+    tables = {t.id: node.value for node in body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)}
+    spans = {}  # span name -> traced functions
+    for entry in tables["SPANS"].elts:
+        module, func, span = (ast.literal_eval(e) for e in entry.elts)
+        spans.setdefault(span, []).append(f"{module}.{func}")
+    spans["reports.write"] = [f"reports.{name}" for name in sorted(vars(reports))
+                              if name.startswith("write_")]
+    readers = {}  # hook or counter function -> traced functions
+    for span, hooks in zip(tables["_HOOKS"].keys, tables["_HOOKS"].values):
+        for hook in hooks.elts:
+            if isinstance(hook, ast.Name):
+                readers.setdefault(hook.id, []).extend(spans[ast.literal_eval(span)])
+    for entry in tables["_COUNTERS"].elts:
+        module, func = (ast.literal_eval(e) for e in entry.elts[:2])
+        readers.setdefault(entry.elts[3].id, []).append(f"{module}.{func}")
+    for node in body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg":
+                index, name = (ast.literal_eval(a) for a in call.args[2:])
+                for target in readers.get(node.name, [None]):
+                    yield target, index, name
+
+
 def test_traced_entry_points_exist():
     # the benchmark's per-layer metrics come from wrapping these functions;
     # a renamed one is reported as absent (null), so the rename must show here
@@ -141,6 +173,25 @@ def test_traced_entry_points_exist():
     missing = [f"{module}.{func}" for module, func in targets
                if not hasattr(importlib.import_module(f"sectorlab.{module}"), func)]
     assert targets and not missing, missing
+    # the hooks read some arguments by position when the call passes them so:
+    # a moved argument would be read wrongly, so its position must show here
+    checked, moved = set(), []
+    for target, index, name in _traced_arguments():
+        assert target is not None, f"no traced function reads _arg {index} {name!r}"
+        module, func = target.split(".")
+        params = list(inspect.signature(getattr(
+            importlib.import_module(f"sectorlab.{module}"), func)).parameters)
+        if params[index:index + 1] != [name]:
+            moved.append(f"{target}: {name!r} is not argument {index} of {params}")
+        checked.add((func if module != "reports" else "write_*", index, name))
+    assert not moved, moved
+    assert checked == {
+        ("character_sum_table", 1, "k_max"),
+        ("_scatter_grid", 0, "thetas"), ("_scatter_grid", 2, "K"),
+        ("_scatter_grid", 3, "f"), ("_scatter_grid", 4, "grid_size"),
+        ("geometric_weighted_sums", 0, "phases"), ("geometric_weighted_sums", 2, "k_max"),
+        ("write_*", 0, "path"),
+    }, checked
 
 
 _BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "linalg"}

@@ -197,10 +197,9 @@ def test_report_small_limit():
     assert rep.ideal_count == 22
     assert rep.limit == 100 and rep.k_max == 4
     assert rep.t.size == rep.ideal_count
-    assert set(rep.weyl) == {0, 1, 2, 3, 4}
-    for k, value in rep.weyl.items():
-        assert isinstance(value, float)
-        assert abs(value) <= 1.0 + 1e-12
+    assert rep.weyl.shape == (5,) and rep.weyl.dtype == np.float64
+    assert not rep.weyl.flags.writeable
+    assert np.all(np.abs(rep.weyl) <= 1.0 + 1e-12)
     assert rep.p[0::2].tolist() == rep.p[1::2].tolist()
     assert set(rep.sign[0::2].tolist()) == {1} and set(rep.sign[1::2].tolist()) == {-1}
 
@@ -224,6 +223,16 @@ def test_report_conjugate_cancellation_gate_fails_typed(monkeypatch):
     for k_max in (3, 2000):
         with pytest.raises(InvariantViolation):
             equidistribution_report_real(100, k_max)
+
+
+def test_cancellation_gate_names_the_first_failing_mode():
+    # phases alpha and pi + alpha cancel Im W_1 but leave Im W_2 = sin 2 alpha
+    scale = math.pi / LOG_EPS
+    t = np.array([0.3, math.pi + 0.3]) / scale
+    with pytest.raises(InvariantViolation) as exc:
+        realquad_mod._weyl_means(t, 100, 4)
+    im = running_power_sums(scale * t, 4)[1].imag / t.size
+    assert str(exc.value) == f"conjugate pairs leave Im W_2 = {im!r} uncancelled"
 
 
 @pytest.mark.parametrize("limit, k_max", [(100, 2000), (10**4, 20000)])
@@ -437,7 +446,7 @@ def test_memory_gate_report_weyl(monkeypatch, blocks):
     if blocks == "small":
         small_blocks(monkeypatch)
     weyl, peak = traced_peak(realquad_mod._weyl_means, rep.t, rep.limit, 8)
-    assert len(weyl) == 9 and {k: weyl[k] for k in rep.weyl} == rep.weyl
+    assert weyl.shape == (9,) and np.array_equal(weyl[:2], rep.weyl)
     assert peak <= power_sum_allowance(8), (peak, rep.t.nbytes)
     if blocks == "small":
         # one array the length of t would not fit

@@ -273,11 +273,12 @@ def test_forbidden_region_ladder():
 
 
 def test_forbidden_region_empty():
-    # without the ramified ideal there is no positive angle below norm 5
+    # norm 1 has no ideal at all
     with pytest.raises(EmptyRange):
-        forbidden_region_check(4, include_nonsplit=False)
-    # norm_max = 2 keeps just the ramified ideal, angle pi/4 > bound
-    assert forbidden_region_check(2) == pytest.approx(math.pi / 4, rel=1e-15)
+        forbidden_region_check(1)
+    # below norm 5 only the ramified ideal has a positive angle, pi/4 > bound
+    for norm_max in (2, 4):
+        assert forbidden_region_check(norm_max) == pytest.approx(math.pi / 4, rel=1e-15)
 
 
 def test_forbidden_region_gate_fails_typed(monkeypatch, tmp_path, capsys):

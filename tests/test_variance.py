@@ -603,24 +603,103 @@ def plain_scatter(thetas, weights, K, f, grid_size):
     return np.bincount(np.arange(spill.size) % G, weights=spill, minlength=G)
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
-@given(
-    X=st.integers(2, 3000),
-    K=st.floats(1.0, 40.0),
-    grid_size=st.integers(1, 1 << 12),
-    kind=st.sampled_from(sorted(WINDOWS)),
-    budget=st.sampled_from([1, 64, variance_mod._PAIR_BUDGET]),
-)
-# few entries over thousands of offsets: a handful of blocked steps
-@example(X=100, K=2.5, grid_size=1 << 12, kind="mollifier", budget=variance_mod._PAIR_BUDGET)
-# a budget below the live count: one offset per step, over slices
-@example(X=3000, K=3.0, grid_size=1 << 10, kind="leaky", budget=64)
-def test_blocked_scatter_matches_plain_loop_bytes(X, K, grid_size, kind, budget):
-    f = WINDOWS[kind]()
-    thetas, weights = _weighted_entries(float(X), plateau_1_2())
+# a budget-1 case takes one Python step per (entry, offset) pair, up to
+# about 60 us each for the plateau: X = 3000, K = 1, G = 2^12 would take
+# about 3 M of them, so budget-1 draws are kept to this many pairs (at most
+# about 0.6 s a case)
+BUDGET_ONE_PAIRS = 10_000
+
+
+def _blocked_scatter_cases():
+    """(X, K, grid_size, kind, budget) cases of the blocked scatter byte test.
+
+    Four seeded draws for each window kind and pair budget, over X in
+    [2, 3000], K in [1, 40] and G in [1, 2^12], so every run draws the same
+    cases whatever else is loaded; a budget-1 draw over BUDGET_ONE_PAIRS
+    pairs is drawn again.  Then the corner X = 2, K = 1, G = 1 and two
+    hand-picked shapes.
+    """
+    rng = np.random.default_rng(1903_04005)
+    cases = []
+    for kind in sorted(WINDOWS):
+        for budget in (1, 64, variance_mod._PAIR_BUDGET):
+            for _ in range(4):
+                while True:
+                    X, K = int(rng.integers(2, 3001)), float(rng.uniform(1.0, 40.0))
+                    G, f = int(rng.integers(1, (1 << 12) + 1)), WINDOWS[kind]()
+                    if budget > 1 or _support_counts(_weighted_entries(float(X), plateau_1_2())[0],
+                                                     K, G, f.lo, f.hi).sum() <= BUDGET_ONE_PAIRS:
+                        break
+                cases.append((X, K, G, kind, budget))
+    return cases + [
+        (2, 1.0, 1, "mollifier", 1),
+        # few entries over thousands of offsets: a handful of blocked steps
+        (100, 2.5, 1 << 12, "mollifier", variance_mod._PAIR_BUDGET),
+        # a budget below the live count: one offset per step, over slices
+        (3000, 3.0, 1 << 10, "leaky", 64),
+    ]
+
+
+def test_blocked_scatter_matches_plain_loop_bytes():
+    cases = _blocked_scatter_cases()
+    assert {(kind, budget) for _, _, _, kind, budget in cases} == {
+        (kind, budget) for kind in WINDOWS for budget in (1, 64, variance_mod._PAIR_BUDGET)}
+    for X, K, grid_size, kind, budget in cases:
+        f = WINDOWS[kind]()
+        thetas, weights = _weighted_entries(float(X), plateau_1_2())
+        with mock.patch.object(variance_mod, "_PAIR_BUDGET", budget):
+            got = _scatter_grid(thetas, weights, K, f, grid_size)
+        want = plain_scatter(thetas, weights, K, f, grid_size)
+        assert got.tobytes() == want.tobytes(), (X, K, grid_size, kind, budget)
+
+
+def _shared_first_cells():
+    """Entries of which several share a first cell, with equal and unequal counts.
+
+    At K = 3 and G = 64 a mollifier support spans 2G/K = 42.67 cells, so an
+    entry at (i + d) step + P/K has first cell i + 1 and 42 cells for d <
+    1/3, 43 for d >= 1/3.  The entries of one cell are spread through the
+    input between those of other cells, and their weights differ in
+    magnitude, so a cell that took its additions in another order would
+    round differently.
+    """
+    G, K = 64, 3.0
+    step = HALF_PI / G
+    d = [0.1, 0.5, 0.1, 0.9, 0.2, 0.1, 0.5, 0.7, 0.1]
+    cells = [5, 5, 40, 5, 40, 5, 5, 40, 5]
+    weights = [1.0, 3.0, -2.0, 1e-16, 0.25, -1.0, -3.0, 7.0, 1e-16]
+    thetas = np.array([(i + x) * step + HALF_PI / K for i, x in zip(cells, d)])
+    return thetas, np.array(weights), K, G
+
+
+@pytest.mark.parametrize("budget", [1, 3, 1 << 16])
+def test_scatter_cell_order_matches_plain_loop_bytes(budget):
+    thetas, weights, K, G = _shared_first_cells()
+    step, scale = HALF_PI / G, K / HALF_PI
+    first = np.mod(np.ceil((thetas - 1.0 / scale) / step).astype(np.int64), G)
+    counts = _support_counts(thetas, K, G)
+    shared = first[:, None] == first[None, :]
+    np.fill_diagonal(shared, False)
+    same_count = counts[:, None] == counts[None, :]
+    assert np.any(shared & same_count) and np.any(shared & ~same_count)
     with mock.patch.object(variance_mod, "_PAIR_BUDGET", budget):
-        got = _scatter_grid(thetas, weights, K, f, grid_size)
-    assert got.tobytes() == plain_scatter(thetas, weights, K, f, grid_size).tobytes()
+        got = _scatter_grid(thetas, weights, K, bump(), G)
+    assert got.tobytes() == plain_scatter(thetas, weights, K, bump(), G).tobytes()
+
+
+def test_cell_order_costs_at_most_one_entry_array(monkeypatch):
+    # against the same scatter sorted on the counts alone, the first-cell
+    # key adds at most one entry-length int64 array to the peak, where the
+    # entry-length arrays dominate it
+    monkeypatch.setattr(variance_mod, "_PAIR_BUDGET", 1 << 10)
+    thetas, weights = _weighted_entries(1e5, plateau_1_2())
+    grid, peak = traced_peak(_scatter_grid, thetas, weights, 10.0, bump(), 256)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "lexsort", lambda keys: np.argsort(keys[-1], kind="stable"))
+        by_count, count_peak = traced_peak(_scatter_grid, thetas, weights, 10.0, bump(), 256)
+    assert grid.tobytes() == by_count.tobytes()
+    assert count_peak > 4 * 8 * thetas.size  # the entry arrays dominate
+    assert peak <= count_peak + 8 * thetas.size, (peak, count_peak)
 
 
 @settings(max_examples=60, deadline=None)
@@ -675,11 +754,12 @@ def test_psi_grid_validation():
         psi_grid(4.0, 500.0, bump(), plateau_1_2(), grid_size=0)
 
 
-def _support_counts(thetas, K, G):
-    """counts_a, the grid points inside each mollifier support, as the scatter finds them."""
+def _support_counts(thetas, K, G, lo=-1.0, hi=1.0):
+    """counts_a, the grid points inside each support (the mollifier's by
+    default), as the scatter finds them."""
     step, scale = HALF_PI / G, K / HALF_PI
-    i_lo = np.ceil((thetas - 1.0 / scale) / step).astype(np.int64)
-    i_hi = np.floor((thetas + 1.0 / scale) / step).astype(np.int64)
+    i_lo = np.ceil((thetas - hi / scale) / step).astype(np.int64)
+    i_hi = np.floor((thetas - lo / scale) / step).astype(np.int64)
     return np.maximum(i_hi - i_lo + 1, 0)
 
 
