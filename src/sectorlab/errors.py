@@ -14,7 +14,7 @@ MAX_SIZE = 10**9
 
 Every size that drives enumeration (a norm window's upper end, a scale X,
 the Z[sqrt 2] limit) is checked against it before any work starts.  At 1e9
-the ideal arrays already hold about 5e7 entries, several GB; far beyond it
+the ideal arrays already hold about 5e7 entries, 0.8 GB; far beyond it
 the segmented sieve would run without end in practice while its output grew.
 """
 
@@ -23,7 +23,9 @@ MAX_NORM = 5 * MAX_SIZE // 2
 support end phi.hi of its cutoff.  The CLI's cutoff, a plateau majorant of
 [1, 2] with shoulder eps < 1/2, ends below 2.5, so every scale up to MAX_SIZE
 passes with every shoulder; a custom cutoff that reaches further is refused
-before the enumeration, which at 2.5e9 already holds about 1.2e8 ideals, 5 GB.
+before the enumeration, which at 2.5e9 already holds about 1.2e8 ideals, 1.9 GB.
+The enumeration refuses a window past it: its int32 legs and packed sort key
+rely on this bound.
 """
 
 MAX_SUPPORT = 512.0

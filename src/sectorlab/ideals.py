@@ -21,8 +21,13 @@ for the scan.
 
 All enumerations are over half-open norm windows (norm_min, norm_max]
 so that disjoint windows partition exactly, and return read-only
-columns, one row per ideal, sorted by (norm, theta); the enumeration
-_ideal_arrays is the package's only cache.
+columns, one row per ideal, sorted by (norm, theta).  The enumeration
+_ideal_arrays is the package's only cache, and it keeps only what cannot
+be derived: the legs a, b as int32 and theta as float64, 16 bytes per
+ideal.  The rational prime p, the norm a^2 + b^2 and the splitting code
+are pure functions of the legs, and _ideal_columns derives them where a
+caller reads them: the CSV writer one block of rows at a time, a weighted
+sector count for its masked rows, the prime-power table for its windows.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MAX_SIZE, BadInput, InvariantViolation, NonResidue, check_int
+from .errors import MAX_NORM, MAX_SIZE, BadInput, InvariantViolation, NonResidue, check_int
 
 HALF_PI = math.pi / 2.0  # period of the ideal angle; other modules import it from here
 
@@ -269,13 +274,16 @@ def _two_square_rows(start: int, stop: int):
 
 @lru_cache(maxsize=64)
 def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool, /):
-    """Arrays (p, a, b, norm, code, theta) for ideals with norm in (norm_min, norm_max].
+    """Arrays (a, b, theta) for ideals with norm in (norm_min, norm_max].
 
-    Sorted by (norm, theta); all arrays are read-only so they can be shared
-    freely between callers and threads.  Every argument is positional and
-    required, so each window has one cache key.  Public callers check
-    norm_max against MAX_SIZE; at scale X <= MAX_SIZE the variance
-    statistics reach X phi.hi.
+    The legs a, b of each ideal's first-quadrant generator as int32 and its
+    angle theta as float64, 16 bytes per ideal, sorted by (norm, theta); all
+    arrays are read-only so they can be shared freely between callers and
+    threads.  _ideal_columns derives p, the norm and the splitting code from
+    the legs.  Every argument is positional and required, so each window has
+    one cache key.  norm_max is checked against MAX_NORM, the reach of the
+    variance statistics at scale X <= MAX_SIZE, where a leg is at most
+    sqrt(MAX_NORM) = 50,000 and the packed sort key below fits.
     The split ideals come from one lattice scan of the half domain b > a:
     by Fermat's two-square theorem each split prime p has exactly one point
     (a, b) there, a != b since p is odd, and its conjugate is the mirror
@@ -283,7 +291,7 @@ def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool, /):
     domain is sorted; each split point then fills two slots.
     """
     norm_min = check_int("norm_min", norm_min, 0)
-    norm_max = check_int("norm_max", norm_max, norm_min)
+    norm_max = check_int("norm_max", norm_max, norm_min, MAX_NORM)
     half_a, half_b = _lattice_scan(
         norm_min, norm_max, lambda p: p % 4 == 1, _two_square_rows,
         lambda a, b: a * a + b * b, 1)[:2]
@@ -304,37 +312,63 @@ def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool, /):
     key |= half_a
     del half_a, half_b
     key.sort()
-    half_a = key & ((1 << shift) - 1)
-    key >>= shift
-    half_b = _isqrt(key - half_a * half_a)
+    # unpack a block at a time into int32 legs: a from the low bits, and the
+    # key itself turns into b = isqrt(norm - a^2)
+    half_a = np.empty(key.size, dtype=np.int32)
+    for i in range(0, key.size, _BLOCK):
+        block = key[i:i + _BLOCK]
+        leg = block & ((1 << shift) - 1)
+        half_a[i:i + _BLOCK] = leg
+        block >>= shift
+        block -= leg * leg
+        block[:] = _isqrt(block)
+    half_b = key.astype(np.int32)
+    del key
     # a split point (a, b), a < b, takes two slots: its mirror (b, a), of
     # angle below pi/4, then itself.  1 + i and the inert p take one each
-    slots = 1 + ((0 < half_a) & (half_a < half_b))
-    norm = np.repeat(key, slots)
+    slots = ((0 < half_a) & (half_a < half_b)).astype(np.int8)
+    slots += 1
     a = np.repeat(half_b, slots)
     b = np.repeat(half_a, slots)
-    del key, half_a, half_b, slots
-    # both slots of a split prime now hold the mirror; the second one takes
-    # the point's legs back
-    second = norm[1:] == norm[:-1]
+    del half_a, half_b, slots
+    # both slots of a split prime now hold the mirror, and no two ideals
+    # share legs; the second slot takes the point's legs back
+    second = a[1:] == a[:-1]
+    second &= b[1:] == b[:-1]
     np.copyto(a[1:], b[1:], where=second)
     np.copyto(b[1:], a[:-1], where=second)
     del second
-    # theta a block at a time, so no float copy of a whole column is alive:
-    # the peak, 42 bytes per ideal for an output of 41, comes with p
+    # theta a block at a time, so no float copy of a whole column is alive
     theta = np.empty(a.size)
     for i in range(0, a.size, _BLOCK):
         block = slice(i, i + _BLOCK)
         np.arctan2(b[block].astype(np.float64), a[block].astype(np.float64), out=theta[block])
-    inert = b == 0
-    code = np.full(a.size, _SPLIT, dtype=np.int8)
-    code[norm == 2] = _RAMIFIED
-    code[inert] = _INERT
-    p = np.where(inert, a, norm)
-    out = (p, a, b, norm, code, theta)
+    out = (a, b, theta)
     for arr in out:
         arr.setflags(write=False)
     return out
+
+
+def _ideal_columns(a: np.ndarray, b: np.ndarray):
+    """Arrays (p, norm, code) of the enumeration rows with legs a, b.
+
+    int64, int64 and int8.  The norm a^2 + b^2 is formed in int64: at
+    MAX_NORM a leg reaches 50,000, and its square leaves int32.  p is the
+    norm, except a for an inert row (b = 0, norm a^2); code is ramified at
+    norm 2, inert at b = 0 and split otherwise.
+    """
+    norm = a.astype(np.int64)
+    norm *= norm
+    square = b.astype(np.int64)
+    square *= square
+    norm += square
+    del square
+    inert = b == 0
+    p = np.where(inert, a, norm)
+    code = np.full(a.size, _SPLIT, dtype=np.int8)
+    code[norm == 2] = _RAMIFIED
+    code[inert] = _INERT
+    return p, norm, code
 
 
 def _iroot(n: int, r: int) -> int:
@@ -358,10 +392,12 @@ def _lambda_arrays(norm_min: int, norm_max: int):
     powers.  Built on each call from the cached enumeration: the primes of
     the window, and one enumeration up to sqrt(norm_max) whose bases each
     power r >= 2 keeps when their r-th power lands in the window, sorted and
-    merged in.
+    merged in.  The norms of both windows are derived from their legs.
     """
-    _, _, _, norm, _, theta = _ideal_arrays(norm_min, norm_max, True)
-    _, _, _, bases, _, angles = _ideal_arrays(0, _iroot(norm_max, 2), True)
+    a, b, theta = _ideal_arrays(norm_min, norm_max, True)
+    norm = _ideal_columns(a, b)[1]
+    a, b, angles = _ideal_arrays(0, _iroot(norm_max, 2), True)
+    bases = _ideal_columns(a, b)[1]
     powers = []
     # every r >= 2 with 2**r <= norm_max; r = 2 always runs, so the block is
     # typed even when empty
@@ -376,10 +412,13 @@ def _lambda_arrays(norm_min: int, norm_max: int):
     # keeps tied powers in r order: the merge is the (norm, theta) order of
     # one stable sort over the primes followed by the powers r = 2, 3, ...
     at = np.searchsorted(norm, pow_n[order])
-    # weights first, so the log column is gone before the other outputs exist
+    # weights first, so the log column is gone before the other outputs
+    # exist, and the derived norms go once their column is built
     weight = np.insert(np.log(norm.astype(np.float64)), at, pow_w[order])
-    out = (np.insert(norm, at, pow_n[order]), np.insert(theta, at, pow_t[order]), weight,
-           np.insert(np.ones(norm.size, dtype=np.int32), at, pow_r[order]))
+    norms = np.insert(norm, at, pow_n[order])
+    del norm
+    out = (norms, np.insert(theta, at, pow_t[order]), weight,
+           np.insert(np.ones(theta.size, dtype=np.int32), at, pow_r[order]))
     for arr in out:
         arr.setflags(write=False)
     return out

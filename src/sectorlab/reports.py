@@ -30,7 +30,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import MAX_SIZE, InvariantViolation, check_int
-from .ideals import _BLOCK, _SPLITTING, _ideal_arrays
+from .ideals import _BLOCK, _SPLITTING, _ideal_arrays, _ideal_columns
 from .realquad import RealQuadReport
 from .sectors import SectorScanReport, _exclusion_bound
 from .variance import VarianceReport
@@ -203,19 +203,27 @@ def _put_int(out: np.ndarray, x: np.ndarray):
     out[negative, 0] = _MINUS
 
 
-def _dump_rows(path: str, header: list[str], fields: list):
-    """Write the header lines, then one CSV line per row of the fields.
+def _in_blocks(fields: list):
+    """The fields, the first a column, cut into blocks of _BLOCK rows; a pair
+    (table, codes) is cut by its codes."""
+    for start in range(0, len(fields[0]), _BLOCK):
+        cut = slice(start, start + _BLOCK)
+        yield [(f[0], f[1][cut]) if isinstance(f, tuple) else f[cut] for f in fields]
+
+
+def _dump_rows(path: str, header: list[str], blocks):
+    """Write the header lines, then one CSV line per row of each block of fields.
 
     A field is a numeric column, printed %d or %.17g by its dtype, or a
-    pair (table, codes) printing row codes[i] of a _table.  Each _BLOCK
-    rows become one byte matrix whose nonzero bytes are written.
+    pair (table, codes) printing row codes[i] of a _table.  Each block,
+    at most _BLOCK rows, becomes one byte matrix whose nonzero bytes are
+    written.
     """
-    tables = [f[0] if isinstance(f, tuple) else None for f in fields]
-    columns = [f[1] if isinstance(f, tuple) else f for f in fields]
     with _create(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in header).encode())
-        for start in range(0, len(columns[0]), _BLOCK):
-            block = [col[start:start + _BLOCK] for col in columns]
+        for fields in blocks:
+            tables = [f[0] if isinstance(f, tuple) else None for f in fields]
+            block = [f[1] if isinstance(f, tuple) else f for f in fields]
             widths = [_field_width(col, table) for table, col in zip(tables, block)]
             mat = np.zeros((block[0].size, sum(widths) + len(widths)), np.uint8)
             at = 0
@@ -234,15 +242,26 @@ def _dump_rows(path: str, header: list[str], fields: list):
 
 
 def write_ideal_csv(path: str, norm_min: int, norm_max: int, include_nonsplit: bool = True):
-    """Write the ideal enumeration for a norm window as CSV."""
+    """Write the ideal enumeration for a norm window as CSV.
+
+    p, the norm and the splitting are derived from the legs one block of
+    rows at a time.
+    """
     norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
-    p, a, b, norm, code, theta = _ideal_arrays(norm_min, norm_max, include_nonsplit)
+    a, b, theta = _ideal_arrays(norm_min, norm_max, include_nonsplit)
     header = [
         f"# {IDEAL_FORMAT} sectorlab={__version__}",
         f"# norm_min={int(norm_min)} norm_max={norm_max} include_nonsplit={int(include_nonsplit)}",
         "p,a,b,norm,splitting,theta",
     ]
-    _dump_rows(path, header, [p, a, b, norm, (_table(_SPLITTING), code), theta])
+    splitting = _table(_SPLITTING)
+
+    def blocks():
+        for leg_a, leg_b, angle in _in_blocks([a, b, theta]):
+            p, norm, code = _ideal_columns(leg_a, leg_b)
+            yield [p, leg_a, leg_b, norm, (splitting, code), angle]
+
+    _dump_rows(path, header, blocks())
 
 
 def write_sector_csv(path: str, report: SectorScanReport):
@@ -252,7 +271,7 @@ def write_sector_csv(path: str, report: SectorScanReport):
         "beta,count,expected,deviation",
     ]
     expected = (_table([_fmt(report.expected)]), np.broadcast_to(np.intp(0), (report.grid_size,)))
-    _dump_rows(path, header, [report.betas, report.counts, expected, report.deviations])
+    _dump_rows(path, header, _in_blocks([report.betas, report.counts, expected, report.deviations]))
 
 
 def write_sector_json(path: str, report: SectorScanReport):
@@ -296,7 +315,7 @@ def write_realquad_csv(path: str, report: RealQuadReport):
         f"# limit={report.limit} ideal_count={report.ideal_count}",
         "p,a,b,sign,t",
     ]
-    _dump_rows(path, header, [report.p, report.a, report.b, report.sign, report.t])
+    _dump_rows(path, header, _in_blocks([report.p, report.a, report.b, report.sign, report.t]))
 
 
 def write_realquad_json(path: str, report: RealQuadReport):

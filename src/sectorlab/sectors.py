@@ -13,8 +13,9 @@ no faster than norm^(-1/2).
 
 Every statistic reads the angle column of the cached enumeration
 (ideals._ideal_arrays) and caches nothing of its own.  A sector count is
-one pass of the arc mask over that column; the grid scan and the
-discrepancy sort a local copy of the angles.
+one pass of the arc mask over that column; a weighted one derives the norms
+of its masked rows alone.  The grid scan and the discrepancy each hold one
+sorted float64 copy of the angles, 8 bytes per ideal, besides the cache.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from ._kernels import exact_sum
 from .errors import (MAX_GRID, MAX_SIZE, BadInput, BadSector, EmptyRange, InvariantViolation,
                      check_int, check_real)
-from .ideals import _BLOCK, HALF_PI, _ideal_arrays
+from .ideals import _BLOCK, HALF_PI, _ideal_arrays, _ideal_columns
 from .windows import adaptive_simpson
 
 
@@ -44,10 +45,11 @@ def sector_count(
     beta = check_real("sector start beta", beta, 0.0, HALF_PI, "[)", BadSector)
     gamma = check_real("sector width gamma", gamma, 0.0, HALF_PI, "(]", BadSector)
     norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
-    _, _, _, norms, _, thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)
+    a, b, thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)
     mask = _in_arc(thetas, beta, gamma)
     if weighted:
-        return exact_sum(np.log(norms[mask].astype(np.float64)))
+        norms = _ideal_columns(a[mask], b[mask])[1]
+        return exact_sum(np.log(norms.astype(np.float64)))
     return int(np.count_nonzero(mask))
 
 
@@ -77,7 +79,7 @@ def expected_count(
     norm_min = check_int("norm_min", norm_min, 0)
     norm_max = check_int("norm_max", norm_max, norm_min, MAX_SIZE if mode == "empirical" else None)
     if mode == "empirical":
-        thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)[5]
+        thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)[2]
         return (gamma / HALF_PI) * thetas.size
     if mode == "pit":
         lo = max(2.0, float(norm_min))
@@ -132,7 +134,7 @@ def sector_scan(
     rho = check_real("narrowing exponent rho", rho, 0.0, 1.0, "[)")
     grid_size = check_int("grid size", grid_size, 1, MAX_GRID)
     deltas = tuple(check_real("deviation threshold delta", d, 0.0, ends="(]") for d in deltas)
-    th = np.sort(_ideal_arrays(1, X, include_nonsplit)[5])
+    th = np.sort(_ideal_arrays(1, X, include_nonsplit)[2])
     n = th.size
     if n == 0:
         raise EmptyRange(f"no prime ideals with norm in (1, {X}]")
@@ -168,7 +170,7 @@ def forbidden_region_check(norm_max: int) -> float:
     minimum only below norm 5, where the split (2 + i) comes in.
     """
     norm_max = check_int("norm_max", norm_max, 1, MAX_SIZE)
-    thetas = _ideal_arrays(1, norm_max, True)[5]
+    thetas = _ideal_arrays(1, norm_max, True)[2]
     min_angle = float(np.min(thetas, where=thetas > 0.0, initial=math.inf))
     if min_angle == math.inf:
         raise EmptyRange(f"no ideals with positive angle and norm <= {norm_max}")
@@ -187,7 +189,7 @@ def _exclusion_bound(norm_max: int) -> float:
 def discrepancy(norm_min: int, norm_max: int, include_nonsplit: bool = True) -> float:
     """Star discrepancy of the normalised angles theta/(pi/2) in [0, 1)."""
     norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
-    u = np.sort(_ideal_arrays(norm_min, norm_max, include_nonsplit)[5])
+    u = np.sort(_ideal_arrays(norm_min, norm_max, include_nonsplit)[2])
     if u.size == 0:
         raise EmptyRange(f"no prime ideals with norm in ({norm_min}, {norm_max}]")
     u /= HALF_PI  # one sorted copy, normalised in place, then one _BLOCK of terms at a time

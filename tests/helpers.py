@@ -109,9 +109,23 @@ def brute_realquad_solution(p: int) -> tuple[int, int]:
 
 def ideal_rows(norm_min: int, norm_max: int, include_nonsplit: bool = True) -> list[tuple]:
     """The enumeration of (norm_min, norm_max] as rows (p, a, b, norm, code,
-    theta) of Python scalars."""
-    cols = ideals._ideal_arrays(norm_min, norm_max, include_nonsplit)
-    return list(zip(*(col.tolist() for col in cols)))
+    theta) of Python scalars.
+
+    Only the legs a, b and theta are read from the cached columns.  p, the
+    norm and the splitting code are derived here in Python ints from their
+    definitions, not through ideals._ideal_columns, so every test that reads
+    rows checks the package's derivation against this one.
+    """
+    rows = []
+    for a, b, theta in zip(*(col.tolist() for col in
+                             ideals._ideal_arrays(norm_min, norm_max, include_nonsplit))):
+        norm = a * a + b * b
+        if b == 0:
+            p, code = a, ideals._INERT
+        else:
+            p, code = norm, ideals._RAMIFIED if norm == 2 else ideals._SPLIT
+        rows.append((p, a, b, norm, code, theta))
+    return rows
 
 
 LambdaEntry = namedtuple("LambdaEntry", "base r norm theta weight")
@@ -234,12 +248,14 @@ def oracle_realquad_csv(path, report):
 MEMORY_GATE_SIZE = 10**6
 # one CSV row of a block of the byte-matrix writers.  At MEMORY_GATE_SIZE
 # the widest row is at most 64 bytes of the matrix (ideals: p and norm below
-# 10^7, a and b below 10^4, the splitting word 8 and the float field 24, so
-# 7 + 4 + 4 + 7 + 8 + 24 plus six separators, 60).  The matrix, its nonzero
-# mask and the compressed copy of its nonzero bytes take at most 3 x 64; the
-# float kernel's named float64 temporaries (|v|, the product hi + lo, the
-# Veltkamp halves of |v| and of the power of ten, one partial product) at
-# most 8 x 8 more
+# 10^6, a and b below 10^3, the splitting word 8 and the float field 24, so
+# 6 + 3 + 3 + 6 + 8 + 24 plus six separators, 56).  The matrix, its nonzero
+# mask and the compressed copy of its nonzero bytes take at most 3 x 64, and
+# the 3 x 8 bytes the ideal rows leave of that cover the p, norm and code
+# the ideal writer derives for its block (17 bytes); the float kernel's
+# named float64 temporaries (|v|, the product hi + lo, the Veltkamp halves
+# of |v| and of the power of ten, one partial product) take at most 8 x 8
+# more
 CSV_ROW_BYTES = 3 * 64 + 8 * 8
 
 

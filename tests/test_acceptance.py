@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from helpers import brute_cornacchia, brute_gaussian_ideals, brute_primes
+from helpers import brute_cornacchia, brute_gaussian_ideals, brute_primes, ideal_rows
 from sectorlab import ideals as ideals_mod
 from sectorlab.characters import character_sum
 from sectorlab.cli import main
@@ -65,8 +65,7 @@ def announce(capsys, num, ok, detail, elapsed, budget=None):
 
 def test_criterion_01_enumeration_oracle(capsys):
     start = time.perf_counter()
-    _, a, b, norm, _, _ = _ideal_arrays(1, 10**4, True)
-    got = set(zip(norm.tolist(), a.tolist(), b.tolist()))
+    got = {(norm, a, b) for _, a, b, norm, _, _ in ideal_rows(1, 10**4)}
     want = brute_gaussian_ideals(1, 10**4)
     elapsed = time.perf_counter() - start
     announce(
@@ -91,7 +90,8 @@ def test_criterion_02_cornacchia_oracle(capsys):
 
 def test_criterion_03_conjugate_angles(capsys):
     start = time.perf_counter()
-    _, _, _, norms, _, thetas = _ideal_arrays(1, 10**6, False)
+    a, b, thetas = _ideal_arrays(1, 10**6, False)
+    norms = a.astype(np.int64)**2 + b.astype(np.int64)**2
     paired = norms.size > 0 and norms.size % 2 == 0 and bool(np.all(norms[0::2] == norms[1::2]))
     worst = float(np.max(np.abs(thetas[0::2] + thetas[1::2] - HALF_PI)))
     elapsed = time.perf_counter() - start

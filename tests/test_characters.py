@@ -215,7 +215,7 @@ def test_weyl_equidistribution_trend():
 def test_weyl_sum_pinned_to_fsum_over_python_floats():
     # the sums are exactly rounded: the same cos/sin arrays summed by
     # math.fsum one Python float at a time give the same bits
-    thetas = _ideal_arrays(1, 10**5, True)[5]
+    thetas = _ideal_arrays(1, 10**5, True)[2]
     for k in range(1, 9):
         angles = (4.0 * k) * thetas
         want = complex(math.fsum(np.cos(angles).tolist()), math.fsum(np.sin(angles).tolist()))
@@ -261,7 +261,7 @@ def test_weyl_sums_two_route_gate_at_a_high_mode():
 def test_memory_gate_weyl_sums(monkeypatch, blocks):
     # beyond the cached enumeration, a few summation blocks however many
     # ideals there are
-    thetas = _ideal_arrays(1, MEMORY_GATE_SIZE, True)[5]
+    thetas = _ideal_arrays(1, MEMORY_GATE_SIZE, True)[2]
     if blocks == "small":
         small_blocks(monkeypatch)
     _, peak = traced_peak(weyl_sums, 8, 1, MEMORY_GATE_SIZE)

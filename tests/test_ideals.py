@@ -25,7 +25,7 @@ from helpers import (
 from sectorlab import ideals as ideals_mod
 from sectorlab import sectors as sectors_mod
 from sectorlab.cli import main
-from sectorlab.errors import BadInput, InvariantViolation, NonResidue
+from sectorlab.errors import MAX_NORM, BadInput, InvariantViolation, NonResidue
 from sectorlab.ideals import (
     _BLOCK,
     _ideal_arrays,
@@ -40,9 +40,8 @@ HALF_PI = math.pi / 2.0
 
 
 def _norm_a_b(lo, hi):
-    """The set of (norm, a, b) over the enumeration's columns for (lo, hi]."""
-    _, a, b, norm, _, _ = _ideal_arrays(lo, hi, True)
-    return set(zip(norm.tolist(), a.tolist(), b.tolist()))
+    """The set of (norm, a, b) over the enumeration's rows for (lo, hi]."""
+    return {(norm, a, b) for _, a, b, norm, _, _ in ideal_rows(lo, hi)}
 
 
 
@@ -170,7 +169,8 @@ def test_cornacchia_rejects_non_split():
 # ------------------------------------------------- lattice scan vs Cornacchia
 
 def _cornacchia_route(lo, hi, include_nonsplit):
-    """The six enumeration arrays rebuilt with one cornacchia(p) per split prime."""
+    """The arrays (p, a, b, norm, code, theta) of the enumeration's rows,
+    rebuilt with one cornacchia(p) per split prime."""
     primes = sieve_rational_primes(hi)
     rows = []  # (p, a, b, norm, code)
     for p in primes[(primes > lo) & (primes % 4 == 1)].tolist():
@@ -195,6 +195,17 @@ def _assert_same_arrays(got, want):
         assert np.array_equal(g, w)
 
 
+def _assert_matches_route(lo, hi, include_nonsplit):
+    """The cached columns, and the columns _ideal_columns derives from their
+    legs, against the Cornacchia route."""
+    p, a, b, norm, code, theta = _cornacchia_route(lo, hi, include_nonsplit)
+    got = _ideal_arrays(lo, hi, include_nonsplit)
+    assert [col.dtype for col in got] == [np.int32, np.int32, np.float64]
+    assert not any(col.flags.writeable for col in got)
+    _assert_same_arrays(got, (a.astype(np.int32), b.astype(np.int32), theta))
+    _assert_same_arrays(ideals_mod._ideal_columns(*got[:2]), (p, norm, code))
+
+
 @pytest.fixture
 def cold_ideal_cache():
     ideals_mod._ideal_arrays.cache_clear()
@@ -215,8 +226,7 @@ _ORACLE_WINDOWS = [
 @pytest.mark.parametrize("include_nonsplit", [True, False])
 @pytest.mark.parametrize("lo, hi", _ORACLE_WINDOWS)
 def test_lattice_scan_matches_cornacchia_route(lo, hi, include_nonsplit, cold_ideal_cache):
-    _assert_same_arrays(_ideal_arrays(lo, hi, include_nonsplit),
-                        _cornacchia_route(lo, hi, include_nonsplit))
+    _assert_matches_route(lo, hi, include_nonsplit)
 
 
 @pytest.mark.parametrize("segment, points", [(64, 3), (1000, 50)])
@@ -228,8 +238,7 @@ def test_lattice_scan_across_many_segment_and_chunk_edges(
     monkeypatch.setattr(ideals_mod, "_SCAN_POINTS", points)
     for lo, hi in ((0, 6000), (63, 129), (1000, 4097), (4999, 20000)):
         for include_nonsplit in (True, False):
-            _assert_same_arrays(_ideal_arrays(lo, hi, include_nonsplit),
-                                _cornacchia_route(lo, hi, include_nonsplit))
+            _assert_matches_route(lo, hi, include_nonsplit)
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,8 +247,7 @@ def test_lattice_scan_across_many_segment_and_chunk_edges(
 def test_lattice_scan_matches_cornacchia_route_random(ends, include_nonsplit):
     lo, hi = sorted(ends)
     ideals_mod._ideal_arrays.cache_clear()
-    _assert_same_arrays(_ideal_arrays(lo, hi, include_nonsplit),
-                        _cornacchia_route(lo, hi, include_nonsplit))
+    _assert_matches_route(lo, hi, include_nonsplit)
 
 
 def test_lattice_scan_gate_fails_typed(monkeypatch, cold_ideal_cache, tmp_path, capsys):
@@ -272,7 +280,8 @@ def test_lattice_scan_gate_fails_on_extra_points():
 # ------------------------------------------------------------ enumerate
 
 def test_enumerate_window_1_to_10():
-    p, a, b, norm, code, theta = _ideal_arrays(1, 10, True)
+    a, b, theta = _ideal_arrays(1, 10, True)
+    p, norm, code = ideals_mod._ideal_columns(a, b)
     got = list(zip(norm.tolist(), a.tolist(), b.tolist(), code.tolist()))
     assert got == [
         (2, 1, 1, ideals_mod._RAMIFIED),
@@ -288,11 +297,12 @@ def test_enumerate_window_1_to_10():
 
 
 def test_enumerate_window_10_to_20():
-    assert _ideal_arrays(10, 20, True)[3].tolist() == [13, 13, 17, 17]
+    assert [row[3] for row in ideal_rows(10, 20)] == [13, 13, 17, 17]
 
 
 def test_enumerate_empty_window():
-    assert [col.size for col in _ideal_arrays(5, 5, True)] == [0] * 6
+    assert [col.size for col in _ideal_arrays(5, 5, True)] == [0] * 3
+    assert [col.size for col in ideals_mod._ideal_columns(*_ideal_arrays(5, 5, True)[:2])] == [0] * 3
 
 
 def test_enumerate_matches_2d_scan():
@@ -343,10 +353,10 @@ def test_unit_rotation_angle_invariance():
 
 
 def test_split_only_flag_drops_ramified_and_inert():
-    kept = _ideal_arrays(1, 100, False)[4]
-    assert np.all(kept == ideals_mod._SPLIT)
-    full = _ideal_arrays(1, 100, True)[4]
-    assert full.size - kept.size == np.count_nonzero(full != ideals_mod._SPLIT)
+    kept = [row[4] for row in ideal_rows(1, 100, False)]
+    assert set(kept) == {ideals_mod._SPLIT}
+    full = [row[4] for row in ideal_rows(1, 100, True)]
+    assert len(full) - len(kept) == sum(code != ideals_mod._SPLIT for code in full)
 
 
 def test_enumerate_rejects_bad_window():
@@ -354,6 +364,30 @@ def test_enumerate_rejects_bad_window():
         _ideal_arrays(10, 5, True)
     with pytest.raises(BadInput):
         _ideal_arrays(-3, 5, True)
+    with pytest.raises(BadInput):
+        _ideal_arrays(MAX_NORM - 10, MAX_NORM + 1, True)
+
+
+def test_derived_columns_at_the_norm_ceiling():
+    # the top of the admitted range, where a leg passes 46,341 and its
+    # square leaves int32: the derived norms and p against Python ints
+    lo, hi = MAX_NORM - 10**4, MAX_NORM
+    a, b, _ = _ideal_arrays(lo, hi, True)
+    assert max(a.max(), b.max()) > 46341
+    p, norm, code = ideals_mod._ideal_columns(a, b)
+    rows = ideal_rows(lo, hi)
+    assert rows and norm.tolist() == [row[3] for row in rows]
+    assert p.tolist() == [row[0] for row in rows]
+    assert code.tolist() == [row[4] for row in rows]
+    for p_, a_, b_, norm_, code_, _ in rows:
+        assert lo < norm_ == a_ * a_ + b_ * b_ <= hi
+        if code_ == ideals_mod._SPLIT:
+            assert p_ == norm_ and p_ % 4 == 1 and ideals_mod._is_prime(p_)
+    # the prime-power table over the same window, which holds no power
+    # r >= 2 of a prime ideal's norm
+    norms, _, weight, r = _lambda_arrays(lo, hi)
+    assert norms.tolist() == [row[3] for row in rows] and np.all(r == 1)
+    assert weight.tolist() == pytest.approx([math.log(row[3]) for row in rows], rel=1e-15)
 
 
 # ---------------------------------------------------------- lambda table
@@ -394,7 +428,7 @@ def test_lambda_entries_match_enumerate_and_power_oracle():
     # top, raised while the power stays inside the window
     hi = 2000
     want = []
-    for base_norm in _ideal_arrays(1, hi, True)[3].tolist():
+    for base_norm in [row[3] for row in ideal_rows(1, hi)]:
         r, norm = 1, base_norm
         while norm <= hi:
             if norm > 1:
@@ -492,7 +526,7 @@ def test_memory_gate_lattice_scan(monkeypatch, lo):
 def test_memory_gate_sector_scan():
     # on a cached enumeration the scan holds one sorted copy of the angles
     # and, besides it, only arrays over the offsets (16 float64 per offset)
-    angles = _ideal_arrays(1, MEMORY_GATE_SIZE, True)[5]
+    angles = _ideal_arrays(1, MEMORY_GATE_SIZE, True)[2]
     grid = 1024
     _, peak = traced_peak(sectors_mod.sector_scan, MEMORY_GATE_SIZE, 0.3, grid)
     assert peak <= angles.nbytes + 16 * 8 * grid, (peak, angles.nbytes)
@@ -500,13 +534,17 @@ def test_memory_gate_sector_scan():
 
 def test_memory_gate_lambda_arrays():
     # on a cached enumeration the table's outputs are its norm, theta and
-    # weight columns (8 B per row each) and r (4 B).  The weights are built
-    # first, while no other output exists: the log column with its cast (16 B
-    # per prime row), the inserted copy (8 B) and np.insert's bool mask (1 B)
-    # stay below the 28 B of the finished output.  Each later insert holds
-    # the outputs so far, its own copy and a mask, and the r column adds its
-    # int32 ones: output + 5 B per row at most.  One float64 column over the
-    # output bounds that; 64 KiB covers the block of powers, about 80 rows
+    # weight columns (8 B per row each) and r (4 B).  The norms of the
+    # window's primes are derived from their legs first (8 B per prime row,
+    # with at most 11 B of p, a square and the codes beside them while they
+    # are formed).  The weights come next, while no other output exists: the
+    # derived norms, the log column with its cast (24 B), then the inserted
+    # copy (8 B) and np.insert's bool mask (1 B) beside the norms and logs,
+    # all below the 28 B of the finished output.  The derived norms go once
+    # the norm column is inserted.  Each later insert holds the outputs so
+    # far, its own copy and a mask, and the r column adds its int32 ones:
+    # output + 5 B per row at most.  One float64 column over the output
+    # bounds that; 64 KiB covers the block of powers, about 80 rows
     lo, hi = MEMORY_GATE_SIZE, 2 * MEMORY_GATE_SIZE
     _ideal_arrays(lo, hi, True)
     _ideal_arrays(0, math.isqrt(hi), True)
@@ -518,7 +556,7 @@ def test_memory_gate_discrepancy():
     # on a cached enumeration the discrepancy holds one sorted copy of the
     # angles, normalised in place, and the terms of one _BLOCK at a time:
     # the int64 index and at most three float64 arrays over it, six allowed
-    angles = _ideal_arrays(1, MEMORY_GATE_SIZE, True)[5]
+    angles = _ideal_arrays(1, MEMORY_GATE_SIZE, True)[2]
     assert angles.size >= 4 * _BLOCK  # several blocks, so whole-input terms show
     _, peak = traced_peak(sectors_mod.discrepancy, 1, MEMORY_GATE_SIZE)
     assert peak <= angles.nbytes + 6 * 8 * _BLOCK, (peak, angles.nbytes)

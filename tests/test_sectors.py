@@ -10,6 +10,7 @@ import scipy.special
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import ideal_rows
 from sectorlab import sectors as sectors_mod
 from sectorlab.cli import main
 from sectorlab.errors import BadInput, BadSector, EmptyRange, InvariantViolation
@@ -79,15 +80,16 @@ def test_wrapping_consistency():
 
 
 def test_weighted_sector_count():
-    _, _, _, norms, _, thetas = _ideal_arrays(1, 1000, True)
+    rows = ideal_rows(1, 1000)
+    norms = [row[3] for row in rows]
     beta, gamma = 0.2, 0.6
-    want = math.fsum(math.log(norm) for norm, theta in zip(norms.tolist(), thetas.tolist())
+    want = math.fsum(math.log(norm) for _, _, _, norm, _, theta in rows
                      if beta < theta <= beta + gamma)
     got = sector_count(beta, gamma, 1, 1000, weighted=True)
     assert got == pytest.approx(want, rel=1e-12)
     full = sector_count(0.0, HALF_PI, 1, 1000, weighted=True)
     assert full == pytest.approx(
-        math.fsum(math.log(norm) for norm in norms.tolist()), rel=1e-12)
+        math.fsum(math.log(norm) for norm in norms), rel=1e-12)
 
 
 _LOG_WINDOW = 10**5
@@ -97,8 +99,9 @@ _LOG_WINDOW = 10**5
 def _angles_and_logs():
     # the log norms come from np.log, as the library's do, so the oracle
     # checks the arc and the rounding of the sum, not one log against another
-    _, _, _, norms, _, thetas = _ideal_arrays(1, _LOG_WINDOW, True)
-    return thetas.tolist(), np.log(norms.astype(np.float64)).tolist()
+    rows = ideal_rows(1, _LOG_WINDOW)
+    norms = np.array([row[3] for row in rows], dtype=np.float64)
+    return [row[5] for row in rows], np.log(norms).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,7 +152,7 @@ def test_adjacent_arcs_sum_to_their_union(start, first, second):
 @settings(max_examples=100, deadline=None)
 @given(beta=st.floats(0.0, HALF_PI, exclude_max=True))
 def test_quarter_turn_counts_every_ideal(beta):
-    logs = [math.log(norm) for norm in _ideal_arrays(1, 5000, True)[3].tolist()]
+    logs = [math.log(row[3]) for row in ideal_rows(1, 5000)]
     assert sector_count(beta, HALF_PI, 1, 5000) == len(logs)
     assert sector_count(beta, HALF_PI, 1, 5000, weighted=True) == pytest.approx(
         math.fsum(logs), rel=1e-12)
@@ -284,7 +287,7 @@ def test_forbidden_region_empty():
 def test_forbidden_region_gate_fails_typed(monkeypatch, tmp_path, capsys):
     # an angle far inside the exclusion zone must be reported, not returned
     angles = np.array([0.0, 1e-9, 0.5])
-    monkeypatch.setattr(sectors_mod, "_ideal_arrays", lambda *args: (None,) * 5 + (angles,))
+    monkeypatch.setattr(sectors_mod, "_ideal_arrays", lambda *args: (None, None, angles))
     with pytest.raises(InvariantViolation):
         forbidden_region_check(10**6)
     assert main(["forbidden", "--max", "1e6", "--out", str(tmp_path)]) == 3
@@ -318,7 +321,7 @@ def test_discrepancy_decreasing_along_dyadic_windows():
 def test_discrepancy_matches_one_pass_over_several_blocks():
     # the blocked maximum is bitwise the maximum over all terms at once
     for lo, hi, include_nonsplit in ((1, 10**6, True), (0, 10**6, False)):
-        u = np.sort(_ideal_arrays(lo, hi, include_nonsplit)[5]) / HALF_PI
+        u = np.sort(_ideal_arrays(lo, hi, include_nonsplit)[2]) / HALF_PI
         assert u.size > 2 * _BLOCK
         i = np.arange(1, u.size + 1)
         want = float(np.maximum(i / u.size - u, u - (i - 1) / u.size).max())

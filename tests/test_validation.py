@@ -202,6 +202,8 @@ ACCEPTANCE_CALLS = {
     "solve_norm_equation nan": lambda: sectorlab.solve_norm_equation(math.nan),
     "solve_norm_equation inf": lambda: sectorlab.solve_norm_equation(math.inf),
     "ideal_arrays inf": lambda: ideals_mod._ideal_arrays(0, math.inf, True),
+    # a window past MAX_NORM would overflow the packed sort key and the int32 legs
+    "ideal_arrays past MAX_NORM": lambda: ideals_mod._ideal_arrays(10**14, 10**14 + 10**4, True),
     "lambda_arrays inf": lambda: ideals_mod._lambda_arrays(0, math.inf),
     "expected_count nan": lambda: sectorlab.expected_count(0.2, 0, math.nan),
     "expected_count pit reversed": lambda: sectorlab.expected_count(0.2, 100, 10, mode="pit"),
