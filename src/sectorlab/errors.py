@@ -63,8 +63,8 @@ largest power of two below KMAX_CAP.  A cell peaks at about 33 bytes per grid
 point (measured at 2^20), so 2^25 points take 1.1 GB."""
 
 MAX_NODES = 1 << 20
-"""Most midpoint-rule nodes a c_k sample or c_k vector may take, about 150 MB at
-most: 48 (mollifier) to 145 (plateau) bytes per node, measured at 2^20.  The
+"""Most midpoint-rule nodes a c_k sample or c_k vector may take, about 80 MB at
+most: 48 (mollifier) to 73 (plateau) bytes per node, measured at 2^20.  The
 mollifier's truncation_kmax walk needs 2^13 (K from 1 to 1e3).  A plateau's
 samples can hover near the threshold; at such K its walk ends here, refused."""
 

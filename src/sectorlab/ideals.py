@@ -25,9 +25,10 @@ columns, one row per ideal, sorted by (norm, theta).  The enumeration
 _ideal_arrays is the package's only cache, and it keeps only what cannot
 be derived: the legs a, b as int32 and theta as float64, 16 bytes per
 ideal.  The rational prime p, the norm a^2 + b^2 and the splitting code
-are pure functions of the legs, and _ideal_columns derives them where a
-caller reads them: the CSV writer one block of rows at a time, a weighted
-sector count for its masked rows, the prime-power table for its windows.
+are pure functions of the legs, derived where a caller reads them:
+_ideal_columns gives all three to the CSV writer one block of rows at a
+time, and _ideal_norms gives the norm alone to a weighted sector count for
+its masked rows and to the prime-power table for its windows.
 """
 
 from __future__ import annotations
@@ -349,20 +350,28 @@ def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool, /):
     return out
 
 
-def _ideal_columns(a: np.ndarray, b: np.ndarray):
-    """Arrays (p, norm, code) of the enumeration rows with legs a, b.
+def _ideal_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The int64 norms a^2 + b^2 of the enumeration rows with legs a, b.
 
-    int64, int64 and int8.  The norm a^2 + b^2 is formed in int64: at
-    MAX_NORM a leg reaches 50,000, and its square leaves int32.  p is the
-    norm, except a for an inert row (b = 0, norm a^2); code is ramified at
-    norm 2, inert at b = 0 and split otherwise.
+    Formed in int64: at MAX_NORM a leg reaches 50,000, and its square
+    leaves int32.
     """
     norm = a.astype(np.int64)
     norm *= norm
     square = b.astype(np.int64)
     square *= square
     norm += square
-    del square
+    return norm
+
+
+def _ideal_columns(a: np.ndarray, b: np.ndarray):
+    """Arrays (p, norm, code) of the enumeration rows with legs a, b.
+
+    int64, int64 and int8; the norm is _ideal_norms'.  p is the norm,
+    except a for an inert row (b = 0, norm a^2); code is ramified at norm 2,
+    inert at b = 0 and split otherwise.
+    """
+    norm = _ideal_norms(a, b)
     inert = b == 0
     p = np.where(inert, a, norm)
     code = np.full(a.size, _SPLIT, dtype=np.int8)
@@ -392,12 +401,13 @@ def _lambda_arrays(norm_min: int, norm_max: int):
     powers.  Built on each call from the cached enumeration: the primes of
     the window, and one enumeration up to sqrt(norm_max) whose bases each
     power r >= 2 keeps when their r-th power lands in the window, sorted and
-    merged in.  The norms of both windows are derived from their legs.
+    merged in.  The norms of both windows are derived from their legs, with
+    no p or code column beside them.
     """
     a, b, theta = _ideal_arrays(norm_min, norm_max, True)
-    norm = _ideal_columns(a, b)[1]
+    norm = _ideal_norms(a, b)
     a, b, angles = _ideal_arrays(0, _iroot(norm_max, 2), True)
-    bases = _ideal_columns(a, b)[1]
+    bases = _ideal_norms(a, b)
     powers = []
     # every r >= 2 with 2**r <= norm_max; r = 2 always runs, so the block is
     # typed even when empty

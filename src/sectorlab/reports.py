@@ -39,7 +39,7 @@ IDEAL_FORMAT = "sectorlab-ideals-v1"
 CHARSUM_FORMAT = "sectorlab-charsums-v1"
 SECTOR_FORMAT = "sectorlab-sectors-v1"
 FORBIDDEN_FORMAT = "sectorlab-forbidden-v1"
-VARIANCE_FORMAT = "sectorlab-variance-v1"
+VARIANCE_FORMAT = "sectorlab-variance-v2"
 REALQUAD_FORMAT = "sectorlab-realquad-v1"
 
 _G17_WIDTH = 24  # the longest %.17g of a double, "-2.2250738585072014e-308"
@@ -288,9 +288,7 @@ def write_sector_json(path: str, report: SectorScanReport):
 
 
 def write_variance_json(path: str, reports: list[VarianceReport]):
-    # "variant": psi carries every prime power
-    cells = [{**dataclasses.asdict(r), "variant": "powers"} for r in reports]
-    _dump_json(path, VARIANCE_FORMAT, {"cells": cells})
+    _dump_json(path, VARIANCE_FORMAT, {"cells": [dataclasses.asdict(r) for r in reports]})
 
 
 def write_variance_csv(path: str, reports: list[VarianceReport]):

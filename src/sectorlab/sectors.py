@@ -28,27 +28,27 @@ import numpy as np
 from ._kernels import exact_sum
 from .errors import (MAX_GRID, MAX_SIZE, BadInput, BadSector, EmptyRange, InvariantViolation,
                      check_int, check_real)
-from .ideals import _BLOCK, HALF_PI, _ideal_arrays, _ideal_columns
+from .ideals import _BLOCK, HALF_PI, _ideal_arrays, _ideal_norms
 from .windows import adaptive_simpson
 
 
 def sector_count(
-    beta: float, gamma: float, norm_min: int, norm_max: int,
-    include_nonsplit: bool = True, weighted: bool = False,
+    beta: float, gamma: float, norm_min: int, norm_max: int, weighted: bool = False,
 ) -> float:
-    """Ideals with angle in the half-open arc (beta, beta + gamma] mod pi/2.
+    """Prime ideals with angle in the half-open arc (beta, beta + gamma] mod pi/2.
 
-    Unweighted counts are exact ints; with weighted=True each ideal
-    contributes log(norm) instead of 1 and the result is the exactly
-    rounded float sum of those logarithms.
+    Every prime ideal counts, ramified and inert included.  Unweighted
+    counts are exact ints; with weighted=True each ideal contributes
+    log(norm) instead of 1 and the result is the exactly rounded float sum
+    of those logarithms.
     """
     beta = check_real("sector start beta", beta, 0.0, HALF_PI, "[)", BadSector)
     gamma = check_real("sector width gamma", gamma, 0.0, HALF_PI, "(]", BadSector)
     norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
-    a, b, thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)
+    a, b, thetas = _ideal_arrays(norm_min, norm_max, True)
     mask = _in_arc(thetas, beta, gamma)
     if weighted:
-        norms = _ideal_columns(a[mask], b[mask])[1]
+        norms = _ideal_norms(a[mask], b[mask])
         return exact_sum(np.log(norms.astype(np.float64)))
     return int(np.count_nonzero(mask))
 
@@ -64,22 +64,20 @@ def _in_arc(thetas: np.ndarray, beta: float, gamma: float) -> np.ndarray:
     return (thetas > beta) | (thetas <= beta + (gamma - HALF_PI))
 
 
-def expected_count(
-    gamma: float, norm_min: int, norm_max: int,
-    mode: str = "empirical", include_nonsplit: bool = True,
-) -> float:
+def expected_count(gamma: float, norm_min: int, norm_max: int, mode: str = "empirical") -> float:
     """Fair share of a width-gamma sector.
 
-    empirical mode: gamma/(pi/2) times the actual number of ideals in the
-    norm range.  pit mode: gamma/(pi/2) times the integral-logarithm count
-    int dt/log t over the norm range, the smooth prediction that needs no
-    enumeration, so its norm_max has no ceiling.
+    empirical mode: gamma/(pi/2) times the actual number of prime ideals,
+    ramified and inert included, in the norm range.  pit mode: gamma/(pi/2)
+    times the integral-logarithm count int dt/log t over the norm range, the
+    smooth prediction that needs no enumeration, so its norm_max has no
+    ceiling.
     """
     gamma = check_real("sector width gamma", gamma, 0.0, HALF_PI, "(]", BadSector)
     norm_min = check_int("norm_min", norm_min, 0)
     norm_max = check_int("norm_max", norm_max, norm_min, MAX_SIZE if mode == "empirical" else None)
     if mode == "empirical":
-        thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)[2]
+        thetas = _ideal_arrays(norm_min, norm_max, True)[2]
         return (gamma / HALF_PI) * thetas.size
     if mode == "pit":
         lo = max(2.0, float(norm_min))

@@ -67,12 +67,10 @@ def truncation_kmax(f: SmoothWindow, K: float):
     MAX_NODES midpoint nodes.  The magnitudes come from the
     midpoint rule, not the adaptive route: certifying decay to 1e-14
     relative needs quadrature error far below DEFAULT_QUAD_TOL, and for a
-    C-infinity compactly supported window such as the mollifier the
-    midpoint sum is spectrally exact.  A plateau is only C^1 (windows._ramp),
-    so the note does not cover it.  The default plateau as the bump is
-    refused at K = 3.16 (ROADMAP item 2); that this is the cause is not
-    shown.  It also admits f: BadInput unless its integral is finite and
-    nonzero.
+    C-infinity compactly supported window, the mollifier or a plateau, the
+    midpoint sum is spectrally exact.  Even so the default plateau as the
+    bump is refused at some K, such as 1.5, 3 and 6 (ROADMAP item 2).  It
+    also admits f: BadInput unless its integral is finite and nonzero.
     """
     K = check_real("sharpness K", K, 1.0)
     c0 = abs(_midpoint_coefficient(f, K, 0))

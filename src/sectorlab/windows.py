@@ -4,7 +4,8 @@ Three window families drive every smoothed statistic in this package:
 
 * the reference mollifier f(x) = exp(-1/(1 - x^2)) on (-1, 1),
 * plateau majorants: value 1 on a core [c0, c1], supported on
-  [c0 - eps, c1 + eps], with mollifier-smoothstep shoulders,
+  [c0 - eps, c1 + eps], with closed-form C-infinity smoothstep shoulders
+  (_ramp),
 * plateau minorants: value 1 on [c0 + eps, c1 - eps], supported on the
   core itself.
 
@@ -20,8 +21,7 @@ period pi/2 are c_k = (1/K) f_hat(k/K); that identity is what the
 spectral variance module exploits.
 
 A named window is descriptor-serialisable: {kind, lo, hi, eps} determines
-its shape, and the descriptor also records quad_tol, always
-DEFAULT_QUAD_TOL.  A custom window's descriptor records its support alone,
+its shape.  A custom window's descriptor records its support alone,
 so two custom windows on one support share it; no report holds one.
 
 Every support lies in [-MAX_SUPPORT, MAX_SUPPORT].  The smoothed layer
@@ -44,7 +44,6 @@ from .ideals import HALF_PI
 
 DEFAULT_QUAD_TOL = 1e-10
 
-_RAMP_PANELS = 4096
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -69,53 +68,19 @@ def mollifier_eval(x):
     return out
 
 
-def _build_ramp_table():
-    """Cumulative mollifier integral on a fine grid, for the smoothstep shoulders.
-
-    Returns (values, slopes) at the 4097 nodes t_j = j/4096 of
-    ramp(t) = int_{-1}^{2t-1} f / int_{-1}^{1} f.  Values come from
-    panel-wise Simpson sums; slopes are analytic, so the Hermite
-    interpolant below is accurate to ~1e-13, well under the 1e-10 budget.
-    """
-    n = _RAMP_PANELS
-    t = np.linspace(0.0, 1.0, n + 1)
-    ends = mollifier_eval(2.0 * t - 1.0)
-    mids = mollifier_eval(t[:-1] + t[1:] - 1.0)
-    h = 1.0 / n
-    # dramp/dt = 2 f(2t-1) before normalisation; Simpson on that derivative
-    panels = (h / 6.0) * (2.0 * ends[:-1] + 8.0 * mids + 2.0 * ends[1:])
-    values = np.concatenate([[0.0], np.cumsum(panels)])
-    total = values[-1]
-    values /= total
-    slopes = 2.0 * ends / total
-    values.setflags(write=False)
-    slopes.setflags(write=False)
-    return values, slopes
-
-
-_RAMP_VALUES, _RAMP_SLOPES = _build_ramp_table()
-
-
 def _ramp(t):
-    """Smoothstep: 0 at t <= 0, 1 at t >= 1, and in between the C-infinity
-    ramp int f / int f read through the cubic Hermite interpolant of its
-    table: C^1 only, within about 1e-13 of the ramp, so a plateau is C^1."""
+    """Smoothstep g(t) / (g(t) + g(1 - t)), g(t) = exp(-1/t) for t > 0 and 0 otherwise.
+
+    0 at t <= 0, 1 at t >= 1, monotone and C-infinity in between, with
+    ramp(t) + ramp(1 - t) = 1.  Each g clamps its argument below at the
+    smallest normal double, as mollifier_eval does, so t <= 0 gives
+    exp(-1/tiny) = 0.0 exactly; one of t, 1 - t is at least 1/2, so the
+    denominator is at least exp(-2) and never zero.
+    """
     t = np.asarray(t, dtype=np.float64)
-    tc = np.clip(t, 0.0, 1.0)
-    pos = tc * _RAMP_PANELS
-    j = np.minimum(pos.astype(np.int64), _RAMP_PANELS - 1)
-    u = pos - j
-    y0, y1 = _RAMP_VALUES[j], _RAMP_VALUES[j + 1]
-    d0, d1 = _RAMP_SLOPES[j] / _RAMP_PANELS, _RAMP_SLOPES[j + 1] / _RAMP_PANELS
-    u2 = u * u
-    u3 = u2 * u
-    val = (
-        (2.0 * u3 - 3.0 * u2 + 1.0) * y0
-        + (u3 - 2.0 * u2 + u) * d0
-        + (-2.0 * u3 + 3.0 * u2) * y1
-        + (u3 - u2) * d1
-    )
-    return np.clip(val, 0.0, 1.0)
+    rise = np.exp(-1.0 / np.fmax(t, _TINY))
+    fall = np.exp(-1.0 / np.fmax(1.0 - t, _TINY))
+    return rise / (rise + fall)
 
 
 @dataclass(frozen=True)
@@ -156,7 +121,6 @@ class SmoothWindow:
             "lo": self.lo,
             "hi": self.hi,
             "eps": self.eps,
-            "quad_tol": DEFAULT_QUAD_TOL,
         }
 
     def integral(self) -> float:

@@ -12,7 +12,6 @@ import pytest
 
 from sectorlab.cli import _int_literal, build_parser, main
 from sectorlab.errors import MAX_SIZE, InvariantViolation
-from sectorlab.windows import DEFAULT_QUAD_TOL
 
 
 def data_rows(path):
@@ -259,13 +258,16 @@ def test_unset_options_take_the_library_defaults(tmp_path):
     # the CLI passes only the options given, so these are variance_sweep's
     # and sector_scan's own defaults
     assert main(["variance", "--x-list", "400", "--out", str(tmp_path)]) == 0
-    cells = json.loads((tmp_path / "variance.json").read_text())["cells"]
+    summary = json.loads((tmp_path / "variance.json").read_text())
+    assert summary["format_version"] == "sectorlab-variance-v2"
+    cells = summary["cells"]
     assert [cell["tau"] for cell in cells] == [0.2, 0.4, 0.55]
     for cell in cells:
         assert cell["phi"]["eps"] == 0.05
         assert cell["grid_size"] == 4 * cell["k_max"]
-        assert cell["variant"] == "powers"
-        assert cell["f"]["quad_tol"] == cell["phi"]["quad_tol"] == DEFAULT_QUAD_TOL
+        # no key that only ever held a constant
+        assert "variant" not in cell
+        assert "quad_tol" not in cell["f"] and "quad_tol" not in cell["phi"]
     assert main(["sectors", "--x", "1000", "--rho", "0.3", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "sectors.json").read_text())
     assert sorted(map(float, summary["exceptional_fraction"])) == [0.1, 0.25, 0.5]

@@ -91,6 +91,16 @@ def test_truncation_kmax_monotone_in_sharpness():
     assert cuts == {1.0: 128, 8.0: 1024, 64.0: 8192}
 
 
+def test_truncation_certifies_the_default_plateau_at_root_ten():
+    # the plateau's shoulders are C-infinity, so its transform decays past
+    # the threshold for three octaves from 2048 on at K = sqrt(10)
+    k_max, cert = truncation_kmax(plateau_plus(), 10**0.5)
+    assert k_max == 2048
+    assert set(cert["checked"]) == {"2048", "4096", "8192"}
+    for mag in cert["checked"].values():
+        assert mag <= 1e-14 * cert["c0"]
+
+
 def test_truncation_cap_failure(monkeypatch):
     monkeypatch.setattr(variance_mod, "KMAX_CAP", 2)
     with pytest.raises(TruncationFailure):

@@ -118,9 +118,19 @@ def test_plateau_ramp_monotone():
     assert np.all(np.diff(right) <= 1e-15)
 
 
+def test_ramp_matches_the_scalar_formula():
+    def g(t):
+        return math.exp(-1.0 / t) if t > 0.0 else 0.0
+
+    for t in (0.0, 1e-3, 0.25, 0.5, 1.0):
+        want = g(t) / (g(t) + g(1.0 - t))
+        assert float(windows._ramp(t)) == pytest.approx(want, rel=1e-15, abs=0.0), t
+
+
 def test_plateau_ramp_symmetry():
-    # the smoothstep is the normalized integral of an even bump, so
-    # ramp(t) + ramp(1 - t) = 1 and the window is even about its center
+    # the smoothstep g(t) / (g(t) + g(1 - t)) swaps its two terms under
+    # t -> 1 - t, so ramp(t) + ramp(1 - t) = 1 and the window is even about
+    # its center
     w = plateau_plus(eps=0.25)
     s = np.linspace(0.0, 1.0, 401)
     rising = w(-0.25 + 0.25 * s)
