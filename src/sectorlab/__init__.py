@@ -18,14 +18,12 @@ from .errors import (
     InvariantViolation,
     NonResidue,
     NotSplit,
-    QuadratureFailure,
     SectorLabError,
     TruncationFailure,
 )
 from .ideals import cornacchia, sieve_rational_primes, sqrt_mod
 from .windows import (
     SmoothWindow,
-    adaptive_simpson,
     custom_window,
     fourier_coefficient,
     fourier_coefficients_bulk,
@@ -62,13 +60,13 @@ from .realquad import RealQuadReport, angle_t, equidistribution_report_real, sol
 __all__ = [
     "__version__",
     "SectorLabError", "BadInput", "BadSector", "BadEps", "NotSplit",
-    "EmptyRange", "NonResidue", "QuadratureFailure", "TruncationFailure",
+    "EmptyRange", "NonResidue", "TruncationFailure",
     "InvariantViolation", "AliasingRisk",
     "sieve_rational_primes", "sqrt_mod", "cornacchia",
     "SmoothWindow", "mollifier_eval", "mollifier_window",
     "plateau_plus", "plateau_minus", "custom_window",
-    "adaptive_simpson", "fourier_hat", "fourier_coefficient",
-    "fourier_coefficients_bulk", "periodized_eval",
+    "fourier_hat", "fourier_coefficient", "fourier_coefficients_bulk",
+    "periodized_eval",
     "xi", "character_sum", "weyl_sum", "weyl_sums", "character_sum_table",
     "sector_count", "expected_count", "sector_scan", "SectorScanReport",
     "forbidden_region_check", "discrepancy",

@@ -49,6 +49,30 @@ ERROR_BOUND = 1e-13
 _SUM_BLOCK = 1 << 15
 # below this, n <= _SUM_BLOCK values stay finite through sigma = 2^(e + 16)
 _SUM_LIMIT = 2.0**960
+_SPLITTER = 2.0**27 + 1.0  # Veltkamp's constant for a 53-bit significand
+
+
+def split(a):
+    """(hi, lo) with hi + lo = a exactly and hi of at most 26 bits; |a| < 2^996 (Veltkamp)."""
+    t = a * _SPLITTER
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def two_product(a, b):
+    """(p, e): p = fl(a b) and p + e = a b exactly, barring overflow and underflow.
+
+    a and b are floats or float64 arrays that broadcast.  Each step that gathers
+    the products of their split halves into e is exact (Dekker, Numer. Math. 18, 1971).
+    """
+    p = a * b
+    a_hi, a_lo = split(a)
+    b_hi, b_lo = split(b)
+    e = a_hi * b_hi - p
+    e += a_hi * b_lo
+    e += a_lo * b_hi
+    e += a_lo * b_lo
+    return p, e
 
 
 def _grow(partials: list, x: float):

@@ -63,10 +63,10 @@ largest power of two below KMAX_CAP.  A cell peaks at about 33 bytes per grid
 point (measured at 2^20), so 2^25 points take 1.1 GB."""
 
 MAX_NODES = 1 << 20
-"""Most midpoint-rule nodes a c_k sample or c_k vector may take, about 80 MB at
-most: 48 (mollifier) to 73 (plateau) bytes per node, measured at 2^20.  The
-mollifier's truncation_kmax walk needs 2^13 (K from 1 to 1e3).  A plateau's
-samples can hover near the threshold; at such K its walk ends here, refused."""
+"""Most midpoint-rule nodes a c_k sample or c_k vector may take, about 85 MB at
+most: 33 (mollifier) to 81 (plateau) bytes per node, measured at 2^20.  For K
+from 1 to 1e3 the truncation_kmax walk needs 2^13 for the mollifier and 2^15
+for the default plateau."""
 
 MAX_PAIRS = 3 * 10**10
 """Most (entry, grid point) pairs one direct-route scatter may evaluate.
@@ -82,8 +82,9 @@ pairs or more).  A psi_grid at K = 1 and G = GRID_CAP on X = 1e6 would hold
 5e12 pairs, about 15 hours.
 """
 
-MAX_QUAD_INTERVALS = 1 << 20
-"""Most intervals adaptive_simpson keeps active before QuadratureFailure."""
+MAX_PIT_NORM = 10**308
+"""Largest norm_max of expected_count's pit mode, which enumerates nothing:
+the float range holds it, every quadrature term hi e^-r and their sum."""
 
 
 class SectorLabError(Exception):
@@ -112,10 +113,6 @@ class NotSplit(BadInput):
 
 class EmptyRange(BadInput):
     """A statistic was requested over a range containing no prime ideals."""
-
-
-class QuadratureFailure(SectorLabError, ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class TruncationFailure(SectorLabError, ArithmeticError):

@@ -28,6 +28,7 @@ import os
 
 import numpy as np
 
+from ._kernels import two_product
 from ._version import __version__
 from .errors import MAX_SIZE, InvariantViolation, check_int
 from .ideals import _BLOCK, _SPLITTING, _ideal_arrays, _ideal_columns
@@ -39,14 +40,11 @@ IDEAL_FORMAT = "sectorlab-ideals-v1"
 CHARSUM_FORMAT = "sectorlab-charsums-v1"
 SECTOR_FORMAT = "sectorlab-sectors-v1"
 FORBIDDEN_FORMAT = "sectorlab-forbidden-v1"
-VARIANCE_FORMAT = "sectorlab-variance-v2"
+VARIANCE_FORMAT = "sectorlab-variance-v3"
 REALQUAD_FORMAT = "sectorlab-realquad-v1"
 
 _G17_WIDTH = 24  # the longest %.17g of a double, "-2.2250738585072014e-308"
 _POW10 = np.array([float(10**s) for s in range(23)])  # exact: 5^22 < 2^53
-_VELTKAMP = 2.0**27 + 1.0
-_POW10_HI = _POW10 * _VELTKAMP - (_POW10 * _VELTKAMP - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
 _MINUS, _DOT, _ZERO = np.frombuffer(b"-.0", np.uint8)
 
 
@@ -75,27 +73,6 @@ def _table(words) -> np.ndarray:
     return np.array([list(w.encode().ljust(width, b"\0")) for w in words], np.uint8)
 
 
-def _exact_scaled(mag, exp):
-    """(hi, lo) with hi + lo = mag 10^(16 - exp) exactly and hi that product rounded.
-
-    Dekker's two-product over Veltkamp splits.  A power outside the exact
-    table is clipped to its end, which the caller sees as a product that
-    never reaches [1e16, 1e17).
-    """
-    s = 16 - exp
-    hi = mag * np.take(_POW10, s, mode="clip")
-    t = mag * _VELTKAMP
-    mag_hi = t - (t - mag)
-    del t
-    mag_lo = mag - mag_hi
-    ten_hi, ten_lo = np.take(_POW10_HI, s, mode="clip"), np.take(_POW10_LO, s, mode="clip")
-    lo = mag_hi * ten_hi - hi
-    lo += mag_hi * ten_lo
-    lo += mag_lo * ten_hi
-    lo += mag_lo * ten_lo
-    return hi, lo
-
-
 def _at_least(hi, lo, bound: float):
     """hi + lo >= bound exactly, for a double bound and hi = fl(hi + lo)."""
     return (hi > bound) | ((hi == bound) & (lo >= 0.0))
@@ -112,7 +89,9 @@ def _put_g17(out: np.ndarray, v: np.ndarray):
     fixed = (mag >= 1e-4) & (mag < 1e16)
     mag[~fixed] = 1.0
     exp = np.floor(np.log10(mag)).astype(np.int8)
-    hi, lo = _exact_scaled(mag, exp)
+    # hi + lo = mag 10^(16 - E) exactly; a power outside the table is clipped
+    # to its end, a product that never reaches [1e16, 1e17)
+    hi, lo = two_product(mag, np.take(_POW10, 16 - exp, mode="clip"))
     # log10 can round across a power of ten, so move E until the exact
     # product lies in [1e16, 1e17); each step moves towards the true E
     for _ in range(4):
@@ -122,7 +101,7 @@ def _put_g17(out: np.ndarray, v: np.ndarray):
         if off.size == 0:
             break
         exp[off] += step[off]
-        hi[off], lo[off] = _exact_scaled(mag[off], exp[off])
+        hi[off], lo[off] = two_product(mag[off], np.take(_POW10, 16 - exp[off], mode="clip"))
     else:
         raise InvariantViolation(f"%.17g exponent of {v[off[0]]!r} did not settle")
     del mag, step

@@ -17,7 +17,8 @@ spectral route assembles coefficients; the two agree to the truncation
 error, which is certified by the decay of c_k.
 
 Truncation rule: k_max is the first power of two at which |c_k| has
-dropped below 1e-14 |c_0| and stays below it for the next two octaves.
+dropped below 1e-14 |c_0| and stays below it for the next two octaves;
+the samples and the c_k vector come from the one midpoint rule of windows.
 The sweep's direct-route grid is 4 k_max points, the Nyquist margin under
 which grid statistics of a degree-k_max trigonometric polynomial are
 exact; an explicit variance_direct grid below that warns AliasingRisk.
@@ -32,13 +33,13 @@ import numpy as np
 
 from ._kernels import exact_sum
 from .characters import _norm_window, _weighted_entries, character_sum_table
-from .errors import (GRID_CAP, KMAX_CAP, MAX_NODES, MAX_PAIRS, MAX_SIZE, AliasingRisk,
+from .errors import (GRID_CAP, KMAX_CAP, MAX_NODES, MAX_PAIRS, MAX_SIZE, AliasingRisk, BadInput,
                      TruncationFailure, check_int, check_real)
 from .ideals import HALF_PI, _lambda_arrays
 from .windows import (
     SmoothWindow,
-    _midpoint_nodes,
     _node_count,
+    fourier_coefficient,
     fourier_coefficients_bulk,
     mollifier_window,
     periodized_eval,
@@ -50,13 +51,6 @@ TAIL_RATIO = 1e-14
 CERTIFICATE_RATIO = 1e-12
 
 
-def _midpoint_coefficient(f: SmoothWindow, K: float, k: int) -> complex:
-    """c_k by the midpoint rule of fourier_coefficients_bulk, summed for one k."""
-    xi = k / K
-    u, w = _midpoint_nodes(f, abs(xi))
-    return complex(np.sum(w * np.exp(-2j * np.pi * u * xi))) / K
-
-
 def truncation_kmax(f: SmoothWindow, K: float):
     """Smallest certified spectral cutoff for the K-periodisation of f.
 
@@ -64,16 +58,17 @@ def truncation_kmax(f: SmoothWindow, K: float):
     and at the two following octaves, and returns (q, certificate).  The
     certificate records the sampled magnitudes.  TruncationFailure if no
     power of two q <= KMAX_CAP passes before an octave would need more than
-    MAX_NODES midpoint nodes.  The magnitudes come from the
-    midpoint rule, not the adaptive route: certifying decay to 1e-14
-    relative needs quadrature error far below DEFAULT_QUAD_TOL, and for a
-    C-infinity compactly supported window, the mollifier or a plateau, the
-    midpoint sum is spectrally exact.  Even so the default plateau as the
-    bump is refused at some K, such as 1.5, 3 and 6 (ROADMAP item 2).  It
-    also admits f: BadInput unless its integral is finite and nonzero.
+    MAX_NODES midpoint nodes.  The magnitudes are fourier_coefficient's,
+    with no rounding floor, so the default plateau as the bump certifies at
+    K = 1.5, 3 and 6 (k_max 1,024, 2,048, 4,096).  Octave samples do not
+    bound the coefficients between them: at K = 3.2 it gets k_max = 32 with
+    |c_33| about 1.3e-2 |c_0| (ROADMAP item 2).  It also admits f: BadInput
+    unless its integral is finite and nonzero.
     """
     K = check_real("sharpness K", K, 1.0)
-    c0 = abs(_midpoint_coefficient(f, K, 0))
+    c0 = abs(fourier_coefficient(f, K, 0))
+    if c0 == 0.0:
+        raise BadInput(f"bump {f.kind} on [{f.lo}, {f.hi}] integrates to zero")
     threshold = TAIL_RATIO * c0
     mags = []  # |c_1|, |c_2|, |c_4|, ...
     q = 1  # the smallest cutoff the magnitudes so far leave open
@@ -81,7 +76,7 @@ def truncation_kmax(f: SmoothWindow, K: float):
         k = 1 << len(mags)
         if _node_count(k / K) > MAX_NODES:  # refused before its nodes are allocated
             break
-        mags.append(abs(_midpoint_coefficient(f, K, k)))
+        mags.append(abs(fourier_coefficient(f, K, k)))
         if not mags[-1] <= threshold:  # NaN never passes
             q = 2 * k
         elif k == 4 * q:

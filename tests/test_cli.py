@@ -259,7 +259,7 @@ def test_unset_options_take_the_library_defaults(tmp_path):
     # and sector_scan's own defaults
     assert main(["variance", "--x-list", "400", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "variance.json").read_text())
-    assert summary["format_version"] == "sectorlab-variance-v2"
+    assert summary["format_version"] == "sectorlab-variance-v3"
     cells = summary["cells"]
     assert [cell["tau"] for cell in cells] == [0.2, 0.4, 0.55]
     for cell in cells:

@@ -9,12 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import running_power_sums
 from sectorlab._kernels import (_SUM_BLOCK, ERROR_BOUND, exact_sum, geometric_weighted_sums,
-                                 unit_power_sums)
+                                 split, two_product, unit_power_sums)
 
 
 def exact_oracle(phases, weights, k):
@@ -183,3 +183,20 @@ def test_unit_power_sums_rejects_bad_angles():
             unit_power_sums(np.array([0.1, bad]), 1.0, 2)
     with pytest.raises(ValueError):
         unit_power_sums(np.zeros((2, 2)), 1.0, 2)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(a=st.floats(-1e150, 1e150), b=st.floats(-1e150, 1e150))
+@example(a=1e16 + 2.0, b=0.1)
+@example(a=(1 << 20) - 0.5, b=math.pi / 3)
+def test_two_product_is_exact(a, b):
+    assume(a == 0.0 or b == 0.0 or abs(a * b) > 2.0**-960)  # the error term does not underflow
+    hi, lo = split(a)
+    assert Fraction(hi) + Fraction(lo) == Fraction(a)
+    assert (math.frexp(hi)[0] * 2**26).is_integer()  # at most 26 significant bits
+    p, e = two_product(a, b)
+    assert p == a * b
+    assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+    # arrays broadcast against a scalar, each entry as exact
+    p_arr, e_arr = two_product(np.array([a, -a]), b)
+    assert p_arr.tolist() == [p, -p] and e_arr.tolist() == [e, -e]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import ideal_rows
 from sectorlab import sectors as sectors_mod
 from sectorlab.cli import main
-from sectorlab.errors import BadInput, BadSector, EmptyRange, InvariantViolation
+from sectorlab.errors import MAX_PIT_NORM, BadInput, BadSector, EmptyRange, InvariantViolation
 from sectorlab.ideals import _BLOCK, _ideal_arrays
 from sectorlab.sectors import (
     HALF_PI,
@@ -199,6 +199,33 @@ def test_expected_pit_large_norms():
     want = scipy.special.expi(math.log(hi)) - scipy.special.expi(math.log(lo))
     got = expected_count(HALF_PI, 0, hi, mode="pit")
     assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("hi", [10**12, 10**18, 10**100, 10**300])
+def test_expected_pit_against_expi(hi):
+    # expi's argument log(hi) rounds by half an ulp, which moves Ei by as
+    # much relative, and expi itself was measured within 1.4e-14 here
+    want = scipy.special.expi(math.log(hi)) - scipy.special.expi(math.log(2))
+    got = expected_count(HALF_PI, 0, hi, mode="pit")
+    assert got == pytest.approx(want, rel=2e-14 + math.ulp(math.log(hi)), abs=0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(10**6, 10**6 + 1), (10**12, 10**12 + 7), (2, 3)])
+def test_expected_pit_narrow_windows_against_quad(lo, hi):
+    # the expi difference cancels about 6 digits at (1e6, 1e6 + 1], and a
+    # quadrature over [log lo, log hi] inherits the rounding of both logs;
+    # the integrand 1/log t over the exact window has neither
+    want, _ = scipy.integrate.quad(lambda t: 1.0 / math.log(t), lo, hi,
+                                   epsabs=0.0, epsrel=1e-13)
+    got = expected_count(HALF_PI, lo, hi, mode="pit")
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_expected_pit_holds_the_float_range():
+    # at MAX_PIT_NORM = 1e308 the count is Ei(log 1e308), about 1.41e305,
+    # and no term of the quadrature overflows on the way
+    top = expected_count(HALF_PI, 0, MAX_PIT_NORM, mode="pit")
+    assert top == pytest.approx(1.412e305, rel=1e-3)
 
 
 def test_expected_rejects_unknown_mode():

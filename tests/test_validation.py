@@ -25,6 +25,7 @@ from sectorlab.errors import (
     KMAX_CAP,
     MAX_GRID,
     MAX_KMAX,
+    MAX_PIT_NORM,
     MAX_SIZE,
     BadInput,
     SectorLabError,
@@ -44,7 +45,7 @@ NUMERIC = {
     "limit": 100, "norm_min": 0, "norm_max": 100, "X": 1000, "p": 17, "n": 4,
     "a": 0, "b": 1, "k": 1, "k_max": 4, "K": 4.0, "grid_size": 64,
     "theta": 0.3, "beta": 0.1, "gamma": 0.2, "rho": 0.3, "eps": 0.1, "x": 0.5,
-    "xi": 0.5, "lo": -1.0, "hi": 1.0, "tol": 1e-8,
+    "xi": 0.5, "lo": -1.0, "hi": 1.0,
 }
 # sequences of numbers: the bad value goes in as an element
 SEQUENCES = {
@@ -55,7 +56,7 @@ VALID_SEQUENCES = {"core": (0.0, 1.0), "deltas": (0.5,), "x_list": (1000,), "tau
 # arguments that are objects, held fixed
 OBJECTS = {
     "f": F, "phi": PHI, "base": F, "window": PHI,
-    "evaluator": sectorlab.mollifier_eval, "g": lambda u: u * u,
+    "evaluator": sectorlab.mollifier_eval,
     "spectrum": sectorlab.psi_spectrum(4.0, 1000, F, PHI),
 }
 
@@ -207,6 +208,10 @@ ACCEPTANCE_CALLS = {
     "lambda_arrays inf": lambda: ideals_mod._lambda_arrays(0, math.inf),
     "expected_count nan": lambda: sectorlab.expected_count(0.2, 0, math.nan),
     "expected_count pit reversed": lambda: sectorlab.expected_count(0.2, 100, 10, mode="pit"),
+    # past the float range: float(norm_max) would raise an untyped OverflowError
+    "expected_count pit 1e400": lambda: sectorlab.expected_count(0.2, 0, 10**400, mode="pit"),
+    "expected_count pit past MAX_PIT_NORM":
+        lambda: sectorlab.expected_count(0.2, 0, MAX_PIT_NORM + 1, mode="pit"),
 }
 
 

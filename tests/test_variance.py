@@ -25,7 +25,6 @@ from sectorlab.errors import (GRID_CAP, KMAX_CAP, MAX_NODES, MAX_PAIRS, Aliasing
                               TruncationFailure)
 from sectorlab.variance import (
     PsiSpectrum,
-    _midpoint_coefficient,
     _power_part_grid,
     _scatter_grid,
     mean_formula,
@@ -99,6 +98,22 @@ def test_truncation_certifies_the_default_plateau_at_root_ten():
     assert set(cert["checked"]) == {"2048", "4096", "8192"}
     for mag in cert["checked"].values():
         assert mag <= 1e-14 * cert["c0"]
+
+
+@pytest.mark.parametrize("K, want", [(1.5, 1024), (3.0, 2048), (6.0, 4096)])
+def test_truncation_certifies_the_default_plateau_where_phases_once_floored(K, want):
+    # with phases rounded as products u xi, these samples hovered near the
+    # threshold and the walk ran out of nodes; formed exactly, they fall
+    # below it for three octaves
+    assert truncation_kmax(plateau_plus(), K)[0] == want
+
+
+def test_plateau_sample_far_out_has_no_rounding_floor():
+    # the K = 3 sample at k = 2^18 takes 2^20 nodes; its rounded phases once
+    # read 2.3e-12 c_0 there, a floor of the arithmetic and not the window
+    f = plateau_plus()
+    c0 = abs(fourier_coefficient(f, 3.0, 0))
+    assert abs(fourier_coefficient(f, 3.0, 1 << 18)) < 1e-15 * c0
 
 
 def test_truncation_cap_failure(monkeypatch):
@@ -453,7 +468,7 @@ def test_bulk_tail_coefficient_matches_single_sum():
     K = 1e6**0.55
     k_max = 262_144
     c = fourier_coefficients_bulk(f, K, k_max)
-    assert abs(c[k_max] - _midpoint_coefficient(f, K, k_max)) <= 1e-14 * abs(c[0])
+    assert abs(c[k_max] - fourier_coefficient(f, K, k_max)) <= 1e-14 * abs(c[0])
 
 
 def test_variance_grid_refinement_invariant():

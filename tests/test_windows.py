@@ -9,11 +9,9 @@ import pytest
 import scipy.integrate
 
 from sectorlab import windows
-from sectorlab.errors import MAX_SUPPORT, BadEps, BadInput, QuadratureFailure
+from sectorlab.errors import MAX_SUPPORT, BadEps, BadInput
 from sectorlab.windows import (
-    DEFAULT_QUAD_TOL,
     HALF_PI,
-    adaptive_simpson,
     custom_window,
     fourier_coefficient,
     fourier_coefficients_bulk,
@@ -225,61 +223,16 @@ def test_plateau_integral_brackets():
         minus_i = plateau_minus(eps=eps).integral()
         assert 1.0 <= plus_i <= 1.0 + 2 * eps
         assert 1.0 - 2 * eps <= minus_i <= 1.0
-        # the symmetric ramps integrate to eps/2 each
-        assert plus_i == pytest.approx(1.0 + eps, abs=1e-9)
-        assert minus_i == pytest.approx(1.0 - eps, abs=1e-9)
+        # the symmetric ramps integrate to eps/2 each, and the midpoint rule
+        # is spectrally exact on them: the sum is the integral to rounding
+        assert abs(plus_i - (1.0 + eps)) <= 2 * np.spacing(1.0 + eps)
+        assert abs(minus_i - (1.0 - eps)) <= 2 * np.spacing(1.0 - eps)
 
 
 def test_mollifier_integral_against_scipy():
     f = mollifier_window()
     want, err = scipy.integrate.quad(lambda u: math.exp(-1.0 / (1.0 - u * u)), -1, 1)
     assert f.integral() == pytest.approx(want, abs=max(1e-10, 2 * err))
-
-
-# ------------------------------------------------------- adaptive Simpson
-
-def test_adaptive_simpson_sine():
-    got = adaptive_simpson(np.sin, 0.0, math.pi, tol=1e-10)
-    assert got == pytest.approx(2.0, abs=1e-10)
-
-
-def test_adaptive_simpson_cubic_exact():
-    got = adaptive_simpson(lambda u: u**3 - 2 * u, -1.0, 3.0, tol=1e-12)
-    assert got == pytest.approx(20.0 - 8.0, abs=1e-9)
-
-
-def test_adaptive_simpson_narrow_interval_converges():
-    got = adaptive_simpson(lambda u: np.ones_like(u), 0.0, 1e-8, tol=1e-10)
-    assert got == pytest.approx(1e-8, rel=1e-12)
-
-
-def test_adaptive_simpson_unattainable_tolerance_fails():
-    with pytest.raises(QuadratureFailure, match="exceeded"):
-        adaptive_simpson(mollifier_eval, -1.0, 1.0, tol=1e-18)
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_adaptive_simpson_non_finite_integrand_fails_in_first_round(kind, value):
-    # refining a NaN or inf integrand never meets a budget, so the failure
-    # comes with the first round's sums: g is called on the edges, the
-    # midpoints and the two quarter points, and no more
-    fill = value if kind == "real" else complex(1.0, value)
-    calls = []
-
-    def g(u):
-        calls.append(u.size)
-        return np.full(u.shape, fill)
-
-    with np.errstate(invalid="ignore"), pytest.raises(QuadratureFailure, match="non-finite"):
-        adaptive_simpson(g, -1.0, 1.0, tol=1e-8)
-    assert len(calls) == 5
-
-
-def test_quadrature_failure_propagates_through_fourier_hat(monkeypatch):
-    monkeypatch.setattr(windows, "DEFAULT_QUAD_TOL", 1e-18)
-    with pytest.raises(QuadratureFailure):
-        fourier_hat(mollifier_window(), 0.3)
 
 
 # ------------------------------------------------------------ fourier_hat
@@ -305,6 +258,17 @@ def test_fourier_hat_conjugate_symmetry():
         assert minus.imag == pytest.approx(-plus.imag, abs=1e-12)
 
 
+def test_fourier_hat_admits_a_zero_bump_and_no_frequency_past_the_node_ceiling():
+    # a zero bump's transform is zero, the right answer; the node count of a
+    # huge |xi| is refused before any allocation, even past the float range
+    # of 4 |xi|
+    zero = custom_window(lambda u: np.zeros_like(u), -1.0, 1.0)
+    assert fourier_hat(zero, 0.3) == 0.0 and fourier_coefficient(zero, 2.0, 3) == 0.0
+    for xi in (2.0**18, 1e308, -1e308):
+        with pytest.raises(BadInput, match="midpoint nodes"):
+            fourier_hat(mollifier_window(), xi)
+
+
 def test_fourier_hat_decay():
     f = mollifier_window()
     assert abs(fourier_hat(f, 10.0)) < 1e-3 * fourier_hat(f, 0.0).real
@@ -319,20 +283,20 @@ def test_fourier_hat_against_scipy():
             im, _ = scipy.integrate.quad(
                 lambda u: -w(u) * math.sin(2 * math.pi * u * xi), w.lo, w.hi, limit=200)
             got = fourier_hat(w, xi)
-            assert got.real == pytest.approx(re, abs=1e-8)
-            assert got.imag == pytest.approx(im, abs=1e-8)
+            assert got.real == pytest.approx(re, abs=1e-12)
+            assert got.imag == pytest.approx(im, abs=1e-12)
 
 
-def test_fourier_hat_richardson_stability():
-    # the adaptive answer must sit within DEFAULT_QUAD_TOL of a much finer
-    # fixed-resolution midpoint evaluation
-    f = mollifier_window()
-    for xi in (0.0, 1.5):
-        n = 1 << 16
-        h = (f.hi - f.lo) / n
-        u = f.lo + (np.arange(n) + 0.5) * h
-        brute = np.sum(f(u) * np.exp(-2j * np.pi * u * xi)) * h
-        assert abs(fourier_hat(f, xi) - brute) < DEFAULT_QUAD_TOL
+def test_fourier_hat_richardson_stability(monkeypatch):
+    # the midpoint rule has converged: at twice its nodes fourier_hat moves
+    # by rounding alone
+    cases = [(w, xi) for w in (mollifier_window(), plateau_plus(core=(1.0, 2.0), eps=0.05))
+             for xi in (0.0, 1.5, 200.0)]
+    before = [fourier_hat(w, xi) for w, xi in cases]
+    nodes = windows._node_count
+    monkeypatch.setattr(windows, "_node_count", lambda xi_max: 2 * nodes(xi_max))
+    for (w, xi), value in zip(cases, before):
+        assert abs(fourier_hat(w, xi) - value) <= 1e-15 * w.integral()
 
 
 # ----------------------------------------------------- fourier coefficient
