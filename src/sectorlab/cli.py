@@ -19,8 +19,8 @@ and forbidden's smallest positive angle is a split ideal's from norm 5 on.
 
 Exit codes: 0 on success, 2 on invalid parameters (including a size above
 its ceiling in sectorlab.errors; the library checks every argument), 3 when
-a numerical guarantee cannot be met (quadrature or spectral-truncation
-failure, or a computed result that breaks a proven invariant).
+a numerical guarantee cannot be met (a spectral-truncation failure, or a
+computed result that breaks a proven invariant).
 Outputs are deterministic; rerunning a command reproduces its files byte
 for byte.
 """
@@ -67,7 +67,7 @@ def _run_weyl(ns, path):
 
 
 def _run_variance(ns, path):
-    reports = variance_sweep(**_given(ns, "x_list", "tau_list", "eps"))
+    reports = variance_sweep(**_given(ns, "x_list", "tau_list"))
     write_variance_json(path("variance.json"), reports)
     write_variance_csv(path("variance.csv"), reports)
 
@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sharpness exponents (repeatable)")
     p.add_argument("--x-list", dest="x_list", type=_int_literal, action="append",
                    help="scales X (repeatable)")
-    p.add_argument("--eps", type=float)
 
     p = add_parser("realquad", _run_realquad, "norm equation and Weyl sums over Z[sqrt 2]")
     p.add_argument("--limit", type=_int_literal, required=True)

@@ -20,9 +20,10 @@ the segmented sieve would run without end in practice while its output grew.
 
 MAX_NORM = 5 * MAX_SIZE // 2
 """Largest norm a smoothed statistic may enumerate to: its scale X times the
-support end phi.hi of its cutoff.  The CLI's cutoff, a plateau majorant of
-[1, 2] with shoulder eps < 1/2, ends below 2.5, so every scale up to MAX_SIZE
-passes with every shoulder; a custom cutoff that reaches further is refused
+support end phi.hi of its cutoff.  The sweep's cutoff, the plateau majorant
+of [1, 2] with shoulder 0.05, ends at 2.05, so every scale up to MAX_SIZE
+passes; 2.5 leaves room for a library cutoff with a wider shoulder (any
+plateau over [1, 2] ends below 2.5), and one that reaches further is refused
 before the enumeration, which at 2.5e9 already holds about 1.2e8 ideals, 1.9 GB.
 The enumeration refuses a window past it: its int32 legs and packed sort key
 rely on this bound.

@@ -356,11 +356,8 @@ def _ideal_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Formed in int64: at MAX_NORM a leg reaches 50,000, and its square
     leaves int32.
     """
-    norm = a.astype(np.int64)
-    norm *= norm
-    square = b.astype(np.int64)
-    square *= square
-    norm += square
+    norm = np.multiply(a, a, dtype=np.int64)
+    norm += np.multiply(b, b, dtype=np.int64)
     return norm
 
 
@@ -393,42 +390,34 @@ def _iroot(n: int, r: int) -> int:
 
 
 def _lambda_arrays(norm_min: int, norm_max: int):
-    """Arrays (norm, theta, weight, r) for prime-power ideals in (norm_min, norm_max].
+    """(norm, theta, weight, primes) for the prime-power ideals in (norm_min, norm_max].
 
-    Sorted by (norm, theta).  Every prime ideal is a base, ramified and
-    inert included, as in the paper's psi.  weight is log of the base norm;
-    the r array lets callers separate genuine primes (r = 1) from higher
-    powers.  Built on each call from the cached enumeration: the primes of
-    the window, and one enumeration up to sqrt(norm_max) whose bases each
-    power r >= 2 keeps when their r-th power lands in the window, sorted and
-    merged in.  The norms of both windows are derived from their legs, with
-    no p or code column beside them.
+    The first primes rows are the window's prime ideals, in enumeration
+    order; the powers r = 2, 3, ... follow, each over its bases in
+    enumeration order.  Every prime ideal is a base, ramified and inert
+    included, as in the paper's psi.  weight is log of the base norm.
+    Built on each call from the cached enumeration: the primes of the
+    window, and one enumeration up to sqrt(norm_max) whose bases each power
+    r >= 2 keeps when their r-th power lands in the window.  The norms of
+    both windows are derived from their legs, with no p or code column
+    beside them.
     """
     a, b, theta = _ideal_arrays(norm_min, norm_max, True)
-    norm = _ideal_norms(a, b)
-    a, b, angles = _ideal_arrays(0, _iroot(norm_max, 2), True)
-    bases = _ideal_norms(a, b)
-    powers = []
-    # every r >= 2 with 2**r <= norm_max; r = 2 always runs, so the block is
-    # typed even when empty
-    for r in range(2, max(3, norm_max.bit_length())):
+    primes = theta.size
+    roots_a, roots_b, angles = _ideal_arrays(0, _iroot(norm_max, 2), True)
+    bases = _ideal_norms(roots_a, roots_b)
+    # every r >= 2 with 2**r <= norm_max, with the run of sorted bases whose
+    # r-th power lands in the window
+    runs = []
+    for r in range(2, norm_max.bit_length()):
         lo, hi = np.searchsorted(bases, (_iroot(norm_min, r), _iroot(norm_max, r)), side="right")
-        powers.append((bases[lo:hi]**r, np.fmod(r * angles[lo:hi], HALF_PI),
-                       np.log(bases[lo:hi].astype(np.float64)), np.full(hi - lo, r, np.int32)))
-    pow_n, pow_t, pow_w, pow_r = map(np.concatenate, zip(*powers))
-    order = np.lexsort((pow_t, pow_n))
-    # a power's norm is never a prime ideal's norm (2, p = 1 mod 4, or p^2
-    # for p = 3 mod 4), so the two parts never tie, and the stable lexsort
-    # keeps tied powers in r order: the merge is the (norm, theta) order of
-    # one stable sort over the primes followed by the powers r = 2, 3, ...
-    at = np.searchsorted(norm, pow_n[order])
-    # weights first, so the log column is gone before the other outputs
-    # exist, and the derived norms go once their column is built
-    weight = np.insert(np.log(norm.astype(np.float64)), at, pow_w[order])
-    norms = np.insert(norm, at, pow_n[order])
-    del norm
-    out = (norms, np.insert(theta, at, pow_t[order]), weight,
-           np.insert(np.ones(theta.size, dtype=np.int32), at, pow_r[order]))
-    for arr in out:
+        runs.append((r, slice(lo, hi)))
+    # one column at a time, so the derived prime norms are gone before the
+    # next output exists
+    norm = np.concatenate([_ideal_norms(a, b)] + [bases[run]**r for r, run in runs])
+    theta = np.concatenate([theta] + [np.fmod(r * angles[run], HALF_PI) for r, run in runs])
+    weight = np.concatenate([norm[:primes]] + [bases[run] for _, run in runs], dtype=np.float64)
+    np.log(weight, out=weight)
+    for arr in (norm, theta, weight):
         arr.setflags(write=False)
-    return out
+    return norm, theta, weight, primes

@@ -231,8 +231,11 @@ class PsiSpectrum:
     """Fourier side of the smoothed count: coeffs[k] = c_k S_k for k = 0..k_max.
 
     coeffs[0] is exactly real and equals the angular mean.  certificate
-    carries the truncation evidence, including the guaranteed bound
-    |c_{k_max}| S_0 < 1e-12 |coeffs[0]|.
+    carries the truncation evidence of truncation_kmax.  Its
+    tail_term_over_mean is that walk's tail_ratio_at_kmax, |c_{k_max}| / c_0
+    sampled with exact phases, which bounds |coeffs[k_max]| / coeffs[0]
+    when the cutoff is nonnegative (|S_k| <= S_0); certified says it is at
+    most CERTIFICATE_RATIO = 1e-12.  No entry reads the bulk c_k vector.
     """
 
     coeffs: np.ndarray
@@ -282,17 +285,12 @@ class PsiSpectrum:
 
 
 def psi_spectrum(K: float, X: float, f: SmoothWindow, phi: SmoothWindow) -> PsiSpectrum:
-    """Assemble the truncated spectrum c_k S_k with its tail certificate."""
+    """Assemble the truncated spectrum c_k S_k with truncation_kmax's certificate."""
     k_max, certificate = truncation_kmax(f, K)
-    c = fourier_coefficients_bulk(f, K, k_max)
-    sums = character_sum_table(X, k_max, phi)
-    coeffs = c * sums
-    tail_bound = abs(c[k_max]) * abs(float(sums[0].real))
-    mean_abs = abs(float(coeffs[0].real))
-    certificate = dict(certificate)
-    # c_0 is nonzero, so a zero mean has S_0 = 0 and a zero tail term
-    certificate["tail_term_over_mean"] = tail_bound / mean_abs if mean_abs else 0.0
-    certificate["certified"] = bool(tail_bound <= CERTIFICATE_RATIO * mean_abs)
+    coeffs = fourier_coefficients_bulk(f, K, k_max) * character_sum_table(X, k_max, phi)
+    tail = certificate["tail_ratio_at_kmax"]
+    certificate = dict(certificate, tail_term_over_mean=tail,
+                       certified=bool(tail <= CERTIFICATE_RATIO))
     return PsiSpectrum(coeffs=coeffs, certificate=certificate)
 
 
@@ -361,28 +359,25 @@ def _power_part_grid(K, X, f, phi, grid_size):
     """Grid values of the r >= 2 part of psi (prime powers only).
 
     X and phi were checked by the caller's spectrum.  The power rows, about
-    80 of 77,613 at X = 1e6, are kept before Phi is evaluated.
+    80 of 77,613 at X = 1e6, follow the primes in the table and are sliced
+    off before Phi is evaluated.
     """
-    norms, thetas, logs, r = _lambda_arrays(*_norm_window(X, phi))
-    keep = r >= 2
-    weights = phi(norms[keep] / X) * logs[keep]
-    return _scatter_grid(thetas[keep], weights, float(K), f, int(grid_size))
+    norms, thetas, logs, primes = _lambda_arrays(*_norm_window(X, phi))
+    weights = phi(norms[primes:] / X) * logs[primes:]
+    return _scatter_grid(thetas[primes:], weights, float(K), f, int(grid_size))
 
 
-def variance_sweep(
-    x_list=(10**4, 10**5, 10**6), tau_list=(0.2, 0.4, 0.55),
-    eps: float = 0.05,
-) -> list[VarianceReport]:
+def variance_sweep(x_list=(10**4, 10**5, 10**6), tau_list=(0.2, 0.4, 0.55)) -> list[VarianceReport]:
     """Measure mean and variance of psi over a grid of (X, tau) cells, K = X^tau.
 
     f is the reference mollifier and Phi the plateau majorant of [1, 2]
-    with shoulder eps.  Cells are visited in (X, tau) lexicographic order
+    with shoulder 0.05.  Cells are visited in (X, tau) lexicographic order
     and each yields a VarianceReport with both variance routes, the mean
     against its (X/K) int f int Phi prediction, and the prime-power gap.
     The grid has 4 k_max points, so its mean and variance are exact.
     """
     f = mollifier_window()
-    phi = plateau_plus(core=(1.0, 2.0), eps=eps)
+    phi = plateau_plus(core=(1.0, 2.0), eps=0.05)
     x_list = [check_real("scale X", X, 4.0, MAX_SIZE) for X in x_list]
     tau_list = [check_real("sharpness exponent tau", tau, 0.0, 1.0, "[)") for tau in tau_list]
     reports = []

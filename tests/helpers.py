@@ -132,14 +132,15 @@ LambdaEntry = namedtuple("LambdaEntry", "base r norm theta weight")
 
 
 def lambda_entries(norm_min: int, norm_max: int) -> list[LambdaEntry]:
-    """Prime-power ideals base^r with norm in (norm_min, norm_max], sorted by (norm, theta).
+    """Prime-power ideals base^r with norm in (norm_min, norm_max], r-major.
 
     The table ideals._lambda_arrays builds, rebuilt one ideal at a time in
-    Python: for each r with 2^r <= norm_max, every row (p, a, b, norm, code,
-    theta) of the enumeration up to the r-th root of norm_max is a base, kept
-    when its r-th power lands in the window.  Every prime ideal is a base,
-    ramified and inert included, and the weight of base^r is log of the base
-    norm, so summing weights recovers the von Mangoldt count for the window.
+    Python: for r = 1, 2, ... while 2^r <= norm_max, every row (p, a, b,
+    norm, code, theta) of the enumeration up to the r-th root of norm_max is
+    a base, in enumeration order, kept when its r-th power lands in the
+    window.  Every prime ideal is a base, ramified and inert included, and
+    the weight of base^r is log of the base norm, so summing weights
+    recovers the von Mangoldt count for the window.
     """
     entries = []
     r = 1
@@ -154,7 +155,6 @@ def lambda_entries(norm_min: int, norm_max: int) -> list[LambdaEntry]:
             entries.append(LambdaEntry(base=base, r=r, norm=norm_r, theta=theta,
                                        weight=math.log(base_norm)))
         r += 1
-    entries.sort(key=lambda e: (e.norm, e.theta))
     return entries
 
 

@@ -141,12 +141,14 @@ def test_weyl_over_no_ideals_exits_2(tmp_path, capsys, args):
     ["variance", "--x-list", "1e4", "--tau", "0.01", "--split-only"],
     ["realquad", "--limit", "1e12", "--split-only"],
     ["variance", "--x-list", "1e4", "--tau", "0.2", "--grid-factor", "4"],
+    # and the sweep's cutoff is fixed, so variance refuses a shoulder width
+    ["variance", "--x-list", "1e4", "--tau", "0.2", "--eps", "0.1"],
 ])
 def test_size_above_ceiling_exits_2_before_work(tmp_path, capsys, args):
     # without the ceiling each of these enumerates for hours
     out = tmp_path / "out"
     start = time.perf_counter()
-    refused = [a for a in args if a in ("--split-only", "--grid-factor")
+    refused = [a for a in args if a in ("--split-only", "--grid-factor", "--eps")
                and args[0] in ("variance", "realquad", "forbidden")]
     try:
         code = main(args + ["--out", str(out)])

@@ -385,25 +385,26 @@ def test_derived_columns_at_the_norm_ceiling():
             assert p_ == norm_ and p_ % 4 == 1 and ideals_mod._is_prime(p_)
     # the prime-power table over the same window, which holds no power
     # r >= 2 of a prime ideal's norm
-    norms, _, weight, r = _lambda_arrays(lo, hi)
-    assert norms.tolist() == [row[3] for row in rows] and np.all(r == 1)
+    norms, _, weight, primes = _lambda_arrays(lo, hi)
+    assert norms.tolist() == [row[3] for row in rows] and primes == norms.size
     assert weight.tolist() == pytest.approx([math.log(row[3]) for row in rows], rel=1e-15)
 
 
 # ---------------------------------------------------------- lambda table
 
 def test_lambda_entries_window_1_to_10():
-    norm, theta, weight, _ = _lambda_arrays(1, 10)
+    # the four prime ideals 1 + i, 2 + i, 1 + 2i and 3, then (1 + i)^2 and (1 + i)^3
+    norm, theta, weight, primes = _lambda_arrays(1, 10)
     got = list(zip(norm.tolist(), weight.tolist(), theta.tolist()))
     want = [
         (2, math.log(2), math.pi / 4.0),
-        (4, math.log(2), 0.0),
         (5, math.log(5), math.atan2(1, 2)),
         (5, math.log(5), math.atan2(2, 1)),
-        (8, math.log(2), math.pi / 4.0),
         (9, 2 * math.log(3), 0.0),
+        (4, math.log(2), 0.0),
+        (8, math.log(2), math.pi / 4.0),
     ]
-    assert len(got) == len(want)
+    assert primes == 4 and len(got) == len(want)
     for (n, w, t), (n2, w2, t2) in zip(got, want):
         assert n == n2
         assert w == pytest.approx(w2, rel=1e-15)
@@ -419,7 +420,8 @@ def test_lambda_entry_of_one_plus_two_i_squared():
 
 
 def test_lambda_entries_empty_window():
-    assert [col.size for col in _lambda_arrays(5, 5)] == [0] * 4
+    norm, theta, weight, primes = _lambda_arrays(5, 5)
+    assert [norm.size, theta.size, weight.size, primes] == [0] * 4
     assert lambda_entries(5, 5) == []
 
 
@@ -458,12 +460,13 @@ _LAMBDA_WINDOWS = [(lo, hi) for lo in _POWER_EDGES for hi in (6560, 6561, 8191, 
 @pytest.mark.parametrize("lo, hi", [
     pytest.param(lo, hi, id=f"{lo}-{hi}") for lo, hi in _LAMBDA_WINDOWS])
 def test_lambda_arrays_match_lambda_entries(lo, hi):
-    norm, theta, weight, r = _lambda_arrays(lo, hi)
+    norm, theta, weight, primes = _lambda_arrays(lo, hi)
     entries = lambda_entries(lo, hi)
-    assert (norm.dtype, theta.dtype, weight.dtype, r.dtype) == (
-        np.int64, np.float64, np.float64, np.int32)
+    assert (norm.dtype, theta.dtype, weight.dtype, type(primes)) == (
+        np.int64, np.float64, np.float64, int)
     assert norm.tolist() == [e.norm for e in entries]
-    assert r.tolist() == [e.r for e in entries]
+    # the primes first, then the powers
+    assert [e.r == 1 for e in entries] == [True] * primes + [False] * (len(entries) - primes)
     assert theta.tolist() == [e.theta for e in entries]
     assert weight.tolist() == pytest.approx([e.weight for e in entries], rel=1e-15)
 
@@ -475,7 +478,7 @@ def test_lambda_arrays_read_two_enumerations():
     ideals_mod._ideal_arrays.cache_clear()
     table = _lambda_arrays(949999, 2050000)
     assert ideals_mod._ideal_arrays.cache_info().currsize <= 2
-    assert (table[3] >= 2).any()
+    assert table[3] < table[0].size
 
 
 def test_ideal_arrays_has_one_spelling():
@@ -490,7 +493,7 @@ def test_ideal_arrays_has_one_spelling():
 # ------------------------------------------------------------ memory gate
 
 def _nbytes(arrays):
-    return sum(arr.nbytes for arr in arrays)
+    return sum(arr.nbytes for arr in arrays if isinstance(arr, np.ndarray))
 
 
 @pytest.mark.parametrize("blocks", ["module", "small"])
@@ -534,22 +537,17 @@ def test_memory_gate_sector_scan():
 
 def test_memory_gate_lambda_arrays():
     # on a cached enumeration the table's outputs are its norm, theta and
-    # weight columns (8 B per row each) and r (4 B).  The norms of the
-    # window's primes are derived from their legs first (8 B per prime row,
-    # with at most 11 B of p, a square and the codes beside them while they
-    # are formed).  The weights come next, while no other output exists: the
-    # derived norms, the log column with its cast (24 B), then the inserted
-    # copy (8 B) and np.insert's bool mask (1 B) beside the norms and logs,
-    # all below the 28 B of the finished output.  The derived norms go once
-    # the norm column is inserted.  Each later insert holds the outputs so
-    # far, its own copy and a mask, and the r column adds its int32 ones:
-    # output + 5 B per row at most.  One float64 column over the output
-    # bounds that; 64 KiB covers the block of powers, about 80 rows
+    # weight columns, 8 B per row each.  The norms of the window's primes
+    # are derived from their legs first (a^2 and b^2, 16 B per prime row),
+    # and joined to the powers' in the norm column (16 B while both are
+    # alive); theta and weight are built one after the other, the weights
+    # logged in place.  So the finished output is the peak; 64 KiB covers
+    # the bases below sqrt(hi) and the blocks of powers, about 80 rows
     lo, hi = MEMORY_GATE_SIZE, 2 * MEMORY_GATE_SIZE
     _ideal_arrays(lo, hi, True)
     _ideal_arrays(0, math.isqrt(hi), True)
     out, peak = traced_peak(_lambda_arrays, lo, hi)
-    assert peak <= _nbytes(out) + 8 * out[0].size + (1 << 16), (peak, _nbytes(out))
+    assert peak <= _nbytes(out) + (1 << 16), (peak, _nbytes(out))
 
 
 def test_memory_gate_discrepancy():

@@ -6,8 +6,10 @@ import inspect
 import textwrap
 from pathlib import Path
 
+import numpy as np
+
 import sectorlab
-from sectorlab import reports, variance
+from sectorlab import ideals, realquad, reports, sectors, variance
 
 MODULES = sorted(Path(sectorlab.__file__).parent.glob("*.py"))
 
@@ -192,6 +194,28 @@ def test_traced_entry_points_exist():
         ("geometric_weighted_sums", 0, "phases"), ("geometric_weighted_sums", 2, "k_max"),
         ("write_*", 0, "path"),
     }, checked
+
+
+def test_traced_results_carry_what_the_hooks_read():
+    # the after-hooks read results too: _enumerated and _entries take
+    # result[0].size of the two table builders as their row count, _sectors
+    # .grid_size and _realquad .ideal_count (_written reads only its path
+    # argument).  A hook that raises fails the benchmark's traced pass, so
+    # each result is checked here on a tiny window
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    hooks = next(node.value for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "_HOOKS")
+    after = {ast.literal_eval(span): pair.elts[1].id for span, pair in zip(hooks.keys, hooks.values)
+             if isinstance(pair.elts[1], ast.Name)}
+    assert after == {"ideals.enum": "_enumerated", "ideals.lambda": "_entries",
+                     "sectors.scan": "_sectors", "realquad.report": "_realquad",
+                     "reports.write": "_written"}, after
+    for table in (ideals._ideal_arrays(0, 100, True), ideals._lambda_arrays(0, 100)):
+        columns = [col for col in table if isinstance(col, np.ndarray)]
+        assert len(columns) == 3 and table[0].ndim == 1, table
+        assert {col.shape for col in columns} == {table[0].shape}, table
+    assert isinstance(sectors.sector_scan(100, 0.3, 8).grid_size, int)
+    assert isinstance(realquad.equidistribution_report_real(100, 2).ideal_count, int)
 
 
 _BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "linalg"}

@@ -322,8 +322,8 @@ def test_spectrum_coefficients_bounded_by_zero_mode():
     c0 = fourier_coefficient(bump(), 8.0, 0).real
     assert sp.coeffs[0].real == pytest.approx(c0 * s0, rel=1e-10)
     for k in (1, 2, 3, 5, 8, 13, 64):
-        # the adaptive-quadrature route to c_k is independent of the
-        # midpoint route used inside the spectrum
+        # the single-coefficient route to c_k samples its own nodes with
+        # exact phases, apart from the bulk vector inside the spectrum
         ck = abs(fourier_coefficient(bump(), 8.0, k))
         assert abs(sp.coeffs[k]) <= (ck + 1e-9 * c0) * s0
 
@@ -332,6 +332,19 @@ def test_spectrum_certificate_certified():
     sp = psi_spectrum(8.0, 1e4, bump(), plateau_1_2())
     assert sp.certificate["certified"] is True
     assert sp.certificate["tail_term_over_mean"] < 1e-12
+
+
+@pytest.mark.parametrize("K, X, f", [
+    pytest.param(1e6**0.2, 1e6, bump(), id="direct-cell"),
+    pytest.param(3.0, 1e4, plateau_plus(), id="plateau-K3"),
+])
+def test_spectrum_tail_term_is_the_certificate_ratio(K, X, f):
+    # the bulk c_k at k_max is the gridding kernel's noise, 3.0e-16 c_0 at
+    # the direct cell against a certified 4.2e-17, and 2.1e-14 c_0 off for
+    # the plateau at K = 3; the spectrum reports the walk's exact-phase ratio
+    cert = psi_spectrum(K, X, f, plateau_1_2()).certificate
+    assert cert["tail_term_over_mean"] == cert["tail_ratio_at_kmax"]
+    assert cert["certified"] is True
 
 
 def test_spectrum_synthesis_matches_direct_eval():
@@ -905,6 +918,7 @@ def test_sweep_report_fields_and_invariants():
         assert r.prime_power_gap > 0.0
         assert abs(r.mean_empirical - r.mean_formula) <= 0.05 * r.mean_formula
         assert r.certificate["certified"] is True
+        assert r.certificate["tail_term_over_mean"] == r.certificate["tail_ratio_at_kmax"]
         assert r.f["kind"] == "mollifier"
         assert r.phi["kind"] == "plateau_plus"
     # K = 1 smooths psi to nearly its mean; sharper windows fluctuate more
