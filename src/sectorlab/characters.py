@@ -33,14 +33,16 @@ import math
 import numpy as np
 
 from ._kernels import exact_sum, geometric_weighted_sums, unit_power_sums
-from .errors import KMAX_CAP, MAX_KMAX, MAX_NORM, MAX_SIZE, BadInput, check_int, check_real
+from .errors import (KMAX_CAP, MAX_KMAX, MAX_LEG, MAX_NORM, MAX_SIZE, BadInput, check_int,
+                     check_real)
 from .ideals import _ideal_arrays, _lambda_arrays
 from .windows import SmoothWindow
 
 
 def xi(a: int, b: int, k: int) -> complex:
-    """The character exp(4 i k theta) of the ideal generated by a + bi."""
-    a, b, k = check_int("a", a), check_int("b", b), check_int("k", k, -KMAX_CAP, KMAX_CAP)
+    """The character exp(4 i k theta) of the ideal generated by a + bi; |a|, |b| <= MAX_LEG."""
+    a, b = check_int("a", a, -MAX_LEG, MAX_LEG), check_int("b", b, -MAX_LEG, MAX_LEG)
+    k = check_int("k", k, -KMAX_CAP, KMAX_CAP)
     if a == 0 and b == 0:
         raise BadInput("xi is undefined at 0")
     theta = math.atan2(b, a)

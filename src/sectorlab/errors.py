@@ -25,8 +25,8 @@ of [1, 2] with shoulder 0.05, ends at 2.05, so every scale up to MAX_SIZE
 passes; 2.5 leaves room for a library cutoff with a wider shoulder (any
 plateau over [1, 2] ends below 2.5), and one that reaches further is refused
 before the enumeration, which at 2.5e9 already holds about 1.2e8 ideals, 1.9 GB.
-The enumeration refuses a window past it: its int32 legs and packed sort key
-rely on this bound.
+The enumeration refuses a window past it: its int32 legs rely on this bound,
+and so does the int64 key that ideals._lattice_scan packs each point into.
 """
 
 MAX_SUPPORT = 512.0
@@ -82,6 +82,11 @@ about 2 min) and every cell at X = 1e9 is refused (about 5e7 entries, 5e10
 pairs or more).  A psi_grid at K = 1 and G = GRID_CAP on X = 1e6 would hold
 5e12 pairs, about 15 hours.
 """
+
+MAX_LEG = 10**307
+"""Largest |a|, |b| that xi and angle_t take.  Their float arithmetic,
+math.atan2(b, a) and realquad._raw_t's |a| + |b| sqrt 2 < 2.5e307, then stays
+below the largest double, 1.8e308."""
 
 MAX_PIT_NORM = 10**308
 """Largest norm_max of expected_count's pit mode, which enumerates nothing:
@@ -157,6 +162,8 @@ def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]", error=Bad
         x = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         raise error(f"{name} = {value!r} is not a real number") from None
+    except OverflowError:
+        raise error(f"{name} is an int past the float range and any size ceiling") from None
     least, most = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
     if x.size and not (math.isfinite(least) and math.isfinite(most)
                        and (least > lo if ends[0] == "(" else least >= lo)

@@ -1,34 +1,30 @@
 """Prime ideals of Z[i] with their angular coordinates.
 
 Every nonzero prime ideal of the Gaussian integers sits above a rational
-prime p and falls into one of three classes: p = 2 ramifies as (1+i)^2,
-p = 1 mod 4 splits into a conjugate pair of degree-one ideals of norm p,
-and p = 3 mod 4 stays inert with norm p^2.  A degree-one ideal has a
-generator a + bi, unique up to units, and we normalise the generator to
-the first quadrant (a > 0, b >= 0) so that the angle
+prime p: p = 2 ramifies as (1+i)^2, p = 1 mod 4 splits into a conjugate
+pair of degree-one ideals of norm p, and p = 3 mod 4 stays inert with norm
+p^2.  A degree-one ideal's generator a + bi, unique up to units, is taken
+in the first quadrant (a > 0, b >= 0), so that its angle
 
     theta = atan2(b, a)  in  [0, pi/2)
 
-is a well-defined invariant of the ideal.  Enumeration is driven by a
-segmented sieve of rational primes over odd numbers only.  The split
-ideals come from a lattice scan of the half domain 1 <= a < b: by Fermat's
-two-square theorem, each prime = 1 mod 4 that the sieve marks is the norm
-a^2 + b^2 of exactly one point there, the generator (a, b) of one of its
-two conjugate ideals, and the mirror (b, a) generates the other.
-Cornacchia's algorithm, with Tonelli-Shanks for the square root of -1
-mod p, resolves a single prime independently and serves as the oracle
-for the scan.
+is an invariant of the ideal.  A segmented sieve over odd numbers finds
+the rational primes.  _lattice_scan, which the Z[sqrt 2] analogue shares,
+returns the lattice points above the split primes in prime order; here it
+scans the half domain 1 <= a < b, where by Fermat's two-square theorem
+each prime = 1 mod 4 is the norm a^2 + b^2 of exactly one point (a, b),
+and the mirror (b, a) generates the conjugate.  Cornacchia's algorithm,
+with Tonelli-Shanks for the square root of -1 mod p, resolves one prime
+on its own and is the scan's oracle.
 
-All enumerations are over half-open norm windows (norm_min, norm_max]
-so that disjoint windows partition exactly, and return read-only
-columns, one row per ideal, sorted by (norm, theta).  The enumeration
-_ideal_arrays is the package's only cache, and it keeps only what cannot
-be derived: the legs a, b as int32 and theta as float64, 16 bytes per
-ideal.  The rational prime p, the norm a^2 + b^2 and the splitting code
-are pure functions of the legs, derived where a caller reads them:
-_ideal_columns gives all three to the CSV writer one block of rows at a
-time, and _ideal_norms gives the norm alone to a weighted sector count for
-its masked rows and to the prime-power table for its windows.
+Enumerations run over half-open norm windows (norm_min, norm_max], so
+that disjoint windows partition exactly, and return read-only columns,
+one row per ideal, sorted by (norm, theta).  _ideal_arrays, the package's
+only cache, keeps what cannot be derived: the int32 legs a, b and the
+float64 theta, 16 bytes per ideal.  p, the norm and the splitting code are
+functions of the legs, derived where they are read: _ideal_columns gives
+all three to the CSV writer a block of rows at a time, and _ideal_norms
+the norm alone to a weighted sector count and to the prime-power table.
 """
 
 from __future__ import annotations
@@ -195,27 +191,28 @@ _SPLITTING = ("split", "ramified", "inert")
 
 def _isqrt(x: np.ndarray) -> np.ndarray:
     """Elementwise floor(sqrt(x)) of a nonnegative int64 array, exact."""
-    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    r = np.sqrt(x, dtype=np.float64).astype(np.int64)
     r -= r * r > x
-    r += (r + 1) * (r + 1) <= x
+    square = r + 1
+    square *= square
+    r += square <= x
     return r
 
 
-def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, per_prime: int):
-    """Lattice points (r, c) whose norm is a split prime in (norm_min, norm_max].
+def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, leg, per_prime: int):
+    """Lattice points (r, c) whose norm is a split prime in (norm_min, norm_max], in prime order.
 
     Sieves the window one segment [start, stop] of norms at a time, and
-    is_split(primes) picks the split primes of a segment.  rows(start, stop)
-    returns arrays (r, c_lo, c_hi): row r holds the points c = c_lo, c_lo + 2,
-    ..., <= c_hi, each with norm(r, c) odd and in [start, stop], so the split
-    marks of a segment, like its sieve mask, take one byte per odd norm.  The
-    caller's domain holds exactly per_prime points above each split prime.
-    Rows are expanded in chunks of whole rows of about _SCAN_POINTS points,
-    and the kept points go straight into columns sized for per_prime points
-    per split prime.  So besides the output and the split primes, only one
-    segment's masks and one chunk are alive.  Returns the rows and columns in
-    scan order, and the split primes; InvariantViolation unless there are
-    per_prime points per split prime.
+    is_split(primes) picks a segment's split primes.  rows(start, stop)
+    returns per_prime row groups (r, c_lo, c_hi): row r holds the points
+    c = c_lo, c_lo + 2, ..., <= c_hi with norm(r, c) odd and in [start, stop],
+    and each split prime has one point in each group.  A kept point becomes
+    one int64 key (per_prime norm + group) << shift | r: 49 bits at MAX_NORM
+    for Z[i], 47 at MAX_SIZE for Z[sqrt 2].  One in-place sort of the keys is
+    the package's only ordering of lattice points; they are unpacked _BLOCK at
+    a time into int32 legs, r from the low bits and c = leg(norm, r, group)
+    with int64 arguments.  Returns (r, c, split primes), by prime and then by
+    group; InvariantViolation unless there are per_prime points per split prime.
     """
     segments = [(start, min(start + _SEGMENT - 1, norm_max))
                 for start in range(norm_min + 1, norm_max + 1, _SEGMENT)]
@@ -225,13 +222,43 @@ def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, per_prime:
     splits += [primes[is_split(primes)]
                for primes in (_primes_in_range(start - 1, stop) for start, stop in segments)]
     split_count = sum(split.size for split in splits)
-    out_r = np.empty(per_prime * split_count, dtype=np.int64)
-    out_c = np.empty_like(out_r)
+    shift = math.isqrt(norm_max).bit_length() + 1
+    keys = np.empty(per_prime * split_count, dtype=np.int64)
     found = 0
     for (start, stop), split in zip(segments, splits[1:]):
-        marked = np.zeros((stop - start) // 2 + 1, dtype=bool)
-        marked[(split - start) >> 1] = True
-        r, c_lo, c_hi = rows(start, stop)
+        found = _scan_segment(keys, found, start, stop, split, rows, norm, per_prime, shift)
+    if found != keys.size:
+        raise InvariantViolation(
+            f"lattice scan found {found} points for {split_count} split primes "
+            f"in ({norm_min}, {norm_max}], not {per_prime} each")
+    keys.sort()
+    r = np.empty(keys.size, dtype=np.int32)
+    c = np.empty_like(r)
+    for i in range(0, keys.size, _BLOCK):
+        block = keys[i:i + _BLOCK]
+        low = block & ((1 << shift) - 1)
+        r[i:i + _BLOCK] = low
+        block >>= shift
+        group = block % per_prime
+        block //= per_prime
+        c[i:i + _BLOCK] = leg(block, low, group)
+    del keys
+    return r, c, np.concatenate(splits)
+
+
+def _scan_segment(keys, found, start, stop, split, rows, norm, per_prime, shift):
+    """Write one segment's keys from keys[found] on, and return the new found.
+
+    The split marks, like the sieve mask, take one byte per odd norm, and rows
+    are expanded in chunks of whole rows of about _SCAN_POINTS points; both
+    are gone when this returns, before the keys are sorted.
+    """
+    marked = np.zeros((stop - start) // 2 + 1, dtype=bool)
+    index = split - start
+    index >>= 1
+    marked[index] = True
+    del index
+    for group, (r, c_lo, c_hi) in enumerate(rows(start, stop)):
         counts = np.maximum((c_hi - c_lo) // 2 + 1, 0)
         ends = np.cumsum(counts)
         row = 0
@@ -243,24 +270,22 @@ def _lattice_scan(norm_min: int, norm_max: int, is_split, rows, norm, per_prime:
             chunk_c = np.repeat(c_lo[block] - 2 * (ends[block] - counts[block]), counts[block])
             chunk_c += 2 * np.arange(first, int(ends[last - 1]), dtype=np.int64)
             at = norm(chunk_r, chunk_c)
-            at -= start
-            at >>= 1
-            keep = marked[at]
+            keep = marked[(at - start) >> 1]
             kept = int(np.count_nonzero(keep))
-            if found + kept <= out_r.size:
-                np.compress(keep, chunk_r, out=out_r[found:found + kept])
-                np.compress(keep, chunk_c, out=out_c[found:found + kept])
+            if found + kept <= keys.size:
+                out = keys[found:found + kept]
+                np.compress(keep, at, out=out)
+                out *= per_prime
+                out += group
+                out <<= shift
+                out |= chunk_r[keep]
             found += kept
             row = last
-    if found != out_r.size:
-        raise InvariantViolation(
-            f"lattice scan found {found} points for {split_count} split primes "
-            f"in ({norm_min}, {norm_max}], not {per_prime} each")
-    return out_r, out_c, np.concatenate(splits)
+    return found
 
 
 def _two_square_rows(start: int, stop: int):
-    """Rows a >= 1 of the points (a, b), b > a, with start <= a^2 + b^2 <= stop.
+    """One row group: rows a >= 1 of the points (a, b), b > a, with start <= a^2 + b^2 <= stop.
 
     The half domain b > a: 2 a^2 < a^2 + b^2 <= stop bounds a, and each row
     starts at b = a + 1 at the least.  A norm = 1 mod 4 needs a and b of
@@ -270,75 +295,42 @@ def _two_square_rows(start: int, stop: int):
     a = np.arange(1, math.isqrt((stop - 1) // 2) + 1, dtype=np.int64)
     b_lo = np.maximum(_isqrt(np.maximum(start - 1 - a * a, 0)) + 1, a + 1)
     b_lo += (a + b_lo) % 2 == 0
-    return a, b_lo, _isqrt(stop - a * a)
+    return [(a, b_lo, _isqrt(stop - a * a))]
 
 
 @lru_cache(maxsize=64)
 def _ideal_arrays(norm_min: int, norm_max: int, include_nonsplit: bool, /):
     """Arrays (a, b, theta) for ideals with norm in (norm_min, norm_max].
 
-    The legs a, b of each ideal's first-quadrant generator as int32 and its
-    angle theta as float64, 16 bytes per ideal, sorted by (norm, theta); all
-    arrays are read-only so they can be shared freely between callers and
-    threads.  _ideal_columns derives p, the norm and the splitting code from
-    the legs.  Every argument is positional and required, so each window has
-    one cache key.  norm_max is checked against MAX_NORM, the reach of the
-    variance statistics at scale X <= MAX_SIZE, where a leg is at most
-    sqrt(MAX_NORM) = 50,000 and the packed sort key below fits.
-    The split ideals come from one lattice scan of the half domain b > a:
-    by Fermat's two-square theorem each split prime p has exactly one point
-    (a, b) there, a != b since p is odd, and its conjugate is the mirror
-    (b, a) with theta < pi/4, so the mirror leg goes first.  Only the half
-    domain is sorted; each split point then fills two slots.
+    The int32 legs a, b of each ideal's first-quadrant generator and its
+    float64 angle theta, sorted by (norm, theta) and read-only, so callers
+    and threads share them.  Every argument is positional and required, so
+    each window has one cache key.  norm_max is at most MAX_NORM, the reach
+    of the variance statistics at X <= MAX_SIZE, so a leg is at most 50,000.
+    The lattice scan returns the half domain b > a in prime order, one point
+    (a, b) per split prime; its conjugate, the mirror (b, a) with theta <
+    pi/4, takes the even slot and the point the odd one.  The nonsplit
+    ideals go in at their norms' places, by one searchsorted on the split
+    primes.
     """
     norm_min = check_int("norm_min", norm_min, 0)
     norm_max = check_int("norm_max", norm_max, norm_min, MAX_NORM)
-    half_a, half_b = _lattice_scan(
+    half_a, half_b, split = _lattice_scan(
         norm_min, norm_max, lambda p: p % 4 == 1, _two_square_rows,
-        lambda a, b: a * a + b * b, 1)[:2]
+        lambda a, b: a * a + b * b, lambda norm, a, _: _isqrt(norm - a * a), 1)
+    a = np.column_stack((half_b, half_a)).ravel()
+    b = np.column_stack((half_a, half_b)).ravel()
+    del half_a, half_b
     if include_nonsplit:
-        # 1 + i and the inert p join as (1, 1) and (0, p)
+        # 1 + i and the inert p join as (1, 1) and (p, 0), each before the
+        # two slots of every split prime above its norm 2 or p^2
         ramified = np.ones(int(norm_min < 2 <= norm_max), dtype=np.int64)
         inert_p = _primes_in_range(math.isqrt(norm_min), math.isqrt(norm_max))
         inert_p = inert_p[inert_p % 4 == 3]
-        half_a = np.concatenate((half_a, ramified, np.zeros_like(inert_p)))
-        half_b = np.concatenate((half_b, ramified, inert_p))
-    # sort (norm, a) packed in one int64, in place: the norms 2, p = 1 mod 4
-    # and p^2 never tie, and a < 2^shift since 2 a^2 <= norm_max, so the
-    # key fits for norm_max < 2^41
-    shift = norm_max.bit_length() // 2 + 1
-    key = half_a * half_a
-    key += half_b * half_b
-    key <<= shift
-    key |= half_a
-    del half_a, half_b
-    key.sort()
-    # unpack a block at a time into int32 legs: a from the low bits, and the
-    # key itself turns into b = isqrt(norm - a^2)
-    half_a = np.empty(key.size, dtype=np.int32)
-    for i in range(0, key.size, _BLOCK):
-        block = key[i:i + _BLOCK]
-        leg = block & ((1 << shift) - 1)
-        half_a[i:i + _BLOCK] = leg
-        block >>= shift
-        block -= leg * leg
-        block[:] = _isqrt(block)
-    half_b = key.astype(np.int32)
-    del key
-    # a split point (a, b), a < b, takes two slots: its mirror (b, a), of
-    # angle below pi/4, then itself.  1 + i and the inert p take one each
-    slots = ((0 < half_a) & (half_a < half_b)).astype(np.int8)
-    slots += 1
-    a = np.repeat(half_b, slots)
-    b = np.repeat(half_a, slots)
-    del half_a, half_b, slots
-    # both slots of a split prime now hold the mirror, and no two ideals
-    # share legs; the second slot takes the point's legs back
-    second = a[1:] == a[:-1]
-    second &= b[1:] == b[:-1]
-    np.copyto(a[1:], b[1:], where=second)
-    np.copyto(b[1:], a[:-1], where=second)
-    del second
+        at = 2 * np.searchsorted(split, np.concatenate((2 * ramified, inert_p * inert_p)))
+        a = np.insert(a, at, np.concatenate((ramified, inert_p)))
+        b = np.insert(b, at, np.concatenate((ramified, np.zeros_like(inert_p))))
+    del split
     # theta a block at a time, so no float copy of a whole column is alive
     theta = np.empty(a.size)
     for i in range(0, a.size, _BLOCK):

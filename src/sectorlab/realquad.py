@@ -31,11 +31,10 @@ splits in two:
     norm +p:  a > 2b >= 0,      norm -p:  0 < a < b,
 
 and each split prime has exactly one point in each region.  An odd norm
-forces a odd.  equidistribution_report_real walks rows b of both regions
-one sieve segment of norms at a time and keeps the odd a whose |N| is a
-prime = +-1 mod 8.  solve_norm_equation, a half-Euclid descent on a square
-root of 2 mod p, resolves a single prime independently and serves as the
-oracle for the scan.
+forces a odd.  ideals._lattice_scan scans the two regions as two row
+groups and returns the points in prime order, norm +p first.
+solve_norm_equation, a half-Euclid descent on a square root of 2 mod p,
+resolves one prime on its own and is the scan's oracle.
 
 Equidistribution of the t values is probed by the real Weyl sums over
 the characters
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import unit_power_sums
-from .errors import MAX_KMAX, MAX_SIZE, BadInput, InvariantViolation, NotSplit, check_int
+from .errors import MAX_KMAX, MAX_LEG, MAX_SIZE, BadInput, InvariantViolation, NotSplit, check_int
 from .ideals import _BLOCK, _isqrt, _lattice_scan, sqrt_mod
 
 SQRT2 = math.sqrt(2.0)
@@ -68,8 +67,10 @@ def _raw_t(a: int, b: int) -> float:
 
     Computed as +-(2 log(|a| + |b| sqrt 2) - log |a^2 - 2 b^2|): the larger
     of |alpha|, |conj(alpha)| is always the sign-agreeing combination
-    |a| + |b| sqrt 2, so no cancellation occurs, and the smaller factor is
-    recovered from the exact integer norm.
+    |a| + |b| sqrt 2, and the smaller factor is recovered from the exact
+    integer norm N.  The two logs cancel near t = 0, so the error is
+    absolute, about 2^-53 (12 + 4 log |N|), as _weyl_means' gate assumes:
+    angle_t(10**200, 1) is 1.1e-13, where t is about 2.8e-200.
     """
     norm = a * a - 2 * b * b
     if norm == 0:
@@ -81,8 +82,8 @@ def _raw_t(a: int, b: int) -> float:
 
 
 def angle_t(a: int, b: int) -> float:
-    """The class of log |alpha / conj(alpha)| in [0, 2 log eps)."""
-    a, b = check_int("a", a), check_int("b", b)
+    """The class of log |alpha / conj(alpha)| in [0, 2 log eps); |a|, |b| <= MAX_LEG."""
+    a, b = check_int("a", a, -MAX_LEG, MAX_LEG), check_int("b", b, -MAX_LEG, MAX_LEG)
     t = math.fmod(_raw_t(a, b), PERIOD)
     return t + PERIOD if t < 0.0 else t
 
@@ -175,20 +176,20 @@ class RealQuadReport:
 
 
 def _canonical_rows(start: int, stop: int):
-    """Rows b of canonical generators with start <= |a^2 - 2 b^2| <= stop, a odd.
+    """Row groups b of canonical generators with start <= |a^2 - 2 b^2| <= stop, a odd.
 
-    Each b = 1, ..., isqrt(stop) gets two rows, a > 2b (norm +p) and
-    0 < a < b (norm -p); rows that miss the segment come out empty.
+    Each b = 1, ..., isqrt(stop) gets a row in each of two groups: group 0
+    holds a > 2b (norm +p) and group 1 holds 0 < a < b (norm -p).  Rows that
+    miss the segment come out empty.
     """
     b = np.arange(1, math.isqrt(stop) + 1, dtype=np.int64)
     twice = 2 * b * b
     plus_lo = np.maximum(_isqrt(twice + (start - 1)) + 1, 2 * b + 1)
-    plus_hi = _isqrt(twice + stop)
     minus_lo = _isqrt(np.maximum(twice - stop - 1, 0)) + 1
-    minus_hi = np.minimum(_isqrt(np.maximum(twice - start, 0)), b - 1)
-    a_lo = np.concatenate((plus_lo, minus_lo))
-    a_lo += a_lo % 2 == 0
-    return np.concatenate((b, b)), a_lo, np.concatenate((plus_hi, minus_hi))
+    for a_lo in (plus_lo, minus_lo):
+        a_lo += a_lo % 2 == 0
+    return [(b, plus_lo, _isqrt(twice + stop)),
+            (b, minus_lo, np.minimum(_isqrt(np.maximum(twice - start, 0)), b - 1))]
 
 
 def _signed_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,26 +204,18 @@ def _signed_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _split_generators(limit: int):
     """Columns (p, a, b, sign) of both canonical generators of every split p <= limit.
 
-    One lattice scan over the canonical domain (module docstring), ordered
-    by p with the norm +p generator first.  InvariantViolation unless every
-    split prime has exactly one point of each sign.  The sort key
-    2|N| + (N < 0) is dropped before the columns are gathered, each gathered
-    column replaces its source, and p and sign are formed after the sort, so
-    besides a, b and the split primes at most two int64 columns are alive.
+    One lattice scan over the canonical domain (module docstring) returns
+    them ordered by p, norm +p first as in _canonical_rows' groups, and the
+    leg a = isqrt(2 b^2 +- p) of each.  Its argument is clamped at 0, which
+    only a point in the wrong group reaches; the sign gate then rebuilds p
+    and the sign from the legs and raises InvariantViolation unless each
+    split prime has its norm +p generator and then its norm -p one.
     """
-    b, a, split = _lattice_scan(0, limit, lambda q: (q % 8 == 1) | (q % 8 == 7),
-                                _canonical_rows, lambda b, a: np.abs(_signed_norm(a, b)), 2)
-    key = _signed_norm(a, b)
-    negative = key < 0
-    np.abs(key, out=key)
-    key <<= 1
-    key += negative
-    del negative
-    order = np.argsort(key)
-    del key
-    a = a[order]
-    b = b[order]
-    del order
+    b, a, split = _lattice_scan(
+        0, limit, lambda q: (q % 8 == 1) | (q % 8 == 7), _canonical_rows,
+        lambda b, a: np.abs(_signed_norm(a, b)),
+        lambda p, b, group: _isqrt(np.maximum(2 * b * b + np.where(group == 0, p, -p), 0)), 2)
+    a, b = a.astype(np.int64), b.astype(np.int64)
     p = _signed_norm(a, b)
     sign = np.sign(p, out=np.empty(p.size, dtype=np.int8))
     np.abs(p, out=p)

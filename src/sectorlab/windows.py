@@ -52,9 +52,13 @@ def mollifier_eval(x):
     mask: 1 - x^2 is clamped below at the smallest normal double, so
     |x| >= 1, +-inf and NaN give exp(-1/tiny) = 0.0 exactly with no
     division by zero.  For |x| < 1, 1 - x^2 is at least 2^-53, far above
-    the clamp, so every value is bitwise the formula's.
+    the clamp, so every value is bitwise the formula's.  BadInput for an int
+    past the float range, which numpy cannot convert.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except OverflowError:
+        raise BadInput("mollifier_eval: x is past the float range") from None
     # empty_like, not arr * arr: a 0-d input would give a scalar, not a buffer
     out = np.multiply(arr, arr, out=np.empty_like(arr))
     np.subtract(1.0, out, out=out)
@@ -146,7 +150,7 @@ def _plateau_evaluator(lo: float, hi: float, eps: float) -> Callable:
 
 
 def _make_plateau(kind: str, core: tuple[float, float], eps: float) -> SmoothWindow:
-    c0, c1 = float(core[0]), float(core[1])
+    c0, c1 = check_real("core", (core[0], core[1])).tolist()
     eps = check_real("shoulder width eps", eps, 0.0, 0.5, "()", BadEps)
     if not c1 > c0:
         raise BadInput(f"empty core [{c0}, {c1}]")
@@ -171,7 +175,8 @@ def plateau_minus(core: tuple[float, float] = (0.0, 1.0), eps: float = 0.1) -> S
 
 def custom_window(evaluator: Callable, lo: float, hi: float) -> SmoothWindow:
     """Wrap an arbitrary array-aware evaluator supported on [lo, hi]."""
-    return SmoothWindow(kind="custom", lo=float(lo), hi=float(hi), eps=None, _eval=evaluator)
+    lo, hi = check_real("support [lo, hi]", (lo, hi)).tolist()
+    return SmoothWindow(kind="custom", lo=lo, hi=hi, eps=None, _eval=evaluator)
 
 
 def _node_count(xi_max: float) -> int:

@@ -132,6 +132,8 @@ def test_weyl_over_no_ideals_exits_2(tmp_path, capsys, args):
     ["weyl", "--x", "1e30"],
     ["realquad", "--limit", "1e12"],
     ["variance", "--x-list", "1e4", "--x-list", str(MAX_SIZE + 1), "--tau", "0.01"],
+    # an integer literal past the float range
+    ["variance", "--x-list", "1" + "0" * 400, "--tau", "0.2"],
     # --split-only reaches the library on sectors (sieve and weyl have their
     # own --split-only tests) ...
     ["sectors", "--x", "1e30", "--rho", "0.3", "--split-only"],

@@ -270,11 +270,12 @@ def test_lattice_scan_gate_fails_on_extra_points():
         a = np.arange(1, math.isqrt(stop - 1) + 1, dtype=np.int64)
         b_lo = ideals_mod._isqrt(np.maximum(start - 1 - a * a, 0)) + 1
         b_lo += (a + b_lo) % 2 == 0
-        return a, b_lo, ideals_mod._isqrt(stop - a * a)
+        return [(a, b_lo, ideals_mod._isqrt(stop - a * a))]
 
     with pytest.raises(InvariantViolation):
         ideals_mod._lattice_scan(0, 100, lambda p: p % 4 == 1, full_rows,
-                                 lambda a, b: a * a + b * b, 1)
+                                 lambda a, b: a * a + b * b,
+                                 lambda norm, a, _: ideals_mod._isqrt(norm - a * a), 1)
 
 
 # ------------------------------------------------------------ enumerate
@@ -508,20 +509,21 @@ def test_memory_gate_ideal_arrays(monkeypatch, blocks):
 
 @pytest.mark.parametrize("lo", [0, 10**7 - (1 << 20)])
 def test_memory_gate_lattice_scan(monkeypatch, lo):
-    # one window of one segment.  The peak comes while the split marks are
-    # set.  Besides the output (the columns, and the split primes, held in a
-    # list until they are joined) the scan then holds the marks at half a
-    # byte per norm, and the marks' index, split - start and its shift: two
-    # int64 per split prime, one above 256 KiB, where numpy reuses the
-    # first.  The segment's primes from the sieve are gone by then.  The
-    # rows and one chunk come after the index is freed and take less here
-    # (5 int64 per row, 6 per point of the chunk); 64 KiB covers numpy's
-    # indexing buffers
+    # one window of one segment.  The peak comes while the sorted keys are
+    # unpacked.  Besides the output (the int32 legs, and the split primes,
+    # held in a list until they are joined) the scan then holds the keys, one
+    # int64 per split prime, and one block's int64 temporaries: about six
+    # arrays of _BLOCK entries (the low bits, the group, the leg's argument
+    # and _isqrt's roots), within the half byte per norm that the split marks
+    # took.  The marks and the last chunk are gone by then.  While the marks
+    # are set, the scan holds them, the keys and one int64 index per split
+    # prime, less than at the unpack; 64 KiB covers numpy's indexing buffers
     monkeypatch.setattr(ideals_mod, "_SEGMENT", 1 << 20)
     monkeypatch.setattr(ideals_mod, "_SCAN_POINTS", 1 << 10)
     hi = lo + (1 << 20)
     out, peak = traced_peak(ideals_mod._lattice_scan, lo, hi, lambda p: p % 4 == 1,
-                            ideals_mod._two_square_rows, lambda a, b: a * a + b * b, 1)
+                            ideals_mod._two_square_rows, lambda a, b: a * a + b * b,
+                            lambda norm, a, _: ideals_mod._isqrt(norm - a * a), 1)
     allowance = 2 * out[2].nbytes + (1 << 19) + (1 << 16)
     assert peak <= _nbytes(out) + allowance, (peak, _nbytes(out))
 

@@ -126,6 +126,25 @@ def test_one_cache():
     assert not found, found
 
 
+_SORTS = {"sort", "argsort", "lexsort"}
+
+
+def test_one_lattice_order():
+    # ideals._lattice_scan returns its points in prime order, so its one sort
+    # of packed keys is the package's only ordering of lattice points; the
+    # Z[i] enumeration and the Z[sqrt 2] generators take that order as it is
+    for func in (ideals._ideal_arrays.__wrapped__, realquad._split_generators):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        assert not _SORTS & set(_called_names(tree)), func.__name__
+    found = {
+        (path.name, node.name)
+        for path in MODULES if path.name in ("ideals.py", "realquad.py")
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and _SORTS & set(_called_names(node))
+    }
+    assert found == {("ideals.py", "_lattice_scan")}, found
+
+
 def _traced_targets():
     """(module, function) pairs that perfbench/tracing.py wraps, read with ast."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

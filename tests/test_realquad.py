@@ -268,6 +268,19 @@ def test_scan_count_gate_fails_typed(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "realquad.csv").exists()
 
 
+def test_scan_sign_gate_fails_typed(monkeypatch, tmp_path, capsys):
+    # with its two row groups swapped, the scan files each norm -p point as
+    # the norm +p generator, so the legs rebuilt from the keys give the
+    # wrong p and sign; the clamped leg keeps numpy from warning on the way
+    rows = realquad_mod._canonical_rows
+    monkeypatch.setattr(realquad_mod, "_canonical_rows", lambda lo, hi: rows(lo, hi)[::-1])
+    with np.errstate(all="raise"), pytest.raises(InvariantViolation, match="one of each"):
+        equidistribution_report_real(1000, 2)
+    assert main(["realquad", "--limit", "1000", "--out", str(tmp_path)]) == 3
+    assert "numerical guarantee failed" in capsys.readouterr().err
+    assert not (tmp_path / "realquad.csv").exists()
+
+
 class _ScanReached(Exception):
     pass
 

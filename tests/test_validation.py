@@ -34,7 +34,8 @@ from sectorlab.errors import (
 )
 
 BUDGET_S = 5.0
-BAD = (math.nan, math.inf, -math.inf, -1, 0, 2.5, 1e30)
+# 10**400 is an int past the float range
+BAD = (math.nan, math.inf, -math.inf, -1, 0, 2.5, 1e30, 10**400)
 
 F = sectorlab.mollifier_window()
 PHI = sectorlab.plateau_plus(core=(1.0, 2.0), eps=0.05)
