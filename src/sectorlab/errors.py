@@ -146,10 +146,15 @@ def check_int(name: str, value, lo=None, hi=None) -> int:
             raise BadInput(f"{name} = {value!r} is not an integer") from None
         n = int(x)
     if lo is not None and n < lo:
-        raise BadInput(f"{name} = {n} must be >= {lo}")
+        raise BadInput(f"{name} = {_shown(n)} must be >= {_shown(lo)}")
     if hi is not None and n > hi:
-        raise BadInput(f"{name} = {n} exceeds the size ceiling {hi}")
+        raise BadInput(f"{name} = {_shown(n)} exceeds the size ceiling {_shown(hi)}")
     return n
+
+
+def _shown(n: int) -> str:
+    """n for an error message, or past 1,000 bits, where str(n) may fail, its bit length."""
+    return str(n) if n.bit_length() <= 1000 else f"{'-' * (n < 0)}<{n.bit_length()}-bit int>"
 
 
 def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]", error=BadInput):

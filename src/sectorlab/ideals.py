@@ -163,11 +163,11 @@ def cornacchia(p: int) -> tuple[int, int]:
     """Decompose a prime p = 1 mod 4 as a^2 + b^2 with a odd, b even.
 
     Euclidean descent from a square root of -1 mod p (sqrt_mod rejects a
-    composite p); the first remainder at most sqrt(p) is one leg of the
-    unique decomposition, and exactness of the other leg is asserted rather
-    than trusted.
+    composite p, p past 2^64 - 1 is refused first); the first remainder at
+    most sqrt(p) is one leg of the unique decomposition, and exactness of
+    the other leg is asserted rather than trusted.
     """
-    p = check_int("p", p)
+    p = check_int("p", p, hi=2**64 - 1)  # the range sqrt_mod decides
     if p % 4 != 1 or p < 5:
         raise BadInput(f"{p} is not a prime congruent to 1 mod 4")
     x = sqrt_mod(p - 1, p)

@@ -127,11 +127,11 @@ def solve_norm_equation(p: int) -> tuple[int, int, int]:
     Of the conjugate pair of ideals above a split p, the one whose
     canonical generator has norm +p is returned.  The half-Euclid descent
     on (p, sqrt of 2 mod p) finds a solution: its first remainder below
-    sqrt(2p) already solves the equation up to sign.  NotSplit for p = 2
-    or p = +-3 mod 8; sqrt_mod rejects any other p that is not a prime
-    below 2^64.
+    sqrt(2p) already solves the equation up to sign.  BadInput for p below
+    2 or past 2^64 - 1, the range sqrt_mod decides; NotSplit for p = 2 or
+    p = +-3 mod 8; sqrt_mod rejects any other p that is not a prime.
     """
-    p = check_int("p", p, 2)
+    p = check_int("p", p, 2, 2**64 - 1)  # the range sqrt_mod decides
     if p == 2 or p % 8 not in (1, 7):
         raise NotSplit(f"2 is not a square mod {p}")
     # half Euclid: remainders r_i of gcd(p, r) with cofactors t_i satisfying

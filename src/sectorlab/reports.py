@@ -6,12 +6,15 @@ round-trips a double.  Running the same experiment twice therefore
 produces byte-identical files, which the test suite checks.  Each file
 opens with a format-version tag naming its schema.
 
-The one-line-per-record CSV files (ideals, sectors, realquad) print each
-integer as %d and each float as %.17g, byte for byte as Python's %
-operator does.  They are formatted _BLOCK rows at a time into one uint8
-matrix: a fixed-width field per column, padded with NUL bytes, then the
-literal comma or newline.  The nonzero bytes of the matrix, in order, are
-the block's lines, so a writer holds one block, never the whole file.
+Every file is opened as bytes; a JSON file is written as its encoder
+yields it.  A CSV file (ideals, sectors, variance, realquad) is its header
+lines, then _BLOCK rows at a time from one uint8 matrix: a fixed-width
+field per column, padded with NUL bytes, then the literal comma or
+newline.  The nonzero bytes of the matrix, in order, are the block's
+lines, so a writer holds one block, never the whole file.  A field is
+either a numeric column, each integer printed as %d and each float as
+%.17g, byte for byte as Python's % operator does, or a uint8 matrix of
+NUL-padded text, one row per line.
 Integer digits come from repeated division by 10.  A float with finite |v| in
 [1e-4, 1e16), where %.17g prints fixed notation, is rounded to 17 digits
 exactly: Dekker's two-product gives |v| 10^(16-E) as hi + lo, and
@@ -52,19 +55,19 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _create(path: str, mode: str = "w"):
-    """Open path for writing, as text with \\n newlines or as bytes ("wb"),
-    creating its directory only now that output exists."""
+def _create(path: str):
+    """Open path for writing bytes, creating its directory only now that output exists."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return open(path, mode, newline="\n" if mode == "w" else None)
+    return open(path, "wb")
 
 
 def _dump_json(path: str, fmt: str, fields: dict):
     """Write fields, with the format_version and sectorlab keys, as sorted indented JSON."""
-    with _create(path) as fh:
-        json.dump({"format_version": fmt, "sectorlab": __version__, **fields}, fh,
-                  sort_keys=True, indent=2)
-        fh.write("\n")
+    fields = {"format_version": fmt, "sectorlab": __version__, **fields}
+    with _create(path) as fh:  # chunk by chunk: a Weyl file at MAX_KMAX is 130 MB of text
+        for chunk in json.JSONEncoder(sort_keys=True, indent=2).iterencode(fields):
+            fh.write(chunk.encode())
+        fh.write(b"\n")
 
 
 def _table(words) -> np.ndarray:
@@ -153,10 +156,10 @@ def _put_g17(out: np.ndarray, v: np.ndarray):
         out[i, :text.size] = text
 
 
-def _field_width(col: np.ndarray, table: np.ndarray | None = None) -> int:
+def _field_width(col: np.ndarray) -> int:
     """Bytes of the widest entry of a nonempty block of one field."""
-    if table is not None:
-        return table.shape[1]
+    if col.ndim == 2:
+        return col.shape[1]
     if col.dtype.kind == "f":
         return _G17_WIDTH
     return max(len(str(int(col.max()))), len(str(int(col.min()))))
@@ -183,33 +186,29 @@ def _put_int(out: np.ndarray, x: np.ndarray):
 
 
 def _in_blocks(fields: list):
-    """The fields, the first a column, cut into blocks of _BLOCK rows; a pair
-    (table, codes) is cut by its codes."""
+    """The fields cut into blocks of _BLOCK rows."""
     for start in range(0, len(fields[0]), _BLOCK):
-        cut = slice(start, start + _BLOCK)
-        yield [(f[0], f[1][cut]) if isinstance(f, tuple) else f[cut] for f in fields]
+        yield [f[start:start + _BLOCK] for f in fields]
 
 
 def _dump_rows(path: str, header: list[str], blocks):
     """Write the header lines, then one CSV line per row of each block of fields.
 
     A field is a numeric column, printed %d or %.17g by its dtype, or a
-    pair (table, codes) printing row codes[i] of a _table.  Each block,
-    at most _BLOCK rows, becomes one byte matrix whose nonzero bytes are
+    uint8 matrix of NUL-padded text, one row per line.  Each block, at
+    most _BLOCK rows, becomes one byte matrix whose nonzero bytes are
     written.
     """
-    with _create(path, "wb") as fh:
+    with _create(path) as fh:
         fh.write("".join(line + "\n" for line in header).encode())
-        for fields in blocks:
-            tables = [f[0] if isinstance(f, tuple) else None for f in fields]
-            block = [f[1] if isinstance(f, tuple) else f for f in fields]
-            widths = [_field_width(col, table) for table, col in zip(tables, block)]
-            mat = np.zeros((block[0].size, sum(widths) + len(widths)), np.uint8)
+        for block in blocks:
+            widths = [_field_width(col) for col in block]
+            mat = np.zeros((len(block[0]), sum(widths) + len(widths)), np.uint8)
             at = 0
-            for table, col, width in zip(tables, block, widths):
+            for col, width in zip(block, widths):
                 out = mat[:, at:at + width]
-                if table is not None:
-                    out[:] = table[col]
+                if col.ndim == 2:
+                    out[:] = col
                 elif col.dtype.kind == "f":
                     _put_g17(out, col)
                 else:
@@ -238,7 +237,7 @@ def write_ideal_csv(path: str, norm_min: int, norm_max: int, include_nonsplit: b
     def blocks():
         for leg_a, leg_b, angle in _in_blocks([a, b, theta]):
             p, norm, code = _ideal_columns(leg_a, leg_b)
-            yield [p, leg_a, leg_b, norm, (splitting, code), angle]
+            yield [p, leg_a, leg_b, norm, splitting[code], angle]
 
     _dump_rows(path, header, blocks())
 
@@ -249,7 +248,7 @@ def write_sector_csv(path: str, report: SectorScanReport):
         f"# X={report.X} rho={_fmt(report.rho)} gamma={_fmt(report.gamma)} grid={report.grid_size}",
         "beta,count,expected,deviation",
     ]
-    expected = (_table([_fmt(report.expected)]), np.broadcast_to(np.intp(0), (report.grid_size,)))
+    expected = np.broadcast_to(report.expected, (report.grid_size,))
     _dump_rows(path, header, _in_blocks([report.betas, report.counts, expected, report.deviations]))
 
 
@@ -271,19 +270,17 @@ def write_variance_json(path: str, reports: list[VarianceReport]):
 
 
 def write_variance_csv(path: str, reports: list[VarianceReport]):
-    """Ratio matrix: one row per X, one column per tau."""
-    xs = sorted({r.X for r in reports})
-    taus = sorted({r.tau for r in reports})
-    by_cell = {(r.X, r.tau): r.ratio for r in reports}
-    lines = [
+    """Ratio matrix: one row per X, one column per tau; a repeated cell keeps its last ratio."""
+    ratio = {(r.X, r.tau): r.ratio for r in reports}
+    xs = sorted({x for x, _ in ratio})
+    taus = sorted({t for _, t in ratio})
+    header = [
         f"# {VARIANCE_FORMAT} sectorlab={__version__} ratio=var_direct/mean_empirical^2",
         "X," + ",".join(_fmt(t) for t in taus),
     ]
-    for x in xs:
-        cells = ",".join(_fmt(by_cell[(x, t)]) if (x, t) in by_cell else "" for t in taus)
-        lines.append(f"{_fmt(x)},{cells}")
-    with _create(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [np.array(xs, np.float64)]
+    columns += [np.array([ratio[x, t] for x in xs]) for t in taus]
+    _dump_rows(path, header, _in_blocks(columns))
 
 
 def write_realquad_csv(path: str, report: RealQuadReport):

@@ -143,15 +143,12 @@ def sector_scan(
         raise EmptyRange(f"no prime ideals with norm in (1, {X}]")
     gamma = HALF_PI * X ** (-rho)
     betas = np.arange(grid_size) * (HALF_PI / grid_size)
-    starts = np.searchsorted(th, betas, side="right")
+    # an arc past pi/2 wraps: its end moves back a quarter turn, and it gains a lap of n
     ends = betas + gamma
     wrapped = ends >= HALF_PI
-    tail_pts = betas + (gamma - HALF_PI)
-    counts = np.where(
-        wrapped,
-        n - starts + np.searchsorted(th, tail_pts, side="right"),
-        np.searchsorted(th, ends, side="right") - starts,
-    ).astype(np.int64)
+    ends[wrapped] = betas[wrapped] + (gamma - HALF_PI)
+    counts = (np.searchsorted(th, ends, side="right") - np.searchsorted(th, betas, side="right")
+              + n * wrapped).astype(np.int64)
     expected = (gamma / HALF_PI) * n
     deviations = counts / expected - 1.0
     fractions = {d: float(np.mean(np.abs(deviations) > d)) for d in deltas}

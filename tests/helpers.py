@@ -13,11 +13,13 @@ block allowances are at the bottom.
 from __future__ import annotations
 
 import math
+import os
 import tracemalloc
 from collections import namedtuple
 
 import numpy as np
 
+import sectorlab
 from sectorlab import _kernels, ideals, realquad, reports
 from sectorlab._version import __version__
 from sectorlab.errors import check_real
@@ -196,6 +198,14 @@ def ulps_apart(x: float, y: float) -> float:
     return abs(x - y) / scale
 
 
+def child_env(env=os.environ) -> dict:
+    """A copy of env whose PYTHONPATH starts with the src directory of the
+    sectorlab under test, so a child python imports the same package."""
+    src = os.path.dirname(os.path.dirname(sectorlab.__file__))
+    rest = env.get("PYTHONPATH")
+    return {**env, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+
+
 # ------------------------------------------------------------ CSV oracles
 
 def _oracle_lines(path, lines):
@@ -240,6 +250,19 @@ def oracle_realquad_csv(path, report):
     ]
     cols = (report.p, report.a, report.b, report.sign, report.t)
     rows = ["%d,%d,%d,%d,%.17g" % row for row in zip(*(col.tolist() for col in cols))]
+    _oracle_lines(path, header + rows)
+
+
+def oracle_variance_csv(path, cells):
+    """reports.write_variance_csv one cell at a time; a repeated (X, tau)
+    keeps the ratio of its last report."""
+    ratio = {(cell.X, cell.tau): cell.ratio for cell in cells}
+    xs, taus = sorted({x for x, _ in ratio}), sorted({t for _, t in ratio})
+    header = [
+        f"# {reports.VARIANCE_FORMAT} sectorlab={__version__} ratio=var_direct/mean_empirical^2",
+        "X," + ",".join("%.17g" % t for t in taus),
+    ]
+    rows = [",".join("%.17g" % v for v in [x] + [ratio[x, t] for t in taus]) for x in xs]
     _oracle_lines(path, header + rows)
 
 

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from helpers import child_env
 from sectorlab.cli import _int_literal, build_parser, main
 from sectorlab.errors import MAX_SIZE, InvariantViolation
 
@@ -311,7 +312,8 @@ def test_variance_bytes_independent_of_thread_count(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "sectorlab", "variance", "--x-list", "1e4",
              "--tau", "0.4", "--out", str(tmp_path / threads)],
-            capture_output=True, text=True, env={**env, **dict.fromkeys(pools, threads)},
+            capture_output=True, text=True,
+            env=child_env({**env, **dict.fromkeys(pools, threads)}),
         )
         assert proc.returncode == 0, proc.stderr
     for name in ("variance.json", "variance.csv"):
@@ -325,7 +327,7 @@ def test_import_pins_thread_pools_unless_preset():
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     for preset, expected in (({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "3"}, "1 3 1")):
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env={**env, **preset})
+                              text=True, env=child_env({**env, **preset}))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == expected
 
@@ -333,7 +335,8 @@ def test_import_pins_thread_pools_unless_preset():
 def test_cli_import_loads_no_hashlib():
     # no window is fingerprinted, so nothing loads hashlib and its libcrypto
     code = "import sys, sectorlab.cli; print('hashlib' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -343,14 +346,14 @@ def test_cli_import_loads_no_hashlib():
 def test_module_invocation(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "sectorlab", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("sectorlab ")
     proc = subprocess.run(
         [sys.executable, "-m", "sectorlab", "sieve", "--max", "50",
          "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert (tmp_path / "ideals.csv").exists()

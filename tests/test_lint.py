@@ -320,6 +320,19 @@ def _reached_names(func, seen=None):
     return names
 
 
+def test_one_byte_path():
+    # every report file is opened by reports._create, as bytes, and every CSV
+    # writer formats its rows through reports._dump_rows
+    opened = {path.name: list(_called_names(ast.parse(path.read_text(), filename=str(path))))
+              .count("open") for path in MODULES}
+    create = _called_names(ast.parse(textwrap.dedent(inspect.getsource(reports._create))))
+    assert sum(opened.values()) == opened["reports.py"] == list(create).count("open") == 1, opened
+    writers = [getattr(reports, name) for name in dir(reports)
+               if name.startswith("write_") and name.endswith("_csv")]
+    assert len(writers) == 4
+    assert all("_dump_rows" in _reached_names(w) for w in writers), writers
+
+
 _SPECTRAL_NAMES = {"fft", "geometric_weighted_sums", "character_sum_table",
                    "fourier_coefficients_bulk", "psi_spectrum"}
 

@@ -12,12 +12,14 @@ from helpers import (
     oracle_ideal_csv,
     oracle_realquad_csv,
     oracle_sector_csv,
+    oracle_variance_csv,
     small_blocks,
 )
 from sectorlab import reports
 from sectorlab.errors import InvariantViolation
 from sectorlab.realquad import equidistribution_report_real
 from sectorlab.sectors import SectorScanReport, sector_scan
+from sectorlab.variance import variance_sweep
 
 
 def _g17(values) -> list[str]:
@@ -157,6 +159,22 @@ def test_sector_csv_matches_oracle(tmp_path):
     rep = sector_scan(10**4, 0.3, 512)
     assert (rep.deviations < 0).any() and (rep.deviations > 0).any()
     _same_bytes(tmp_path, reports.write_sector_csv, oracle_sector_csv, rep)
+
+
+def test_variance_csv_matches_oracle(tmp_path):
+    # copies of one real cell: ratios inside the %.17g kernel's range and in
+    # exponent form (below 1e-4, as every real ratio near 1e-5 is), and a
+    # repeated (X, tau) whose last ratio is the one written
+    cell, = variance_sweep([10**4], [0.2])
+    cells = [dataclasses.replace(cell, X=X, tau=tau, ratio=ratio) for X, tau, ratio in (
+        (1e4, 0.2, 0.25), (1e5, 0.2, 9.2237113655615743e-06),
+        (1e4, 0.4, 0.0071150197734190295), (1e5, 0.4, 5.3586377622078713e-05),
+        (1e4, 0.2, cell.ratio))]
+    assert cell.X == 1e4 and 1e-4 < cell.ratio < 1e-3
+    _same_bytes(tmp_path, reports.write_variance_csv, oracle_variance_csv, cells)
+    lines = (tmp_path / "got.csv").read_text().splitlines()
+    assert lines[2:] == ["10000,%.17g,0.0071150197734190295" % cell.ratio,
+                         "100000,9.2237113655615743e-06,5.3586377622078713e-05"], lines
 
 
 @pytest.mark.parametrize("blocks", ["module", "small"])

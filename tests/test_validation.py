@@ -34,8 +34,9 @@ from sectorlab.errors import (
 )
 
 BUDGET_S = 5.0
-# 10**400 is an int past the float range
-BAD = (math.nan, math.inf, -math.inf, -1, 0, 2.5, 1e30, 10**400)
+# 10**400 is an int past the float range, 10**5000 one past Python's int-to-str
+# digit limit
+BAD = (math.nan, math.inf, -math.inf, -1, 0, 2.5, 1e30, 10**400, 10**5000)
 
 F = sectorlab.mollifier_window()
 PHI = sectorlab.plateau_plus(core=(1.0, 2.0), eps=0.05)
