@@ -20,8 +20,8 @@ characters z_n = cos(phi_n) + i sin(phi_n), k = 0..k_max, one block of
 entries at a time: each mode after the first costs one complex product per
 entry and no transcendental.
 
-The S_k table and the window coefficients c_k are both the type-1
-transform sum_n w_n exp(i k phi_n), k = 0..k_max.  Gaussian gridding
+The S_k table is the type-1 transform sum_n w_n exp(i k phi_n),
+k = 0..k_max, of nonuniform phases.  Gaussian gridding
 (Greengard & Lee, SIAM Review 46, 2004) spreads each point onto a periodic
 grid of G >= 6 (k_max + 1) cells with a Gaussian cut at _SPREAD cells,
 takes one real FFT and divides out the Gaussian's transform, in
@@ -32,10 +32,10 @@ Error note: |out[k] - sum_n w_n exp(i k phi_n)| <= ERROR_BOUND sum_n |w_n|
 + k 2^-52 sum_n |w_n phi_n|.  One point measured at most 2.3e-14 for
 k_max <= 262,144; the second term is one rounding of each phase.  Phases
 are not reduced mod 2 pi and each cell offset is formed once, so tiny
-phases keep full relative precision, which the c_k tail (~1e-14 c_0)
-needs.  Weights all below 2^-500 are lifted by 2^1000 first, an exact
-scaling, so the spread does not lose them to underflow.  Points are spread
-in input order: outputs are bit-deterministic.
+phases keep full relative precision.  Weights all below 2^-500 are lifted
+by 2^1000 first, an exact scaling, so the spread does not lose them to
+underflow.  Points are spread in input order, so the output bytes depend on
+the order of the input rows, not only on the rows as a set.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ def unit_power_sums(angles, scale: float, k_max: int) -> np.ndarray:
 def geometric_weighted_sums(phases: np.ndarray, weights: np.ndarray, k_max: int) -> np.ndarray:
     """out[k] = sum_n weights[n] * exp(i * k * phases[n]) for k = 0..k_max.
 
-    out[0] is the exactly rounded, exactly real sum of the weights;
-    out[1:] are within the bound of the module's error note.
+    out[0] is the exactly rounded, exactly real sum of the weights; out[1:]
+    are within the module's error note, with bytes that depend on row order.
     """
     phases = np.asarray(phases, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)

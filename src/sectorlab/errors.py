@@ -56,7 +56,10 @@ disk and 500 MB in memory at 1e6."""
 
 KMAX_CAP = 10**7
 """Largest spectral cutoff: truncation_kmax tries powers of two up to it, and
-an S_k table, a c_k vector or a single character has degree at most this."""
+an S_k table, a c_k vector or a single character has degree at most this.  At a
+power-of-two k_max a c_k vector peaks at 112 bytes per mode and an S_k table at
+178-186 (tracemalloc at 2^19 and 2^21 modes), so psi_spectrum, which keeps the
+vector while it makes the table, peaks at about 200: 1.7 GB at k_max = 2^23."""
 
 GRID_CAP = 1 << 25
 """Largest psi grid; variance_sweep's 4 k_max reaches it at k_max = 2^23, the
@@ -64,8 +67,9 @@ largest power of two below KMAX_CAP.  A cell peaks at about 33 bytes per grid
 point (measured at 2^20), so 2^25 points take 1.1 GB."""
 
 MAX_NODES = 1 << 20
-"""Most midpoint-rule nodes a c_k sample or c_k vector may take, about 85 MB at
-most: 33 (mollifier) to 81 (plateau) bytes per node, measured at 2^20.  For K
+"""Most midpoint-rule nodes a c_k sample or c_k vector may take.  A sample peaks
+at 33 (mollifier) to 81 (plateau) bytes per node, 85 MB at 2^20; a vector at
+139 MB for 2^20 nodes and k_max = 261,888 (K = 1), see KMAX_CAP.  For K
 from 1 to 1e3 the truncation_kmax walk needs 2^13 for the mollifier and 2^15
 for the default plateau."""
 

@@ -139,8 +139,8 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     entries that reach spill cell c at offset j all have first cell c - j,
     so the cell key ties among them.  Those with equal counts keep their
     input order, as the sort is stable; those with unequal counts are
-    ordered by count, as by a sort on the counts alone.  So every cell
-    receives the same additions in the same order.
+    ordered by count, as by a sort on the counts alone.  So every cell receives
+    the same additions in the input's order: the grid's bytes follow row order.
 
     Arguments.  Pair (a, j) is grid point m = i_lo_a + j, and its argument
     is formed as one subtraction, x~ = x0_a - fl(j dx), from the argument at

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import sectorlab
-from sectorlab import ideals, realquad, reports, sectors, variance
+from sectorlab import ideals, realquad, reports, sectors, variance, windows
 
 MODULES = sorted(Path(sectorlab.__file__).parent.glob("*.py"))
 
@@ -349,3 +349,5 @@ def test_direct_and_synthesis_routes_stay_independent():
     assert "_scatter_grid" in _reached_names(variance.psi_grid)
     assert {"character_sum_table", "geometric_weighted_sums"} <= _reached_names(
         variance.psi_spectrum)
+    # the gridded kernel serves S_k alone: c_k has one sampler, with exact phases
+    assert "geometric_weighted_sums" not in _reached_names(windows.fourier_coefficients_bulk)

@@ -466,8 +466,8 @@ def test_direct_matches_parseval():
 
 @pytest.mark.parametrize("tau", [0.4, 0.55])
 def test_direct_matches_parseval_tightly(tau):
-    # the routes share only the entry table; both agree to ~1e-15 when the
-    # kernel keeps each phase's cell offset at full precision
+    # the routes share only the entry table; they agree to ~1e-15 (measured
+    # 8.8e-16 and 1.7e-15), as every c_k phase is reduced mod 1 exactly
     K = 1e4**tau
     sp = psi_spectrum(K, 1e4, bump(), plateau_1_2())
     vd = variance_direct(K, 1e4, bump(), plateau_1_2())
@@ -482,6 +482,19 @@ def test_bulk_tail_coefficient_matches_single_sum():
     k_max = 262_144
     c = fourier_coefficients_bulk(f, K, k_max)
     assert abs(c[k_max] - fourier_coefficient(f, K, k_max)) <= 1e-14 * abs(c[0])
+
+
+def test_bulk_tail_below_threshold_where_exact_sampler_is():
+    # past the certified cutoff of the default plateau at K = 3, out to the
+    # certificate's last octave, the bulk vector stays below 1e-14 c_0
+    # wherever fourier_coefficient does, sampled with a prime stride
+    f, K = plateau_plus(), 3.0
+    k_max, _ = truncation_kmax(f, K)
+    c = fourier_coefficients_bulk(f, K, 4 * k_max)
+    threshold = variance_mod.TAIL_RATIO * abs(c[0])
+    for k in range(k_max, 4 * k_max + 1, 23):
+        if abs(fourier_coefficient(f, K, k)) <= threshold:
+            assert abs(c[k]) <= threshold, k
 
 
 def test_variance_grid_refinement_invariant():

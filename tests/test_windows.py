@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sectorlab import windows
 from sectorlab.errors import MAX_SUPPORT, BadEps, BadInput
@@ -332,6 +334,48 @@ def test_bulk_coefficients_match_single():
     for k in (0, 1, 2, 7, 32, 64):
         single = fourier_coefficient(f, K, k)
         assert abs(bulk[k] - single) < 1e-13 * max(1.0, abs(single))
+
+
+def _skewed_bump():
+    # smooth and vanishing to all orders at its ends, like the named windows,
+    # so midpoint rules of any node count agree; lopsided, so c_k is complex
+    return custom_window(lambda x: mollifier_eval((x - 0.3) / 1.3) * (1.0 + 0.4 * x), -1.0, 1.6)
+
+
+BULK_WINDOWS = {"mollifier": mollifier_window, "plateau_plus": plateau_plus,
+                "plateau_minus": plateau_minus, "custom": _skewed_bump}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(BULK_WINDOWS)), K=st.floats(1.0, 1e3),
+       k_max=st.integers(0, 1 << 14), share=st.floats(0.0, 1.0))
+# the gridded kernel's tail was 3.4e-14 c_0 off here
+@example(kind="plateau_plus", K=3.0, k_max=4096, share=1.0)
+@example(kind="mollifier", K=1e6**0.55, k_max=262_144, share=1.0)
+def test_bulk_coefficients_match_exact_sampler(kind, K, k_max, share):
+    # the error note of fourier_coefficients_bulk, S = sum |w| / K: FFT
+    # rounding, the dilation by the rounded alpha, and fourier_hat's own error
+    f = BULK_WINDOWS[kind]()
+    c = fourier_coefficients_bulk(f, K, k_max)
+    assert c.shape == (k_max + 1,)
+    weights = windows._midpoint_nodes(f, k_max / K)[2]
+    S = math.fsum(np.abs(weights)) / K
+    fft = math.log2(2 * (weights.size + k_max)) * 2.0**-53 * S
+    for k in {0, min(1, k_max), round(share * k_max), k_max}:
+        want = fourier_coefficient(f, K, k)
+        dilation = 2 * math.pi * (k / K) * max(abs(f.lo), abs(f.hi)) * 2.0**-52 * abs(want)
+        assert abs(c[k] - want) <= fft + dilation + 2.0**-46 * S, (k, c[k], want)
+
+
+@pytest.mark.parametrize("s", [-1010, 1020])
+def test_bulk_scales_exactly_by_a_power_of_two(s):
+    # every weight of 3 + x, times 2^s, and every c_k stays normal, yet an
+    # unscaled FFT of these weights underflows at 2^-1010 and overflows at 2^1020
+    f = custom_window(lambda x: 3.0 + x, -0.7, 1.3)
+    scaled = custom_window(lambda x: math.ldexp(1.0, s) * (3.0 + x), -0.7, 1.3)
+    c = fourier_coefficients_bulk(f, 70**0.5, 8).view(np.float64)
+    got = fourier_coefficients_bulk(scaled, 70**0.5, 8).view(np.float64)
+    assert np.array_equal(np.ldexp(got, -s), c)
 
 
 def test_coefficient_sum_recovers_periodization_at_zero():
