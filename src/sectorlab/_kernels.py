@@ -35,7 +35,9 @@ are not reduced mod 2 pi and each cell offset is formed once, so tiny
 phases keep full relative precision.  Weights all below 2^-500 are lifted
 by 2^1000 first, an exact scaling, so the spread does not lose them to
 underflow.  Points are spread in input order, so the output bytes depend on
-the order of the input rows, not only on the rows as a set.
+the order of the input rows, not only on the rows as a set.  Beyond its
+input and the grid, the spread holds each point's cell offset and first
+cell, 16 bytes per point, and works one _SUM_BLOCK of points at a time.
 """
 
 from __future__ import annotations
@@ -191,20 +193,38 @@ def geometric_weighted_sums(phases: np.ndarray, weights: np.ndarray, k_max: int)
     out[0] = exact_sum(weights)
     # the sums are linear in the weights: a power-of-two scale is exact, and
     # lifting tiny weights keeps the spread out of the subnormal range
-    scale = 2.0**1000 if np.max(np.abs(weights), initial=0.0) < 2.0**-500 else 1.0
-    weights = weights * scale
+    tiny = 2.0**-500
+    lift = -tiny < np.min(weights, initial=0.0) and np.max(weights, initial=0.0) < tiny
+    scale = 2.0**1000 if lift else 1.0
     M = 2 * (k_max + 1)
     G = max(64, 1 << (3 * M - 1).bit_length())
     tau = math.pi * (_SPREAD + 0.5) / math.sqrt(G**3 * (G - M))
     h = 2.0 * math.pi / G
-    cells = phases / h
-    m0 = np.rint(cells)
-    s = cells - m0
-    first = m0.astype(np.int64)
     beta = h * h / (4.0 * tau)
+    # each point's offset s from its nearest cell, and that cell, one block at a time
+    n = phases.size
+    s, first = np.empty(n), np.empty(n, dtype=np.int64)
+    t, lifted = np.empty((2, min(n, _SUM_BLOCK)))
+    cells = np.empty(t.size, dtype=np.int64)
+    for a in range(0, n, _SUM_BLOCK):
+        offset = np.divide(phases[a:a + _SUM_BLOCK], h, out=s[a:a + _SUM_BLOCK])
+        m0 = np.rint(offset, out=t[:offset.size])
+        offset -= m0
+        first[a:a + offset.size] = m0
+    # d outermost, the blocks in order within it: every cell takes its
+    # additions in the order one whole-column step per d would give them
     grid = np.zeros(G, dtype=np.float64)
     for d in range(-_SPREAD, _SPREAD + 1):
-        np.add.at(grid, (first + d) % G, weights * np.exp(-beta * (s - d) ** 2))
+        for a in range(0, n, _SUM_BLOCK):
+            w = weights[a:a + _SUM_BLOCK]
+            x = np.subtract(s[a:a + _SUM_BLOCK], d, out=t[:w.size])
+            np.square(x, out=x)
+            x *= -beta
+            np.exp(x, out=x)
+            x *= w if scale == 1.0 else np.multiply(w, scale, out=lifted[:w.size])
+            idx = np.add(first[a:a + _SUM_BLOCK], d, out=cells[:w.size])
+            np.add.at(grid, np.remainder(idx, G, out=idx), x)
+    del s, first
     k = np.arange(1, k_max + 1, dtype=np.float64)
     deconvolve = math.sqrt(math.pi / tau) / G * np.exp(k * k * tau)
     out[1:] = deconvolve * np.conj(np.fft.rfft(grid)[1 : k_max + 1]) / scale

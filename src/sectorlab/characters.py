@@ -35,7 +35,7 @@ import numpy as np
 from ._kernels import exact_sum, geometric_weighted_sums, unit_power_sums
 from .errors import (KMAX_CAP, MAX_KMAX, MAX_LEG, MAX_NORM, MAX_SIZE, BadInput, check_int,
                      check_real)
-from .ideals import _ideal_arrays, _lambda_arrays
+from .ideals import _BLOCK, _ideal_arrays, _lambda_arrays
 from .windows import SmoothWindow
 
 
@@ -59,13 +59,18 @@ def _weighted_entries(X, phi):
     """(thetas, weights) of the prime-power table, weights Phi(N/X) Lambda.
 
     Every S_k and psi samples its cutoff here, so it admits the cutoff:
-    BadInput unless the weights, and so their sum, are finite.
+    BadInput unless the weights, and so their sum, are finite.  Phi is
+    evaluated one _BLOCK of rows at a time into the weights column, so the
+    call holds no scratch that grows with the table.
     """
     X = check_real("scale X", X, 2.0, MAX_SIZE)
     if phi.lo < 0.0:
         raise BadInput(f"cutoff support [{phi.lo}, {phi.hi}] must sit in (0, inf)")
     norms, thetas, logs, _ = _lambda_arrays(*_norm_window(X, phi))
-    weights = phi(norms / X) * logs
+    weights = np.empty(norms.size)
+    for start in range(0, norms.size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        np.multiply(phi(norms[rows] / X), logs[rows], out=weights[rows])
     check_real("sum of the cutoff weights Phi(N/X) log N", np.sum(weights))
     return thetas, weights
 

@@ -76,15 +76,15 @@ for the default plateau."""
 MAX_PAIRS = 3 * 10**10
 """Most (entry, grid point) pairs one direct-route scatter may evaluate.
 
-The scatter's memory does not grow with its pairs, only its time: about
-10 ns per pair over many entries (X = 1e6, tau = 0.2, G = 2^14: 160.5 M pairs
-in 1.4-1.7 s on a 2 vCPU host; the default sweep's 373.5 M pairs, many of
-them over small cells, take 11-12 ns each), so the ceiling is a 300 s budget.  On
-the sweep's 4 k_max grid an entry has 1,036-2,107 grid points in its support at any
-K, so every cell up to X = 1e8 passes (5.8 M entries, at most 1.2e10 pairs,
-about 2 min) and every cell at X = 1e9 is refused (about 5e7 entries, 5e10
-pairs or more).  A psi_grid at K = 1 and G = GRID_CAP on X = 1e6 would hold
-5e12 pairs, about 15 hours.
+The scatter's memory does not grow with its pairs, only its time: 7-9 ns
+per pair over many entries (X = 1e6, tau = 0.2, G = 2^14: 160.5 M pairs in
+1.05-1.19 s on a 2 vCPU host; the default sweep's 373.5 M pairs, many of
+them over small cells, take 8.0-8.7 ns each), so the ceiling is a budget
+of at most 300 s.  On the sweep's 4 k_max grid an entry has 1,036-2,107
+grid points in its support at any K, so every cell up to X = 1e8 passes
+(5.8 M entries, at most 1.2e10 pairs, about 2 min) and every cell at X = 1e9
+is refused (about 5e7 entries, 5e10 pairs or more).  A psi_grid at K = 1
+and G = GRID_CAP on X = 1e6 would hold 5e12 pairs, about 15 hours.
 """
 
 MAX_LEG = 10**307

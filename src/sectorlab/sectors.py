@@ -14,8 +14,9 @@ no faster than norm^(-1/2).
 Every statistic reads the angle column of the cached enumeration
 (ideals._ideal_arrays) and caches nothing of its own.  A sector count is
 one pass of the arc mask over that column; a weighted one derives the norms
-of its masked rows alone.  The grid scan and the discrepancy each hold one
-sorted float64 copy of the angles, 8 bytes per ideal, besides the cache.
+of its masked rows alone.  The discrepancy holds one sorted float64 copy of
+the angles, 8 bytes per ideal, besides the cache; the grid scan sorts and
+counts one block of angles at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from ._kernels import exact_sum
 from .errors import (MAX_GRID, MAX_PIT_NORM, MAX_SIZE, BadInput, BadSector, EmptyRange,
                      InvariantViolation, check_int, check_real)
 from .ideals import _BLOCK, HALF_PI, _ideal_arrays, _ideal_norms
+
+_SCAN_BLOCK = 1 << 18  # fewest angles sector_scan sorts and counts at once
 
 
 def sector_count(
@@ -131,14 +134,16 @@ def sector_scan(
     rho = 0 is the full circle (every deviation is exactly zero); larger
     rho narrows the sector, and past the equidistribution range the
     deviations blow up for a growing fraction of offsets.  Each threshold
-    in deltas must be finite and > 0.
+    in deltas must be finite and > 0.  The angles are counted a block at a
+    time, each block sorted on its own; a block of at least 4 grid_size
+    angles keeps its two binary searches per offset below its sort.
     """
     X = check_int("norm bound X", X, 2, MAX_SIZE)
     rho = check_real("narrowing exponent rho", rho, 0.0, 1.0, "[)")
     grid_size = check_int("grid size", grid_size, 1, MAX_GRID)
     deltas = tuple(check_real("deviation threshold delta", d, 0.0, ends="(]") for d in deltas)
-    th = np.sort(_ideal_arrays(1, X, include_nonsplit)[2])
-    n = th.size
+    angles = _ideal_arrays(1, X, include_nonsplit)[2]
+    n = angles.size
     if n == 0:
         raise EmptyRange(f"no prime ideals with norm in (1, {X}]")
     gamma = HALF_PI * X ** (-rho)
@@ -147,8 +152,12 @@ def sector_scan(
     ends = betas + gamma
     wrapped = ends >= HALF_PI
     ends[wrapped] = betas[wrapped] + (gamma - HALF_PI)
-    counts = (np.searchsorted(th, ends, side="right") - np.searchsorted(th, betas, side="right")
-              + n * wrapped).astype(np.int64)
+    counts = n * wrapped.astype(np.int64)
+    block = max(_SCAN_BLOCK, 4 * grid_size)
+    for start in range(0, n, block):
+        th = np.sort(angles[start:start + block])
+        counts += np.searchsorted(th, ends, side="right")
+        counts -= np.searchsorted(th, betas, side="right")
     expected = (gamma / HALF_PI) * n
     deviations = counts / expected - 1.0
     fractions = {d: float(np.mean(np.abs(deviations) > d)) for d in deltas}

@@ -128,9 +128,11 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     holds at most _PAIR_BUDGET values whatever the number of entries.
     np.add.at adds the pairs in (j, a) order, slice after slice: every cell
     receives the same additions in the same order as with one step per
-    offset and one slice.  The evaluator gets a flat array and its result is
-    only read, never written to: a custom evaluator may return a read-only
-    array, float32, or its own argument.
+    offset and one slice.  The evaluator gets a flat array, and the weighted
+    values overwrite that argument buffer; the evaluator's result is only
+    read, so a custom evaluator may return a read-only array, float32, or
+    its own argument.  A step so holds two pair buffers, the arguments and
+    the evaluator's result, and no third one for the values.
 
     Cell order.  Within one count the entries are ordered by first cell
     i_lo_a mod G, by one stable lexsort, so a one-offset step of np.add.at
@@ -189,7 +191,7 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     del i_lo, order  # the loop adds only O(_PAIR_BUDGET) buffers and the spill
     dx = step * scale
     span = -int(minus_counts.min(initial=0))
-    xbuf, vbuf = np.empty((2, _PAIR_BUDGET))
+    xbuf = np.empty(_PAIR_BUDGET)
     spill = np.zeros(G + span, dtype=np.float64)
     j = 0
     while j < span:
@@ -203,10 +205,9 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
             shape = (stop - j, b - a)
             x = xbuf[:shape[0] * shape[1]]
             np.subtract(x0[a:b], shifts, out=x.reshape(shape))
-            vals = vbuf[:x.size]
-            np.multiply(f._eval(x).reshape(shape), weights[a:b], out=vals.reshape(shape))
+            np.multiply(f._eval(x).reshape(shape), weights[a:b], out=x.reshape(shape))
             cells = first_cell[a:b] if stop == j + 1 else (first_cell[a:b] + offsets).ravel()
-            np.add.at(spill[j:], cells, vals)
+            np.add.at(spill[j:], cells, x)
         j = stop
     # fold mod G: each cell starts from +0.0 and takes its spill cells in
     # index order, the additions np.bincount(arange % G) makes, without its

@@ -65,7 +65,7 @@ def mollifier_eval(x):
     np.fmax(out, _TINY, out=out)
     np.divide(-1.0, out, out=out)
     np.exp(out, out=out)
-    if np.isscalar(x) or arr.ndim == 0:
+    if arr.ndim == 0:
         return float(out)
     return out
 
@@ -112,7 +112,7 @@ class SmoothWindow:
     def __call__(self, x):
         arr = np.asarray(x, dtype=np.float64)
         out = self._eval(arr)
-        if np.isscalar(x) or arr.ndim == 0:
+        if arr.ndim == 0:
             return float(out)
         return out
 
@@ -286,7 +286,6 @@ def periodized_eval(base: SmoothWindow, K: float, theta):
     """
     K = check_real("sharpness K", K, 1.0)
     arr = np.asarray(check_real("angle theta", theta))
-    scalar = np.isscalar(theta) or arr.ndim == 0
     u = np.fmod(arr, HALF_PI)
     u = np.where(u < 0.0, u + HALF_PI, u)
     x = u * (K / HALF_PI)
@@ -300,6 +299,6 @@ def periodized_eval(base: SmoothWindow, K: float, theta):
         live = d <= spans
         out[live] += base._eval(x[live] - (jlo[live] + d) * K)
     check_real(f"periodized bump {base.kind} on [{base.lo}, {base.hi}]", out)
-    if scalar:
+    if arr.ndim == 0:
         return float(out)
     return out

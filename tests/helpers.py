@@ -6,7 +6,9 @@ at a time with the % operator.  The point is independence from the code
 under test, so each oracle recomputes its answer from the definition
 alone.  The per-ideal oracles build the prime-power table and the
 Z[sqrt 2] conjugate pairs one ideal at a time, from the enumeration's rows
-and from the per-prime solver.  The memory gate's peak measurement and
+and from the per-prime solver.  The whole-array references are the
+smoothed layer's blocked loops written as one step over every entry, the
+byte oracles for those loops.  The memory gate's peak measurement and
 block allowances are at the bottom.
 """
 
@@ -20,7 +22,7 @@ from collections import namedtuple
 import numpy as np
 
 import sectorlab
-from sectorlab import _kernels, ideals, realquad, reports
+from sectorlab import _kernels, characters, ideals, realquad, reports
 from sectorlab._version import __version__
 from sectorlab.errors import check_real
 from sectorlab.windows import custom_window
@@ -204,6 +206,69 @@ def child_env(env=os.environ) -> dict:
     src = os.path.dirname(os.path.dirname(sectorlab.__file__))
     rest = env.get("PYTHONPATH")
     return {**env, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+
+
+# ------------------------------------------------- whole-array references
+
+def whole_column_weights(X, phi):
+    """The weights column of characters._weighted_entries as one expression
+    over every row: the byte oracle for its blocked fill."""
+    norms, _, logs, _ = ideals._lambda_arrays(*characters._norm_window(X, phi))
+    return phi(norms / X) * logs
+
+
+def whole_column_spread(phases, weights, k_max):
+    """_kernels.geometric_weighted_sums with one step over every point per
+    offset d: the byte oracle for its blocked spread, which must add the
+    same terms to each cell in the same order."""
+    phases = np.asarray(phases, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    out = np.empty(k_max + 1, dtype=np.complex128)
+    out[0] = _kernels.exact_sum(weights)
+    scale = 2.0**1000 if np.max(np.abs(weights), initial=0.0) < 2.0**-500 else 1.0
+    weights = weights * scale
+    M = 2 * (k_max + 1)
+    G = max(64, 1 << (3 * M - 1).bit_length())
+    tau = math.pi * (_kernels._SPREAD + 0.5) / math.sqrt(G**3 * (G - M))
+    h = 2.0 * math.pi / G
+    cells = phases / h
+    m0 = np.rint(cells)
+    s = cells - m0
+    first = m0.astype(np.int64)
+    beta = h * h / (4.0 * tau)
+    grid = np.zeros(G, dtype=np.float64)
+    for d in range(-_kernels._SPREAD, _kernels._SPREAD + 1):
+        np.add.at(grid, (first + d) % G, weights * np.exp(-beta * (s - d) ** 2))
+    k = np.arange(1, k_max + 1, dtype=np.float64)
+    deconvolve = math.sqrt(math.pi / tau) / G * np.exp(k * k * tau)
+    out[1:] = deconvolve * np.conj(np.fft.rfft(grid)[1 : k_max + 1]) / scale
+    return out
+
+
+def plain_scatter(thetas, weights, K, f, grid_size):
+    """The direct scatter with one step per support offset: the byte oracle
+    for the blocked loop, which must add the same terms in the same order."""
+    G = int(grid_size)
+    step = ideals.HALF_PI / G
+    scale = K / ideals.HALF_PI
+    i_lo = np.ceil((thetas - f.hi / scale) / step).astype(np.int64)
+    i_hi = np.floor((thetas - f.lo / scale) / step).astype(np.int64)
+    counts = np.maximum(i_hi - i_lo + 1, 0)
+    order = np.argsort(-counts, kind="stable")
+    thetas, weights, i_lo, counts = thetas[order], weights[order], i_lo[order], counts[order]
+    span = int(counts.max(initial=0))
+    first_cell = np.mod(i_lo, G)
+    x0 = (thetas - i_lo * step) * scale
+    dx = step * scale
+    xbuf = np.empty(thetas.size, dtype=np.float64)
+    vbuf = np.empty(thetas.size, dtype=np.float64)
+    spill = np.zeros(G + span, dtype=np.float64)
+    live = np.searchsorted(-counts, -np.arange(span))
+    for j, n in enumerate(live):
+        x = np.subtract(x0[:n], j * dx, out=xbuf[:n])
+        vals = np.multiply(f._eval(x), weights[:n], out=vbuf[:n])
+        np.add.at(spill[j:], first_cell[:n], vals)
+    return np.bincount(np.arange(spill.size) % G, weights=spill, minlength=G)
 
 
 # ------------------------------------------------------------ CSV oracles

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import (MEMORY_GATE_SIZE, lambda_entries, power_sum_allowance, small_blocks,
-                     traced_peak, ulps_apart)
+                     traced_peak, ulps_apart, whole_column_spread, whole_column_weights)
+from sectorlab import characters
 from sectorlab.characters import (
     character_sum,
     character_sum_table,
@@ -16,7 +17,7 @@ from sectorlab.characters import (
     xi,
 )
 from sectorlab.errors import BadInput
-from sectorlab.ideals import _ideal_arrays
+from sectorlab.ideals import _ideal_arrays, _lambda_arrays
 from sectorlab.windows import custom_window, mollifier_eval, plateau_plus
 
 
@@ -269,3 +270,47 @@ def test_memory_gate_weyl_sums(monkeypatch, blocks):
     if blocks == "small":
         # one array the length of the angles would not fit
         assert power_sum_allowance(8) < thetas.nbytes
+
+
+# ------------------------------------------------ blocked weights and spread
+
+def plateau_1_2():
+    return plateau_plus(core=(1.0, 2.0), eps=0.05)
+
+
+@pytest.mark.parametrize("X, block, phi", [
+    (1e6, None, plateau_1_2),  # the module's block, several of them
+    (1e4, 7, plateau_1_2),  # a small block that leaves a partial one
+    (2.0, 7, lambda: plateau_plus(core=(0.2, 0.3), eps=0.05)),  # no entries
+    # weights below 2^-500, so the S_k spread lifts them by 2^1000
+    (1e5, 1000, lambda: custom_window(lambda u: 2.0**-600 * mollifier_eval(2.0 * u - 3.0),
+                                      lo=1.0, hi=2.0)),
+])
+def test_blocked_weights_and_spread_match_whole_column_bytes(monkeypatch, X, block, phi):
+    if block is not None:
+        monkeypatch.setattr(characters, "_BLOCK", block)
+    phi = phi()
+    thetas, weights = characters._weighted_entries(X, phi)
+    want = whole_column_weights(X, phi)
+    assert weights.tobytes() == want.tobytes()
+    if X == 1e6:
+        assert weights.size >= 3 * characters._BLOCK
+    if X == 2.0:
+        assert weights.size == 0
+    table = character_sum_table(X, 1024, phi)
+    assert table.tobytes() == whole_column_spread(4.0 * thetas, want, 1024).tobytes()
+
+
+def test_memory_gate_weighted_entries(monkeypatch):
+    # on a built prime-power table the call holds its weights column and,
+    # besides it, Phi's scratch over one _BLOCK of rows (about 10 float64 per
+    # row, 12 allowed); 64 KiB covers numpy's small allocations
+    phi = plateau_1_2()
+    X = float(MEMORY_GATE_SIZE)
+    table = _lambda_arrays(*characters._norm_window(X, phi))
+    monkeypatch.setattr(characters, "_lambda_arrays", lambda *window: table)
+    monkeypatch.setattr(characters, "_BLOCK", 1 << 10)
+    (_, weights), peak = traced_peak(characters._weighted_entries, X, phi)
+    allowance = 12 * 8 * characters._BLOCK + (1 << 16)
+    assert allowance < weights.nbytes  # one column of scratch would not fit
+    assert peak <= weights.nbytes + allowance, (peak, weights.nbytes)

@@ -528,13 +528,17 @@ def test_memory_gate_lattice_scan(monkeypatch, lo):
     assert peak <= _nbytes(out) + allowance, (peak, _nbytes(out))
 
 
-def test_memory_gate_sector_scan():
-    # on a cached enumeration the scan holds one sorted copy of the angles
-    # and, besides it, only arrays over the offsets (16 float64 per offset)
+def test_memory_gate_sector_scan(monkeypatch):
+    # on a cached enumeration the scan holds one sorted block of angles, of
+    # max(_SCAN_BLOCK, 4 grid) of them, and besides it only arrays over the
+    # offsets (16 float64 per offset)
     angles = _ideal_arrays(1, MEMORY_GATE_SIZE, True)[2]
     grid = 1024
+    monkeypatch.setattr(sectors_mod, "_SCAN_BLOCK", 1 << 12)
+    block = max(sectors_mod._SCAN_BLOCK, 4 * grid)
+    assert angles.size >= 4 * block  # several blocks, so a whole sorted copy shows
     _, peak = traced_peak(sectors_mod.sector_scan, MEMORY_GATE_SIZE, 0.3, grid)
-    assert peak <= angles.nbytes + 16 * 8 * grid, (peak, angles.nbytes)
+    assert peak <= 8 * block + 16 * 8 * grid, (peak, angles.nbytes)
 
 
 def test_memory_gate_lambda_arrays():

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import running_power_sums
+from helpers import running_power_sums, traced_peak, whole_column_spread
+from sectorlab import _kernels
 from sectorlab._kernels import (_SUM_BLOCK, ERROR_BOUND, exact_sum, geometric_weighted_sums,
                                  split, two_product, unit_power_sums)
 
@@ -75,6 +76,41 @@ def test_kernel_random_point_sets():
         weights = rng.standard_normal(n)
         for k_max in (1, 20, 64):
             check_against_oracle(phases, weights, k_max)
+
+
+@pytest.mark.parametrize("n, block, lift", [
+    (3 * _SUM_BLOCK + 5, _SUM_BLOCK, 1.0),  # three whole blocks and a partial one
+    (3 * _SUM_BLOCK + 5, _SUM_BLOCK, 2.0**-600),  # every weight lifted by 2^1000
+    (1000, 7, 1.0),
+    (1000, 7, 2.0**-600),
+    (0, _SUM_BLOCK, 1.0),
+    (0, 7, 2.0**-600),
+])
+def test_blocked_spread_matches_whole_column_bytes(monkeypatch, n, block, lift):
+    # many points per cell, so a cell that took its additions in another
+    # order would round differently
+    monkeypatch.setattr(_kernels, "_SUM_BLOCK", block)
+    rng = np.random.default_rng(n + block)
+    phases = rng.uniform(-30.0, 30.0, n)
+    weights = rng.standard_normal(n) * lift
+    for k_max in (0, 1, 63, 700):
+        got = geometric_weighted_sums(phases, weights, k_max)
+        assert got.tobytes() == whole_column_spread(phases, weights, k_max).tobytes(), k_max
+
+
+@pytest.mark.parametrize("k_max", [64, 4096])
+def test_memory_gate_geometric_weighted_sums(monkeypatch, k_max):
+    # beyond its input the spread holds each point's cell offset and first
+    # cell (16 B a point), three arrays over one block, and the grid and its
+    # transform (about 10 B a cell at G = 2^15, 16 allowed)
+    monkeypatch.setattr(_kernels, "_SUM_BLOCK", 1 << 10)
+    n = 200_000
+    rng = np.random.default_rng(k_max)
+    phases, weights = rng.uniform(-30.0, 30.0, n), rng.standard_normal(n)
+    G = max(64, 1 << (6 * (k_max + 1) - 1).bit_length())
+    _, peak = traced_peak(geometric_weighted_sums, phases, weights, k_max)
+    allowance = 16 * n + 3 * 8 * _kernels._SUM_BLOCK + 16 * G + (1 << 16)
+    assert peak <= allowance, (peak, allowance)
 
 
 def test_kernel_rejects_mismatched_shapes():

@@ -250,6 +250,17 @@ def test_scan_counts_match_sector_count():
         assert report.counts[j] == sector_count(float(beta), report.gamma, 1, 2000)
 
 
+def test_scan_counts_block_by_block(monkeypatch):
+    # a block of 16 is raised to 4 grid = 148 angles, so the angles are
+    # counted in three blocks, each sorted on its own, and arcs past pi/2 wrap
+    monkeypatch.setattr(sectors_mod, "_SCAN_BLOCK", 16)
+    X, grid = 2000, 37
+    assert _ideal_arrays(1, X, True)[0].size > 2 * 4 * grid
+    report = sector_scan(X, 0.25, grid)
+    for j, beta in enumerate(report.betas):
+        assert report.counts[j] == sector_count(float(beta), report.gamma, 1, X)
+
+
 def test_scan_partition_totals():
     # aligned grid: sectors of width (pi/2)/M partition the circle
     X = 5000

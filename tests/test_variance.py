@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_window, lambda_entries, traced_peak
+from helpers import constant_window, lambda_entries, plain_scatter, traced_peak
 from sectorlab import variance as variance_mod
 from sectorlab.characters import _weighted_entries, character_sum, character_sum_table
 from sectorlab.errors import (GRID_CAP, KMAX_CAP, MAX_NODES, MAX_PAIRS, AliasingRisk, BadInput,
@@ -628,32 +628,6 @@ def test_scatter_stays_inside_support_on_real_cell():
     assert np.array_equal(got, psi_grid(K, X, bump(), plateau_1_2(), grid_size=4 * k_max))
 
 
-def plain_scatter(thetas, weights, K, f, grid_size):
-    """The direct scatter with one step per support offset: the byte oracle
-    for the blocked loop, which must add the same terms in the same order."""
-    G = int(grid_size)
-    step = HALF_PI / G
-    scale = K / HALF_PI
-    i_lo = np.ceil((thetas - f.hi / scale) / step).astype(np.int64)
-    i_hi = np.floor((thetas - f.lo / scale) / step).astype(np.int64)
-    counts = np.maximum(i_hi - i_lo + 1, 0)
-    order = np.argsort(-counts, kind="stable")
-    thetas, weights, i_lo, counts = thetas[order], weights[order], i_lo[order], counts[order]
-    span = int(counts.max(initial=0))
-    first_cell = np.mod(i_lo, G)
-    x0 = (thetas - i_lo * step) * scale
-    dx = step * scale
-    xbuf = np.empty(thetas.size, dtype=np.float64)
-    vbuf = np.empty(thetas.size, dtype=np.float64)
-    spill = np.zeros(G + span, dtype=np.float64)
-    live = np.searchsorted(-counts, -np.arange(span))
-    for j, n in enumerate(live):
-        x = np.subtract(x0[:n], j * dx, out=xbuf[:n])
-        vals = np.multiply(f._eval(x), weights[:n], out=vbuf[:n])
-        np.add.at(spill[j:], first_cell[:n], vals)
-    return np.bincount(np.arange(spill.size) % G, weights=spill, minlength=G)
-
-
 # a budget-1 case takes one Python step per (entry, offset) pair, up to
 # about 60 us each for the plateau: X = 3000, K = 1, G = 2^12 would take
 # about 3 M of them, so budget-1 draws are kept to this many pairs (at most
@@ -903,14 +877,16 @@ def test_scatter_arguments_within_derived_bound(theta, K, G, seed):
 def test_memory_gate_scatter(monkeypatch, X, K, G, budget):
     # beyond its inputs the scatter holds seven entry-length 8-byte arrays
     # (support ends, counts, sort order, sorted copies and their temporaries),
-    # six pair buffers of _PAIR_BUDGET values (arguments, values, the
-    # evaluator's output and temporaries, cells, shifts), the spill of G +
-    # span cells and the grid of G; no pair buffer grows with the entries
+    # four pair buffers of _PAIR_BUDGET values (the arguments, which the
+    # weighted values overwrite, the evaluator's output, cells, shifts; 3.3
+    # used at G = 4096, and a buffer of its own for the values would make it
+    # 4.3), the spill of G + span cells and the grid of G; no pair buffer
+    # grows with the entries
     monkeypatch.setattr(variance_mod, "_PAIR_BUDGET", budget)
     thetas, weights = _weighted_entries(X, plateau_1_2())
     span = int(_support_counts(thetas, K, G).max())
     _, peak = traced_peak(_scatter_grid, thetas, weights, K, bump(), G)
-    allowance = 8 * (7 * thetas.size + 6 * budget + 2 * G + span)
+    allowance = 8 * (7 * thetas.size + 4 * budget + 2 * G + span)
     assert peak <= allowance, (peak, allowance)
 
 

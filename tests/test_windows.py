@@ -71,6 +71,16 @@ def test_mollifier_eval_bitwise_contract():
     assert outside == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("make", [float, np.float64, np.array])
+def test_window_and_periodization_give_a_float_for_a_scalar(make):
+    # a Python float, a numpy scalar and a 0-d array are each one value
+    f = plateau_plus(eps=0.1)
+    got = f(make(0.05))
+    assert type(got) is float and got == f(np.array([0.05]))[0] > 0.0
+    got = periodized_eval(f, 4.0, make(0.3))
+    assert type(got) is float and got == periodized_eval(f, 4.0, np.array([0.3]))[0] > 0.0
+
+
 def test_mollifier_window_fields():
     f = mollifier_window()
     assert (f.kind, f.lo, f.hi, f.eps) == ("mollifier", -1.0, 1.0, None)
