@@ -29,12 +29,13 @@ O(N _SPREAD + G log G) work.  tau balances the cut-off tail against the
 aliased copy at G - k, both near exp(-32).
 
 Error note: |out[k] - sum_n w_n exp(i k phi_n)| <= ERROR_BOUND sum_n |w_n|
-+ k 2^-52 sum_n |w_n phi_n|.  One point measured at most 2.3e-14 for
-k_max <= 262,144; the second term is one rounding of each phase.  Phases
++ k 2^-52 sum_n |w_n phi_n| + 2^-1074.  One point measured at most 2.3e-14
+for k_max <= 262,144; the second term is one rounding of each phase.  Phases
 are not reduced mod 2 pi and each cell offset is formed once, so tiny
 phases keep full relative precision.  Weights all below 2^-500 are lifted
-by 2^1000 first, an exact scaling, so the spread does not lose them to
-underflow.  Points are spread in input order, so the output bytes depend on
+by 2^1000 first, exactly, so the spread keeps them; dividing the lift out
+rounds a subnormal part of out[k] once more, by up to 2^-1075: the last
+term.  Points are spread in input order, so the output bytes depend on
 the order of the input rows, not only on the rows as a set.  Beyond its
 input and the grid, the spread holds each point's cell offset and first
 cell, 16 bytes per point, and works one _SUM_BLOCK of points at a time.
@@ -183,7 +184,8 @@ def geometric_weighted_sums(phases: np.ndarray, weights: np.ndarray, k_max: int)
     """out[k] = sum_n weights[n] * exp(i * k * phases[n]) for k = 0..k_max.
 
     out[0] is the exactly rounded, exactly real sum of the weights; out[1:]
-    are within the module's error note, with bytes that depend on row order.
+    are within the module's error note, whose 2^-1074 is the last rounding of
+    a subnormal part once a lift is divided out; their bytes follow row order.
     """
     phases = np.asarray(phases, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)

@@ -1,7 +1,7 @@
 """Exception and warning types, the size ceilings, and the two argument checks.
 
-Every public entry point checks its arguments with check_int or check_real
-on entry, so a bad or oversized one raises BadInput before any work.
+Every public entry point checks its arguments with check_int or check_real,
+so a bad or oversized one raises BadInput before any work (but see MAX_PAIRS).
 """
 
 import math
@@ -85,6 +85,8 @@ grid points in its support at any K, so every cell up to X = 1e8 passes
 (5.8 M entries, at most 1.2e10 pairs, about 2 min) and every cell at X = 1e9
 is refused (about 5e7 entries, 5e10 pairs or more).  A psi_grid at K = 1
 and G = GRID_CAP on X = 1e6 would hold 5e12 pairs, about 15 hours.
+variance._scatter_grid counts after the enumeration and a cell's S_k table:
+a refused `variance --x-list 1e9 --tau 0.2` has spent 33 s and 2.8 GB.
 """
 
 MAX_LEG = 10**307

@@ -17,10 +17,10 @@ either a numeric column, each integer printed as %d and each float as
 NUL-padded text, one row per line.
 Integer digits come from repeated division by 10.  A float with finite |v| in
 [1e-4, 1e16), where %.17g prints fixed notation, is rounded to 17 digits
-exactly: Dekker's two-product gives |v| 10^(16-E) as hi + lo, and
-int(hi) + rint(lo) is its round half to even.  Any other float (+-0,
-subnormal, smaller or larger, nan, +-inf) is printed by "%.17g" % v, one
-value at a time, into the same matrix.
+exactly: its exponent E is one search of the least doubles >= 10^E, |v|
+10^(16-E) is hi + lo by Dekker's two-product, and int(hi) + rint(lo) rounds
+it half to even.  Any other float (+-0, subnormal, smaller or larger, nan,
++-inf) is printed by "%.17g" % v, one value at a time, into the same matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from ._kernels import two_product
 from ._version import __version__
-from .errors import MAX_SIZE, InvariantViolation, check_int
+from .errors import MAX_SIZE, check_int
 from .ideals import _BLOCK, _SPLITTING, _ideal_arrays, _ideal_columns
 from .realquad import RealQuadReport
 from .sectors import SectorScanReport, _exclusion_bound
@@ -47,7 +47,9 @@ VARIANCE_FORMAT = "sectorlab-variance-v3"
 REALQUAD_FORMAT = "sectorlab-realquad-v1"
 
 _G17_WIDTH = 24  # the longest %.17g of a double, "-2.2250738585072014e-308"
-_POW10 = np.array([float(10**s) for s in range(23)])  # exact: 5^22 < 2^53
+_POW10 = np.array([float(10**s) for s in range(21)])  # exact: 5^20 < 2^53
+# the least double >= 10^E for E = -4..16: each literal rounds up
+_DECADES = np.array([1e-4, 1e-3, 0.01, 0.1] + [float(10**e) for e in range(17)])
 _MINUS, _DOT, _ZERO = np.frombuffer(b"-.0", np.uint8)
 
 
@@ -76,11 +78,6 @@ def _table(words) -> np.ndarray:
     return np.array([list(w.encode().ljust(width, b"\0")) for w in words], np.uint8)
 
 
-def _at_least(hi, lo, bound: float):
-    """hi + lo >= bound exactly, for a double bound and hi = fl(hi + lo)."""
-    return (hi > bound) | ((hi == bound) & (lo >= 0.0))
-
-
 def _put_g17(out: np.ndarray, v: np.ndarray):
     """Write "%.17g" % x for each x of v into the rows of out, NUL-padded.
 
@@ -91,23 +88,10 @@ def _put_g17(out: np.ndarray, v: np.ndarray):
     mag = np.abs(v)
     fixed = (mag >= 1e-4) & (mag < 1e16)
     mag[~fixed] = 1.0
-    exp = np.floor(np.log10(mag)).astype(np.int8)
-    # hi + lo = mag 10^(16 - E) exactly; a power outside the table is clipped
-    # to its end, a product that never reaches [1e16, 1e17)
-    hi, lo = two_product(mag, np.take(_POW10, 16 - exp, mode="clip"))
-    # log10 can round across a power of ten, so move E until the exact
-    # product lies in [1e16, 1e17); each step moves towards the true E
-    for _ in range(4):
-        step = ~_at_least(hi, lo, 1e16)
-        step = _at_least(hi, lo, 1e17).astype(np.int8) - step
-        off = np.flatnonzero(step)
-        if off.size == 0:
-            break
-        exp[off] += step[off]
-        hi[off], lo[off] = two_product(mag[off], np.take(_POW10, 16 - exp[off], mode="clip"))
-    else:
-        raise InvariantViolation(f"%.17g exponent of {v[off[0]]!r} did not settle")
-    del mag, step
+    # E exactly, by the table, so hi + lo = mag 10^(16 - E) lies in [1e16, 1e17)
+    exp = (np.searchsorted(_DECADES, mag, side="right") - 5).astype(np.int8)
+    hi, lo = two_product(mag, _POW10[16 - exp])
+    del mag
     # hi >= 1e16 > 2^53 is an even integer, so adding rint(lo) rounds the
     # exact product half to even, as %.17g does; 10^17 carries a decade
     digits = hi.astype(np.int64)

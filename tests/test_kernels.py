@@ -40,9 +40,10 @@ def check_against_oracle(phases, weights, k_max):
     mass = math.fsum(np.abs(weights))
     moment = math.fsum(np.abs(weights * phases))
     for k in range(1, k_max + 1):
-        # the kernel's documented bound, plus one more phase rounding for
-        # the oracle's own k * phi
-        bound = ERROR_BOUND * mass + k * 2.0**-51 * moment
+        # the kernel's documented bound plus the oracle's own roundings: of
+        # the phase k * phi (k 2^-51 in all) and of each part of a subnormal
+        # sum, at most 2^-1074 in modulus (2^-1073 in all)
+        bound = ERROR_BOUND * mass + k * 2.0**-51 * moment + 2.0**-1073
         assert abs(out[k] - exact_oracle(phases, weights, k)) <= bound, k
 
 
@@ -63,6 +64,8 @@ def check_against_oracle(phases, weights, k_max):
 @example(points=[(0.0, 2.2250738585e-313)], k_max=2)  # subnormal weights alone
 # each product rounds up to one subnormal ulp, their exact sum rounds to one
 @example(points=[(1.0, 5e-324)] * 2, k_max=1)
+# a subnormal result one ulp from the oracle, while the relative terms underflow to 0
+@example(points=[(4.9635507908343826, 2.2250738585e-313)] * 2, k_max=11)
 def test_kernel_matches_fsum_oracle(points, k_max):
     phases = [p for p, _ in points]
     weights = [w for _, w in points]

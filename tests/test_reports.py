@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from helpers import (
     small_blocks,
 )
 from sectorlab import reports
-from sectorlab.errors import InvariantViolation
 from sectorlab.realquad import equidistribution_report_real
 from sectorlab.sectors import SectorScanReport, sector_scan
 from sectorlab.variance import variance_sweep
@@ -93,12 +93,19 @@ def test_g17_ties_round_half_to_even():
         "1000000000000000.2", "1000000000000000.8", "-1000000000000000.2"]
 
 
-def test_g17_exponent_that_never_settles_is_an_invariant_violation(monkeypatch):
-    # with every power of ten too large by 10^6, the exponent is six steps
-    # from the guess: the bounded search must stop and say so
-    monkeypatch.setattr(reports, "_POW10", reports._POW10 * 1e6)
-    with pytest.raises(InvariantViolation):
-        _g17([1.5])
+def test_g17_decade_table_holds_the_least_double_at_each_power():
+    for e, d in zip(range(-4, 17), reports._DECADES.tolist(), strict=True):
+        assert Fraction(d) >= Fraction(10) ** e > Fraction(math.nextafter(d, 0.0))
+
+
+def test_g17_decade_edges():
+    # three doubles either side of 10^E, and of 10^(E+1) (1 - 5e-18), where
+    # 17-digit rounding carries into the next decade
+    cases = []
+    for e in range(-5, 18):
+        for edge in (Fraction(10) ** e, Fraction(10) ** (e + 1) * (1 - Fraction(5, 10**18))):
+            cases += _neighbours(float(edge))
+    _assert_g17(cases + [-x for x in cases])
 
 
 # ------------------------------------------------------------ %d kernel
