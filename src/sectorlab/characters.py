@@ -58,21 +58,28 @@ def _norm_window(X: float, phi: SmoothWindow) -> tuple[int, int]:
 def _weighted_entries(X, phi):
     """(thetas, weights) of the prime-power table, weights Phi(N/X) Lambda.
 
-    Every S_k and psi samples its cutoff here, so it admits the cutoff:
-    BadInput unless the weights, and so their sum, are finite.  Phi is
-    evaluated one _BLOCK of rows at a time into the weights column, so the
-    call holds no scratch that grows with the table.
+    The rows come sorted by (theta, norm), the smoothed layer's one
+    ordering step: every S_k and psi rounds in this order, so its bytes
+    depend on the table's rows as a set, not on their layout.  No two rows
+    tie: only an ideal power and its conjugate share a norm, at angles
+    theta and pi/2 - theta.  A weight is a function of the norm, so tied
+    rows would be equal pairs anyway.  Every S_k and psi samples its
+    cutoff here, so it admits the cutoff: BadInput unless the weights, and
+    so their sum, are finite.  Phi is evaluated one _BLOCK of sorted rows
+    at a time into the weights column, so beyond its two output columns
+    the call holds the int64 order and one block of scratch.
     """
     X = check_real("scale X", X, 2.0, MAX_SIZE)
     if phi.lo < 0.0:
         raise BadInput(f"cutoff support [{phi.lo}, {phi.hi}] must sit in (0, inf)")
     norms, thetas, logs, _ = _lambda_arrays(*_norm_window(X, phi))
+    order = np.lexsort((norms, thetas))
     weights = np.empty(norms.size)
     for start in range(0, norms.size, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        np.multiply(phi(norms[rows] / X), logs[rows], out=weights[rows])
+        rows = order[start:start + _BLOCK]
+        np.multiply(phi(norms[rows] / X), logs[rows], out=weights[start:start + _BLOCK])
     check_real("sum of the cutoff weights Phi(N/X) log N", np.sum(weights))
-    return thetas, weights
+    return thetas[order], weights
 
 
 def character_sum(k: int, X: float, phi: SmoothWindow) -> complex:

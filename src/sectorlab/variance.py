@@ -110,39 +110,33 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
 
     Entry a touches only the counts_a grid points i_lo_a + j, 0 <= j <
     counts_a, inside its translated support.  Every support has the same
-    length, about (hi - lo) G / K points, so the loop runs over the offset
-    j and each step is vectorised over the entries.  Entries are sorted by
-    count, descending, so the n entries live at offset j, those with counts_a
-    > j, are a prefix.  That matters: f is never evaluated outside an entry's
-    support, because a custom evaluator need not vanish there.  Values land
-    at (i_lo_a mod G) + j in a buffer of G + max(counts) cells, which is
-    folded mod G once at the end.  Before any of that, Sigma counts_a, the
-    number of (entry, offset) pairs, is checked against MAX_PAIRS; the folded
-    grid is checked once to be finite, so a NaN or inf bump raises BadInput.
+    length, about (hi - lo) G / K points, so the counts lie within two of
+    each other and the loop runs over the offset j, each step vectorised
+    over the entries.  Below the smallest count every entry is live; past
+    it, a mask keeps those with counts_a > j, so f is never evaluated
+    outside an entry's support, because a custom evaluator need not vanish
+    there.  Values land at (i_lo_a mod G) + j in a buffer of G + max(counts)
+    cells, which is folded mod G once at the end.  Before any of that,
+    Sigma counts_a, the number of (entry, offset) pairs, is checked against
+    MAX_PAIRS; the folded grid is checked once to be finite, so a NaN or
+    inf bump raises BadInput.
 
-    Consecutive offsets with the same live count n are taken together,
-    _PAIR_BUDGET // n of them at a time, as a (j, a) grid of pairs in (j, a)
-    order.  Few entries over many offsets then cost few steps.  With more
-    than _PAIR_BUDGET live entries a step is one offset, taken over
-    consecutive slices of at most _PAIR_BUDGET entries, so every pair buffer
-    holds at most _PAIR_BUDGET values whatever the number of entries.
-    np.add.at adds the pairs in (j, a) order, slice after slice: every cell
-    receives the same additions in the same order as with one step per
-    offset and one slice.  The evaluator gets a flat array, and the weighted
-    values overwrite that argument buffer; the evaluator's result is only
-    read, so a custom evaluator may return a read-only array, float32, or
-    its own argument.  A step so holds two pair buffers, the arguments and
-    the evaluator's result, and no third one for the values.
-
-    Cell order.  Within one count the entries are ordered by first cell
-    i_lo_a mod G, by one stable lexsort, so a one-offset step of np.add.at
-    walks the spill forwards, not at random, which counts once the spill
-    (8 MB at G = 2^20) outgrows the cache.  No cell's sum changes.  The
-    entries that reach spill cell c at offset j all have first cell c - j,
-    so the cell key ties among them.  Those with equal counts keep their
-    input order, as the sort is stable; those with unequal counts are
-    ordered by count, as by a sort on the counts alone.  So every cell receives
-    the same additions in the input's order: the grid's bytes follow row order.
+    Offsets below the smallest count are taken _PAIR_BUDGET // n at a
+    time, as a (j, a) grid of pairs in (j, a) order, so few entries over
+    many offsets cost few steps.  With more than _PAIR_BUDGET entries, and
+    at every masked offset, a step is one offset, taken over consecutive
+    slices of at most _PAIR_BUDGET entries, so every pair buffer holds at
+    most _PAIR_BUDGET values whatever the number of entries.  np.add.at
+    adds the pairs in (j, a) order, slice after slice: every cell receives
+    the same additions in the same order as with one step per offset over
+    the entries in input order.  So the grid's bytes follow input order;
+    the callers pass the rows in _weighted_entries' (theta, norm) order,
+    which also walks the spill forwards, with one wrap, at each offset.
+    The evaluator gets a flat array, and the weighted values overwrite
+    that argument buffer; the evaluator's result is only read, so a custom
+    evaluator may return a read-only array, float32, or its own argument.
+    A step so holds two pair buffers, the arguments and the evaluator's
+    result, and no third one for the values.
 
     Arguments.  Pair (a, j) is grid point m = i_lo_a + j, and its argument
     is formed as one subtraction, x~ = x0_a - fl(j dx), from the argument at
@@ -178,36 +172,32 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     scale = K / HALF_PI
     # theta_i must satisfy (K/P)(theta_a - theta_i) in [lo, hi] mod K
     i_lo = np.ceil((thetas - f.hi / scale) / step).astype(np.int64)
-    minus_counts = i_lo - np.floor((thetas - f.lo / scale) / step).astype(np.int64)
-    minus_counts -= 1
-    np.minimum(minus_counts, 0, out=minus_counts)  # -counts_a, ascending after the sort
-    check_int("scattered pairs", -int(minus_counts.sum()), 0, MAX_PAIRS)
-    first_cell = np.mod(i_lo, G)
-    order = np.lexsort((first_cell, minus_counts))
-    minus_counts = minus_counts[order]
-    first_cell = first_cell[order]
-    x0 = ((thetas - i_lo * step) * scale)[order]  # i_lo converts exactly: |i_lo| << 2^53
-    weights = weights[order]
-    del i_lo, order  # the loop adds only O(_PAIR_BUDGET) buffers and the spill
+    counts = np.floor((thetas - f.lo / scale) / step).astype(np.int64) - i_lo + 1
+    np.maximum(counts, 0, out=counts)
+    check_int("scattered pairs", int(counts.sum()), 0, MAX_PAIRS)
+    x0 = (thetas - i_lo * step) * scale  # i_lo converts exactly: |i_lo| << 2^53
+    first_cell = np.mod(i_lo, G, out=i_lo)
     dx = step * scale
-    span = -int(minus_counts.min(initial=0))
+    n, span = thetas.size, int(counts.max(initial=0))
+    shortest = int(counts.min(initial=span))
     xbuf = np.empty(_PAIR_BUDGET)
     spill = np.zeros(G + span, dtype=np.float64)
     j = 0
     while j < span:
-        n = int(np.searchsorted(minus_counts, -j))  # live entries: counts > j
-        # n stay live up to the offset where the n-th entry's support ends
-        stop = min(-int(minus_counts[n - 1]), j + max(1, _PAIR_BUDGET // n))
+        stop = min(shortest, j + max(1, _PAIR_BUDGET // n)) if j < shortest else j + 1
         offsets = np.arange(stop - j)[:, None]
         shifts = (offsets + j) * dx
         for a in range(0, n, _PAIR_BUDGET):
-            b = min(n, a + _PAIR_BUDGET)
-            shape = (stop - j, b - a)
-            x = xbuf[:shape[0] * shape[1]]
-            np.subtract(x0[a:b], shifts, out=x.reshape(shape))
-            np.multiply(f._eval(x).reshape(shape), weights[a:b], out=x.reshape(shape))
-            cells = first_cell[a:b] if stop == j + 1 else (first_cell[a:b] + offsets).ravel()
-            np.add.at(spill[j:], cells, x)
+            rows = slice(a, a + _PAIR_BUDGET)
+            if j >= shortest:  # only the entries whose support reaches offset j
+                rows = np.flatnonzero(counts[rows] > j) + a
+            starts = x0[rows]
+            x = xbuf[:(stop - j) * starts.size].reshape(stop - j, -1)
+            if x.size:
+                np.subtract(starts, shifts, out=x)
+                np.multiply(f._eval(x.ravel()).reshape(x.shape), weights[rows], out=x)
+                cells = first_cell[rows] if stop == j + 1 else (first_cell[rows] + offsets).ravel()
+                np.add.at(spill[j:], cells, x.ravel())
         j = stop
     # fold mod G: each cell starts from +0.0 and takes its spill cells in
     # index order, the additions np.bincount(arange % G) makes, without its
@@ -360,12 +350,13 @@ def _power_part_grid(K, X, f, phi, grid_size):
     """Grid values of the r >= 2 part of psi (prime powers only).
 
     X and phi were checked by the caller's spectrum.  The power rows, about
-    80 of 77,613 at X = 1e6, follow the primes in the table and are sliced
-    off before Phi is evaluated.
+    80 of 77,613 at X = 1e6, follow the primes in the table; they are
+    taken in _weighted_entries' (theta, norm) order before Phi is evaluated.
     """
     norms, thetas, logs, primes = _lambda_arrays(*_norm_window(X, phi))
-    weights = phi(norms[primes:] / X) * logs[primes:]
-    return _scatter_grid(thetas[primes:], weights, float(K), f, int(grid_size))
+    rows = primes + np.lexsort((norms[primes:], thetas[primes:]))
+    weights = phi(norms[rows] / X) * logs[rows]
+    return _scatter_grid(thetas[rows], weights, float(K), f, int(grid_size))
 
 
 def variance_sweep(x_list=(10**4, 10**5, 10**6), tau_list=(0.2, 0.4, 0.55)) -> list[VarianceReport]:

@@ -212,9 +212,11 @@ def child_env(env=os.environ) -> dict:
 
 def whole_column_weights(X, phi):
     """The weights column of characters._weighted_entries as one expression
-    over every row: the byte oracle for its blocked fill."""
-    norms, _, logs, _ = ideals._lambda_arrays(*characters._norm_window(X, phi))
-    return phi(norms / X) * logs
+    over every row, taken in (theta, norm) order: the byte oracle for its
+    blocked fill."""
+    norms, thetas, logs, _ = ideals._lambda_arrays(*characters._norm_window(X, phi))
+    order = np.lexsort((norms, thetas))
+    return phi(norms[order] / X) * logs[order]
 
 
 def whole_column_spread(phases, weights, k_max):
@@ -246,28 +248,24 @@ def whole_column_spread(phases, weights, k_max):
 
 
 def plain_scatter(thetas, weights, K, f, grid_size):
-    """The direct scatter with one step per support offset: the byte oracle
-    for the blocked loop, which must add the same terms in the same order."""
+    """The direct scatter with one step per support offset over the entries
+    in input order: the byte oracle for the blocked loop, which must add the
+    same terms in the same order."""
     G = int(grid_size)
     step = ideals.HALF_PI / G
     scale = K / ideals.HALF_PI
     i_lo = np.ceil((thetas - f.hi / scale) / step).astype(np.int64)
     i_hi = np.floor((thetas - f.lo / scale) / step).astype(np.int64)
     counts = np.maximum(i_hi - i_lo + 1, 0)
-    order = np.argsort(-counts, kind="stable")
-    thetas, weights, i_lo, counts = thetas[order], weights[order], i_lo[order], counts[order]
     span = int(counts.max(initial=0))
     first_cell = np.mod(i_lo, G)
     x0 = (thetas - i_lo * step) * scale
     dx = step * scale
-    xbuf = np.empty(thetas.size, dtype=np.float64)
-    vbuf = np.empty(thetas.size, dtype=np.float64)
     spill = np.zeros(G + span, dtype=np.float64)
-    live = np.searchsorted(-counts, -np.arange(span))
-    for j, n in enumerate(live):
-        x = np.subtract(x0[:n], j * dx, out=xbuf[:n])
-        vals = np.multiply(f._eval(x), weights[:n], out=vbuf[:n])
-        np.add.at(spill[j:], first_cell[:n], vals)
+    for j in range(span):
+        live = counts > j
+        vals = np.multiply(f._eval(x0[live] - j * dx), weights[live], dtype=np.float64)
+        np.add.at(spill[j:], first_cell[live], vals)
     return np.bincount(np.arange(spill.size) % G, weights=spill, minlength=G)
 
 

@@ -302,15 +302,17 @@ def test_blocked_weights_and_spread_match_whole_column_bytes(monkeypatch, X, blo
 
 
 def test_memory_gate_weighted_entries(monkeypatch):
-    # on a built prime-power table the call holds its weights column and,
-    # besides it, Phi's scratch over one _BLOCK of rows (about 10 float64 per
-    # row, 12 allowed); 64 KiB covers numpy's small allocations
+    # on a built prime-power table the call holds its two output columns,
+    # the weights and the angles in (theta, norm) order, the int64 order
+    # itself and, besides them, Phi's scratch over one _BLOCK of rows (about
+    # 10 float64 per row, 12 allowed); 64 KiB covers numpy's small allocations
     phi = plateau_1_2()
     X = float(MEMORY_GATE_SIZE)
     table = _lambda_arrays(*characters._norm_window(X, phi))
     monkeypatch.setattr(characters, "_lambda_arrays", lambda *window: table)
     monkeypatch.setattr(characters, "_BLOCK", 1 << 10)
-    (_, weights), peak = traced_peak(characters._weighted_entries, X, phi)
+    (thetas, weights), peak = traced_peak(characters._weighted_entries, X, phi)
     allowance = 12 * 8 * characters._BLOCK + (1 << 16)
     assert allowance < weights.nbytes  # one column of scratch would not fit
-    assert peak <= weights.nbytes + allowance, (peak, weights.nbytes)
+    assert peak <= thetas.nbytes + weights.nbytes + 8 * weights.size + allowance, (
+        peak, weights.nbytes)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import sectorlab
-from sectorlab import ideals, realquad, reports, sectors, variance, windows
+from sectorlab import _kernels, ideals, realquad, reports, sectors, variance, windows
 
 MODULES = sorted(Path(sectorlab.__file__).parent.glob("*.py"))
 
@@ -143,6 +143,23 @@ def test_one_lattice_order():
         if isinstance(node, ast.FunctionDef) and _SORTS & set(_called_names(node))
     }
     assert found == {("ideals.py", "_lattice_scan")}, found
+
+
+def test_one_smoothed_row_order():
+    # characters._weighted_entries sorts the prime-power rows by (theta,
+    # norm), and _power_part_grid its power rows by the same key; the
+    # scatter and the S_k spread take that order as it is
+    for func in (variance._scatter_grid, _kernels.geometric_weighted_sums):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        assert not _SORTS & set(_called_names(tree)), func.__name__
+    found = {
+        (path.name, node.name)
+        for path in MODULES if path.name in ("characters.py", "variance.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and _SORTS & set(_called_names(node))
+    }
+    assert found == {("characters.py", "_weighted_entries"),
+                     ("variance.py", "_power_part_grid")}, found
 
 
 def _traced_targets():

@@ -19,8 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import constant_window, lambda_entries, plain_scatter, traced_peak
+from sectorlab import ideals
 from sectorlab import variance as variance_mod
 from sectorlab.characters import _weighted_entries, character_sum, character_sum_table
+from sectorlab.cli import main
 from sectorlab.errors import (GRID_CAP, KMAX_CAP, MAX_NODES, MAX_PAIRS, AliasingRisk, BadInput,
                               TruncationFailure)
 from sectorlab.variance import (
@@ -712,21 +714,6 @@ def test_scatter_cell_order_matches_plain_loop_bytes(budget):
     assert got.tobytes() == plain_scatter(thetas, weights, K, bump(), G).tobytes()
 
 
-def test_cell_order_costs_at_most_one_entry_array(monkeypatch):
-    # against the same scatter sorted on the counts alone, the first-cell
-    # key adds at most one entry-length int64 array to the peak, where the
-    # entry-length arrays dominate it
-    monkeypatch.setattr(variance_mod, "_PAIR_BUDGET", 1 << 10)
-    thetas, weights = _weighted_entries(1e5, plateau_1_2())
-    grid, peak = traced_peak(_scatter_grid, thetas, weights, 10.0, bump(), 256)
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "lexsort", lambda keys: np.argsort(keys[-1], kind="stable"))
-        by_count, count_peak = traced_peak(_scatter_grid, thetas, weights, 10.0, bump(), 256)
-    assert grid.tobytes() == by_count.tobytes()
-    assert count_peak > 4 * 8 * thetas.size  # the entry arrays dominate
-    assert peak <= count_peak + 8 * thetas.size, (peak, count_peak)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     entries=st.lists(
@@ -875,18 +862,19 @@ def test_scatter_arguments_within_derived_bound(theta, K, G, seed):
     (1e4, 3.0, 4096, variance_mod._PAIR_BUDGET),  # the spill dominates: 2,731 offsets
 ])
 def test_memory_gate_scatter(monkeypatch, X, K, G, budget):
-    # beyond its inputs the scatter holds seven entry-length 8-byte arrays
-    # (support ends, counts, sort order, sorted copies and their temporaries),
-    # four pair buffers of _PAIR_BUDGET values (the arguments, which the
-    # weighted values overwrite, the evaluator's output, cells, shifts; 3.3
-    # used at G = 4096, and a buffer of its own for the values would make it
-    # 4.3), the spill of G + span cells and the grid of G; no pair buffer
-    # grows with the entries
+    # beyond its inputs the scatter holds four entry-length 8-byte arrays
+    # (support starts, then first cells in their place; counts; the first
+    # arguments x0 and one temporary while they are formed), four pair
+    # buffers of _PAIR_BUDGET values (the arguments, which the weighted
+    # values overwrite, the evaluator's output, cells, shifts; 3.3 used at
+    # G = 4096, and a buffer of its own for the values would make it 4.3),
+    # the spill of G + span cells and the grid of G; no pair buffer grows
+    # with the entries, and no sorted copy of them is made
     monkeypatch.setattr(variance_mod, "_PAIR_BUDGET", budget)
     thetas, weights = _weighted_entries(X, plateau_1_2())
     span = int(_support_counts(thetas, K, G).max())
     _, peak = traced_peak(_scatter_grid, thetas, weights, K, bump(), G)
-    allowance = 8 * (7 * thetas.size + 4 * budget + 2 * G + span)
+    allowance = 8 * (4 * thetas.size + 4 * budget + 2 * G + span)
     assert peak <= allowance, (peak, allowance)
 
 
@@ -922,3 +910,44 @@ def test_sweep_validation():
         variance_sweep(x_list=(100.0,), tau_list=(1.0,))
     with pytest.raises(BadInput):
         variance_sweep(x_list=(100.0,), tau_list=(-0.1,))
+
+
+def _shuffled_table(seed):
+    """ideals._lambda_arrays with its rows shuffled within each part, the
+    primes and then the powers, by a generator that each call advances."""
+    rng = np.random.default_rng(seed)
+
+    def shuffled(norm_min, norm_max):
+        norm, theta, weight, primes = ideals._lambda_arrays(norm_min, norm_max)
+        order = np.concatenate([rng.permutation(primes),
+                                primes + rng.permutation(norm.size - primes)])
+        return norm[order], theta[order], weight[order], primes
+
+    return shuffled
+
+
+def test_smoothed_layer_is_order_free(monkeypatch, tmp_path):
+    # every S_k, grid value and reported float is a function of the
+    # prime-power rows as a set: tables that list them in other orders
+    # give the same bytes
+    f, phi = bump(), plateau_1_2()
+    cells = [(1e4, 1e4**0.4), (1e5, 1e5**0.55)]
+
+    def outputs(out):
+        assert main(["variance", "--x-list", "1e4", "--x-list", "1e5", "--tau", "0.4",
+                     "--tau", "0.55", "--out", str(out)]) == 0
+        got = {path.name: path.read_bytes() for path in out.iterdir()}
+        for X, K in cells:
+            k_max = truncation_kmax(f, K)[0]
+            got[X] = [psi_grid(K, X, f, phi, 4 * k_max).tobytes(),
+                      _power_part_grid(K, X, f, phi, 4 * k_max).tobytes(),
+                      character_sum_table(X, k_max, phi).tobytes()]
+        return got
+
+    want = outputs(tmp_path / "table")
+    assert sorted(name for name in want if isinstance(name, str)) == ["variance.csv",
+                                                                      "variance.json"]
+    for seed in range(3):
+        for module in ("characters", "variance"):
+            monkeypatch.setattr(f"sectorlab.{module}._lambda_arrays", _shuffled_table(seed))
+        assert outputs(tmp_path / f"shuffled-{seed}") == want, seed
