@@ -102,7 +102,7 @@ def weyl_sum(k: int, norm_min: int, norm_max: int, include_nonsplit: bool = True
     if check_int("k", k, -MAX_KMAX, MAX_KMAX) == 0:
         raise BadInput("weyl_sum needs k != 0")
     norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
-    thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)[2]
+    thetas = _ideal_arrays(check_int("norm_min", norm_min, 0), norm_max, include_nonsplit)[2]
     angles = (4.0 * k) * thetas
     return complex(exact_sum(np.cos(angles)), exact_sum(np.sin(angles)))
 
@@ -118,7 +118,7 @@ def weyl_sums(k_max: int, norm_min: int, norm_max: int,
     """
     k_max = check_int("k_max", k_max, 0, MAX_KMAX)
     norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
-    thetas = _ideal_arrays(norm_min, norm_max, include_nonsplit)[2]
+    thetas = _ideal_arrays(check_int("norm_min", norm_min, 0), norm_max, include_nonsplit)[2]
     return unit_power_sums(thetas, 4.0, k_max)
 
 

@@ -1,6 +1,6 @@
-"""Exception and warning types, the size ceilings, and the two argument checks.
+"""Exception and warning types, the size ceilings, and the argument checks.
 
-Every public entry point checks its arguments with check_int or check_real,
+Every public entry point checks its arguments with check_int, check_real and real_list,
 so a bad or oversized one raises BadInput before any work (but see MAX_PAIRS).
 """
 
@@ -68,7 +68,7 @@ point (measured at 2^20), so 2^25 points take 1.1 GB."""
 
 MAX_NODES = 1 << 20
 """Most midpoint-rule nodes a c_k sample or c_k vector may take.  A sample peaks
-at 33 (mollifier) to 81 (plateau) bytes per node, 85 MB at 2^20; a vector at
+at 56 (mollifier) to 72 (plateau) bytes per node, 75 MB at 2^20; a vector at
 139 MB for 2^20 nodes and k_max = 261,888 (K = 1), see KMAX_CAP.  For K
 from 1 to 1e3 the truncation_kmax walk needs 2^13 for the mollifier and 2^15
 for the default plateau."""
@@ -163,18 +163,35 @@ def _shown(n: int) -> str:
     return str(n) if n.bit_length() <= 1000 else f"{'-' * (n < 0)}<{n.bit_length()}-bit int>"
 
 
-def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]", error=BadInput):
-    """value as a float, or a float array, if every element is finite and in the interval.
-
-    lo and hi bound the interval and ends gives its brackets: "[)" is lo <= x < hi.
-    Raises error otherwise.  An array is checked by its minimum and maximum alone.
-    """
+def real_array(name: str, value, error=BadInput) -> np.ndarray:
+    """value as a float64 array, 0-d for a scalar, NaN and inf kept; error for a complex value,
+    whose conversion would keep its real part alone, and for what numpy cannot make a float."""
     try:
-        x = np.asarray(value, dtype=np.float64)
+        x = np.asarray(value)
+        if x.dtype.kind == "c":
+            raise TypeError
+        return x.astype(np.float64, copy=False)
     except (TypeError, ValueError):
         raise error(f"{name} = {value!r} is not a real number") from None
     except OverflowError:
         raise error(f"{name} is an int past the float range and any size ceiling") from None
+
+
+def real_list(name: str, value) -> list:
+    """value, a flat sequence that real_array takes whole, as a list of floats, or BadInput."""
+    x = real_array(name, value)
+    if x.ndim != 1:
+        raise BadInput(f"{name} = {value!r} is not a flat sequence of real numbers")
+    return x.tolist()
+
+
+def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]", error=BadInput):
+    """value as a float, or a float array, if real (real_array), finite and in the interval.
+
+    lo and hi bound the interval and ends gives its brackets: "[)" is lo <= x < hi.
+    Raises error otherwise.  An array is checked by its minimum and maximum alone.
+    """
+    x = real_array(name, value, error)
     least, most = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
     if x.size and not (math.isfinite(least) and math.isfinite(most)
                        and (least > lo if ends[0] == "(" else least >= lo)

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._kernels import exact_sum
 from .errors import (MAX_GRID, MAX_PIT_NORM, MAX_SIZE, BadInput, BadSector, EmptyRange,
-                     InvariantViolation, check_int, check_real)
+                     InvariantViolation, check_int, check_real, real_list)
 from .ideals import _BLOCK, HALF_PI, _ideal_arrays, _ideal_norms
 
 _SCAN_BLOCK = 1 << 18  # fewest angles sector_scan sorts and counts at once
@@ -47,7 +47,7 @@ def sector_count(
     beta = check_real("sector start beta", beta, 0.0, HALF_PI, "[)", BadSector)
     gamma = check_real("sector width gamma", gamma, 0.0, HALF_PI, "(]", BadSector)
     norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
-    a, b, thetas = _ideal_arrays(norm_min, norm_max, True)
+    a, b, thetas = _ideal_arrays(check_int("norm_min", norm_min, 0), norm_max, True)
     mask = _in_arc(thetas, beta, gamma)
     if weighted:
         norms = _ideal_norms(a[mask], b[mask])
@@ -141,7 +141,8 @@ def sector_scan(
     X = check_int("norm bound X", X, 2, MAX_SIZE)
     rho = check_real("narrowing exponent rho", rho, 0.0, 1.0, "[)")
     grid_size = check_int("grid size", grid_size, 1, MAX_GRID)
-    deltas = tuple(check_real("deviation threshold delta", d, 0.0, ends="(]") for d in deltas)
+    deltas = tuple(check_real("deviation threshold delta", d, 0.0, ends="(]")
+                   for d in real_list("deltas", deltas))
     angles = _ideal_arrays(1, X, include_nonsplit)[2]
     n = angles.size
     if n == 0:
@@ -198,7 +199,7 @@ def _exclusion_bound(norm_max: int) -> float:
 def discrepancy(norm_min: int, norm_max: int, include_nonsplit: bool = True) -> float:
     """Star discrepancy of the normalised angles theta/(pi/2) in [0, 1)."""
     norm_max = check_int("norm_max", norm_max, 0, MAX_SIZE)
-    u = np.sort(_ideal_arrays(norm_min, norm_max, include_nonsplit)[2])
+    u = np.sort(_ideal_arrays(check_int("norm_min", norm_min, 0), norm_max, include_nonsplit)[2])
     if u.size == 0:
         raise EmptyRange(f"no prime ideals with norm in ({norm_min}, {norm_max}]")
     u /= HALF_PI  # one sorted copy, normalised in place, then one _BLOCK of terms at a time

@@ -34,7 +34,7 @@ import numpy as np
 from ._kernels import exact_sum
 from .characters import _norm_window, _weighted_entries, character_sum_table
 from .errors import (GRID_CAP, KMAX_CAP, MAX_NODES, MAX_PAIRS, MAX_SIZE, AliasingRisk, BadInput,
-                     TruncationFailure, check_int, check_real)
+                     TruncationFailure, check_int, check_real, real_list)
 from .ideals import HALF_PI, _lambda_arrays
 from .windows import (
     SmoothWindow,
@@ -252,8 +252,7 @@ class PsiSpectrum:
         theta.  So beyond the output a call holds two blocks of (angle,
         mode) pairs.  The result has theta's shape; a scalar gives a float.
         """
-        out = np.array(theta, dtype=np.float64, order="C")
-        check_real("angle theta", out)
+        out = np.array(check_real("angle theta", theta), order="C")
         flat = out.reshape(-1)
         k4 = 4.0 * np.arange(1, self.k_max + 1)
         tail = self.coeffs[1:]
@@ -370,8 +369,9 @@ def variance_sweep(x_list=(10**4, 10**5, 10**6), tau_list=(0.2, 0.4, 0.55)) -> l
     """
     f = mollifier_window()
     phi = plateau_plus(core=(1.0, 2.0), eps=0.05)
-    x_list = [check_real("scale X", X, 4.0, MAX_SIZE) for X in x_list]
-    tau_list = [check_real("sharpness exponent tau", tau, 0.0, 1.0, "[)") for tau in tau_list]
+    x_list = [check_real("scale X", X, 4.0, MAX_SIZE) for X in real_list("x_list", x_list)]
+    tau_list = [check_real("sharpness exponent tau", tau, 0.0, 1.0, "[)")
+                for tau in real_list("tau_list", tau_list)]
     reports = []
     for X in x_list:
         for tau in tau_list:

@@ -37,9 +37,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import exact_sum, split, two_product
+from ._kernels import exact_sum, two_product
 from .errors import (KMAX_CAP, MAX_NODES, MAX_PAIRS, MAX_SUPPORT, BadEps, BadInput, check_int,
-                     check_real)
+                     check_real, real_array)
 from .ideals import HALF_PI
 
 _TINY = np.finfo(np.float64).tiny
@@ -53,21 +53,16 @@ def mollifier_eval(x):
     |x| >= 1, +-inf and NaN give exp(-1/tiny) = 0.0 exactly with no
     division by zero.  For |x| < 1, 1 - x^2 is at least 2^-53, far above
     the clamp, so every value is bitwise the formula's.  BadInput for an int
-    past the float range, which numpy cannot convert.
+    past the float range or a complex x (errors.real_array).
     """
-    try:
-        arr = np.asarray(x, dtype=np.float64)
-    except OverflowError:
-        raise BadInput("mollifier_eval: x is past the float range") from None
+    arr = real_array("mollifier_eval: x", x)
     # empty_like, not arr * arr: a 0-d input would give a scalar, not a buffer
     out = np.multiply(arr, arr, out=np.empty_like(arr))
     np.subtract(1.0, out, out=out)
     np.fmax(out, _TINY, out=out)
     np.divide(-1.0, out, out=out)
     np.exp(out, out=out)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _ramp(t):
@@ -79,7 +74,6 @@ def _ramp(t):
     exp(-1/tiny) = 0.0 exactly; one of t, 1 - t is at least 1/2, so the
     denominator is at least exp(-2) and never zero.
     """
-    t = np.asarray(t, dtype=np.float64)
     rise = np.exp(-1.0 / np.fmax(t, _TINY))
     fall = np.exp(-1.0 / np.fmax(1.0 - t, _TINY))
     return rise / (rise + fall)
@@ -110,11 +104,9 @@ class SmoothWindow:
             raise BadInput(f"empty support [{self.lo}, {self.hi}]")
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=np.float64)
+        arr = real_array(f"{self.kind} window: x", x)
         out = self._eval(arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if arr.ndim == 0 else out
 
     def descriptor(self) -> dict:
         """JSON-ready shape descriptor, as the reports record it."""
@@ -136,24 +128,21 @@ def mollifier_window() -> SmoothWindow:
 
 
 def _plateau_evaluator(lo: float, hi: float, eps: float) -> Callable:
+    """min(ramp((x - lo)/eps), ramp((hi - x)/eps)) over x clamped into [lo, hi] by fmax/fmin:
+    NaN and all at or past an end give _ramp(0) = +0.0 exactly, with no mask and no warning."""
     def evaluate(arr):
-        arr = np.asarray(arr, dtype=np.float64)
-        out = np.zeros_like(arr)
-        inside = (arr > lo) & (arr < hi)
-        xi = arr[inside]
-        up = _ramp((xi - lo) / eps)
-        down = _ramp((hi - xi) / eps)
-        out[inside] = np.minimum(up, down)
-        return out
+        arr = np.fmin(np.fmax(arr, lo), hi)
+        return np.minimum(_ramp((arr - lo) / eps), _ramp((hi - arr) / eps))
 
     return evaluate
 
 
 def _make_plateau(kind: str, core: tuple[float, float], eps: float) -> SmoothWindow:
-    c0, c1 = check_real("core", (core[0], core[1])).tolist()
+    core = check_real("core", core)
     eps = check_real("shoulder width eps", eps, 0.0, 0.5, "()", BadEps)
-    if not c1 > c0:
-        raise BadInput(f"empty core [{c0}, {c1}]")
+    if np.shape(core) != (2,) or not core[1] > core[0]:
+        raise BadInput(f"core = {core!r} is not a pair c0 < c1")
+    c0, c1 = core.tolist()
     if kind == "plateau_plus":
         lo, hi = c0 - eps, c1 + eps
     else:
@@ -213,22 +202,16 @@ def _turns(a, b):
 def fourier_hat(window: SmoothWindow, xi: float) -> complex:
     """w_hat(xi) = int w(u) exp(-2 pi i u xi) du by the midpoint rule of _midpoint_nodes.
 
-    Node m's phase xi lo + (m + 1/2)(xi h) is formed in turns, reduced mod 1
-    before the 2 pi: two_product splits xi lo and xi h exactly, and the high
-    half of xi h, 26 bits, times m + 1/2, 22 bits, is exact.  Each phase is
-    within 10 2^-53 turns of its node's however large xi u_m is, and the
-    sum, by exact_sum, within 2^-46 sum |weights| of the exact one.
+    Node m's phase xi lo + (m + 1/2) xi h, xi h = step + step_err exactly (two_product), is
+    _turns(m + 1/2, step) + (m + 1/2) step_err + _turns(xi, lo) mod 1, as in the c_k vector's chirp:
+    within 10 2^-53 turns however large xi u_m is; the sum, by exact_sum, within 2^-46 sum |w|.
     """
     xi = check_real("frequency xi", xi)
     halves, h, weights = _midpoint_nodes(window, abs(xi))
     step, step_err = two_product(xi, h)
-    step, step_lo = split(step)
-    step_lo += step_err
-    turns = halves * step
-    turns -= np.rint(turns)
-    halves *= step_lo
-    halves += _turns(xi, window.lo)
-    turns += halves
+    turns = _turns(halves, step)
+    turns += halves * step_err
+    turns += _turns(xi, window.lo)
     turns -= np.rint(turns)
     turns *= -2.0 * math.pi
     return complex(exact_sum(weights * np.cos(turns)), exact_sum(weights * np.sin(turns)))
@@ -299,6 +282,4 @@ def periodized_eval(base: SmoothWindow, K: float, theta):
         live = d <= spans
         out[live] += base._eval(x[live] - (jlo[live] + d) * K)
     check_real(f"periodized bump {base.kind} on [{base.lo}, {base.hi}]", out)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out

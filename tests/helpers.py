@@ -22,7 +22,7 @@ from collections import namedtuple
 import numpy as np
 
 import sectorlab
-from sectorlab import _kernels, characters, ideals, realquad, reports
+from sectorlab import _kernels, characters, ideals, realquad, reports, windows
 from sectorlab._version import __version__
 from sectorlab.errors import check_real
 from sectorlab.windows import custom_window
@@ -348,6 +348,19 @@ CSV_ROW_BYTES = 3 * 64 + 8 * 8
 def constant_window(value: float, lo: float, hi: float):
     """The custom window with one value on its whole support [lo, hi]."""
     return custom_window(lambda u: np.full(np.shape(u), value), lo, hi)
+
+
+def masked_plateau(window, x):
+    """A plateau window at x by its masked formula, the byte oracle of its
+    one-pass evaluator: 0.0 wherever x > lo and x < hi fail (NaN included),
+    min(ramp((x - lo)/eps), ramp((hi - x)/eps)) where they hold."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    inside = (x > window.lo) & (x < window.hi)
+    u = x[inside]
+    out[inside] = np.minimum(windows._ramp((u - window.lo) / window.eps),
+                             windows._ramp((window.hi - u) / window.eps))
+    return out
 
 
 def traced_peak(fn, *args):

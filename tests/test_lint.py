@@ -368,3 +368,24 @@ def test_direct_and_synthesis_routes_stay_independent():
         variance.psi_spectrum)
     # the gridded kernel serves S_k alone: c_k has one sampler, with exact phases
     assert "geometric_weighted_sums" not in _reached_names(windows.fourier_coefficients_bulk)
+
+
+def test_one_exact_product():
+    # Veltkamp's split serves Dekker's product alone, and every midpoint phase,
+    # the single sample's and the c_k vector's chirp, is reduced mod 1 by the
+    # one primitive _turns on that product
+    def calls_split(func):
+        return any(isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "split"
+            or getattr(node.func, "attr", None) == "split"
+            and getattr(node.func.value, "id", None) == "_kernels") for node in ast.walk(func))
+
+    callers = {
+        (path.name, node.name)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and calls_split(node)
+    }
+    assert callers == {("_kernels.py", "two_product")}, callers
+    for func in (windows.fourier_hat, windows.fourier_coefficients_bulk):
+        assert "_turns" in _reached_names(func), func.__name__

@@ -261,6 +261,23 @@ def test_scan_counts_block_by_block(monkeypatch):
         assert report.counts[j] == sector_count(float(beta), report.gamma, 1, X)
 
 
+@settings(max_examples=60, deadline=None)
+@given(X=st.integers(2, 5000), rho=st.floats(0.0, 1.0, exclude_max=True),
+       grid=st.integers(1, 64))
+@example(X=4096, rho=1 / 12, grid=2)  # gamma = pi/4: the second arc ends exactly at pi/2
+@example(X=5000, rho=0.0, grid=64)  # gamma = pi/2: every arc is the full circle
+def test_scan_agrees_with_sector_count(X, rho, grid):
+    # the scan's blocked binary searches and sector_count's mask are the two
+    # routes to a sharp count; a block of 16 (raised to 4 grid) splits the
+    # angles into several blocks, each sorted on its own
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sectors_mod, "_SCAN_BLOCK", 16)
+        report = sector_scan(X, rho, grid)
+    assert report.gamma == HALF_PI * X ** (-rho)
+    for j, beta in enumerate(report.betas):
+        assert report.counts[j] == sector_count(float(beta), report.gamma, 1, X), (j, beta)
+
+
 def test_scan_partition_totals():
     # aligned grid: sectors of width (pi/2)/M partition the circle
     X = 5000

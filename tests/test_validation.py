@@ -35,8 +35,10 @@ from sectorlab.errors import (
 
 BUDGET_S = 5.0
 # 10**400 is an int past the float range, 10**5000 one past Python's int-to-str
-# digit limit
-BAD = (math.nan, math.inf, -math.inf, -1, 0, 2.5, 1e30, 10**400, 10**5000)
+# digit limit; a complex value must raise BadInput, since converting it to a
+# float would keep its real part and answer for that
+COMPLEX = (np.complex128(4 + 1j), np.array([1j, 2.0]))
+BAD = (math.nan, math.inf, -math.inf, -1, 0, 2.5, 1e30, 10**400, 10**5000) + COMPLEX
 
 F = sectorlab.mollifier_window()
 PHI = sectorlab.plateau_plus(core=(1.0, 2.0), eps=0.05)
@@ -53,6 +55,14 @@ NUMERIC = {
 SEQUENCES = {
     "core": lambda v: (v, 1.0), "deltas": lambda v: (v,),
     "x_list": lambda v: (v,), "tau_list": lambda v: (v,),
+}
+# whole values of a sequence argument that are not a flat sequence of numbers
+# (a pair, for core); each must raise BadInput before any element is used
+BAD_SEQUENCES = {
+    "core": (None, 1.0, (0.0, 1.0, 2.0), ((0.0, 1.0),), (0.0, "x")),
+    "deltas": (None, 0.3, ((0.5,),), (0.5, "x")),
+    "x_list": (None, 1000, ((1000,),), (1000, "x")),
+    "tau_list": (None, 0.3, ((0.2,),), (0.2, "x")),
 }
 VALID_SEQUENCES = {"core": (0.0, 1.0), "deltas": (0.5,), "x_list": (1000,), "tau_list": (0.2,)}
 # arguments that are objects, held fixed
@@ -129,19 +139,30 @@ def test_valid_roles_pass_the_checks(name):
 @pytest.mark.filterwarnings("ignore::sectorlab.errors.AliasingRisk")
 @pytest.mark.parametrize("name", [name for name in FUNCTIONS if name not in UNFUZZED])
 def test_fuzz_public_function(name):
+    # each case is (argument, value, whether only BadInput will do)
     varied, valid = _fuzzed(name)
-    cases = [(param, bad) for param in varied for bad in BAD]
+    cases = [(param, SEQUENCES[param](bad) if param in SEQUENCES else bad,
+              any(bad is c for c in COMPLEX)) for param in varied for bad in BAD]
+    cases += [(param, whole, True) for param in varied for whole in BAD_SEQUENCES.get(param, ())]
+    probed = set()
 
     @settings(max_examples=len(cases), deadline=None, database=None, derandomize=True,
               suppress_health_check=list(HealthCheck))
     @given(case=st.sampled_from(cases))
     def probe(case):
-        param, bad = case
+        probed.add(id(case))
+        param, value, strict = case
         kwargs = {k: v for k, v in valid.items() if v is not None}
-        kwargs[param] = SEQUENCES[param](bad) if param in SEQUENCES else bad
-        _returns_or_raises_typed(lambda: getattr(sectorlab, name)(**kwargs))
+        kwargs[param] = value
+        func = getattr(sectorlab, name)
+        if strict:
+            with _time_limit(), pytest.raises(BadInput):
+                func(**kwargs)
+        else:
+            _returns_or_raises_typed(lambda: func(**kwargs))
 
     probe()
+    assert len(probed) == len(cases), "the fuzz skipped a case"
 
 
 # windows that break the smoothed layer, as bumps on [-1, 1] and cutoffs on
@@ -214,6 +235,13 @@ ACCEPTANCE_CALLS = {
     "expected_count pit 1e400": lambda: sectorlab.expected_count(0.2, 0, 10**400, mode="pit"),
     "expected_count pit past MAX_PIT_NORM":
         lambda: sectorlab.expected_count(0.2, 0, MAX_PIT_NORM + 1, mode="pit"),
+    # a complex value converted to float keeps its real part, with a ComplexWarning
+    "periodized_eval complex theta":
+        lambda: sectorlab.periodized_eval(F, 4.0, np.array([1j, 2.0])),
+    "psi_grid complex K": lambda: sectorlab.psi_grid(np.complex128(4 + 1j), 1e3, F, PHI, 64),
+    "synthesize complex theta": lambda: OBJECTS["spectrum"].synthesize(np.array([0.3 + 1j])),
+    # synthesize checks its angles whole, before converting them
+    "synthesize string angle": lambda: OBJECTS["spectrum"].synthesize([0.1, "x"]),
 }
 
 

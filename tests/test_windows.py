@@ -10,6 +10,7 @@ import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import masked_plateau
 from sectorlab import windows
 from sectorlab.errors import MAX_SUPPORT, BadEps, BadInput
 from sectorlab.windows import (
@@ -148,6 +149,27 @@ def test_plateau_ramp_symmetry():
     np.testing.assert_allclose(rising, falling, atol=1e-12, rtol=0)
     np.testing.assert_allclose(rising + w(-0.25 + 0.25 * (1.0 - s)),
                                np.ones_like(s), atol=1e-12, rtol=0)
+
+
+def test_plateau_edges_match_the_masked_formula():
+    # the one-pass evaluator clamps x into [lo, hi] in place of a mask: at
+    # the ends, past them, at +-inf and at NaN it must give the masked
+    # formula's +0.0, and inside the same bytes, with no warning raised
+    rng = np.random.default_rng(40)
+    for w in (plateau_plus(), plateau_minus(), plateau_plus(core=(1.0, 2.0), eps=0.05),
+              plateau_minus(core=(-3.0, 0.5), eps=0.2)):
+        ends = [w.lo, w.hi, np.nextafter(w.lo, w.hi), np.nextafter(w.hi, w.lo),
+                np.nextafter(w.lo, -math.inf), np.nextafter(w.hi, math.inf)]
+        x = np.array([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0,
+                      *ends, *rng.uniform(w.lo - 0.5, w.hi + 0.5, 500)])
+        want = masked_plateau(w, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = w(x)
+            one_by_one = np.array([w(v) for v in x])
+            clamped = w._eval(x)
+        assert got.tobytes() == one_by_one.tobytes() == clamped.tobytes() == want.tobytes(), w
+        assert np.count_nonzero(want) > 100  # the random points reach inside
 
 
 def test_plateau_minus_below_indicator_below_plus():
