@@ -55,24 +55,19 @@ def _norm_window(X: float, phi: SmoothWindow) -> tuple[int, int]:
     return max(0, math.ceil(X * phi.lo) - 1), math.floor(reach)
 
 
-def _weighted_entries(X, phi):
-    """(thetas, weights) of the prime-power table, weights Phi(N/X) Lambda.
+def _weighted_rows(norms, thetas, logs, X, phi):
+    """(thetas, weights) of the given rows sorted by (theta, norm), weights Phi(N/X) Lambda.
 
-    The rows come sorted by (theta, norm), the smoothed layer's one
-    ordering step: every S_k and psi rounds in this order, so its bytes
-    depend on the table's rows as a set, not on their layout.  No two rows
-    tie: only an ideal power and its conjugate share a norm, at angles
-    theta and pi/2 - theta.  A weight is a function of the norm, so tied
-    rows would be equal pairs anyway.  Every S_k and psi samples its
-    cutoff here, so it admits the cutoff: BadInput unless the weights, and
-    so their sum, are finite.  Phi is evaluated one _BLOCK of sorted rows
-    at a time into the weights column, so beyond its two output columns
-    the call holds the int64 order and one block of scratch.
+    The smoothed layer's one row pass: every S_k and psi rounds in this
+    order, so its bytes depend on the rows as a set, not on their layout.
+    No two rows tie: only an ideal power and its conjugate share a norm, at
+    angles theta and pi/2 - theta.  A weight is a function of the norm, so
+    tied rows would be equal pairs anyway.  Phi is evaluated one _BLOCK of
+    sorted rows at a time into the weights column, so beyond its two output
+    columns the call holds the int64 order and one block of scratch.  It
+    admits the cutoff: BadInput unless the weights, and so their sum, are
+    finite.
     """
-    X = check_real("scale X", X, 2.0, MAX_SIZE)
-    if phi.lo < 0.0:
-        raise BadInput(f"cutoff support [{phi.lo}, {phi.hi}] must sit in (0, inf)")
-    norms, thetas, logs, _ = _lambda_arrays(*_norm_window(X, phi))
     order = np.lexsort((norms, thetas))
     weights = np.empty(norms.size)
     for start in range(0, norms.size, _BLOCK):
@@ -80,6 +75,14 @@ def _weighted_entries(X, phi):
         np.multiply(phi(norms[rows] / X), logs[rows], out=weights[start:start + _BLOCK])
     check_real("sum of the cutoff weights Phi(N/X) log N", np.sum(weights))
     return thetas[order], weights
+
+
+def _weighted_entries(X, phi):
+    """_weighted_rows of the whole prime-power table, once X and the cutoff's support pass."""
+    X = check_real("scale X", X, 2.0, MAX_SIZE)
+    if phi.lo < 0.0:
+        raise BadInput(f"cutoff support [{phi.lo}, {phi.hi}] must sit in (0, inf)")
+    return _weighted_rows(*_lambda_arrays(*_norm_window(X, phi))[:3], X, phi)
 
 
 def character_sum(k: int, X: float, phi: SmoothWindow) -> complex:

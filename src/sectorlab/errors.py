@@ -1,10 +1,12 @@
 """Exception and warning types, the size ceilings, and the argument checks.
 
-Every public entry point checks its arguments with check_int, check_real and real_list,
-so a bad or oversized one raises BadInput before any work (but see MAX_PAIRS).
+Every public entry point checks its arguments with check_int, check_real (one number),
+check_reals (an array) and real_list, so a bad or oversized one raises BadInput before any
+work (but see MAX_PAIRS).
 """
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -55,15 +57,16 @@ bytes of Python objects while it is written (measured at 1e4 modes): 130 MB on
 disk and 500 MB in memory at 1e6."""
 
 KMAX_CAP = 10**7
-"""Largest spectral cutoff: truncation_kmax tries powers of two up to it, and
-an S_k table, a c_k vector or a single character has degree at most this.  At a
+"""Largest c_k sample and spectral degree: every sample truncation_kmax takes is
+at most this, so its cutoff, three octaves below its last sample, is at most 2^21,
+and an S_k table, a c_k vector or a single character has degree at most this.  At a
 power-of-two k_max a c_k vector peaks at 112 bytes per mode and an S_k table at
 178-186 (tracemalloc at 2^19 and 2^21 modes), so psi_spectrum, which keeps the
 vector while it makes the table, peaks at about 200: 1.7 GB at k_max = 2^23."""
 
 GRID_CAP = 1 << 25
-"""Largest psi grid; variance_sweep's 4 k_max reaches it at k_max = 2^23, the
-largest power of two below KMAX_CAP.  A cell peaks at about 33 bytes per grid
+"""Largest psi grid; variance_sweep's 4 k_max is at most 2^23, since the walk's
+cutoff is at most 2^21 (KMAX_CAP).  A cell peaks at about 33 bytes per grid
 point (measured at 2^20), so 2^25 points take 1.1 GB."""
 
 MAX_NODES = 1 << 20
@@ -165,10 +168,12 @@ def _shown(n: int) -> str:
 
 def real_array(name: str, value, error=BadInput) -> np.ndarray:
     """value as a float64 array, 0-d for a scalar, NaN and inf kept; error for a complex value,
-    whose conversion would keep its real part alone, and for what numpy cannot make a float."""
+    whose conversion would keep its real part alone, for an object array holding a non-number
+    such as None, which numpy would read as NaN, and for what numpy cannot make a float."""
     try:
         x = np.asarray(value)
-        if x.dtype.kind == "c":
+        if x.dtype.kind == "c" or (x.dtype.kind == "O"
+                                   and not all(isinstance(v, numbers.Number) for v in x.flat)):
             raise TypeError
         return x.astype(np.float64, copy=False)
     except (TypeError, ValueError):
@@ -185,11 +190,12 @@ def real_list(name: str, value) -> list:
     return x.tolist()
 
 
-def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]", error=BadInput):
-    """value as a float, or a float array, if real (real_array), finite and in the interval.
+def check_reals(name: str, value, lo=-math.inf, hi=math.inf, ends="[]",
+                error=BadInput) -> np.ndarray:
+    """value as a float array if real (real_array), finite and in the interval, else error.
 
     lo and hi bound the interval and ends gives its brackets: "[)" is lo <= x < hi.
-    Raises error otherwise.  An array is checked by its minimum and maximum alone.
+    The array is checked by its minimum and maximum alone.
     """
     x = real_array(name, value, error)
     least, most = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
@@ -199,4 +205,12 @@ def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]", error=Bad
         where = "exceeds the size ceiling of" if most > hi else "must be finite and in"
         raise error(f"{name} = {float(x) if x.ndim == 0 else x!r} {where} "
                     f"{ends[0]}{lo:g}, {hi:g}{ends[1]}")
-    return float(x) if x.ndim == 0 else x
+    return x
+
+
+def check_real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]", error=BadInput) -> float:
+    """value as a float if a single real number, finite and in the interval (check_reals)."""
+    x = check_reals(name, value, lo, hi, ends, error)
+    if x.ndim != 0:
+        raise error(f"{name} = {value!r} is not a single real number")
+    return float(x)

@@ -17,8 +17,9 @@ spectral route assembles coefficients; the two agree to the truncation
 error, which is certified by the decay of c_k.
 
 Truncation rule: k_max is the first power of two at which |c_k| has
-dropped below 1e-14 |c_0| and stays below it for the next two octaves;
-the samples and the c_k vector come from the one midpoint rule of windows.
+dropped below 1e-14 |c_0| and stays below it for the next two octaves,
+with no sample past KMAX_CAP; the samples and the c_k vector come from the
+one midpoint rule of windows.
 The sweep's direct-route grid is 4 k_max points, the Nyquist margin under
 which grid statistics of a degree-k_max trigonometric polynomial are
 exact; an explicit variance_direct grid below that warns AliasingRisk.
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import exact_sum
-from .characters import _norm_window, _weighted_entries, character_sum_table
+from .characters import _norm_window, _weighted_entries, _weighted_rows, character_sum_table
 from .errors import (GRID_CAP, KMAX_CAP, MAX_NODES, MAX_PAIRS, MAX_SIZE, AliasingRisk, BadInput,
-                     TruncationFailure, check_int, check_real, real_list)
+                     TruncationFailure, check_int, check_real, check_reals, real_list)
 from .ideals import HALF_PI, _lambda_arrays
 from .windows import (
     SmoothWindow,
@@ -48,17 +49,17 @@ from .windows import (
 
 _PAIR_BUDGET = 1 << 16  # pairs (entry-offset, angle-mode) one scatter or synthesis step takes
 TAIL_RATIO = 1e-14
-CERTIFICATE_RATIO = 1e-12
 
 
 def truncation_kmax(f: SmoothWindow, K: float):
     """Smallest certified spectral cutoff for the K-periodisation of f.
 
-    Walks k over powers of two until |c_k| <= 1e-14 |c_0| holds at some q
-    and at the two following octaves, and returns (q, certificate).  The
-    certificate records the sampled magnitudes.  TruncationFailure if no
-    power of two q <= KMAX_CAP passes before an octave would need more than
-    MAX_NODES midpoint nodes.  The magnitudes are fourier_coefficient's,
+    Samples |c_k| at k = 1, 2, 4, ..., every power of two k <= KMAX_CAP, and
+    returns (k/4, certificate) at the first k whose last three samples, k/4,
+    k/2 and k, are all <= 1e-14 |c_0|.  The certificate records those three
+    magnitudes.  TruncationFailure if no run of three passes before k would
+    pass KMAX_CAP or an octave would need more than MAX_NODES midpoint nodes;
+    no sample is taken past either.  The magnitudes are fourier_coefficient's,
     with no rounding floor, so the default plateau as the bump certifies at
     K = 1.5, 3 and 6 (k_max 1,024, 2,048, 4,096).  Octave samples do not
     bound the coefficients between them: at K = 3.2 it gets k_max = 32 with
@@ -71,24 +72,21 @@ def truncation_kmax(f: SmoothWindow, K: float):
         raise BadInput(f"bump {f.kind} on [{f.lo}, {f.hi}] integrates to zero")
     threshold = TAIL_RATIO * c0
     mags = []  # |c_1|, |c_2|, |c_4|, ...
-    q = 1  # the smallest cutoff the magnitudes so far leave open
-    while q <= KMAX_CAP:
-        k = 1 << len(mags)
-        if _node_count(k / K) > MAX_NODES:  # refused before its nodes are allocated
+    for e in range(KMAX_CAP.bit_length()):  # every 2^e <= KMAX_CAP
+        if _node_count(2**e / K) > MAX_NODES:  # refused before its nodes are allocated
             break
-        mags.append(abs(fourier_coefficient(f, K, k)))
-        if not mags[-1] <= threshold:  # NaN never passes
-            q = 2 * k
-        elif k == 4 * q:
-            return q, {
-                "k_max": q,
+        mags.append(abs(fourier_coefficient(f, K, 1 << e)))
+        if e >= 2 and all(m <= threshold for m in mags[-3:]):  # NaN never passes
+            k_max = 1 << (e - 2)
+            return k_max, {
+                "k_max": k_max,
                 "c0": c0,
                 "threshold_ratio": TAIL_RATIO,
-                "checked": {str(q << i): m for i, m in enumerate(mags[-3:])},
+                "checked": {str(k_max << i): m for i, m in enumerate(mags[-3:])},
                 "tail_ratio_at_kmax": mags[-3] / c0,
             }
-    raise TruncationFailure(f"no certified spectral cutoff <= {KMAX_CAP} within {MAX_NODES} "
-                            f"midpoint nodes for window {f.kind} at K = {K}")
+    raise TruncationFailure(f"no certified spectral cutoff from samples k <= {KMAX_CAP} within "
+                            f"{MAX_NODES} midpoint nodes for window {f.kind} at K = {K}")
 
 
 def mean_formula(K: float, X: float, f: SmoothWindow, phi: SmoothWindow) -> float:
@@ -206,7 +204,7 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     for start in range(0, spill.size, G):
         part = spill[start:start + G]
         grid[:part.size] += part
-    return check_real(f"psi grid of bump {f.kind} on [{f.lo}, {f.hi}]", grid)
+    return check_reals(f"psi grid of bump {f.kind} on [{f.lo}, {f.hi}]", grid)
 
 
 def psi_grid(K: float, X: float, f: SmoothWindow, phi: SmoothWindow, grid_size: int) -> np.ndarray:
@@ -225,8 +223,9 @@ class PsiSpectrum:
     carries the truncation evidence of truncation_kmax.  Its
     tail_term_over_mean is that walk's tail_ratio_at_kmax, |c_{k_max}| / c_0
     sampled with exact phases, which bounds |coeffs[k_max]| / coeffs[0]
-    when the cutoff is nonnegative (|S_k| <= S_0); certified says it is at
-    most CERTIFICATE_RATIO = 1e-12.  No entry reads the bulk c_k vector.
+    when the cutoff is nonnegative (|S_k| <= S_0).  certified is true by
+    construction, since the walk returns only once that ratio is at most
+    1e-14.  No entry reads the bulk c_k vector.
     """
 
     coeffs: np.ndarray
@@ -252,7 +251,7 @@ class PsiSpectrum:
         theta.  So beyond the output a call holds two blocks of (angle,
         mode) pairs.  The result has theta's shape; a scalar gives a float.
         """
-        out = np.array(check_real("angle theta", theta), order="C")
+        out = np.array(check_reals("angle theta", theta), order="C")
         flat = out.reshape(-1)
         k4 = 4.0 * np.arange(1, self.k_max + 1)
         tail = self.coeffs[1:]
@@ -278,9 +277,9 @@ def psi_spectrum(K: float, X: float, f: SmoothWindow, phi: SmoothWindow) -> PsiS
     """Assemble the truncated spectrum c_k S_k with truncation_kmax's certificate."""
     k_max, certificate = truncation_kmax(f, K)
     coeffs = fourier_coefficients_bulk(f, K, k_max) * character_sum_table(X, k_max, phi)
-    tail = certificate["tail_ratio_at_kmax"]
-    certificate = dict(certificate, tail_term_over_mean=tail,
-                       certified=bool(tail <= CERTIFICATE_RATIO))
+    # true by construction: the walk returns only once |c_{k_max}| <= 1e-14 c_0
+    certificate = dict(certificate, tail_term_over_mean=certificate["tail_ratio_at_kmax"],
+                       certified=True)
     return PsiSpectrum(coeffs=coeffs, certificate=certificate)
 
 
@@ -349,13 +348,13 @@ def _power_part_grid(K, X, f, phi, grid_size):
     """Grid values of the r >= 2 part of psi (prime powers only).
 
     X and phi were checked by the caller's spectrum.  The power rows, about
-    80 of 77,613 at X = 1e6, follow the primes in the table; they are
-    taken in _weighted_entries' (theta, norm) order before Phi is evaluated.
+    80 of 77,613 at X = 1e6, follow the primes in the table; they go through
+    the one row pass, characters._weighted_rows, as the whole table does in
+    _weighted_entries, so they are sorted and weighted as there.
     """
     norms, thetas, logs, primes = _lambda_arrays(*_norm_window(X, phi))
-    rows = primes + np.lexsort((norms[primes:], thetas[primes:]))
-    weights = phi(norms[rows] / X) * logs[rows]
-    return _scatter_grid(thetas[rows], weights, float(K), f, int(grid_size))
+    thetas, weights = _weighted_rows(norms[primes:], thetas[primes:], logs[primes:], X, phi)
+    return _scatter_grid(thetas, weights, float(K), f, int(grid_size))
 
 
 def variance_sweep(x_list=(10**4, 10**5, 10**6), tau_list=(0.2, 0.4, 0.55)) -> list[VarianceReport]:

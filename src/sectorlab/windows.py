@@ -39,7 +39,7 @@ import numpy as np
 
 from ._kernels import exact_sum, two_product
 from .errors import (KMAX_CAP, MAX_NODES, MAX_PAIRS, MAX_SUPPORT, BadEps, BadInput, check_int,
-                     check_real, real_array)
+                     check_real, check_reals, real_array)
 from .ideals import HALF_PI
 
 _TINY = np.finfo(np.float64).tiny
@@ -53,7 +53,7 @@ def mollifier_eval(x):
     |x| >= 1, +-inf and NaN give exp(-1/tiny) = 0.0 exactly with no
     division by zero.  For |x| < 1, 1 - x^2 is at least 2^-53, far above
     the clamp, so every value is bitwise the formula's.  BadInput for an int
-    past the float range or a complex x (errors.real_array).
+    past the float range, a complex x or None (errors.real_array).
     """
     arr = real_array("mollifier_eval: x", x)
     # empty_like, not arr * arr: a 0-d input would give a scalar, not a buffer
@@ -99,7 +99,7 @@ class SmoothWindow:
     def __post_init__(self):
         if not callable(self._eval):
             raise BadInput(f"window evaluator {self._eval!r} is not callable")
-        check_real("support [lo, hi]", (self.lo, self.hi), -MAX_SUPPORT, MAX_SUPPORT)
+        check_reals("support [lo, hi]", (self.lo, self.hi), -MAX_SUPPORT, MAX_SUPPORT)
         if not self.hi > self.lo:
             raise BadInput(f"empty support [{self.lo}, {self.hi}]")
 
@@ -138,7 +138,7 @@ def _plateau_evaluator(lo: float, hi: float, eps: float) -> Callable:
 
 
 def _make_plateau(kind: str, core: tuple[float, float], eps: float) -> SmoothWindow:
-    core = check_real("core", core)
+    core = check_reals("core", core)
     eps = check_real("shoulder width eps", eps, 0.0, 0.5, "()", BadEps)
     if np.shape(core) != (2,) or not core[1] > core[0]:
         raise BadInput(f"core = {core!r} is not a pair c0 < c1")
@@ -164,7 +164,7 @@ def plateau_minus(core: tuple[float, float] = (0.0, 1.0), eps: float = 0.1) -> S
 
 def custom_window(evaluator: Callable, lo: float, hi: float) -> SmoothWindow:
     """Wrap an arbitrary array-aware evaluator supported on [lo, hi]."""
-    lo, hi = check_real("support [lo, hi]", (lo, hi)).tolist()
+    lo, hi = check_reals("support [lo, hi]", (lo, hi)).tolist()
     return SmoothWindow(kind="custom", lo=lo, hi=hi, eps=None, _eval=evaluator)
 
 
@@ -268,7 +268,7 @@ def periodized_eval(base: SmoothWindow, K: float, theta):
     translates passes MAX_PAIRS, or when a value is not finite.
     """
     K = check_real("sharpness K", K, 1.0)
-    arr = np.asarray(check_real("angle theta", theta))
+    arr = check_reals("angle theta", theta)
     u = np.fmod(arr, HALF_PI)
     u = np.where(u < 0.0, u + HALF_PI, u)
     x = u * (K / HALF_PI)
@@ -281,5 +281,5 @@ def periodized_eval(base: SmoothWindow, K: float, theta):
     for d in range(translates):
         live = d <= spans
         out[live] += base._eval(x[live] - (jlo[live] + d) * K)
-    check_real(f"periodized bump {base.kind} on [{base.lo}, {base.hi}]", out)
+    check_reals(f"periodized bump {base.kind} on [{base.lo}, {base.hi}]", out)
     return float(out) if arr.ndim == 0 else out

@@ -204,6 +204,19 @@ def test_every_integer_option_rejects_huge_values_before_work(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+@pytest.mark.parametrize("tau", ["0.6", "0.55"])
+def test_uncertified_cutoff_exits_3_before_work(tmp_path, capsys, tau):
+    # at X = 1e8 the mollifier has no three passing octaves up to KMAX_CAP;
+    # the walk runs before any enumeration, so nothing is written
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["variance", "--x-list", "1e8", "--tau", tau, "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("numerical guarantee failed: no certified spectral cutoff"), err
+    assert not out.exists()
+
+
 def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch):
     def fail(*args):
         raise InvariantViolation("forced enumeration failure")

@@ -146,9 +146,11 @@ def test_one_lattice_order():
 
 
 def test_one_smoothed_row_order():
-    # characters._weighted_entries sorts the prime-power rows by (theta,
-    # norm), and _power_part_grid its power rows by the same key; the
-    # scatter and the S_k spread take that order as it is
+    # characters._weighted_rows is the one row pass: it sorts rows by
+    # (theta, norm) and weights them.  _weighted_entries takes the whole
+    # prime-power table through it, and variance._power_part_grid now takes
+    # the power rows through it too, so no other function in either module
+    # sorts; the scatter and the S_k spread take that order as it is
     for func in (variance._scatter_grid, _kernels.geometric_weighted_sums):
         tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
         assert not _SORTS & set(_called_names(tree)), func.__name__
@@ -158,8 +160,7 @@ def test_one_smoothed_row_order():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.FunctionDef) and _SORTS & set(_called_names(node))
     }
-    assert found == {("characters.py", "_weighted_entries"),
-                     ("variance.py", "_power_part_grid")}, found
+    assert found == {("characters.py", "_weighted_rows")}, found
 
 
 def _traced_targets():

@@ -31,6 +31,7 @@ from sectorlab.errors import (
     SectorLabError,
     check_int,
     check_real,
+    check_reals,
 )
 
 BUDGET_S = 5.0
@@ -71,6 +72,12 @@ OBJECTS = {
     "evaluator": sectorlab.mollifier_eval,
     "spectrum": sectorlab.psi_spectrum(4.0, 1000, F, PHI),
 }
+
+# the roles that take an array, per function; every other role takes one
+# number, and the fuzz gives it an array and None, each of which must raise
+# BadInput; an array role gets None alone
+ARRAY_ROLES = {"mollifier_eval": ("x",), "periodized_eval": ("theta",)}
+NOT_ONE_NUMBER = (np.array([0.5, 2.0]), None)
 
 FUNCTIONS = sorted(name for name in sectorlab.__all__
                    if inspect.isfunction(getattr(sectorlab, name)))
@@ -136,6 +143,14 @@ def test_valid_roles_pass_the_checks(name):
         getattr(sectorlab, name)(**{k: v for k, v in valid.items() if v is not None})
 
 
+@pytest.mark.parametrize("name, role", [(name, role) for name, roles in ARRAY_ROLES.items()
+                                         for role in roles])
+def test_array_roles_keep_taking_arrays(name, role):
+    _, valid = _fuzzed(name)
+    out = getattr(sectorlab, name)(**dict(valid, **{role: np.array([[0.5, 2.0]])}))
+    assert out.shape == (1, 2)
+
+
 @pytest.mark.filterwarnings("ignore::sectorlab.errors.AliasingRisk")
 @pytest.mark.parametrize("name", [name for name in FUNCTIONS if name not in UNFUZZED])
 def test_fuzz_public_function(name):
@@ -144,6 +159,12 @@ def test_fuzz_public_function(name):
     cases = [(param, SEQUENCES[param](bad) if param in SEQUENCES else bad,
               any(bad is c for c in COMPLEX)) for param in varied for bad in BAD]
     cases += [(param, whole, True) for param in varied for whole in BAD_SEQUENCES.get(param, ())]
+    # an array role takes an array, and a role whose default is None takes None
+    params = inspect.signature(getattr(sectorlab, name)).parameters
+    cases += [(param, SEQUENCES[param](bad) if param in SEQUENCES else bad, True)
+              for param in varied for bad in NOT_ONE_NUMBER
+              if (params[param].default is not None if bad is None
+                  else param not in ARRAY_ROLES.get(name, ()))]
     probed = set()
 
     @settings(max_examples=len(cases), deadline=None, database=None, derandomize=True,
@@ -242,6 +263,18 @@ ACCEPTANCE_CALLS = {
     "synthesize complex theta": lambda: OBJECTS["spectrum"].synthesize(np.array([0.3 + 1j])),
     # synthesize checks its angles whole, before converting them
     "synthesize string angle": lambda: OBJECTS["spectrum"].synthesize([0.1, "x"]),
+    # a scalar role refuses an array before any work; numpy would fail on it
+    # untyped, or broadcast it into an array result
+    "fourier_hat array xi": lambda: sectorlab.fourier_hat(PHI, np.array([0.5, 2.0])),
+    "truncation_kmax array K": lambda: sectorlab.truncation_kmax(F, np.array([4.0, 5.0])),
+    "sector_count array beta": lambda: sectorlab.sector_count(np.array([0.1, 0.2]), 0.2, 1, 100),
+    "psi_eval array theta": lambda: sectorlab.psi_eval(np.array([0.5, 2.0]), 4.0, 1000, F, PHI),
+    "mean_formula array X": lambda: sectorlab.mean_formula(4.0, np.array([1e3, 2e3]), F, PHI),
+    "expected_count array gamma": lambda: sectorlab.expected_count(np.array([0.1, 0.2]), 1, 100),
+    # numpy reads None as NaN, which a window evaluates to 0.0
+    "mollifier_eval None": lambda: sectorlab.mollifier_eval(None),
+    "mollifier_eval [0, None]": lambda: sectorlab.mollifier_eval([0.0, None]),
+    "window None": lambda: sectorlab.plateau_plus()(None),
 }
 
 
@@ -312,12 +345,23 @@ def test_check_real_brackets(ends, lo_ok, hi_ok):
                 check_real("x", value, 0.0, 1.0, ends)
 
 
+@pytest.mark.parametrize("value", [10**400, [0.0, 10**400], np.array([1, 10**400], dtype=object)])
+def test_int_past_the_float_range_keeps_its_message(value):
+    with pytest.raises(BadInput, match="past the float range"):
+        sectorlab.mollifier_eval(value)
+
+
 def test_check_real_arrays_and_error_type():
+    # arrays go through check_reals; check_real takes one number and nothing else
     arr = np.array([[0.0, 0.5], [1.0, 0.25]])
-    assert check_real("x", arr, 0.0, 1.0) is not None
-    assert check_real("x", np.empty(0), 0.0, 1.0, "()").size == 0
+    assert np.array_equal(check_reals("x", arr, 0.0, 1.0), arr)
+    assert check_reals("x", np.empty(0), 0.0, 1.0, "()").size == 0
+    assert type(check_real("x", np.float32(0.5))) is float
     with pytest.raises(sectorlab.BadSector):
-        check_real("x", [0.5, math.nan], error=sectorlab.BadSector)
+        check_reals("x", [0.5, math.nan], error=sectorlab.BadSector)
+    for value in (arr, np.empty(0), [0.5], np.array([0.5])):
+        with pytest.raises(sectorlab.BadSector, match="not a single real number"):
+            check_real("x", value, error=sectorlab.BadSector)
     with pytest.raises(BadInput, match="size ceiling"):
         check_real("x", 2.0, 0.0, 1.0)
 

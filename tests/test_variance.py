@@ -46,6 +46,7 @@ from sectorlab.windows import (
     mollifier_eval,
     mollifier_window,
     periodized_eval,
+    plateau_minus,
     plateau_plus,
 )
 
@@ -122,6 +123,51 @@ def test_truncation_cap_failure(monkeypatch):
     monkeypatch.setattr(variance_mod, "KMAX_CAP", 2)
     with pytest.raises(TruncationFailure):
         truncation_kmax(bump(), 8.0)
+
+
+@pytest.mark.parametrize("f, K", [(plateau_1_2(), 1e5**0.7), (plateau_plus(), 1e6**0.6)],
+                         ids=["sweep cutoff", "default plateau"])
+def test_truncation_walk_stops_at_the_cap(f, K):
+    # neither window has three passing octaves up to KMAX_CAP, and the next
+    # octave, k = 2^24, is past the cap, so the walk fails typed there
+    with pytest.raises(TruncationFailure, match="no certified spectral cutoff"):
+        truncation_kmax(f, K)
+
+
+def test_truncation_walk_samples_no_k_past_the_cap(monkeypatch):
+    sampled = []
+
+    def recording(base, K, k):
+        sampled.append(k)
+        return fourier_coefficient(base, K, k)
+
+    monkeypatch.setattr(variance_mod, "fourier_coefficient", recording)
+    with pytest.raises(TruncationFailure):
+        truncation_kmax(plateau_plus(), 1e6**0.6)
+    # c_0, then every power of two up to the cap
+    assert sampled == [0] + [1 << e for e in range(KMAX_CAP.bit_length())]
+    assert sampled[-1] <= KMAX_CAP < 2 * sampled[-1]
+
+
+@pytest.mark.parametrize("f", [bump(), plateau_plus(), plateau_minus(), plateau_1_2()],
+                         ids=["mollifier", "plateau_plus", "plateau_minus", "sweep cutoff"])
+@pytest.mark.parametrize("K", [1.0, 1.5, 1e4**0.4, 1e6**0.2, 1e6**0.55])
+def test_certified_cutoff_is_minimal(f, K):
+    # the walk returns at its first run of three passing octaves, so the
+    # octave below the cutoff, if any, fails
+    k_max, cert = truncation_kmax(f, K)
+    assert [int(k) for k in cert["checked"]] == [k_max, 2 * k_max, 4 * k_max]
+    c0 = abs(fourier_coefficient(f, K, 0))
+    assert k_max == 1 or not abs(fourier_coefficient(f, K, k_max // 2)) <= 1e-14 * c0
+
+
+def test_octave_samples_still_miss_the_coefficients_between_them():
+    # a known mis-certification (ROADMAP item 2): at K = 3.2 the octaves 32,
+    # 64 and 128 pass while |c_33| is about 1.3e-2 c_0; it stays until the
+    # cutoff rule itself changes
+    f = plateau_plus()
+    assert truncation_kmax(f, 3.2)[0] == 32
+    assert abs(fourier_coefficient(f, 3.2, 33)) > 1e-2 * abs(fourier_coefficient(f, 3.2, 0))
 
 
 @pytest.fixture
