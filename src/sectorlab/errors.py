@@ -168,11 +168,12 @@ def _shown(n: int) -> str:
 
 def real_array(name: str, value, error=BadInput) -> np.ndarray:
     """value as a float64 array, 0-d for a scalar, NaN and inf kept; error for a complex value,
-    whose conversion would keep its real part alone, for an object array holding a non-number
-    such as None, which numpy would read as NaN, and for what numpy cannot make a float."""
+    whose conversion would keep its real part alone, for text such as "0.5", which numpy would
+    parse as a number, for an object array holding a non-number such as None, which numpy
+    would read as NaN, and for what numpy cannot make a float."""
     try:
         x = np.asarray(value)
-        if x.dtype.kind == "c" or (x.dtype.kind == "O"
+        if x.dtype.kind in "cSU" or (x.dtype.kind == "O"
                                    and not all(isinstance(v, numbers.Number) for v in x.flat)):
             raise TypeError
         return x.astype(np.float64, copy=False)

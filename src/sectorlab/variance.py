@@ -48,6 +48,11 @@ from .windows import (
 )
 
 _PAIR_BUDGET = 1 << 16  # pairs (entry-offset, angle-mode) one scatter or synthesis step takes
+# A rank layer's slot costs its argument, the evaluator, its weight and one contiguous add, 1.47
+# ns at the direct workload (numpy 2.4, one thread), whether an entry fills it or not; an entry
+# left to np.add.at costs 2.25 ns, the add taking 0.8 of it.  So a layer pays for its empty slots
+# once about 1.47 / 2.25 = 0.65 of its cells hold an entry.
+_LAYER_FILL = 2 / 3
 TAIL_RATIO = 1e-14
 
 
@@ -119,22 +124,49 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     MAX_PAIRS; the folded grid is checked once to be finite, so a NaN or
     inf bump raises BadInput.
 
-    Offsets below the smallest count are taken _PAIR_BUDGET // n at a
-    time, as a (j, a) grid of pairs in (j, a) order, so few entries over
-    many offsets cost few steps.  With more than _PAIR_BUDGET entries, and
-    at every masked offset, a step is one offset, taken over consecutive
-    slices of at most _PAIR_BUDGET entries, so every pair buffer holds at
-    most _PAIR_BUDGET values whatever the number of entries.  np.add.at
-    adds the pairs in (j, a) order, slice after slice: every cell receives
-    the same additions in the same order as with one step per offset over
-    the entries in input order.  So the grid's bytes follow input order;
-    the callers pass the rows in _weighted_entries' (theta, norm) order,
-    which also walks the spill forwards, with one wrap, at each offset.
-    The evaluator gets a flat array, and the weighted values overwrite
-    that argument buffer; the evaluator's result is only read, so a custom
-    evaluator may return a read-only array, float32, or its own argument.
-    A step so holds two pair buffers, the arguments and the evaluator's
-    result, and no third one for the values.
+    Rank layers.  Layer r holds each first cell's r-th entry in input
+    order (_rank_layers).  Where the leading layers have at least
+    _LAYER_FILL of their G cells filled, R of them, with R G <=
+    _PAIR_BUDGET, become dense arrays of R G slots: first arguments x0_a
+    and weights.  At each offset j below the smallest count one evaluator
+    call takes the R G slots, and R contiguous adds spill[j:j + G] += row,
+    layer by layer, take the place of np.add.at for them; the remaining
+    entries, rank R and up, follow at the same offset through np.add.at in
+    input order.  An empty slot carries weight 0 and the argument of entry
+    0, which is live at every offset below the smallest count, so f is
+    never evaluated outside a support.  Its value, +-0.0, leaves its cell
+    unchanged: the spill starts at +0.0, and a round-to-nearest sum is
+    -0.0 only when both terms are, so it never holds -0.0.  (Where f is
+    NaN or inf there, so is entry 0's own pair, and the grid check raises
+    either way.)  No layer is taken where n < _LAYER_FILL G, where G >
+    _PAIR_BUDGET or where some support is empty.
+    Without layers, offsets below the smallest count are taken
+    _PAIR_BUDGET // n at a time, as a (j, a) grid of pairs in (j, a)
+    order, so few entries over many offsets cost few steps.  At every
+    masked offset a step is one offset over the live entries, the layers'
+    row by row and then the remaining ones; every np.add.at step takes
+    consecutive slices of at most _PAIR_BUDGET entries.
+
+    Order.  A cell at offset j receives the pairs of the entries whose
+    first cell is j below it, and the layers hold each such cell's first R
+    entries in input order, the remaining entries its others in the same
+    order.  So every cell receives the same additions in the same order as
+    with one step per offset over the entries in input order, and the
+    grid's bytes follow input order; the callers pass the rows in
+    _weighted_entries' (theta, norm) order, which also walks the spill
+    forwards, with one wrap, at each offset.  The evaluator gets a flat
+    array, and the weighted values overwrite that argument buffer; the
+    evaluator's result is only read, so a custom evaluator may return a
+    read-only array, float32, or its own argument.
+
+    Memory.  Beyond its inputs the scatter holds the entry-length first
+    cells, counts and x0.  With layers, their arguments, weights and counts
+    take 3 R G slots, and the remaining entries' copies (arguments, first
+    cells, counts, weights) take the place of the entry-length arrays one
+    at a time, so no two copies of an array are held at once.  A step
+    holds two pair buffers of at most _PAIR_BUDGET values, the arguments
+    and the evaluator's result, and no third one for the values; then the
+    spill and the grid.
 
     Arguments.  Pair (a, j) is grid point m = i_lo_a + j, and its argument
     is formed as one subtraction, x~ = x0_a - fl(j dx), from the argument at
@@ -178,25 +210,43 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
     dx = step * scale
     n, span = thetas.size, int(counts.max(initial=0))
     shortest = int(counts.min(initial=span))
+    layers = _rank_layers(first_cell, G) if shortest else None
+    R = 0
+    if layers is not None:
+        slots, rest = layers
+        R = len(slots)
+        empty = slots == n
+        slots[empty] = 0  # entry 0 is live at every offset below the shortest count
+        layer_x0, layer_w, layer_counts = x0[slots], weights[slots], counts[slots]
+        layer_w[empty] = 0.0
+        layer_counts[empty] = 0
+        del layers, slots, empty, i_lo  # i_lo is first_cell's buffer
+        # the remaining entries' copies take the place of the entry-length
+        # arrays one at a time, so at most one of each is held at once
+        x0 = x0[rest]
+        first_cell = first_cell[rest]
+        counts = counts[rest]
+        weights = weights[rest]
+        cols = np.arange(G)
     xbuf = np.empty(_PAIR_BUDGET)
     spill = np.zeros(G + span, dtype=np.float64)
     j = 0
-    while j < span:
-        stop = min(shortest, j + max(1, _PAIR_BUDGET // n)) if j < shortest else j + 1
-        offsets = np.arange(stop - j)[:, None]
-        shifts = (offsets + j) * dx
-        for a in range(0, n, _PAIR_BUDGET):
-            rows = slice(a, a + _PAIR_BUDGET)
-            if j >= shortest:  # only the entries whose support reaches offset j
-                rows = np.flatnonzero(counts[rows] > j) + a
-            starts = x0[rows]
-            x = xbuf[:(stop - j) * starts.size].reshape(stop - j, -1)
-            if x.size:
-                np.subtract(starts, shifts, out=x)
-                np.multiply(f._eval(x.ravel()).reshape(x.shape), weights[rows], out=x)
-                cells = first_cell[rows] if stop == j + 1 else (first_cell[rows] + offsets).ravel()
-                np.add.at(spill[j:], cells, x.ravel())
+    while j < shortest:  # every entry is live
+        if R:
+            x = xbuf[:R * G].reshape(R, G)
+            np.subtract(layer_x0, j * dx, out=x)
+            np.multiply(f._eval(x.reshape(-1)).reshape(R, G), layer_w, out=x)
+            for row in x:
+                spill[j:j + G] += row
+            stop = j + 1
+        else:
+            stop = min(shortest, j + max(1, _PAIR_BUDGET // n))
+        _add_pairs(spill, xbuf, f, dx, j, stop, x0, weights, first_cell)
         j = stop
+    for j in range(shortest, span):  # only the entries whose support reaches offset j
+        for r in range(R):  # a cell's layer entries come before its others, rank by rank
+            _add_pairs(spill, xbuf, f, dx, j, j + 1, layer_x0[r], layer_w[r], cols, layer_counts[r])
+        _add_pairs(spill, xbuf, f, dx, j, j + 1, x0, weights, first_cell, counts)
     # fold mod G: each cell starts from +0.0 and takes its spill cells in
     # index order, the additions np.bincount(arange % G) makes, without its
     # two index arrays as long as the spill
@@ -205,6 +255,61 @@ def _scatter_grid(thetas, weights, K, f, grid_size):
         part = spill[start:start + G]
         grid[:part.size] += part
     return check_reals(f"psi grid of bump {f.kind} on [{f.lo}, {f.hi}]", grid)
+
+
+def _add_pairs(spill, xbuf, f, dx, j, stop, x0, weights, first_cell, counts=None):
+    """np.add.at of the weighted pairs (a, j'), j <= j' < stop, into spill[j:], in (j', a) order.
+
+    The entries are taken in consecutive slices of at most _PAIR_BUDGET,
+    and given counts, one offset, stop = j + 1, over the entries of each
+    slice whose support reaches it; the caller takes several offsets only
+    when they and all the entries fit _PAIR_BUDGET pairs.  A slice's (j',
+    a) block of arguments, and then its weighted values, fill xbuf.
+    """
+    offsets = np.arange(stop - j)[:, None]
+    shifts = (offsets + j) * dx
+    for a in range(0, x0.size, _PAIR_BUDGET):
+        rows = slice(a, a + _PAIR_BUDGET)
+        if counts is not None:
+            rows = np.flatnonzero(counts[rows] > j) + a
+        starts = x0[rows]
+        if not starts.size:
+            continue
+        x = xbuf[:(stop - j) * starts.size].reshape(stop - j, -1)
+        np.subtract(starts, shifts, out=x)
+        np.multiply(f._eval(x.ravel()).reshape(x.shape), weights[rows], out=x)
+        cells = first_cell[rows] if stop == j + 1 else (first_cell[rows] + offsets).ravel()
+        np.add.at(spill[j:], cells, x.ravel())
+
+
+def _rank_layers(first_cell, G):
+    """(slots, rest), the leading rank layers of the entries by first cell and the rest, or None.
+
+    Layer r holds each cell's r-th entry in input order, or n, the entry
+    count, where the cell has r entries or fewer.  Layers are taken while
+    at least _LAYER_FILL of their G cells are filled, R of them with R G
+    <= _PAIR_BUDGET; None when that is none, decided before any G-length
+    array is made where it can be.
+    slots is the layers' (R, G) entry indices; rest a mask of the entries
+    in no layer.  Nothing is sorted: per layer, one np.minimum.at over the
+    entries' indices leaves each cell its least one not yet taken, and the
+    taken ones are then marked n.
+    """
+    n, most = first_cell.size, _PAIR_BUDGET // G
+    if not most or n < _LAYER_FILL * G:
+        return None
+    filled = G - np.cumsum(np.bincount(np.bincount(first_cell, minlength=G)))
+    R = 0
+    while R < min(most, filled.size) and filled[R] >= _LAYER_FILL * G:
+        R += 1
+    if not R:
+        return None
+    slots = np.full((R, G), n)
+    candidates = np.arange(n)
+    for layer in slots:
+        np.minimum.at(layer, first_cell, candidates)
+        candidates[layer[layer < n]] = n
+    return slots, candidates < n
 
 
 def psi_grid(K: float, X: float, f: SmoothWindow, phi: SmoothWindow, grid_size: int) -> np.ndarray:

@@ -43,6 +43,27 @@ from .errors import (KMAX_CAP, MAX_NODES, MAX_PAIRS, MAX_SUPPORT, BadEps, BadInp
 from .ideals import HALF_PI
 
 _TINY = np.finfo(np.float64).tiny
+# numpy runs fmax and fmin against a scalar operand, stride 0, at about 0.39 ns a value, and
+# against an array at about 0.1: the clamps take their constant as a row of this many copies
+# (64 KB), which a block of rows of the input meets in one call, at the array speed
+_CLAMP_BLOCK = 1 << 13
+_TINY_ROW = np.full(_CLAMP_BLOCK, _TINY)
+
+
+def _clamp(op, out, row):
+    """out = op(out, c) in place, for out a C-contiguous float64 array and row _CLAMP_BLOCK copies
+    of c: one call over the whole blocks of out, seen as rows, and one over the rest.  Any other
+    layout is refused: its flat view would be a copy, and the clamp would miss out."""
+    if not out.flags.c_contiguous:
+        raise ValueError("_clamp needs a C-contiguous buffer")
+    flat = out.reshape(-1)
+    whole = flat.size - flat.size % row.size
+    if whole:
+        blocks = flat[:whole].reshape(-1, row.size)
+        op(blocks, row, out=blocks)
+    if whole < flat.size:
+        tail = flat[whole:]
+        op(tail, row[:tail.size], out=tail)
 
 
 def mollifier_eval(x):
@@ -53,13 +74,13 @@ def mollifier_eval(x):
     |x| >= 1, +-inf and NaN give exp(-1/tiny) = 0.0 exactly with no
     division by zero.  For |x| < 1, 1 - x^2 is at least 2^-53, far above
     the clamp, so every value is bitwise the formula's.  BadInput for an int
-    past the float range, a complex x or None (errors.real_array).
+    past the float range, a complex x, text or None (errors.real_array).
     """
     arr = real_array("mollifier_eval: x", x)
-    # empty_like, not arr * arr: a 0-d input would give a scalar, not a buffer
-    out = np.multiply(arr, arr, out=np.empty_like(arr))
+    # a C-ordered buffer, which _clamp views flat; not arr * arr, a scalar for a 0-d input
+    out = np.multiply(arr, arr, out=np.empty(arr.shape))
     np.subtract(1.0, out, out=out)
-    np.fmax(out, _TINY, out=out)
+    _clamp(np.fmax, out, _TINY_ROW)
     np.divide(-1.0, out, out=out)
     np.exp(out, out=out)
     return float(out) if arr.ndim == 0 else out
@@ -74,8 +95,12 @@ def _ramp(t):
     exp(-1/tiny) = 0.0 exactly; one of t, 1 - t is at least 1/2, so the
     denominator is at least exp(-2) and never zero.
     """
-    rise = np.exp(-1.0 / np.fmax(t, _TINY))
-    fall = np.exp(-1.0 / np.fmax(1.0 - t, _TINY))
+    rise = np.array(t, dtype=np.float64, order="C")
+    fall = np.subtract(1.0, rise, out=np.empty_like(rise))
+    for g in (rise, fall):
+        _clamp(np.fmax, g, _TINY_ROW)
+        np.divide(-1.0, g, out=g)
+        np.exp(g, out=g)
     return rise / (rise + fall)
 
 
@@ -130,8 +155,12 @@ def mollifier_window() -> SmoothWindow:
 def _plateau_evaluator(lo: float, hi: float, eps: float) -> Callable:
     """min(ramp((x - lo)/eps), ramp((hi - x)/eps)) over x clamped into [lo, hi] by fmax/fmin:
     NaN and all at or past an end give _ramp(0) = +0.0 exactly, with no mask and no warning."""
+    lo_row, hi_row = np.full(_CLAMP_BLOCK, lo), np.full(_CLAMP_BLOCK, hi)
+
     def evaluate(arr):
-        arr = np.fmin(np.fmax(arr, lo), hi)
+        arr = np.array(arr, dtype=np.float64, order="C")
+        _clamp(np.fmax, arr, lo_row)
+        _clamp(np.fmin, arr, hi_row)
         return np.minimum(_ramp((arr - lo) / eps), _ramp((hi - arr) / eps))
 
     return evaluate

@@ -37,9 +37,11 @@ from sectorlab.errors import (
 BUDGET_S = 5.0
 # 10**400 is an int past the float range, 10**5000 one past Python's int-to-str
 # digit limit; a complex value must raise BadInput, since converting it to a
-# float would keep its real part and answer for that
+# float would keep its real part and answer for that, and so must text, which
+# numpy would parse as the number it spells
 COMPLEX = (np.complex128(4 + 1j), np.array([1j, 2.0]))
-BAD = (math.nan, math.inf, -math.inf, -1, 0, 2.5, 1e30, 10**400, 10**5000) + COMPLEX
+TEXT = ("0.5",)
+BAD = (math.nan, math.inf, -math.inf, -1, 0, 2.5, 1e30, 10**400, 10**5000) + COMPLEX + TEXT
 
 F = sectorlab.mollifier_window()
 PHI = sectorlab.plateau_plus(core=(1.0, 2.0), eps=0.05)
@@ -75,9 +77,10 @@ OBJECTS = {
 
 # the roles that take an array, per function; every other role takes one
 # number, and the fuzz gives it an array and None, each of which must raise
-# BadInput; an array role gets None alone
+# BadInput; an array role gets None and an array of text alone
 ARRAY_ROLES = {"mollifier_eval": ("x",), "periodized_eval": ("theta",)}
 NOT_ONE_NUMBER = (np.array([0.5, 2.0]), None)
+TEXT_ARRAY = np.array(["0.5"])
 
 FUNCTIONS = sorted(name for name in sectorlab.__all__
                    if inspect.isfunction(getattr(sectorlab, name)))
@@ -157,14 +160,16 @@ def test_fuzz_public_function(name):
     # each case is (argument, value, whether only BadInput will do)
     varied, valid = _fuzzed(name)
     cases = [(param, SEQUENCES[param](bad) if param in SEQUENCES else bad,
-              any(bad is c for c in COMPLEX)) for param in varied for bad in BAD]
+              any(bad is c for c in COMPLEX + TEXT)) for param in varied for bad in BAD]
     cases += [(param, whole, True) for param in varied for whole in BAD_SEQUENCES.get(param, ())]
-    # an array role takes an array, and a role whose default is None takes None
+    # an array role takes an array, but not one of text, and a role whose
+    # default is None takes None
     params = inspect.signature(getattr(sectorlab, name)).parameters
     cases += [(param, SEQUENCES[param](bad) if param in SEQUENCES else bad, True)
               for param in varied for bad in NOT_ONE_NUMBER
               if (params[param].default is not None if bad is None
                   else param not in ARRAY_ROLES.get(name, ()))]
+    cases += [(param, TEXT_ARRAY, True) for param in ARRAY_ROLES.get(name, ())]
     probed = set()
 
     @settings(max_examples=len(cases), deadline=None, database=None, derandomize=True,

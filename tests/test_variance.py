@@ -807,6 +807,126 @@ def test_blocked_scatter_steps_on_few_entries():
     assert len(calls) <= -(-pairs // variance_mod._PAIR_BUDGET) + new_live, (len(calls), pairs)
 
 
+def _layout(thetas, K, G, f, budget=variance_mod._PAIR_BUDGET):
+    """(R, filled, shortest): the rank layers the scatter should take, the
+    entries they hold and the smallest support count.  A layer is taken
+    while at least _LAYER_FILL of the G cells have more entries than the
+    layers before it, with R G <= budget; none when a support is empty."""
+    step, scale = HALF_PI / G, K / HALF_PI
+    first = np.mod(np.ceil((thetas - f.hi / scale) / step).astype(np.int64), G)
+    occupancy = np.bincount(first, minlength=G)
+    counts = _support_counts(thetas, K, G, f.lo, f.hi)
+    shortest = int(counts.min()) if counts.size else 0
+    R = 0
+    while (shortest and R < budget // G
+           and np.count_nonzero(occupancy > R) >= variance_mod._LAYER_FILL * G):
+        R += 1
+    return R, int(np.minimum(occupancy, R).sum()), shortest
+
+
+def _recorded_scatter(thetas, weights, K, G, f):
+    """_scatter_grid through f's evaluator, and (size, min, max) of each argument it got."""
+    calls = []
+
+    def recording(u):
+        calls.append((u.size, float(np.min(u, initial=np.inf)), float(np.max(u, initial=-np.inf))))
+        return f._eval(u)
+
+    return _scatter_grid(thetas, weights, K, custom_window(recording, f.lo, f.hi), G), calls
+
+
+def _layered_cases():
+    """(thetas, weights, K, G, kind) with at least two entries a cell.
+
+    A real table with its rows shuffled, for each window; then seeded draws
+    whose entries crowd a few fractional positions in each cell, so cells
+    are shared by entries with equal and with unequal counts, a quarter of
+    them within one support of 0 or of pi/2, so supports wrap past both
+    ends, and whose weights span 1e-16 to 1e3 in magnitude, so a cell that
+    took its additions in another order would round differently.
+    """
+    rng = np.random.default_rng(1903_04005)
+    thetas, weights = _weighted_entries(1e4, plateau_1_2())
+    order = rng.permutation(thetas.size)
+    cases = [(thetas[order], weights[order], 8.0, 256, kind) for kind in sorted(WINDOWS)]
+    for i in range(24):
+        kind = sorted(WINDOWS)[i % len(WINDOWS)]
+        f = WINDOWS[kind]()
+        G = int(rng.integers(8, 513))
+        K = float(rng.uniform(1.0, G * (f.hi - f.lo) / 4.0))  # supports of 4 cells or more
+        n = int(rng.integers(2 * G, 6 * G + 1))
+        cells = rng.integers(0, G, n) + rng.choice([0.0, 0.25, 0.5, 0.9], n)
+        edge = rng.random(n) < 0.25
+        cells[edge] = np.mod(rng.uniform(-1.0, 1.0, np.count_nonzero(edge)) * G / K, G)
+        thetas = np.minimum(cells * (HALF_PI / G), np.nextafter(HALF_PI, 0.0))
+        weights = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16.0, 3.0, n)
+        cases.append((thetas, weights, K, G, kind))
+    return cases
+
+
+def test_layered_scatter_matches_plain_loop_bytes():
+    for thetas, weights, K, G, kind in _layered_cases():
+        f = WINDOWS[kind]()
+        R, filled, shortest = _layout(thetas, K, G, f)
+        assert R >= 1 and filled < thetas.size, (K, G, kind)
+        got, calls = _recorded_scatter(thetas, weights, K, G, f)
+        # one evaluator call of R G slots at each offset below the shortest count
+        assert [size for size, _, _ in calls].count(R * G) >= shortest, (K, G, kind, R)
+        want = plain_scatter(thetas, weights, K, f, G)
+        assert got.tobytes() == want.tobytes(), (K, G, kind, R)
+
+
+def test_layered_scatter_at_the_direct_workload_matches_plain_loop_bytes():
+    # X = 1e6, tau = 0.2 at G = 16,384 under the real budget: four layers
+    X, K, G = 1e6, 1e6**0.2, 1 << 14
+    thetas, weights = _weighted_entries(X, plateau_1_2())
+    R, _, shortest = _layout(thetas, K, G, bump())
+    assert R == 4
+    got, calls = _recorded_scatter(thetas, weights, K, G, bump())
+    assert [size for size, _, _ in calls].count(R * G) == shortest
+    assert got.tobytes() == plain_scatter(thetas, weights, K, bump(), G).tobytes()
+
+
+@pytest.mark.parametrize("budget_cells, layers", [(1, 1), (0.5, 0)], ids=["one_layer", "none"])
+def test_layered_scatter_under_a_small_budget_matches_plain_loop_bytes(budget_cells, layers):
+    # a budget of G pairs caps the layout at one layer; one of G/2 takes none
+    cases = [(thetas, weights, K, G, kind) for thetas, weights, K, G, kind in _layered_cases()
+             if _layout(thetas, K, G, WINDOWS[kind]())[0] >= 2]
+    assert len(cases) >= 9
+    for thetas, weights, K, G, kind in cases[:9]:
+        f = WINDOWS[kind]()
+        budget = int(budget_cells * G)
+        R, _, shortest = _layout(thetas, K, G, f, budget)
+        with mock.patch.object(variance_mod, "_PAIR_BUDGET", budget):
+            got, calls = _recorded_scatter(thetas, weights, K, G, f)
+        assert R == layers
+        if R:
+            assert [size for size, _, _ in calls].count(G) >= shortest
+        assert got.tobytes() == plain_scatter(thetas, weights, K, f, G).tobytes(), (K, G, kind)
+
+
+def test_layered_scatter_stays_inside_support(monkeypatch):
+    # X = 1e5 at G = 2048 under a budget of 8,192 pairs: 4.5 entries a
+    # cell, four layers, the last with empty slots; every argument, theirs
+    # included, lies in the support, and the evaluator sees each slot and
+    # each other pair once an offset
+    X, K, G = 1e5, 10.0, 2048
+    thetas, weights = _weighted_entries(X, plateau_1_2())
+    want = plain_scatter(thetas, weights, K, bump(), G)
+    monkeypatch.setattr(variance_mod, "_PAIR_BUDGET", 4 * G)
+    R, filled, shortest = _layout(thetas, K, G, bump(), 4 * G)
+    assert R == 4 and filled < R * G
+    got, calls = _recorded_scatter(thetas, weights, K, G, bump())
+    assert got.tobytes() == want.tobytes()
+    assert min(lo for _, lo, _ in calls) >= -1.0 - 1e-12
+    assert max(hi for _, _, hi in calls) <= 1.0 + 1e-12
+    counts = _support_counts(thetas, K, G)
+    masked = int(sum(np.count_nonzero(counts > j) for j in range(shortest, counts.max())))
+    assert sum(size for size, _, _ in calls) == (
+        R * G * shortest + (thetas.size - filled) * shortest + masked)
+    assert [size for size, _, _ in calls].count(R * G) == shortest
+
+
 def test_psi_grid_validation():
     with pytest.raises(BadInput):
         psi_grid(4.0, 500.0, bump(), plateau_1_2(), grid_size=0)
@@ -906,6 +1026,7 @@ def test_scatter_arguments_within_derived_bound(theta, K, G, seed):
 @pytest.mark.parametrize("X, K, G, budget", [
     (1e5, 10.0, 256, 1 << 10),  # entries dominate: 9,274 of them over 52 offsets
     (1e4, 3.0, 4096, variance_mod._PAIR_BUDGET),  # the spill dominates: 2,731 offsets
+    (1e6, 1e6**0.2, 1 << 14, variance_mod._PAIR_BUDGET),  # the direct workload: 4 layers
 ])
 def test_memory_gate_scatter(monkeypatch, X, K, G, budget):
     # beyond its inputs the scatter holds four entry-length 8-byte arrays
@@ -915,7 +1036,10 @@ def test_memory_gate_scatter(monkeypatch, X, K, G, budget):
     # values overwrite, the evaluator's output, cells, shifts; 3.3 used at
     # G = 4096, and a buffer of its own for the values would make it 4.3),
     # the spill of G + span cells and the grid of G; no pair buffer grows
-    # with the entries, and no sorted copy of them is made
+    # with the entries, and no sorted copy of them is made.  Rank layers
+    # (R = 4 at the first shape, under its budget of 1,024, and at the
+    # third; R = 0 at the second) fit the same allowance: their copies take
+    # the place of the entry-length arrays one at a time
     monkeypatch.setattr(variance_mod, "_PAIR_BUDGET", budget)
     thetas, weights = _weighted_entries(X, plateau_1_2())
     span = int(_support_counts(thetas, K, G).max())

@@ -72,6 +72,72 @@ def test_mollifier_eval_bitwise_contract():
     assert outside == [0.0, 0.0, 0.0]
 
 
+def _scalar_clamp_mollifier(x):
+    out = np.multiply(x, x, out=np.empty_like(x))
+    np.subtract(1.0, out, out=out)
+    np.fmax(out, windows._TINY, out=out)
+    np.divide(-1.0, out, out=out)
+    return np.exp(out, out=out)
+
+
+def _scalar_clamp_ramp(t):
+    rise = np.exp(-1.0 / np.fmax(t, windows._TINY))
+    fall = np.exp(-1.0 / np.fmax(1.0 - t, windows._TINY))
+    return rise / (rise + fall)
+
+
+def _scalar_clamp_plateau(w, x):
+    x = np.fmin(np.fmax(x, w.lo), w.hi)
+    return np.minimum(_scalar_clamp_ramp((x - w.lo) / w.eps),
+                      _scalar_clamp_ramp((w.hi - x) / w.eps))
+
+
+CLAMP_EDGES = [1.0, -1.0, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), math.inf, -math.inf, math.nan, -0.0,
+               0.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1030), 2.0**-1022, 0.5, -2.0]
+BLOCK = windows._CLAMP_BLOCK
+
+
+@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, (1 << 16) + 3])
+def test_clamps_match_the_scalar_operand_formula_bytes(size):
+    # the clamps take their constant as a row of _CLAMP_BLOCK copies; every
+    # value must be the bytes that numpy's scalar-operand fmax and fmin give,
+    # on both sides of the block length, past 2^16 values, at the edges
+    rng = np.random.default_rng(size)
+    plateaus = (plateau_plus(), plateau_minus(), plateau_plus(core=(1.0, 2.0), eps=0.05))
+    # the ramps never see NaN, which the plateau clamps away first; only the
+    # plateau's upper clamp keeps (x - lo)/eps finite at x = 1e308
+    for lo, hi, evaluate, want_of, extra in [
+        (-1.5, 1.5, windows.mollifier_eval, _scalar_clamp_mollifier, []),
+        (-0.5, 1.5, windows._ramp, _scalar_clamp_ramp, []),
+        *[(w.lo - 0.5, w.hi + 0.5, w._eval, lambda x, w=w: _scalar_clamp_plateau(w, x),
+           [1e308, -1e308]) for w in plateaus],
+    ]:
+        edges = CLAMP_EDGES + extra + [lo + 0.5, hi - 0.5, np.nextafter(lo + 0.5, hi)]
+        if evaluate is windows._ramp:
+            edges = [v for v in edges if not math.isnan(v)]
+        x = rng.uniform(lo, hi, size)
+        x[:min(size, len(edges))] = edges[:size]
+        rng.shuffle(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate(x)
+            zero_d = [evaluate(np.array(v)) for v in edges]
+            two_d = evaluate(x.reshape(1, -1)) if size else got
+            # a transposed and a strided input, the edges and points outside
+            # the support among them: a flat view of either would be a copy
+            e = np.array(edges[:12])
+            others = [(v, evaluate(v)) for v in (e.reshape(3, 4).T, e[::2], e.reshape(3, 4).T[1:])]
+        for v, got_v in others:
+            assert got_v.shape == v.shape
+            want_v = np.ascontiguousarray(want_of(v))
+            assert np.ascontiguousarray(got_v).tobytes() == want_v.tobytes()
+        want = want_of(x)
+        assert np.asarray(got).shape == x.shape
+        assert np.asarray(got).tobytes() == want.tobytes(), evaluate
+        assert np.asarray(two_d).tobytes() == want.tobytes(), evaluate
+        assert np.array([zero_d]).tobytes() == np.array([want_of(np.array(edges))]).tobytes()
+
+
 @pytest.mark.parametrize("make", [float, np.float64, np.array])
 def test_window_and_periodization_give_a_float_for_a_scalar(make):
     # a Python float, a numpy scalar and a 0-d array are each one value
